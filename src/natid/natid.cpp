@@ -70,6 +70,9 @@ bool NatIdResponder::on_message(net::NodeId from, const net::Message& msg) {
             std::find(test.probed.begin(), test.probed.end(), candidate) !=
             test.probed.end();
         if (probed || candidate == from) continue;
+        // The client left while its test was in flight: any answer could
+        // only reach a dead receiver.
+        if (!network_.attached(from)) return true;
         auto fwd = std::make_shared<ForwardTest>();
         fwd->client = from;
         // In a real deployment this is the UDP source address; the

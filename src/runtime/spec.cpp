@@ -1,12 +1,17 @@
 #include "runtime/spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,45 +67,6 @@ std::size_t parse_size(const std::string& key, const std::string& text) {
     fail("spec: malformed value for '" + key + "': \"" + text + "\"");
   }
   return static_cast<std::size_t>(v);
-}
-
-const char* join_name(ExperimentSpec::JoinKind k) {
-  switch (k) {
-    case ExperimentSpec::JoinKind::Poisson: return "poisson";
-    case ExperimentSpec::JoinKind::Fixed: return "fixed";
-    case ExperimentSpec::JoinKind::Instant: return "instant";
-  }
-  return "poisson";
-}
-
-const char* latency_name(World::LatencyKind k) {
-  switch (k) {
-    case World::LatencyKind::King: return "king";
-    case World::LatencyKind::Constant: return "constant";
-    case World::LatencyKind::Coordinate: return "coordinate";
-  }
-  return "king";
-}
-
-const char* record_name(ExperimentSpec::RecordKind k) {
-  switch (k) {
-    case ExperimentSpec::RecordKind::None: return "none";
-    case ExperimentSpec::RecordKind::Estimation: return "estimation";
-    case ExperimentSpec::RecordKind::Graph: return "graph";
-    case ExperimentSpec::RecordKind::GraphSampled: return "graph-sampled";
-    case ExperimentSpec::RecordKind::Randomness: return "randomness";
-  }
-  return "estimation";
-}
-
-const char* corr_name(ExperimentSpec::FailureCorr c) {
-  switch (c) {
-    case ExperimentSpec::FailureCorr::Uniform: return "uniform";
-    case ExperimentSpec::FailureCorr::Region: return "region";
-    case ExperimentSpec::FailureCorr::Public: return "public";
-    case ExperimentSpec::FailureCorr::Private: return "private";
-  }
-  return "region";
 }
 
 /// Splits a composite value ("at:60,frac:0.3,corr:region") into
@@ -175,6 +141,234 @@ ExperimentSpec::LossSpec parse_loss(const std::string& value) {
   return loss;
 }
 
+/// The canonical `loss=` value: the historic scalar when uniform (so
+/// every pre-existing spec prints byte-identically), else the nonzero
+/// pairs in fixed order plus `after`.
+std::string print_loss(const ExperimentSpec::LossSpec& loss) {
+  if (loss.is_uniform()) return fmt_double(loss.pub_pub);
+  std::string out;
+  const auto emit = [&out](const char* sub, double v) {
+    if (v == 0.0) return;
+    out += (out.empty() ? "" : ",") + std::string(sub) + ':' + fmt_double(v);
+  };
+  emit("pub-pub", loss.pub_pub);
+  emit("pub-priv", loss.pub_priv);
+  emit("priv-pub", loss.priv_pub);
+  emit("priv-priv", loss.priv_priv);
+  emit("after", loss.after_s);
+  return out;
+}
+
+// -------------------------------------------------------------- key table
+// Each key, and each subkey of a composite key, is one row: its name,
+// the ExperimentSpec member it sets, and its accepted range or enum
+// spellings. parse, to_string, validate and has_key are all derived
+// from it, so they cannot drift apart.
+
+/// How a row prints in to_string().
+enum class Form : std::uint8_t {
+  Optional,  // `key=value` when the member differs from its default
+  Always,    // `key=value` every time: the identifying quartet
+  Whole,     // composite subkey; every subkey prints once any differs
+  Sparse,    // composite subkey; only the non-default subkeys print
+};
+
+struct Key {
+  const char* key;
+  const char* sub = nullptr;  // nullptr: a plain key
+  Form form = Form::Optional;
+  bool bare = false;  // the subkey a bare composite value sets (fec=2)
+
+  [[nodiscard]] std::string name() const {
+    return sub == nullptr ? key : std::string(key) + ' ' + sub;
+  }
+};
+
+/// A row's accepted values: the interval [lo, hi] (either end optionally
+/// open) for numbers, or the spellings of an enum, indexed by value.
+/// Time rows carry µs per unit and are also checked on the simulated
+/// value: a nonzero time must not round to 0 µs.
+struct Rule {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+  double unit_us = 0.0;      // time rows: 1e6 (s) or 1e3 (ms)
+  bool zero_is_off = false;  // 0 is accepted outside [lo, hi]
+  std::span<const char* const> names = {};
+};
+
+// The time ceiling keeps every µs conversion (and sums of a few of
+// them) far from int64 overflow.
+constexpr double kMaxSeconds = 1e9;
+constexpr Rule kFraction{.hi = 1.0};
+constexpr Rule kProbability{.hi = 1.0, .hi_open = true};
+constexpr Rule kSeconds{.hi = kMaxSeconds, .unit_us = 1e6};
+constexpr Rule kMillis{.hi = kMaxSeconds * 1e3, .unit_us = 1e3};
+constexpr Rule kPositiveSeconds{.hi = kMaxSeconds, .lo_open = true,
+                                .unit_us = 1e6};
+constexpr Rule kPositiveMillis{.hi = kMaxSeconds * 1e3, .lo_open = true,
+                               .unit_us = 1e3};
+
+// Enum spellings, in enumerator order.
+constexpr const char* kJoinNames[] = {"poisson", "fixed", "instant"};
+constexpr const char* kLatencyNames[] = {"constant", "king", "coordinate"};
+constexpr const char* kRecordNames[] = {"none", "estimation", "graph",
+                                        "graph-sampled", "randomness"};
+constexpr const char* kCorrNames[] = {"uniform", "region", "public",
+                                      "private"};
+constexpr const char* kFlagNames[] = {"0", "1"};
+
+/// Calls `row(key, member, rule)` for every row, in to_string() order.
+/// A composite key's subkeys are consecutive rows.
+template <typename Visit>
+void for_each_row(Visit&& row) {
+  using S = ExperimentSpec;
+  constexpr Form kAlways = Form::Always;
+  constexpr Form kWhole = Form::Whole;
+  constexpr Form kSparse = Form::Sparse;
+  row({"protocol", nullptr, kAlways}, &S::protocol, {});
+  row({"nodes", nullptr, kAlways}, &S::nodes, {.lo = 1});
+  row({"ratio", nullptr, kAlways}, &S::ratio, kFraction);
+  row({"join"}, &S::join, {.names = kJoinNames});
+  row({"join-public-ms"}, &S::join_public_ms, kMillis);
+  row({"join-private-ms"}, &S::join_private_ms, kMillis);
+  row({"step-publics"}, &S::step_publics, {});
+  row({"step-privates"}, &S::step_privates, {});
+  row({"step-at"}, &S::step_at_s, kSeconds);
+  row({"step-every-ms"}, &S::step_every_ms, kMillis);
+  row({"flash", "at", kWhole}, &S::flash_at_s, kSeconds);
+  row({"flash", "publics", kWhole}, &S::flash_publics, {});
+  row({"flash", "privates", kWhole}, &S::flash_privates, {});
+  row({"flash", "over", kWhole}, &S::flash_over_s, kSeconds);
+  row({"churn"}, &S::churn, kProbability);
+  row({"churn-at"}, &S::churn_at_s, kSeconds);
+  row({"catastrophe"}, &S::catastrophe, kFraction);
+  row({"catastrophe-at"}, &S::catastrophe_at_s, kSeconds);
+  row({"failure", "at", kWhole}, &S::failure_at_s, kSeconds);
+  row({"failure", "frac", kWhole}, &S::failure_frac, kFraction);
+  row({"failure", "corr", kWhole}, &S::failure_corr, {.names = kCorrNames});
+  row({"eclipse", "target", kWhole, true}, &S::eclipse_target, {});
+  row({"eclipse", "at", kWhole}, &S::eclipse_at_s, kSeconds);
+  row({"eclipse", "period", kWhole}, &S::eclipse_period_s, kPositiveSeconds);
+  row({"natflap", "frac", kWhole, true}, &S::natflap_frac, kFraction);
+  row({"natflap", "at", kWhole}, &S::natflap_at_s, kSeconds);
+  row({"natflap", "period", kWhole}, &S::natflap_period_s, kPositiveSeconds);
+  row({"adversary", "hubs", kWhole, true}, &S::adversary_hubs, {});
+  // Rates strictly below 1: a rate of 1 would silence a class pair and
+  // trips the Network's assert mid-trial.
+  row({"loss"}, &S::loss, kProbability);
+  // A datagram must carry more than the fragment header and fit UDP.
+  row({"mtu"}, &S::mtu,
+      {.lo = net::kFragmentHeaderBytes + 1.0,
+       .hi = static_cast<double>(net::kMaxMtu), .zero_is_off = true});
+  row({"bandwidth", "rate", kSparse, true}, &S::bandwidth_bps, {});
+  row({"bandwidth", "burst", kSparse}, &S::bandwidth_burst, {});
+  row({"fec", "repair", kSparse, true}, &S::fec_repair, {.hi = 0xffff});
+  row({"fec", "rate", kSparse}, &S::fec_rate, {});
+  // World's precondition: a period scaled by 1 - skew stays positive.
+  row({"skew"}, &S::skew, {.hi = 0.5, .hi_open = true});
+  row({"private-round-scale"}, &S::private_round_scale, {.lo_open = true});
+  row({"latency"}, &S::latency, {.names = kLatencyNames});
+  // Not a time row: a latency rounding to 0 µs is a modelled case, not
+  // a stall (every delivery lands at its send time).
+  row({"latency-ms"}, &S::latency_ms,
+      {.hi = kMaxSeconds * 1e3, .lo_open = true});
+  row({"round-ms"}, &S::round_ms, kPositiveMillis);
+  row({"natid"}, &S::natid, {.names = kFlagNames});
+  row({"duration", nullptr, kAlways}, &S::duration_s, kPositiveSeconds);
+  row({"record"}, &S::record, {.names = kRecordNames});
+  row({"record-every"}, &S::record_every_s, kSeconds);
+}
+
+/// Enums and flags: values spelled by the row's names.
+template <typename T>
+constexpr bool kSpelled = std::is_enum_v<T> || std::is_same_v<T, bool>;
+
+template <typename T>
+std::string print_value(const T& v, const Rule& rule) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, ExperimentSpec::LossSpec>) {
+    return print_loss(v);
+  } else if constexpr (kSpelled<T>) {
+    return rule.names[static_cast<std::size_t>(v)];
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return fmt_double(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+template <typename T>
+void parse_value(T& out, const std::string& name, const std::string& text,
+                 const Rule& rule) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_same_v<T, ExperimentSpec::LossSpec>) {
+    out = parse_loss(text);
+  } else if constexpr (kSpelled<T>) {
+    std::string all;
+    for (std::size_t i = 0; i < rule.names.size(); ++i) {
+      if (text == rule.names[i]) {
+        out = static_cast<T>(i);
+        return;
+      }
+      all += (i == 0 ? "" : "|") + std::string(rule.names[i]);
+    }
+    fail("spec: " + name + " must be " + all + ", got \"" + text + "\"");
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out = parse_double(name, text);
+  } else {
+    const std::size_t v = parse_size(name, text);
+    if (v > std::numeric_limits<T>::max()) {
+      fail("spec: " + name + " out of range: " + text);
+    }
+    out = static_cast<T>(v);
+  }
+}
+
+void check_number(const Key& key, double v, const Rule& rule) {
+  const bool above = rule.lo_open ? v > rule.lo : v >= rule.lo;
+  const bool below = rule.hi_open ? v < rule.hi : v <= rule.hi;
+  const char* unit = rule.unit_us == 0.0 ? "" : rule.unit_us == 1e3 ? " ms"
+                                                                  : " s";
+  if (!(above && below) && !(rule.zero_is_off && v == 0.0)) {
+    fail("spec: " + key.name() + " must be " +
+         (rule.zero_is_off ? "0 or in " : "in ") +
+         (rule.lo_open ? "(" : "[") + fmt_double(rule.lo) + ", " +
+         (std::isinf(rule.hi) ? "inf" : fmt_double(rule.hi)) +
+         (rule.hi_open ? ")" : "]") + unit);
+  }
+  // Checked on the simulated value (v >= 0 here, so llround(v * unit)
+  // is 0 exactly when v * unit < 0.5): a zero-length interval aborts
+  // its process or re-arms it at the same instant forever.
+  if (rule.unit_us > 0.0 && v != 0.0 && v * rule.unit_us < 0.5) {
+    fail("spec: " + key.name() + " rounds to 0 us (got " + fmt_double(v) +
+         unit + "); a nonzero time must be at least 1 us");
+  }
+}
+
+template <typename T>
+void check_value(const Key& key, const T& v, const Rule& rule) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (v.empty()) fail("spec: " + key.name() + " must be non-empty");
+  } else if constexpr (std::is_same_v<T, ExperimentSpec::LossSpec>) {
+    for (const double rate : {v.pub_pub, v.pub_priv, v.priv_pub,
+                              v.priv_priv}) {
+      check_number({"loss", "rate"}, rate, rule);
+    }
+    check_number({"loss", "after"}, v.after_s, kSeconds);
+  } else if constexpr (!kSpelled<T>) {
+    check_number(key, static_cast<double>(v), rule);
+  }
+}
+
+const ExperimentSpec& defaults() {
+  static const ExperimentSpec spec;
+  return spec;
+}
+
 }  // namespace
 
 net::LossConfig ExperimentSpec::LossSpec::to_config() const {
@@ -200,30 +394,29 @@ std::size_t ExperimentSpec::publics() const {
 
 sim::Duration ExperimentSpec::duration() const { return from_s(duration_s); }
 
+bool ExperimentSpec::has_key(const std::string& key) {
+  bool found = false;
+  for_each_row([&](const Key& k, auto, const Rule&) {
+    found = found || key == k.key;
+  });
+  return found;
+}
+
 void ExperimentSpec::validate() const {
+  for_each_row([this](const Key& k, auto field, const Rule& rule) {
+    check_value(k, this->*field, rule);
+  });
+  // Rules spanning several keys.
   const auto check = [](bool ok, const char* what) {
     if (!ok) fail(std::string("spec: ") + what);
   };
-  check(!protocol.empty(), "protocol must be non-empty");
-  check(nodes > 0, "nodes must be >= 1");
-  check(ratio >= 0.0 && ratio <= 1.0, "ratio must be in [0, 1]");
   check(join == JoinKind::Instant ||
             (join_public_ms > 0.0 && join_private_ms > 0.0),
         "join intervals must be positive");
   check(step_publics + step_privates == 0 || step_every_ms > 0.0,
         "step-every-ms must be positive");
-  check(step_at_s >= 0.0, "step-at must be >= 0");
   check(flash_publics + flash_privates == 0 || flash_over_s > 0.0,
         "flash over must be positive");
-  check(flash_at_s >= 0.0, "flash at must be >= 0");
-  check(churn >= 0.0 && churn < 1.0, "churn must be in [0, 1)");
-  check(churn_at_s >= 0.0, "churn-at must be >= 0");
-  check(catastrophe >= 0.0 && catastrophe <= 1.0,
-        "catastrophe must be in [0, 1]");
-  check(catastrophe_at_s >= 0.0, "catastrophe-at must be >= 0");
-  check(failure_frac >= 0.0 && failure_frac <= 1.0,
-        "failure frac must be in [0, 1]");
-  check(failure_at_s >= 0.0, "failure at must be >= 0");
   // Adversarial scenario bounds, rejected here rather than mid-trial:
   // an eclipse target the join processes never spawn would silently
   // no-op forever, natflap on an all-public population has no NAT class
@@ -231,49 +424,25 @@ void ExperimentSpec::validate() const {
   check(eclipse_target <= nodes,
         "eclipse target must be a node id in [1, nodes] (0 = off; ids are "
         "assigned 1..nodes in join order)");
-  check(eclipse_at_s >= 0.0, "eclipse at must be >= 0");
-  check(eclipse_period_s > 0.0, "eclipse period must be positive");
-  check(natflap_frac >= 0.0 && natflap_frac <= 1.0,
-        "natflap frac must be in [0, 1]");
   check(natflap_frac == 0.0 || ratio < 1.0,
         "natflap requires a mixed population — with ratio=1 there is no "
         "NAT class to oscillate");
-  check(natflap_at_s >= 0.0, "natflap at must be >= 0");
-  check(natflap_period_s > 0.0, "natflap period must be positive");
   check(adversary_hubs == 0 || adversary_hubs < nodes,
         "adversary hubs must be < nodes — at least one honest node must "
         "remain");
   if (adversary_hubs > 0) (void)dialect_for_protocol(protocol);
-  // Strictly below 1: a rate of 1.0 would silence a class pair outright
-  // and used to slip through to the Network's hard assert mid-trial;
-  // failing here keeps the error at parse/validate time.
-  for (const double rate : {loss.pub_pub, loss.pub_priv, loss.priv_pub,
-                            loss.priv_priv}) {
-    check(rate >= 0.0 && rate < 1.0,
-          "loss rates must be in [0, 1) — 1.0 would drop every packet of "
-          "a class pair");
-  }
-  check(loss.after_s >= 0.0, "loss after must be >= 0");
-  // Packet-layer bounds checked here, not inside the Fragmenter/bucket
-  // asserts: an mtu smaller than the fragment frame or a bucket with
-  // burst but no rate used to crash mid-trial instead of failing at
-  // parse/validate time (same rationale as the loss-rate check above).
-  check(mtu == 0 || (mtu > net::kFragmentHeaderBytes && mtu <= net::kMaxMtu),
-        "mtu must be 0 (off) or in (20, 65507] — a datagram must carry "
-        "more than the fragment header");
   check(bandwidth_burst == 0 || bandwidth_bps > 0,
         "bandwidth burst requires a positive rate — a zero-rate bucket "
         "would never drain");
-  check(fec_rate >= 0.0, "fec rate must be >= 0");
   check((fec_repair == 0 && fec_rate == 0.0) || mtu > 0,
         "fec requires a positive mtu — repair fragments only exist for "
         "fragmented messages");
-  check(skew >= 0.0 && skew < 1.0, "skew must be in [0, 1)");
-  check(private_round_scale > 0.0, "private-round-scale must be positive");
-  check(latency_ms > 0.0, "latency-ms must be positive");
-  check(round_ms > 0.0, "round-ms must be positive");
-  check(duration_s > 0.0, "duration must be positive");
-  check(record_every_s >= 0.0, "record-every must be >= 0");
+  // World's shortest possible round: a zero-length period would re-arm
+  // the round event at the same instant forever.
+  check(static_cast<double>(from_ms(round_ms)) * (1.0 - skew) *
+                std::min(1.0, private_round_scale) >= 1.0,
+        "shortest round, round-ms x (1 - skew) x min(1, "
+        "private-round-scale), must be at least 1 us");
   // Fail on an unknown protocol name, option key, or malformed option
   // value at validation time, not mid-trial: specs are often validated
   // once and then fanned out over a pool, where a late throw would
@@ -282,106 +451,46 @@ void ExperimentSpec::validate() const {
 }
 
 std::string ExperimentSpec::to_string() const {
-  static const ExperimentSpec defaults;
-  std::ostringstream out;
-  out << "protocol=" << protocol;
-  out << " nodes=" << nodes;
-  out << " ratio=" << fmt_double(ratio);
-
-  const auto emit_d = [&](const char* key, double v, double dflt) {
-    if (v != dflt) out << ' ' << key << '=' << fmt_double(v);
+  std::string out;
+  // A composite key is printed after its last subkey row, from what its
+  // rows collected.
+  std::string_view group;
+  std::string body;         // the printed `sub:value` elements
+  std::string bare;         // the bare subkey's value, if it differs
+  std::size_t changed = 0;  // subkeys differing from their defaults
+  bool sparse = false;
+  const auto flush = [&] {
+    if (changed > 0) {
+      const bool alone = sparse && changed == 1 && !bare.empty();
+      out.append(" ").append(group).append("=").append(alone ? bare : body);
+    }
+    group = {};
+    body.clear();
+    bare.clear();
+    changed = 0;
   };
-  const auto emit_n = [&](const char* key, std::size_t v, std::size_t dflt) {
-    if (v != dflt) out << ' ' << key << '=' << v;
-  };
-
-  if (join != defaults.join) out << " join=" << join_name(join);
-  emit_d("join-public-ms", join_public_ms, defaults.join_public_ms);
-  emit_d("join-private-ms", join_private_ms, defaults.join_private_ms);
-  emit_n("step-publics", step_publics, defaults.step_publics);
-  emit_n("step-privates", step_privates, defaults.step_privates);
-  emit_d("step-at", step_at_s, defaults.step_at_s);
-  emit_d("step-every-ms", step_every_ms, defaults.step_every_ms);
-  if (flash_publics + flash_privates > 0 ||
-      flash_at_s != defaults.flash_at_s ||
-      flash_over_s != defaults.flash_over_s) {
-    out << " flash=at:" << fmt_double(flash_at_s) << ",publics:"
-        << flash_publics << ",privates:" << flash_privates << ",over:"
-        << fmt_double(flash_over_s);
-  }
-  emit_d("churn", churn, defaults.churn);
-  emit_d("churn-at", churn_at_s, defaults.churn_at_s);
-  emit_d("catastrophe", catastrophe, defaults.catastrophe);
-  emit_d("catastrophe-at", catastrophe_at_s, defaults.catastrophe_at_s);
-  if (failure_frac != 0.0 || failure_at_s != defaults.failure_at_s ||
-      failure_corr != defaults.failure_corr) {
-    out << " failure=at:" << fmt_double(failure_at_s) << ",frac:"
-        << fmt_double(failure_frac) << ",corr:" << corr_name(failure_corr);
-  }
-  if (eclipse_target != 0 || eclipse_at_s != defaults.eclipse_at_s ||
-      eclipse_period_s != defaults.eclipse_period_s) {
-    out << " eclipse=target:" << eclipse_target << ",at:"
-        << fmt_double(eclipse_at_s) << ",period:"
-        << fmt_double(eclipse_period_s);
-  }
-  if (natflap_frac != 0.0 || natflap_at_s != defaults.natflap_at_s ||
-      natflap_period_s != defaults.natflap_period_s) {
-    out << " natflap=frac:" << fmt_double(natflap_frac) << ",at:"
-        << fmt_double(natflap_at_s) << ",period:"
-        << fmt_double(natflap_period_s);
-  }
-  if (adversary_hubs != 0) out << " adversary=hubs:" << adversary_hubs;
-  if (loss.is_uniform()) {
-    // The historic scalar form, byte-identical for every pre-existing
-    // spec (uniform zero is the default and stays omitted).
-    emit_d("loss", loss.pub_pub, 0.0);
-  } else {
-    out << " loss=";
-    const char* sep = "";
-    const auto emit_pair = [&](const char* pair, double rate) {
-      if (rate == 0.0) return;
-      out << sep << pair << ':' << fmt_double(rate);
-      sep = ",";
-    };
-    emit_pair("pub-pub", loss.pub_pub);
-    emit_pair("pub-priv", loss.pub_priv);
-    emit_pair("priv-pub", loss.priv_pub);
-    emit_pair("priv-priv", loss.priv_priv);
-    if (loss.after_s != 0.0) {
-      out << sep << "after:" << fmt_double(loss.after_s);
+  for_each_row([&](const Key& k, auto field, const Rule& rule) {
+    const auto& v = this->*field;
+    const bool differs = !(v == defaults().*field);
+    if (group != k.key) flush();
+    if (k.sub == nullptr) {
+      if (differs || k.form == Form::Always) {
+        out.append(" ").append(k.key).append("=").append(
+            print_value(v, rule));
+      }
+      return;
     }
-  }
-  emit_n("mtu", mtu, defaults.mtu);
-  if (bandwidth_bps != 0 || bandwidth_burst != 0) {
-    // Scalar shorthand when the burst is defaulted (validate guarantees
-    // a burst never appears without a rate).
-    if (bandwidth_burst == 0) {
-      out << " bandwidth=" << bandwidth_bps;
-    } else {
-      out << " bandwidth=rate:" << bandwidth_bps << ",burst:"
-          << bandwidth_burst;
+    group = k.key;
+    sparse = k.form == Form::Sparse;
+    changed += differs ? 1 : 0;
+    if (differs && k.bare) bare = print_value(v, rule);
+    if (differs || !sparse) {
+      body.append(body.empty() ? "" : ",").append(k.sub).append(":").append(
+          print_value(v, rule));
     }
-  }
-  if (fec_repair != 0 || fec_rate != 0.0) {
-    if (fec_rate == 0.0) {
-      out << " fec=" << fec_repair;
-    } else {
-      out << " fec=";
-      if (fec_repair != 0) out << "repair:" << fec_repair << ',';
-      out << "rate:" << fmt_double(fec_rate);
-    }
-  }
-  emit_d("skew", skew, defaults.skew);
-  emit_d("private-round-scale", private_round_scale,
-         defaults.private_round_scale);
-  if (latency != defaults.latency) out << " latency=" << latency_name(latency);
-  emit_d("latency-ms", latency_ms, defaults.latency_ms);
-  emit_d("round-ms", round_ms, defaults.round_ms);
-  if (natid) out << " natid=1";
-  out << " duration=" << fmt_double(duration_s);
-  if (record != defaults.record) out << " record=" << record_name(record);
-  emit_d("record-every", record_every_s, defaults.record_every_s);
-  return out.str();
+  });
+  flush();
+  return out.substr(1);  // the leading space
 }
 
 ExperimentSpec ExperimentSpec::parse(const std::string& text) {
@@ -395,192 +504,37 @@ ExperimentSpec ExperimentSpec::parse(const std::string& text) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    if (!has_key(key)) fail("spec: unknown key '" + key + "'");
 
-    if (key == "protocol") {
-      spec.protocol = value;
-    } else if (key == "nodes") {
-      spec.nodes = parse_size(key, value);
-    } else if (key == "ratio") {
-      spec.ratio = parse_double(key, value);
-    } else if (key == "join") {
-      if (value == "poisson") spec.join = JoinKind::Poisson;
-      else if (value == "fixed") spec.join = JoinKind::Fixed;
-      else if (value == "instant") spec.join = JoinKind::Instant;
-      else fail("spec: join must be poisson|fixed|instant, got \"" + value +
-                "\"");
-    } else if (key == "join-public-ms") {
-      spec.join_public_ms = parse_double(key, value);
-    } else if (key == "join-private-ms") {
-      spec.join_private_ms = parse_double(key, value);
-    } else if (key == "step-publics") {
-      spec.step_publics = parse_size(key, value);
-    } else if (key == "step-privates") {
-      spec.step_privates = parse_size(key, value);
-    } else if (key == "step-at") {
-      spec.step_at_s = parse_double(key, value);
-    } else if (key == "step-every-ms") {
-      spec.step_every_ms = parse_double(key, value);
-    } else if (key == "flash") {
-      const ExperimentSpec defaults;
-      spec.flash_publics = defaults.flash_publics;
-      spec.flash_privates = defaults.flash_privates;
-      spec.flash_at_s = defaults.flash_at_s;
-      spec.flash_over_s = defaults.flash_over_s;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub == "at") spec.flash_at_s = parse_double("flash at", text);
-        else if (sub == "publics")
-          spec.flash_publics = parse_size("flash publics", text);
-        else if (sub == "privates")
-          spec.flash_privates = parse_size("flash privates", text);
-        else if (sub == "over")
-          spec.flash_over_s = parse_double("flash over", text);
-        else
-          fail("spec: flash subkey must be at|publics|privates|over, got \"" +
-               sub + "\"");
+    // A plain key takes its value; a composite key first resets every
+    // subkey (repeating the key replaces it wholesale), then sets the
+    // ones given.
+    std::string subkeys;
+    for_each_row([&](const Key& k, auto field, const Rule& rule) {
+      if (key != k.key) return;
+      if (k.sub == nullptr) {
+        parse_value(spec.*field, key, value, rule);
+      } else {
+        spec.*field = defaults().*field;
+        subkeys.append(subkeys.empty() ? "" : "|").append(k.sub);
       }
-    } else if (key == "churn") {
-      spec.churn = parse_double(key, value);
-    } else if (key == "churn-at") {
-      spec.churn_at_s = parse_double(key, value);
-    } else if (key == "catastrophe") {
-      spec.catastrophe = parse_double(key, value);
-    } else if (key == "catastrophe-at") {
-      spec.catastrophe_at_s = parse_double(key, value);
-    } else if (key == "failure") {
-      const ExperimentSpec defaults;
-      spec.failure_frac = defaults.failure_frac;
-      spec.failure_at_s = defaults.failure_at_s;
-      spec.failure_corr = defaults.failure_corr;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub == "at") {
-          spec.failure_at_s = parse_double("failure at", text);
-        } else if (sub == "frac") {
-          spec.failure_frac = parse_double("failure frac", text);
-        } else if (sub == "corr") {
-          if (text == "uniform") spec.failure_corr = FailureCorr::Uniform;
-          else if (text == "region") spec.failure_corr = FailureCorr::Region;
-          else if (text == "public") spec.failure_corr = FailureCorr::Public;
-          else if (text == "private")
-            spec.failure_corr = FailureCorr::Private;
-          else
-            fail("spec: failure corr must be uniform|region|public|private, "
-                 "got \"" + text + "\"");
-        } else {
-          fail("spec: failure subkey must be at|frac|corr, got \"" + sub +
-               "\"");
-        }
+    });
+    if (subkeys.empty()) continue;
+    for (const auto& [sub, text] : split_subkeys(key, value)) {
+      bool found = false;
+      for_each_row([&](const Key& k, auto field, const Rule& rule) {
+        if (key != k.key || !(sub.empty() ? k.bare : sub == k.sub)) return;
+        parse_value(spec.*field, k.name(), text, rule);
+        found = true;
+      });
+      if (!found) {
+        fail("spec: " + key + " subkey must be " + subkeys + ", got \"" +
+             sub + "\"");
       }
-    } else if (key == "eclipse") {
-      const ExperimentSpec defaults;
-      spec.eclipse_target = defaults.eclipse_target;
-      spec.eclipse_at_s = defaults.eclipse_at_s;
-      spec.eclipse_period_s = defaults.eclipse_period_s;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "target") {
-          spec.eclipse_target = parse_size("eclipse target", text);
-        } else if (sub == "at") {
-          spec.eclipse_at_s = parse_double("eclipse at", text);
-        } else if (sub == "period") {
-          spec.eclipse_period_s = parse_double("eclipse period", text);
-        } else {
-          fail("spec: eclipse subkey must be target|at|period, got \"" + sub +
-               "\"");
-        }
-      }
-    } else if (key == "natflap") {
-      const ExperimentSpec defaults;
-      spec.natflap_frac = defaults.natflap_frac;
-      spec.natflap_at_s = defaults.natflap_at_s;
-      spec.natflap_period_s = defaults.natflap_period_s;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "frac") {
-          spec.natflap_frac = parse_double("natflap frac", text);
-        } else if (sub == "at") {
-          spec.natflap_at_s = parse_double("natflap at", text);
-        } else if (sub == "period") {
-          spec.natflap_period_s = parse_double("natflap period", text);
-        } else {
-          fail("spec: natflap subkey must be frac|at|period, got \"" + sub +
-               "\"");
-        }
-      }
-    } else if (key == "adversary") {
-      spec.adversary_hubs = 0;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "hubs") {
-          spec.adversary_hubs = parse_size("adversary hubs", text);
-        } else {
-          fail("spec: adversary subkey must be hubs, got \"" + sub + "\"");
-        }
-      }
-    } else if (key == "loss") {
-      spec.loss = parse_loss(value);
-    } else if (key == "mtu") {
-      spec.mtu = parse_size(key, value);
-    } else if (key == "bandwidth") {
-      spec.bandwidth_bps = 0;
-      spec.bandwidth_burst = 0;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "rate") {
-          spec.bandwidth_bps = parse_size("bandwidth rate", text);
-        } else if (sub == "burst") {
-          spec.bandwidth_burst = parse_size("bandwidth burst", text);
-        } else {
-          fail("spec: bandwidth subkey must be rate|burst, got \"" + sub +
-               "\"");
-        }
-      }
-      if (spec.bandwidth_bps == 0) {
-        fail("spec: bandwidth rate must be positive (omit the key for an "
-             "uncapped link)");
-      }
-    } else if (key == "fec") {
-      spec.fec_repair = 0;
-      spec.fec_rate = 0.0;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "repair") {
-          const std::size_t v = parse_size("fec repair", text);
-          if (v > 0xffff) fail("spec: fec repair count out of range");
-          spec.fec_repair = static_cast<std::uint32_t>(v);
-        } else if (sub == "rate") {
-          spec.fec_rate = parse_double("fec rate", text);
-        } else {
-          fail("spec: fec subkey must be repair|rate, got \"" + sub + "\"");
-        }
-      }
-    } else if (key == "skew") {
-      spec.skew = parse_double(key, value);
-    } else if (key == "private-round-scale") {
-      spec.private_round_scale = parse_double(key, value);
-    } else if (key == "latency") {
-      if (value == "king") spec.latency = World::LatencyKind::King;
-      else if (value == "constant") spec.latency = World::LatencyKind::Constant;
-      else if (value == "coordinate")
-        spec.latency = World::LatencyKind::Coordinate;
-      else fail("spec: latency must be king|constant|coordinate, got \"" +
-                value + "\"");
-    } else if (key == "latency-ms") {
-      spec.latency_ms = parse_double(key, value);
-    } else if (key == "round-ms") {
-      spec.round_ms = parse_double(key, value);
-    } else if (key == "natid") {
-      if (value == "0") spec.natid = false;
-      else if (value == "1") spec.natid = true;
-      else fail("spec: natid must be 0|1, got \"" + value + "\"");
-    } else if (key == "duration") {
-      spec.duration_s = parse_double(key, value);
-    } else if (key == "record") {
-      if (value == "none") spec.record = RecordKind::None;
-      else if (value == "estimation") spec.record = RecordKind::Estimation;
-      else if (value == "graph") spec.record = RecordKind::Graph;
-      else if (value == "graph-sampled") spec.record = RecordKind::GraphSampled;
-      else if (value == "randomness") spec.record = RecordKind::Randomness;
-      else fail("spec: record must be none|estimation|graph|graph-sampled|"
-                "randomness, got \"" + value + "\"");
-    } else if (key == "record-every") {
-      spec.record_every_s = parse_double(key, value);
-    } else {
-      fail("spec: unknown key '" + key + "'");
+    }
+    if (key == "bandwidth" && spec.bandwidth_bps == 0) {
+      fail("spec: bandwidth rate must be positive (omit the key for an "
+           "uncapped link)");
     }
   }
   spec.validate();

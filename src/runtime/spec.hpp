@@ -167,6 +167,8 @@ struct ExperimentSpec {
 
   /// Throws std::invalid_argument on out-of-range fields (ratio outside
   /// [0,1], churn outside [0,1), zero nodes, non-positive duration, ...).
+  /// Times must lie in [0, 1e9] s, and a nonzero time other than
+  /// latency-ms must be at least 1 µs once converted to simulated time.
   void validate() const;
 
   /// Canonical textual form; defaults omitted except the identifying
@@ -176,6 +178,10 @@ struct ExperimentSpec {
   /// Parses the `key=value ...` form. Throws std::invalid_argument on
   /// unknown keys, malformed values, or a spec that fails validate().
   static ExperimentSpec parse(const std::string& text);
+
+  /// True when `key` is a spec key (composite keys by their own name,
+  /// e.g. "flash"; subkeys are not keys).
+  static bool has_key(const std::string& key);
 
   friend bool operator==(const ExperimentSpec&,
                          const ExperimentSpec&) = default;

@@ -217,6 +217,16 @@ TEST(ParallelWorldDeterminism, NatIdProtocolStaysSerialized) {
   expect_engine_equivalence(spec, 11);
 }
 
+TEST(ParallelWorldDeterminism, NatIdUnderChurn) {
+  // Regression: a joiner churned out while its NAT-ID test was in flight
+  // used to abort the responder (it asked the Network for the departed
+  // client's public address).
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=100 join=instant natid=1 churn=0.05 "
+      "churn-at=5 duration=30");
+  expect_engine_equivalence(spec, 1);
+}
+
 TEST(ParallelWorldDeterminism, CatastropheUnderGozar) {
   // Cross-protocol + mass kill mid-run (fig. 7b shape); graph recording
   // exercises the other recorder path.

@@ -114,7 +114,7 @@ ExperimentSpec random_spec(sim::RngStream& rng) {
     if (rng.chance(0.5)) s.bandwidth_burst = 100 + rng.index(100000);
   }
 
-  if (rng.chance(0.3)) s.skew = uniform(rng, 0.0, 0.99);
+  if (rng.chance(0.3)) s.skew = uniform(rng, 0.0, 0.5);
   if (rng.chance(0.3)) s.private_round_scale = uniform(rng, 0.1, 4.0);
   switch (rng.index(3)) {
     case 0: s.latency = run::World::LatencyKind::King; break;
@@ -137,8 +137,18 @@ ExperimentSpec random_spec(sim::RngStream& rng) {
   return s;
 }
 
+/// Folds one canonical string, newline-terminated, into an FNV-1a digest.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& text) {
+  for (const char c : text + '\n') {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 TEST(SpecRoundtripProperty, ParseOfToStringIsIdentity) {
   sim::RngStream rng(0xD1CE);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
   for (int i = 0; i < 500; ++i) {
     const ExperimentSpec s = random_spec(rng);
     ASSERT_NO_THROW(s.validate()) << "iteration " << i << ": generator "
@@ -153,7 +163,12 @@ TEST(SpecRoundtripProperty, ParseOfToStringIsIdentity) {
                        << "  reparsed: " << back.to_string();
     // Fixed point: re-emitting the reparsed spec changes nothing.
     EXPECT_EQ(back.to_string(), text) << "iteration " << i;
+    digest = fnv1a(digest, text);
   }
+  // The canonical bytes themselves are pinned, not just the round trip:
+  // specs are provenance (CSV headers, lab output), so a printer change
+  // that still round-trips must show up here.
+  EXPECT_EQ(digest, 0xe1a39dff1bc2fe8cULL) << std::hex << digest;
 }
 
 TEST(SpecRoundtripProperty, DefaultSpecRoundTrips) {
@@ -166,6 +181,9 @@ TEST(SpecRoundtripProperty, ValidateRejectsOutOfRangeMutations) {
   // throw for each, and parse() (which validates) must agree.
   const auto expect_invalid = [](ExperimentSpec s, const char* what) {
     EXPECT_THROW(s.validate(), std::invalid_argument) << what;
+    EXPECT_THROW((void)ExperimentSpec::parse(s.to_string()),
+                 std::invalid_argument)
+        << what;
   };
   ExperimentSpec s;
   s.loss.pub_pub = 1.0;
@@ -189,6 +207,69 @@ TEST(SpecRoundtripProperty, ValidateRejectsOutOfRangeMutations) {
   s = ExperimentSpec{};
   s.protocol = "no-such-protocol";
   expect_invalid(s, "unknown protocol");
+
+  // Specs that validate() once accepted but whose runs aborted in an
+  // assert or never finished: times rounding to 0 us, skew outside
+  // World's [0, 0.5), a horizon past the time ceiling, and rounds that
+  // can be shorter than 1 us.
+  const ExperimentSpec base = [] {
+    ExperimentSpec b;
+    b.nodes = 10;
+    b.duration_s = 5;
+    return b;
+  }();
+  s = base;
+  s.round_ms = 0.0004;
+  expect_invalid(s, "round-ms=0.0004");
+  s = base;
+  s.join_public_ms = 1e-9;
+  expect_invalid(s, "join-public-ms=1e-9");
+  s = base;
+  s.step_publics = 3;
+  s.step_every_ms = 1e-9;
+  expect_invalid(s, "step-publics=3 step-every-ms=1e-9");
+  s = base;
+  s.duration_s = 15;
+  s.flash_at_s = 1;
+  s.flash_publics = 3;
+  s.flash_over_s = 1e-9;
+  expect_invalid(s, "flash=at:1,publics:3,over:1e-9");
+  s = base;
+  s.duration_s = 70;
+  s.eclipse_target = 3;
+  s.eclipse_period_s = 1e-9;
+  expect_invalid(s, "eclipse=target:3,period:1e-9");
+  s = base;
+  s.duration_s = 15;
+  s.natflap_frac = 0.5;
+  s.natflap_at_s = 1;
+  s.natflap_period_s = 1e-9;
+  expect_invalid(s, "natflap=frac:0.5,at:1,period:1e-9");
+  s = base;
+  s.record_every_s = 1e-9;
+  expect_invalid(s, "record-every=1e-9");
+  s = base;
+  s.skew = 0.7;
+  expect_invalid(s, "skew=0.7");
+  s = base;
+  s.duration_s = 1e300;
+  expect_invalid(s, "duration=1e300");
+  s = base;
+  s.join = ExperimentSpec::JoinKind::Instant;
+  s.duration_s = 1;
+  s.private_round_scale = 1e-12;
+  s.record_every_s = 0.1;
+  expect_invalid(s, "private-round-scale=1e-12");
+  s = base;
+  s.join = ExperimentSpec::JoinKind::Instant;
+  s.duration_s = 0.01;
+  s.round_ms = 0.001;
+  s.skew = 0.4;
+  s.record_every_s = 0.001;
+  expect_invalid(s, "round-ms=0.001 skew=0.4");
+  // Without skew that 1 us round is exactly long enough.
+  s.skew = 0.0;
+  EXPECT_NO_THROW(s.validate());
 }
 
 }  // namespace

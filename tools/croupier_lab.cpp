@@ -126,17 +126,6 @@ struct LabFlags {
 
   /// BenchArgs extra-flag hook: true when `arg` is a lab flag.
   bool consume(const std::string& arg) {
-    static constexpr const char* kSpecKeys[] = {
-        "nodes",          "ratio",        "join",        "join-public-ms",
-        "join-private-ms", "step-publics", "step-privates", "step-at",
-        "step-every-ms",  "flash",        "churn",       "churn-at",
-        "catastrophe",    "catastrophe-at", "failure",   "loss",
-        "eclipse",        "natflap",      "adversary",
-        "mtu",            "bandwidth",    "fec",
-        "skew",           "private-round-scale",
-        "latency",        "latency-ms",   "round-ms",    "duration",
-        "record",         "record-every",
-    };
     if (arg == "--help") {
       std::fputs(kUsage, stdout);
       std::exit(0);
@@ -166,12 +155,12 @@ struct LabFlags {
       raw_specs.push_back(arg.substr(7));
       return true;
     }
-    for (const char* key : kSpecKeys) {
-      const std::string prefix = std::string("--") + key + "=";
-      if (arg.rfind(prefix, 0) == 0) {
-        scenario.emplace_back(key, arg.substr(prefix.size()));
-        return true;
-      }
+    // Every other spec key is a scenario flag, --KEY=VALUE.
+    const std::size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) == 0 && eq != std::string::npos &&
+        run::ExperimentSpec::has_key(arg.substr(2, eq - 2))) {
+      scenario.emplace_back(arg.substr(2, eq - 2), arg.substr(eq + 1));
+      return true;
     }
     return false;
   }
@@ -210,107 +199,77 @@ std::vector<run::ExperimentSpec> build_specs(const LabFlags& flags) {
   return specs;
 }
 
-struct GraphSeries {
-  std::vector<double> t;
-  std::vector<double> apl;
-  std::vector<double> cc;
+/// One series column of the graph, graph-sampled or randomness record
+/// kind: its block-name suffix, the recorder field it reads, its y
+/// format, and, when `final_key` is set, its entry in the summary line.
+template <typename Point>
+struct Column {
+  const char* name;
+  double Point::*field;
+  const char* y_fmt;
+  const char* final_key = nullptr;
+  const char* final_fmt = nullptr;
 };
 
-GraphSeries to_graph_series(const run::GraphStatsRecorder& recorder) {
-  GraphSeries out;
-  for (const auto& p : recorder.series()) {
-    out.t.push_back(p.t_seconds);
-    out.apl.push_back(p.avg_path_length);
-    out.cc.push_back(p.clustering_coefficient);
+using GraphPoint = run::GraphStatsPoint;
+using SampledPoint = metrics::StreamingGraphStats;
+using AuditPoint = metrics::RandomnessPoint;
+
+constexpr Column<GraphPoint> kGraphColumns[] = {
+    {"avg-path-length", &GraphPoint::avg_path_length, "%.4f", "apl", "%.3f"},
+    {"clustering-coefficient", &GraphPoint::clustering_coefficient, "%.5f",
+     "cc", "%.4f"},
+};
+/// graph-sampled: the streaming estimators add two columns the exact
+/// recorder cannot afford at scale.
+constexpr Column<SampledPoint> kSampledColumns[] = {
+    {"avg-path-length", &SampledPoint::avg_path_length, "%.4f", "apl",
+     "%.3f"},
+    {"clustering-coefficient", &SampledPoint::clustering_coefficient, "%.5f",
+     "cc", "%.4f"},
+    {"in-degree-cv", &SampledPoint::in_degree_cv, "%.4f"},
+    {"largest-component", &SampledPoint::largest_component_fraction, "%.4f",
+     "largest-component", "%.4f"},
+};
+/// randomness: the statistical audit series — the three normalized
+/// statistics whose honest-case expectations are known in closed form
+/// (chi2 z ~ 0, repeat ratio ~ 1, bias ratio ~ 1).
+constexpr Column<AuditPoint> kRandomnessColumns[] = {
+    {"indegree-chi2-z", &AuditPoint::chi2_z, "%.4f", "chi2-z", "%.3f"},
+    {"repeat-ratio", &AuditPoint::repeat_ratio, "%.4f", "repeat-ratio",
+     "%.4f"},
+    {"bias-ratio", &AuditPoint::bias_ratio, "%.4f", "bias-ratio", "%.4f"},
+};
+
+/// One trial's recorded columns, the time axis first.
+using ColumnSeries = std::vector<std::vector<double>>;
+
+template <typename Point, std::size_t N>
+ColumnSeries to_columns(const std::vector<Point>& points,
+                        const Column<Point> (&columns)[N]) {
+  ColumnSeries out(N + 1);
+  for (const auto& p : points) {
+    out[0].push_back(p.t_seconds);
+    for (std::size_t c = 0; c < N; ++c) {
+      out[c + 1].push_back(p.*columns[c].field);
+    }
   }
   return out;
 }
 
-/// Streaming pointwise aggregation of graph series (the graph-recording
-/// twin of bench::SeriesFold): each finished trial folds into Welford
+/// Streaming pointwise aggregation of column series (the twin of
+/// bench::SeriesFold): each finished trial folds into Welford
 /// accumulators and is freed.
-struct GraphFold {
+struct ColumnFold {
   std::vector<double> t;
-  exp::SeriesAccum apl;
-  exp::SeriesAccum cc;
+  std::vector<exp::SeriesAccum> columns;
 
-  void add(const GraphSeries& run) {
-    if (t.empty()) t = run.t;
-    apl.add(run.apl);
-    cc.add(run.cc);
-  }
-};
-
-/// graph-sampled recording: the streaming-estimator series carries two
-/// extra columns the exact recorder cannot afford at scale.
-struct SampledSeries {
-  std::vector<double> t;
-  std::vector<double> apl;
-  std::vector<double> cc;
-  std::vector<double> indeg_cv;
-  std::vector<double> component;
-};
-
-SampledSeries to_sampled_series(const run::SampledGraphStatsRecorder& rec) {
-  SampledSeries out;
-  for (const auto& p : rec.series()) {
-    out.t.push_back(p.t_seconds);
-    out.apl.push_back(p.avg_path_length);
-    out.cc.push_back(p.clustering_coefficient);
-    out.indeg_cv.push_back(p.in_degree_cv);
-    out.component.push_back(p.largest_component_fraction);
-  }
-  return out;
-}
-
-struct SampledFold {
-  std::vector<double> t;
-  exp::SeriesAccum apl;
-  exp::SeriesAccum cc;
-  exp::SeriesAccum indeg_cv;
-  exp::SeriesAccum component;
-
-  void add(const SampledSeries& run) {
-    if (t.empty()) t = run.t;
-    apl.add(run.apl);
-    cc.add(run.cc);
-    indeg_cv.add(run.indeg_cv);
-    component.add(run.component);
-  }
-};
-
-/// randomness recording: the statistical audit series — the three
-/// normalized statistics whose honest-case expectations are known in
-/// closed form (chi2 z ~ 0, repeat ratio ~ 1, bias ratio ~ 1).
-struct RandomnessSeries {
-  std::vector<double> t;
-  std::vector<double> chi2_z;
-  std::vector<double> repeat_ratio;
-  std::vector<double> bias_ratio;
-};
-
-RandomnessSeries to_randomness_series(const run::RandomnessAuditRecorder& rec) {
-  RandomnessSeries out;
-  for (const auto& p : rec.series()) {
-    out.t.push_back(p.t_seconds);
-    out.chi2_z.push_back(p.chi2_z);
-    out.repeat_ratio.push_back(p.repeat_ratio);
-    out.bias_ratio.push_back(p.bias_ratio);
-  }
-  return out;
-}
-
-struct RandomnessFold {
-  std::vector<double> t;
-  exp::SeriesAccum chi2_z;
-  exp::SeriesAccum repeat_ratio;
-  exp::SeriesAccum bias_ratio;
-
-  void add(const RandomnessSeries& run) {
-    if (t.empty()) t = run.t;
-    chi2_z.add(run.chi2_z);
-    repeat_ratio.add(run.repeat_ratio);
-    bias_ratio.add(run.bias_ratio);
+  void add(const ColumnSeries& run) {
+    if (t.empty()) t = run[0];
+    columns.resize(run.size() - 1);
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      columns[c].add(run[c + 1]);
+    }
   }
 };
 
@@ -396,109 +355,60 @@ void emit_estimation(exp::ResultSink& sink, const std::string& label,
   sink.value(block, "steady max-err", steady_max);
 }
 
-void emit_graph(exp::ResultSink& sink, const std::string& label,
-                const GraphFold& fold, std::size_t n_runs) {
-  const std::vector<double> apl = fold.apl.means();
-  const std::vector<double> apl_sd = fold.apl.stddevs();
-  const std::vector<double> cc = fold.cc.means();
-  const std::vector<double> cc_sd = fold.cc.stddevs();
-  const std::vector<double> t(
-      fold.t.begin(),
-      fold.t.begin() + static_cast<std::ptrdiff_t>(apl.size()));
-  bench::emit_series(sink, label + " avg-path-length", t, apl, apl_sd,
-                     n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " clustering-coefficient", t, cc, cc_sd,
-                     n_runs, "%.0f", "%.5f");
+template <typename Point, std::size_t N>
+void emit_columns(exp::ResultSink& sink, const std::string& label,
+                  const ColumnFold& fold, std::size_t n_runs,
+                  const Column<Point> (&columns)[N]) {
   const std::string block = "summary " + label;
-  const double final_apl = apl.empty() ? 0.0 : apl.back();
-  const double final_cc = cc.empty() ? 0.0 : cc.back();
-  sink.comment(exp::strf("%s: final apl=%.3f final cc=%.4f", block.c_str(),
-                         final_apl, final_cc));
+  std::string summary = block + ":";
+  std::vector<std::pair<std::string, double>> finals;
+  for (std::size_t c = 0; c < N; ++c) {
+    const std::vector<double> mean = fold.columns[c].means();
+    const std::vector<double> t(
+        fold.t.begin(),
+        fold.t.begin() + static_cast<std::ptrdiff_t>(mean.size()));
+    bench::emit_series(sink, label + " " + columns[c].name, t, mean,
+                       fold.columns[c].stddevs(), n_runs, "%.0f",
+                       columns[c].y_fmt);
+    if (columns[c].final_key == nullptr) continue;
+    const double last = mean.empty() ? 0.0 : mean.back();
+    summary += std::string(" final ") + columns[c].final_key + "=" +
+               exp::strf(columns[c].final_fmt, last);
+    finals.emplace_back(std::string("final ") + columns[c].final_key, last);
+  }
+  sink.comment(summary);
   sink.blank();
-  sink.value(block, "final apl", final_apl);
-  sink.value(block, "final cc", final_cc);
-}
-
-void emit_graph_sampled(exp::ResultSink& sink, const std::string& label,
-                        const SampledFold& fold, std::size_t n_runs) {
-  const std::vector<double> apl = fold.apl.means();
-  const std::vector<double> cc = fold.cc.means();
-  const std::vector<double> cv = fold.indeg_cv.means();
-  const std::vector<double> comp = fold.component.means();
-  const std::vector<double> t(
-      fold.t.begin(),
-      fold.t.begin() + static_cast<std::ptrdiff_t>(apl.size()));
-  bench::emit_series(sink, label + " avg-path-length", t, apl,
-                     fold.apl.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " clustering-coefficient", t, cc,
-                     fold.cc.stddevs(), n_runs, "%.0f", "%.5f");
-  bench::emit_series(sink, label + " in-degree-cv", t, cv,
-                     fold.indeg_cv.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " largest-component", t, comp,
-                     fold.component.stddevs(), n_runs, "%.0f", "%.4f");
-  const std::string block = "summary " + label;
-  const double final_apl = apl.empty() ? 0.0 : apl.back();
-  const double final_cc = cc.empty() ? 0.0 : cc.back();
-  const double final_comp = comp.empty() ? 0.0 : comp.back();
-  sink.comment(exp::strf("%s: final apl=%.3f final cc=%.4f "
-                         "final largest-component=%.4f",
-                         block.c_str(), final_apl, final_cc, final_comp));
-  sink.blank();
-  sink.value(block, "final apl", final_apl);
-  sink.value(block, "final cc", final_cc);
-  sink.value(block, "final largest-component", final_comp);
-}
-
-void emit_randomness(exp::ResultSink& sink, const std::string& label,
-                     const RandomnessFold& fold, std::size_t n_runs) {
-  const std::vector<double> z = fold.chi2_z.means();
-  const std::vector<double> rep = fold.repeat_ratio.means();
-  const std::vector<double> bias = fold.bias_ratio.means();
-  const std::vector<double> t(
-      fold.t.begin(),
-      fold.t.begin() + static_cast<std::ptrdiff_t>(z.size()));
-  bench::emit_series(sink, label + " indegree-chi2-z", t, z,
-                     fold.chi2_z.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " repeat-ratio", t, rep,
-                     fold.repeat_ratio.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " bias-ratio", t, bias,
-                     fold.bias_ratio.stddevs(), n_runs, "%.0f", "%.4f");
-  const std::string block = "summary " + label;
-  const double final_z = z.empty() ? 0.0 : z.back();
-  const double final_rep = rep.empty() ? 0.0 : rep.back();
-  const double final_bias = bias.empty() ? 0.0 : bias.back();
-  sink.comment(exp::strf("%s: final chi2-z=%.3f final repeat-ratio=%.4f "
-                         "final bias-ratio=%.4f",
-                         block.c_str(), final_z, final_rep, final_bias));
-  sink.blank();
-  sink.value(block, "final chi2-z", final_z);
-  sink.value(block, "final repeat-ratio", final_rep);
-  sink.value(block, "final bias-ratio", final_bias);
+  for (const auto& [key, value] : finals) sink.value(block, key, value);
 }
 
 /// Runs the sweep's trial grid with streaming per-point folds plus
-/// per-trial wall-clock and drop-stat capture. `run_trial(p, seed)`
-/// executes one trial and returns (series, DropStats); the series is
-/// folded in grid order (byte-identical for every --jobs).
-template <typename Fold, typename RunTrial>
+/// per-trial wall-clock and drop-stat capture. `record(experiment)`
+/// extracts a finished trial's series, which is folded in grid order
+/// (byte-identical for every --jobs).
+template <typename Fold, typename Record>
 std::vector<Fold> run_lab_grid(exp::TrialPool& pool,
                                const bench::BenchArgs& args,
-                               std::size_t points, RunTrial&& run_trial,
+                               const std::vector<run::ExperimentSpec>& specs,
+                               Record&& record,
                                std::vector<PointTiming>& timing) {
-  std::vector<Fold> folds(points);
+  std::vector<Fold> folds(specs.size());
   pool.map_fold(
-      points * args.runs,
+      specs.size() * args.runs,
       [&](std::size_t i) {
         const std::size_t p = i / args.runs;
         const std::size_t r = i % args.runs;
         // detlint:allow(wallclock) per-trial timing, reported on stderr
         // only (report_timing) — never reaches the result sink.
         const auto start = std::chrono::steady_clock::now();
-        auto trial = run_trial(p, exp::trial_seed(args.seed, p, r));
+        run::Experiment experiment(specs[p], exp::trial_seed(args.seed, p, r),
+                                   args.world_jobs);
+        experiment.run();
+        auto series = record(std::as_const(experiment));
         // detlint:allow(wallclock) stderr-only timing, as above.
         const auto trial_end = std::chrono::steady_clock::now();
         const std::chrono::duration<double> took = trial_end - start;
-        return std::make_tuple(std::move(trial.first), trial.second,
+        return std::make_tuple(std::move(series),
+                               experiment.world().network().drops(),
                                took.count());
       },
       [&](std::size_t i, auto&& result) {
@@ -533,8 +443,8 @@ int main(int argc, char** argv) {
     if (spec.record == run::ExperimentSpec::RecordKind::None) {
       std::fprintf(stderr,
                    "error: record=none records nothing to report; use "
-                   "record=estimation, record=graph, or "
-                   "record=graph-sampled\n");
+                   "record=estimation, record=graph, record=graph-sampled, "
+                   "or record=randomness\n");
       return 1;
     }
     if (spec.record != specs[0].record) {
@@ -570,60 +480,45 @@ int main(int argc, char** argv) {
   // report only; the sink output carries no wall-clock bytes.
   const auto sweep_start = std::chrono::steady_clock::now();
   std::vector<PointTiming> timing(specs.size());
-  const auto record = specs[0].record;
-  if (record == run::ExperimentSpec::RecordKind::Graph) {
-    const auto folds = run_lab_grid<GraphFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(to_graph_series(*experiment.graph_stats()),
-                                experiment.world().network().drops());
+  const auto run_columns = [&](const auto& columns, auto series_of) {
+    const auto folds = run_lab_grid<ColumnFold>(
+        pool, args, specs,
+        [&](const run::Experiment& e) {
+          return to_columns(series_of(e), columns);
         },
         timing);
     for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_graph(sink, labels[p], folds[p], args.runs);
+      emit_columns(sink, labels[p], folds[p], args.runs, columns);
     }
-  } else if (record == run::ExperimentSpec::RecordKind::Randomness) {
-    const auto folds = run_lab_grid<RandomnessFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(
-              to_randomness_series(*experiment.randomness()),
-              experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_randomness(sink, labels[p], folds[p], args.runs);
-    }
-  } else if (record == run::ExperimentSpec::RecordKind::GraphSampled) {
-    const auto folds = run_lab_grid<SampledFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(
-              to_sampled_series(*experiment.graph_sampled()),
-              experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_graph_sampled(sink, labels[p], folds[p], args.runs);
-    }
-  } else {
-    const auto folds = run_lab_grid<bench::SeriesFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(bench::to_series(*experiment.estimation()),
-                                experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_estimation(sink, labels[p], folds[p], args.runs);
+  };
+  switch (specs[0].record) {
+    case run::ExperimentSpec::RecordKind::Graph:
+      run_columns(kGraphColumns, [](const run::Experiment& e) -> const auto& {
+        return e.graph_stats()->series();
+      });
+      break;
+    case run::ExperimentSpec::RecordKind::GraphSampled:
+      run_columns(kSampledColumns,
+                  [](const run::Experiment& e) -> const auto& {
+                    return e.graph_sampled()->series();
+                  });
+      break;
+    case run::ExperimentSpec::RecordKind::Randomness:
+      run_columns(kRandomnessColumns,
+                  [](const run::Experiment& e) -> const auto& {
+                    return e.randomness()->series();
+                  });
+      break;
+    default: {
+      const auto folds = run_lab_grid<bench::SeriesFold>(
+          pool, args, specs,
+          [](const run::Experiment& e) {
+            return bench::to_series(*e.estimation());
+          },
+          timing);
+      for (std::size_t p = 0; p < specs.size(); ++p) {
+        emit_estimation(sink, labels[p], folds[p], args.runs);
+      }
     }
   }
   // detlint:allow(wallclock) stderr-only timing report, as above.
