@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
         // The crash is scheduled only after the load window has been
         // summarized: the overhead numbers must describe the healthy
         // overlay, not a half-dead one.
-        run::schedule_catastrophe(experiment.world(), warmup + window, 0.8);
+        run::CatastropheProcess crash(experiment.world(), 0.8);
+        crash.start(warmup + window);
         experiment.run_until(warmup + window + sim::msec(1));
         res.cluster = experiment.world()
                           .snapshot_overlay(true)

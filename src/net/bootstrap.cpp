@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "sim/conflict.hpp"
 
 namespace croupier::net {
 
@@ -31,11 +32,13 @@ void registry_remove(std::vector<NodeId>& pool,
 }  // namespace
 
 void BootstrapServer::add(NodeId id, NatType type) {
+  sim::conflict::record_shared_write("BootstrapServer: add");
   registry_add(all_, index_all_, id);
   if (type == NatType::Public) registry_add(publics_, index_public_, id);
 }
 
 void BootstrapServer::remove(NodeId id) {
+  sim::conflict::record_shared_write("BootstrapServer: remove");
   registry_remove(all_, index_all_, id);
   registry_remove(publics_, index_public_, id);
 }

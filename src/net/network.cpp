@@ -36,6 +36,7 @@ void Network::set_packet_config(const PacketConfig& cfg) {
 
 void Network::attach(NodeId id, const NatConfig& cfg,
                      MessageHandler& handler) {
+  sim::conflict::record_shared_write("Network: attach");
   CROUPIER_ASSERT_MSG(!nodes_.contains(id), "NodeId already attached");
   NodeState state;
   state.cfg = cfg;
@@ -45,12 +46,14 @@ void Network::attach(NodeId id, const NatConfig& cfg,
 }
 
 void Network::detach(NodeId id) {
+  sim::conflict::record_shared_write("Network: detach");
   const auto erased = nodes_.erase(id);
   CROUPIER_ASSERT_MSG(erased == 1, "detach of unattached node");
   buckets_.erase(id);
 }
 
 void Network::reclassify(NodeId id, const NatConfig& cfg) {
+  sim::conflict::record_shared_write("Network: reclassify");
   const auto it = nodes_.find(id);
   CROUPIER_ASSERT_MSG(it != nodes_.end(), "reclassify of unattached node");
   it->second.cfg = cfg;
@@ -126,10 +129,6 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
     CROUPIER_ASSERT_MSG(buf.size() == wire_bytes,
                         "wire_size() disagrees with encode()");
     auto frags = fragmenter_.split(0, buf);
-    if (!simulator_.deferring()) {
-      finish_send_fragments(from, to, std::move(msg), std::move(frags));
-      return;
-    }
     simulator_.defer([this, from, to, msg = std::move(msg),
                       frags = std::move(frags)]() mutable {
       finish_send_fragments(from, to, std::move(msg), std::move(frags));
@@ -138,12 +137,6 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   }
 
   const std::size_t bytes = wire_bytes + kUdpIpHeaderBytes;
-  if (!simulator_.deferring()) {
-    // Sequential engine (or serial-affinity event): no closure, no
-    // allocation — the pre-parallel-engine hot path unchanged.
-    finish_send(from, to, std::move(msg), bytes);
-    return;
-  }
   simulator_.defer([this, from, to, msg = std::move(msg), bytes]() mutable {
     finish_send(from, to, std::move(msg), bytes);
   });
@@ -178,6 +171,7 @@ sim::Duration Network::bucket_delay(NodeId from, std::size_t bytes) {
 
 void Network::finish_send(NodeId from, NodeId to, MessagePtr msg,
                           std::size_t bytes) {
+  sim::conflict::record_shared_write("Network: send pipeline");
   meter_.on_send(from, bytes);
   const sim::Duration queue_delay = bucket_delay(from, bytes);
 
@@ -203,6 +197,7 @@ void Network::finish_send(NodeId from, NodeId to, MessagePtr msg,
 
 void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
                                     std::vector<Fragment> frags) {
+  sim::conflict::record_shared_write("Network: fragmented send pipeline");
   const std::uint64_t msg_id = next_msg_id_++;
   const double p = loss_probability(from, to);
   const sim::Affinity affinity =
@@ -233,90 +228,55 @@ void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
 
 void Network::deliver(NodeId from, NodeId to, MessagePtr msg,
                       std::size_t bytes) {
-  const bool deferring = simulator_.deferring();
   const auto to_it = nodes_.find(to);
   if (to_it == nodes_.end()) {
-    if (!deferring) {
+    simulator_.defer([this, bytes] {
       ++drops_.dead_receiver;
       drops_.dead_receiver_bytes += bytes;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.dead_receiver;
-        drops_.dead_receiver_bytes += bytes;
-      });
-    }
+    });
     return;
   }
   if (to_it->second.nat.has_value() &&
       !to_it->second.nat->allows_inbound(simulator_.now(), from)) {
-    if (!deferring) {
+    simulator_.defer([this, bytes] {
       ++drops_.nat_filtered;
       drops_.nat_filtered_bytes += bytes;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.nat_filtered;
-        drops_.nat_filtered_bytes += bytes;
-      });
-    }
+    });
     return;
   }
-  if (!deferring) {
+  simulator_.defer([this, to, bytes] {
     ++drops_.delivered;
     drops_.delivered_bytes += bytes;
     meter_.on_deliver(to, bytes);
-  } else {
-    simulator_.defer([this, to, bytes] {
-      ++drops_.delivered;
-      drops_.delivered_bytes += bytes;
-      meter_.on_deliver(to, bytes);
-    });
-  }
+  });
   sim::conflict::record_write(to, "Network: receiver handler dispatch");
   to_it->second.handler->on_message(from, *msg);
 }
 
 void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
                                Fragment frag, std::size_t bytes) {
-  const bool deferring = simulator_.deferring();
   const auto to_it = nodes_.find(to);
   if (to_it == nodes_.end()) {
-    if (!deferring) {
+    simulator_.defer([this, bytes] {
       ++drops_.dead_receiver;
       drops_.dead_receiver_bytes += bytes;
       ++drops_.fragments_lost;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.dead_receiver;
-        drops_.dead_receiver_bytes += bytes;
-        ++drops_.fragments_lost;
-      });
-    }
+    });
     return;
   }
   if (to_it->second.nat.has_value() &&
       !to_it->second.nat->allows_inbound(simulator_.now(), from)) {
-    if (!deferring) {
+    simulator_.defer([this, bytes] {
       ++drops_.nat_filtered;
       drops_.nat_filtered_bytes += bytes;
       ++drops_.fragments_lost;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.nat_filtered;
-        drops_.nat_filtered_bytes += bytes;
-        ++drops_.fragments_lost;
-      });
-    }
+    });
     return;
   }
-  if (!deferring) {
+  simulator_.defer([this, to, bytes] {
     drops_.delivered_bytes += bytes;
     meter_.on_deliver(to, bytes);
-  } else {
-    simulator_.defer([this, to, bytes] {
-      drops_.delivered_bytes += bytes;
-      meter_.on_deliver(to, bytes);
-    });
-  }
+  });
 
   // Reassembly buffers are the receiving node's own state (this event is
   // sharded on `to`, like the NAT box above), so the mutation is inline.
@@ -336,10 +296,6 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
     const sim::Affinity affinity = delivery_affinity_
                                        ? delivery_affinity_(to, *msg)
                                        : sim::kSerialAffinity;
-    // detlint:allow(naked-schedule) the GC arm discards the EventId and
-    // is deliberately un-guarded: schedule_impl auto-defers it when this
-    // delivery runs inside a parallel batch, and the event is harmless
-    // to replay late (expire_assembly tolerates a completed entry).
     simulator_.schedule_after(
         packet_.reassembly_timeout, affinity,
         [this, to, msg_id] { expire_assembly(to, msg_id); });
@@ -354,15 +310,10 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
                         "reassembly yielded the wrong byte count");
     const auto held =
         static_cast<std::uint64_t>(it->second.frags.fragments_held());
-    if (!deferring) {
+    simulator_.defer([this, held] {
       ++drops_.delivered;
       drops_.fragments_reassembled += held;
-    } else {
-      simulator_.defer([this, held] {
-        ++drops_.delivered;
-        drops_.fragments_reassembled += held;
-      });
-    }
+    });
     to_it->second.handler->on_message(from, *it->second.msg);
   }
 }
@@ -376,11 +327,7 @@ void Network::expire_assembly(NodeId to, std::uint64_t msg_id) {
   if (!it->second.frags.complete()) {
     const auto held =
         static_cast<std::uint64_t>(it->second.frags.fragments_held());
-    if (!simulator_.deferring()) {
-      drops_.fragments_expired += held;
-    } else {
-      simulator_.defer([this, held] { drops_.fragments_expired += held; });
-    }
+    simulator_.defer([this, held] { drops_.fragments_expired += held; });
   }
   assemblies.erase(it);
 }

@@ -164,8 +164,9 @@ class Network {
   };
 
   /// The shared-state half of send(): meter charge, bucket charge, loss
-  /// roll, latency sample, delivery scheduling. Runs serially (directly
-  /// from send() or replayed by the parallel merge).
+  /// roll, latency sample, delivery scheduling. Runs serially, as a
+  /// defer() effect of send(); conflict-check builds abort if it runs
+  /// inside a parallel batch.
   void finish_send(NodeId from, NodeId to, MessagePtr msg, std::size_t bytes);
   /// Same serial half for a fragmented message: assigns the msg_id and
   /// runs the per-datagram pipeline for every fragment.

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "net/address.hpp"
+#include "sim/conflict.hpp"
 
 namespace croupier::net {
 
@@ -32,12 +33,14 @@ struct TrafficTotals {
 class TrafficMeter {
  public:
   void on_send(NodeId node, std::size_t bytes) {
+    sim::conflict::record_shared_write("TrafficMeter");
     auto& t = per_node_[node];
     t.bytes_sent += bytes;
     ++t.msgs_sent;
   }
 
   void on_deliver(NodeId node, std::size_t bytes) {
+    sim::conflict::record_shared_write("TrafficMeter");
     auto& t = per_node_[node];
     t.bytes_received += bytes;
     ++t.msgs_received;
@@ -55,7 +58,10 @@ class TrafficMeter {
   }
 
   /// Starts a fresh measurement window.
-  void reset() { per_node_.clear(); }
+  void reset() {
+    sim::conflict::record_shared_write("TrafficMeter");
+    per_node_.clear();
+  }
 
  private:
   std::unordered_map<NodeId, TrafficTotals> per_node_;

@@ -13,8 +13,8 @@ namespace croupier::run {
 namespace detail {
 
 // Shared state for a recursive join process. Events hold it by
-// shared_ptr, so a fire-and-forget chain (the free functions) and a
-// stoppable JoinProcess handle run the exact same code.
+// shared_ptr, so queued arrivals outlive a restart that swaps in fresh
+// state (see JoinProcess::start).
 struct JoinState {
   std::size_t remaining;
   net::NatConfig nat;
@@ -55,12 +55,6 @@ void join_step(World& world, const std::shared_ptr<JoinState>& st) {
                                    [&world, st] { join_step(world, st); });
 }
 
-void schedule_join_chain(World& world, const std::shared_ptr<JoinState>& st,
-                         sim::SimTime start) {
-  world.simulator().schedule_at(start,
-                                [&world, st] { join_step(world, st); });
-}
-
 /// Inverse CDF of the triangular rate profile on [0, 1] (peak at 1/2):
 /// the fraction of the flash-crowd window elapsed when a fraction `u` of
 /// the crowd has arrived.
@@ -86,32 +80,6 @@ std::uint64_t kill_uniform(World& world, double fraction) {
 }
 
 }  // namespace
-
-void schedule_poisson_joins(World& world, std::size_t count,
-                            const net::NatConfig& nat,
-                            sim::Duration mean_interarrival,
-                            sim::SimTime start) {
-  if (count == 0) return;
-  CROUPIER_ASSERT(mean_interarrival > 0);
-  auto st = std::make_shared<JoinState>(
-      JoinState{count, nat, mean_interarrival, 0});
-  schedule_join_chain(world, st, start);
-}
-
-void schedule_fixed_joins(World& world, std::size_t count,
-                          const net::NatConfig& nat, sim::Duration interval,
-                          sim::SimTime start) {
-  if (count == 0) return;
-  CROUPIER_ASSERT(interval > 0);
-  auto st = std::make_shared<JoinState>(JoinState{count, nat, 0, interval});
-  schedule_join_chain(world, st, start);
-}
-
-void schedule_catastrophe(World& world, sim::SimTime at, double fraction) {
-  CROUPIER_ASSERT(fraction >= 0.0 && fraction <= 1.0);
-  world.simulator().schedule_at(
-      at, [&world, fraction] { kill_uniform(world, fraction); });
-}
 
 // ---------------------------------------------------------------- joins
 
@@ -151,7 +119,9 @@ void JoinProcess::start(sim::SimTime at) {
     state_->stopped = false;
   }
   if (state_->remaining == 0) return;
-  schedule_join_chain(world_, state_, at);
+  World& world = world_;
+  world_.simulator().schedule_at(
+      at, [&world, st = state_] { join_step(world, st); });
 }
 
 void JoinProcess::stop() {

@@ -21,11 +21,6 @@
 //    the membership dynamics under which peer-sampler randomness claims
 //    are most fragile (PeerSwap, arXiv:2408.03829).
 //
-// The historic free functions (schedule_*_joins, schedule_catastrophe)
-// remain as fire-and-forget wrappers over the same internals; tests and
-// hand-built worlds keep using them, and their event/RNG schedules are
-// unchanged.
-//
 // Determinism contract: every event a scenario process schedules is
 // serial-affinity (scenario code mutates cross-node state — spawns,
 // kills, the shared scenario RNG), so the round-synchronous parallel
@@ -42,21 +37,6 @@
 #include "runtime/world.hpp"
 
 namespace croupier::run {
-
-/// Joins `count` nodes with exponential inter-arrival times of the given
-/// mean, starting at `start`.
-void schedule_poisson_joins(World& world, std::size_t count,
-                            const net::NatConfig& nat,
-                            sim::Duration mean_interarrival,
-                            sim::SimTime start = 0);
-
-/// Joins `count` nodes at a fixed interval, starting at `start`.
-void schedule_fixed_joins(World& world, std::size_t count,
-                          const net::NatConfig& nat, sim::Duration interval,
-                          sim::SimTime start = 0);
-
-/// Kills floor(fraction * alive) uniformly random nodes at time `at`.
-void schedule_catastrophe(World& world, sim::SimTime at, double fraction);
 
 namespace detail {
 struct JoinState;
@@ -99,8 +79,8 @@ class ScenarioProcess {
   bool running_ = false;
 };
 
-/// Poisson or fixed-interval join process (the two historic free
-/// functions as a stoppable pipeline stage).
+/// Poisson or fixed-interval join process: `count` nodes join, one per
+/// exponential (mean) or fixed (interval) gap, from start(at) on.
 class JoinProcess final : public ScenarioProcess {
  public:
   /// Exponential inter-arrival times of the given mean.

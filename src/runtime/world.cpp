@@ -73,7 +73,6 @@ World::World(Config cfg, ProtocolFactory factory)
       latency = std::make_unique<net::KingLatencyModel>(latency_seed);
       break;
   }
-  const sim::Duration min_latency = latency->min_latency();
   network_ = std::make_unique<net::Network>(
       sim_, std::move(latency), master_rng_.fork(0x2E7),
       net::make_loss_model(cfg_.loss));
@@ -93,8 +92,20 @@ World::World(Config cfg, ProtocolFactory factory)
       });
 
   if (cfg_.world_jobs > 1) {
+    // Lookahead = the shortest delay with which a batched event can
+    // schedule a node-affine one: a network hop, a node's next round
+    // (schedule_round's own arithmetic, so the floor is a true lower
+    // bound) or, when messages fragment, the reassembly-GC arm.
+    const auto shortest_round = static_cast<sim::Duration>(
+        static_cast<double>(cfg_.round_period) *
+        ((1.0 - cfg_.clock_skew) * std::min(1.0, cfg_.private_round_scale)));
+    sim::Duration lookahead =
+        std::min(network_->min_latency(), shortest_round);
+    if (cfg_.packet.mtu > 0) {
+      lookahead = std::min(lookahead, cfg_.packet.reassembly_timeout);
+    }
     executor_ = std::make_unique<sim::ParallelExecutor>(
-        sim_, sim::ParallelExecutor::Options{cfg_.world_jobs, min_latency});
+        sim_, sim::ParallelExecutor::Options{cfg_.world_jobs, lookahead});
   }
 }
 
@@ -117,6 +128,7 @@ net::NodeId World::spawn_seeded(const net::NatConfig& nat) {
 }
 
 net::NodeId World::spawn_impl(const net::NatConfig& nat, bool skip_natid) {
+  sim::conflict::record_shared_write("World: spawn");
   const net::NodeId id = next_id_++;
   auto node = std::make_unique<NodeRuntime>();
   node->world = this;
@@ -226,14 +238,12 @@ void World::schedule_round(net::NodeId id, std::uint32_t epoch) {
 
   const auto period = static_cast<sim::Duration>(
       static_cast<double>(cfg_.round_period) * node.period_scale);
-  // detlint:allow(naked-schedule) the round re-arm discards the EventId
-  // (the chain is torn down via the epoch check, never cancel()), and
-  // schedule_impl auto-defers it when this runs inside a parallel batch.
   sim_.schedule_after(period, static_cast<sim::Affinity>(id),
                       [this, id, epoch] { schedule_round(id, epoch); });
 }
 
 void World::reclassify(net::NodeId id, const net::NatConfig& nat) {
+  sim::conflict::record_shared_write("World: reclassify");
   const auto it = nodes_.find(id);
   CROUPIER_ASSERT_MSG(it != nodes_.end(), "reclassify of dead node");
   NodeRuntime& node = *it->second;
@@ -271,6 +281,7 @@ void World::reclassify(net::NodeId id, const net::NatConfig& nat) {
 }
 
 void World::kill(net::NodeId id) {
+  sim::conflict::record_shared_write("World: kill");
   const auto it = nodes_.find(id);
   CROUPIER_ASSERT_MSG(it != nodes_.end(), "kill of dead node");
 

@@ -40,6 +40,16 @@ void record_write(std::uint64_t owner, const char* site) {
   std::abort();
 }
 
+void record_shared_write(const char* site) {
+  if (!tls_active) return;
+  std::fprintf(stderr,
+               "croupier: conflict-check: write to shared state (%s) from "
+               "a batched event owned by node %llu — route the effect "
+               "through Simulator::defer\n",
+               site, static_cast<unsigned long long>(tls_owner));
+  std::abort();
+}
+
 std::uint64_t checked_writes() {
   return checked.load(std::memory_order_relaxed);
 }

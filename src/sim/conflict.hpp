@@ -4,22 +4,27 @@
 // type system cannot see: a node-affine event handler may only mutate
 // state owned by its own node; every cross-node effect must route
 // through Simulator::defer so the serial merge replays it in the
-// sequential order. detlint bans the *constructs* that violate this;
-// the conflict checker catches the *executions*. It is a determinism-
-// specific race detector: two same-batch writes to the same node's state
-// from different shards are data-race-free under TSan (the batch barrier
-// orders them), yet their relative order is a scheduling accident — the
-// exact class of bug TSan calls clean and a twin run only catches if the
-// orders happen to diverge.
+// sequential order. The conflict checker verifies that convention on the
+// executions the tests run. It is a determinism-specific race detector:
+// two same-batch writes to the same node's state from different shards
+// are data-race-free under TSan (the batch barrier orders them), yet
+// their relative order is a scheduling accident — the exact class of bug
+// TSan calls clean and a twin run only catches if the orders happen to
+// diverge.
 //
 // Mechanics: ParallelExecutor::run_shard brackets every batched event
 // with begin_shard_event(affinity)/end_shard_event (thread-local, no
-// synchronization). Mutation paths of per-node state — a node's NAT box
-// and reassembly buffers in the Network, a protocol's PartialView, the
-// World's per-node runtime — call record_write(owner) with the id of
-// the node that owns the state. A write whose owner differs from the
-// executing event's affinity aborts with a diagnostic; owner 0 means
-// "unowned" (detached test fixtures) and is never checked.
+// synchronization). Two kinds of hook sit on mutation paths:
+//   - record_write(owner): per-node state — a node's NAT box and
+//     reassembly buffers in the Network, a protocol's PartialView, the
+//     World's per-node runtime. A write whose owner differs from the
+//     executing event's affinity aborts; owner 0 means "unowned"
+//     (detached test fixtures) and is never checked.
+//   - record_shared_write(): state shared by every node — the traffic
+//     meter, the Network's send pipeline (message ids, token buckets,
+//     the loss/latency RNG), the node tables and the bootstrap registry.
+//     Any write from inside a batched event aborts: such state may only
+//     change in serial events or in defer() effects at the merge.
 //
 // With the option OFF (the default) every hook is an empty inline and
 // release hot paths are untouched.
@@ -43,6 +48,10 @@ void end_shard_event();
 /// owner == 0 (unowned) is skipped.
 void record_write(std::uint64_t owner, const char* site);
 
+/// Declares a mutation of state shared by every node. Aborts when a shard
+/// event is active on this thread. `site` names the state for diagnostics.
+void record_shared_write(const char* site);
+
 /// Writes validated inside parallel batches since process start (tests
 /// assert this is nonzero to prove the instrumentation was live).
 std::uint64_t checked_writes();
@@ -54,6 +63,7 @@ constexpr bool enabled() { return true; }
 inline void begin_shard_event(std::uint64_t) {}
 inline void end_shard_event() {}
 inline void record_write(std::uint64_t, const char*) {}
+inline void record_shared_write(const char*) {}
 inline std::uint64_t checked_writes() { return 0; }
 constexpr bool enabled() { return false; }
 

@@ -117,10 +117,11 @@ void ParallelExecutor::execute_batch() {
   // event time gets a fresh id that sorts after every executed event, so
   // the sequential engine would run it in the same place (a same-time
   // target just forms the next batch). Only a target *before* last_time
-  // would reorder history — that is what the assert catches. With
-  // lookahead <= min_latency targets land at >= wend anyway; the floor
-  // also keeps the degenerate zero-min-latency same-timestamp batches
-  // (lookahead clamped to 1 us) working instead of tripping the guard.
+  // would reorder history — that is what the assert catches. With a
+  // lookahead no longer than any delay a batched event schedules with,
+  // targets land at >= wend anyway; the floor also keeps the degenerate
+  // zero-min-latency same-timestamp batches (lookahead clamped to 1 us)
+  // working instead of tripping the guard.
   sim_.causal_floor_ = last_time;
   for (auto& op : merged_) {
     sim_.now_ = op.time;

@@ -7,7 +7,9 @@
 // model's min_latency(). Events for *different* nodes whose timestamps
 // lie within one min_latency window are therefore causally independent —
 // a conservative-lookahead PDES window, degenerating to "all events
-// sharing a timestamp" when the lookahead is one microsecond.
+// sharing a timestamp" when the lookahead is one microsecond. The window
+// also shrinks below any shorter timer a node arms for itself (its next
+// round, a reassembly GC), so nothing a batch schedules lands inside it.
 //
 // The loop:
 //   1. If the head event is serial-affinity (scenario joins/kills,
@@ -61,8 +63,11 @@ class ParallelExecutor {
     /// batching, same merge, no threads.
     std::size_t jobs = 1;
     /// Causal lookahead: events for different nodes closer together than
-    /// this may run concurrently. Must not exceed the minimum one-way
-    /// network latency. Clamped up to 1 us (same-timestamp batching).
+    /// this may run concurrently. Must not exceed the shortest delay with
+    /// which a batched event schedules a node-affine event — for a World,
+    /// the minimum one-way network latency, the shortest round period and,
+    /// when messages fragment, the reassembly timeout. Clamped up to 1 us
+    /// (same-timestamp batching).
     Duration lookahead = 1;
   };
 

@@ -48,9 +48,10 @@ EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
     CROUPIER_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   }
   // While merging a parallel batch, every deferred schedule must land at
-  // or beyond the lookahead window end; a violation means a latency model
-  // undercut its declared min_latency() and the batch was not causally
-  // closed.
+  // or after the batch's last event; a violation means the executor's
+  // lookahead exceeded a delay some batched event scheduled with — a
+  // network hop under the latency model's min_latency(), a round period,
+  // or the reassembly timeout — and the batch was not causally closed.
   CROUPIER_ASSERT_MSG(causal_floor_ == 0 || at >= causal_floor_,
                       "deferred schedule violates the lookahead window");
   return queue_.schedule(at, affinity, std::move(fn));
@@ -59,16 +60,10 @@ EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
 bool Simulator::cancel(EventId id) {
   CROUPIER_ASSERT_MSG(active_log() == nullptr,
                       "cancel() from inside a parallel batch");
+  CROUPIER_ASSERT_MSG(id != kInvalidEventId,
+                      "cancel() of kInvalidEventId: ids issued inside a "
+                      "parallel batch name no event");
   return queue_.cancel(id);
-}
-
-void Simulator::defer(EventQueue::Callback effect) {
-  if (ShardLog* log = active_log()) {
-    log->ops.push_back(
-        DeferredOp{log->current_time, log->current_id, std::move(effect)});
-    return;
-  }
-  effect();
 }
 
 bool Simulator::step() {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -61,23 +62,27 @@ class Simulator {
   EventId schedule_at(SimTime at, Affinity affinity, EventQueue::Callback fn);
 
   /// Cancels a pending event; returns false if it already fired. Must not
-  /// be called from inside a parallel batch (serial-affinity events only).
+  /// be called from inside a parallel batch (serial-affinity events only),
+  /// nor with kInvalidEventId — the placeholder a schedule call returns
+  /// inside a batch, which names no event.
   bool cancel(EventId id);
-
-  /// True while the calling thread is executing a parallel-batch shard of
-  /// THIS simulator. Hot paths branch on this to apply cross-node effects
-  /// inline instead of paying the deferral closure; the two are
-  /// equivalent by the defer() contract (nothing running inside the batch
-  /// can observe the deferred state).
-  [[nodiscard]] bool deferring() const { return active_log() != nullptr; }
 
   /// Runs `effect` now when executing serially, or logs it for the
   /// deterministic (time, seq, issue-order) replay when called from a
   /// worker inside a parallel batch. Effects that mutate cross-node state
   /// from node-affine callbacks (network sends, meter charges) MUST be
   /// routed through here — it is what keeps the parallel engine
-  /// byte-identical to the sequential one.
-  void defer(EventQueue::Callback effect);
+  /// byte-identical to the sequential one. The serial path calls the
+  /// effect in place: no std::function is built.
+  template <typename F>
+  void defer(F&& effect) {
+    if (ShardLog* log = active_log()) {
+      log->ops.push_back(DeferredOp{log->current_time, log->current_id,
+                                    std::forward<F>(effect)});
+      return;
+    }
+    std::forward<F>(effect)();
+  }
 
   /// Executes the single next event, if any. Returns false when idle.
   bool step();

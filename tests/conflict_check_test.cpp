@@ -1,7 +1,8 @@
 // The dynamic half of the affinity-safety story (CROUPIER_CONFLICT_CHECK
 // builds): instrumented engine-equivalence runs prove the recording
-// hooks are live and silent on correct code, and a deliberately broken
-// handler proves a cross-shard write actually aborts.
+// hooks are live and silent on correct code, and deliberately broken
+// handlers prove a cross-shard write and a batched write to shared state
+// actually abort.
 //
 // Only compiled when the option is ON (tests/CMakeLists.txt gates the
 // target), so the file may assume the instrumentation exists.
@@ -179,6 +180,27 @@ TEST(ConflictCheckFaultDeathTest, CrossShardViewWriteAborts) {
   // only mode that is sound with the executor's worker threads running.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(run_delivery_batch(/*rogue=*/true), "cross-shard write");
+}
+
+TEST(ConflictCheckFaultDeathTest, SharedMeterChargeInsideBatchAborts) {
+  // Two same-time node-affine events form a genuine two-event batch; a
+  // handler that charges the network-wide traffic meter itself, instead
+  // of through Simulator::defer, must abort.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto charge_meter_in_batch = [] {
+    sim::Simulator simulator;
+    net::Network network(simulator,
+                         std::make_unique<net::ConstantLatency>(sim::msec(50)),
+                         sim::RngStream(9), /*loss_probability=*/0.0);
+    for (net::NodeId node : {1u, 2u}) {
+      simulator.schedule_at(0, sim::Affinity{node}, [&network, node] {
+        network.meter().on_send(node, 64);
+      });
+    }
+    sim::ParallelExecutor engine(simulator, {2, sim::msec(50)});
+    engine.run_until(sim::sec(1));
+  };
+  EXPECT_DEATH(charge_meter_in_batch(), "shared state \\(TrafficMeter\\)");
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Fixture: the `unordered-iter` rule, including output-path
-// reachability. (Not compiled — scanned by detlint_test.)
-#include <cstdio>
+// Fixture: the `unordered-iter` rule, including attribution to the
+// enclosing function. (Not compiled — scanned by detlint_test.)
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,11 +17,6 @@ int bad_begin_walk() {
   int n = 0;
   for (auto it = members.begin(); it != members.end(); ++it) ++n;  // FINDING
   return n;
-}
-
-// emit_report writes bytes out, so helpers it calls are output-reachable.
-void emit_report() {
-  std::printf("%f\n", bad_range_for());
 }
 
 double suppressed_iter() {

@@ -37,10 +37,12 @@ TEST(Integration, EstimationConvergesUnderPoissonJoins) {
   run::World world(king_config(1),
                    run::make_croupier_factory(croupier_cfg()));
   // Scaled-down fig. 1 workload: 40 public + 160 private, ω = 0.2.
-  run::schedule_poisson_joins(world, 40, net::NatConfig::open(),
-                              sim::msec(50));
-  run::schedule_poisson_joins(world, 160, net::NatConfig::natted(),
-                              sim::msec(13));
+  const auto publics = run::JoinProcess::poisson(
+      world, 40, net::NatConfig::open(), sim::msec(50));
+  const auto privates = run::JoinProcess::poisson(
+      world, 160, net::NatConfig::natted(), sim::msec(13));
+  publics->start(0);
+  privates->start(0);
   run::EstimationRecorder rec(world, {sim::sec(1), 2});
   rec.start(sim::sec(1));
   world.simulator().run_until(sim::sec(120));
@@ -58,8 +60,9 @@ TEST(Integration, EstimationTracksDynamicRatio) {
   populate(world, 40, 160);
   world.simulator().run_until(sim::sec(40));
   // Ratio steps up: 40 more publics join quickly.
-  run::schedule_fixed_joins(world, 40, net::NatConfig::open(), sim::msec(100),
-                            world.simulator().now());
+  const auto step = run::JoinProcess::fixed(
+      world, 40, net::NatConfig::open(), sim::msec(100));
+  step->start(world.simulator().now());
   world.simulator().run_until(sim::sec(150));
   const double truth = world.true_ratio();
   EXPECT_NEAR(truth, 80.0 / 240.0, 1e-9);
@@ -140,7 +143,8 @@ TEST(Integration, CatastrophicFailureCroupierKeepsBigCluster) {
                    run::make_croupier_factory(croupier_cfg()));
   populate(world, 40, 160);  // 80% private
   world.simulator().run_until(sim::sec(60));
-  run::schedule_catastrophe(world, sim::sec(60), 0.7);
+  run::CatastropheProcess crash(world, 0.7);
+  crash.start(sim::sec(60));
   world.simulator().run_until(sim::sec(61));
 
   ASSERT_EQ(world.alive_count(), 60u);
@@ -154,7 +158,8 @@ TEST(Integration, CatastrophicFailureHurtsGozarMore) {
     run::World world(king_config(17), std::move(factory));
     populate(world, 40, 160);
     world.simulator().run_until(sim::sec(60));
-    run::schedule_catastrophe(world, sim::sec(60), 0.8);
+    run::CatastropheProcess crash(world, 0.8);
+    crash.start(sim::sec(60));
     world.simulator().run_until(sim::sec(61));
     return world.snapshot_overlay(true).largest_component_fraction();
   };

@@ -2,6 +2,10 @@
 // crash the simulation or corrupt survivors' state.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "runtime/scenario.hpp"
 #include "test_util.hpp"
 
@@ -49,12 +53,17 @@ TEST(Lifecycle, MassChurnDuringJoinWaveIsSafe) {
   // Joins, churn and deaths all interleaving: the stress case for the
   // runtime's event/ownership discipline.
   World world(fast_world_config(3), make_croupier_factory({}));
-  schedule_poisson_joins(world, 60, net::NatConfig::natted(), sim::msec(100));
-  schedule_poisson_joins(world, 15, net::NatConfig::open(), sim::msec(400));
+  const auto privates =
+      JoinProcess::poisson(world, 60, net::NatConfig::natted(), sim::msec(100));
+  const auto publics =
+      JoinProcess::poisson(world, 15, net::NatConfig::open(), sim::msec(400));
+  privates->start(0);
+  publics->start(0);
   ChurnProcess churn(world, 0.05, net::NatConfig::open(),
                      net::NatConfig::natted());
   churn.start(sim::sec(2));
-  schedule_catastrophe(world, sim::sec(15), 0.5);
+  CatastropheProcess crash(world, 0.5);
+  crash.start(sim::sec(15));
   world.simulator().run_until(sim::sec(60));
   EXPECT_GT(world.alive_count(), 10u);
   // Survivors keep gossiping and the overlay reconnects.
@@ -65,14 +74,21 @@ TEST(Lifecycle, MassChurnDuringJoinWaveIsSafe) {
 TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
   World world(fast_world_config(4), make_croupier_factory({}));
   populate(world, 10, 40);
+  std::vector<std::unique_ptr<ScenarioProcess>> waves;
+  const auto arm = [&waves](std::unique_ptr<ScenarioProcess> p,
+                            sim::SimTime at) {
+    p->start(at);
+    waves.push_back(std::move(p));
+  };
   for (int wave = 0; wave < 3; ++wave) {
     const auto t = sim::sec(10 + wave * 20);
-    schedule_catastrophe(world, t, 0.4);
+    arm(std::make_unique<CatastropheProcess>(world, 0.4), t);
     // Refill with fresh nodes shortly after each failure.
-    schedule_poisson_joins(world, 8, net::NatConfig::open(), sim::msec(200),
-                           t + sim::sec(2));
-    schedule_poisson_joins(world, 12, net::NatConfig::natted(),
-                           sim::msec(200), t + sim::sec(2));
+    arm(JoinProcess::poisson(world, 8, net::NatConfig::open(), sim::msec(200)),
+        t + sim::sec(2));
+    arm(JoinProcess::poisson(world, 12, net::NatConfig::natted(),
+                             sim::msec(200)),
+        t + sim::sec(2));
   }
   world.simulator().run_until(sim::sec(90));
   EXPECT_GT(world.alive_count(), 20u);

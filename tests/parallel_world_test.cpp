@@ -83,6 +83,26 @@ TEST(ParallelExecutorEngine, SameTimestampEventsMergeInScheduleOrder) {
   }
 }
 
+TEST(ParallelExecutorEngine, CancelOfIdIssuedInsideBatchDies) {
+  // Inside a batch schedule_after only logs the schedule and returns the
+  // kInvalidEventId placeholder. Cancelling that stored "id" later must
+  // fail loudly instead of quietly returning false.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto cancel_stored_id = [] {
+    sim::Simulator sim;
+    sim::EventId stored = ~sim::EventId{0};  // a never-issued id
+    for (sim::Affinity node : {1u, 2u}) {
+      sim.schedule_at(100, node, [&sim, &stored, node] {
+        if (node == 1) stored = sim.schedule_after(sim::msec(5), node, [] {});
+      });
+    }
+    sim::ParallelExecutor engine(sim, {1, sim::msec(1)});
+    engine.run_until(200);
+    sim.cancel(stored);
+  };
+  EXPECT_DEATH(cancel_stored_id(), "issued inside a parallel batch");
+}
+
 /// Everything observable about one finished experiment, for exact
 /// cross-engine comparison.
 struct RunFingerprint {
@@ -353,6 +373,36 @@ TEST(ParallelWorldDeterminism, ZeroMinLatencyDegeneratesToSameTimestamp) {
                         .duration(20)
                         .build();
   expect_engine_equivalence(spec, 19);
+}
+
+// The lookahead must not exceed any delay a batched event schedules a
+// node-affine event with. Each spec below undercuts the 50 ms / 30 ms /
+// 4 s constant latency with a different timer: a 20 ms round, a private
+// round scaled to 10 ms, and the 3 s reassembly timeout.
+TEST(ParallelWorldDeterminism, RoundShorterThanLatency) {
+  expect_engine_equivalence(
+      run::ExperimentSpec::parse(
+          "protocol=croupier nodes=200 join=instant latency=constant "
+          "latency-ms=50 round-ms=20 duration=5"),
+      61);
+}
+
+TEST(ParallelWorldDeterminism, PrivateRoundShorterThanLatency) {
+  expect_engine_equivalence(
+      run::ExperimentSpec::parse(
+          "protocol=croupier nodes=300 ratio=0.3 join=instant "
+          "private-round-scale=0.01 latency=constant latency-ms=30 "
+          "duration=5"),
+      67);
+}
+
+TEST(ParallelWorldDeterminism, ReassemblyTimeoutShorterThanLatency) {
+  expect_engine_equivalence(
+      run::ExperimentSpec::parse(
+          "protocol=croupier nodes=1000 join=instant latency=constant "
+          "latency-ms=4000 round-ms=5000 mtu=64 duration=60 "
+          "record-every=5"),
+      71);
 }
 
 TEST(ParallelWorldDeterminism, ConstantLatencyMaximalBatches) {

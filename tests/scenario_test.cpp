@@ -125,15 +125,16 @@ TEST(CorrelatedFailure, RegionCohortIsLatencyCompact) {
 }
 
 TEST(CorrelatedFailure, UniformModeMatchesCatastropheSampling) {
-  // Same seed, same fraction: the uniform cohort must replay the historic
-  // schedule_catastrophe draw for draw.
-  const auto survivors_with = [](bool historic) {
+  // Same seed, same fraction: the uniform cohort must replay
+  // CatastropheProcess's sampling draw for draw.
+  const auto survivors_with = [](bool catastrophe) {
     World world(fast_world_config(21), make_croupier_factory({}));
     populate(world, 10, 40);
     CorrelatedFailureProcess failure(
         world, 0.5, CorrelatedFailureProcess::Corr::Uniform);
-    if (historic) {
-      schedule_catastrophe(world, sim::sec(5), 0.5);
+    CatastropheProcess reference(world, 0.5);
+    if (catastrophe) {
+      reference.start(sim::sec(5));
     } else {
       failure.start(sim::sec(5));
     }

@@ -375,9 +375,12 @@ TEST(Experiment, ReproducesHandBuiltWorldBitForBit) {
     wcfg.latency = World::LatencyKind::King;
     wcfg.clock_skew = 0.01;
     World world(wcfg, make_croupier_factory(cfg));
-    schedule_poisson_joins(world, 10, net::NatConfig::open(), sim::msec(50));
-    schedule_poisson_joins(world, 40, net::NatConfig::natted(),
-                           sim::msec(13));
+    const auto publics =
+        JoinProcess::poisson(world, 10, net::NatConfig::open(), sim::msec(50));
+    const auto privates = JoinProcess::poisson(
+        world, 40, net::NatConfig::natted(), sim::msec(13));
+    publics->start(0);
+    privates->start(0);
     EstimationRecorder recorder(world, {sim::sec(1), 2});
     recorder.start(sim::sec(1));
     world.simulator().run_until(duration);

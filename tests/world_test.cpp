@@ -173,14 +173,18 @@ TEST(World, DifferentSeedsDiverge) {
 
 TEST(Scenario, PoissonJoinsAllArrive) {
   auto world = make_world(7);
-  schedule_poisson_joins(world, 50, net::NatConfig::natted(), sim::msec(20));
+  const auto joins =
+      JoinProcess::poisson(world, 50, net::NatConfig::natted(), sim::msec(20));
+  joins->start(0);
   world.simulator().run_until(sim::sec(30));
   EXPECT_EQ(world.alive_count(), 50u);
 }
 
 TEST(Scenario, PoissonJoinsSpreadOverTime) {
   auto world = make_world(9);
-  schedule_poisson_joins(world, 100, net::NatConfig::open(), sim::msec(100));
+  const auto joins =
+      JoinProcess::poisson(world, 100, net::NatConfig::open(), sim::msec(100));
+  joins->start(0);
   world.simulator().run_until(sim::msec(100));
   const auto early = world.alive_count();
   EXPECT_LT(early, 100u);  // not all at once
@@ -190,8 +194,9 @@ TEST(Scenario, PoissonJoinsSpreadOverTime) {
 
 TEST(Scenario, FixedJoinsExactCadence) {
   auto world = make_world(11);
-  schedule_fixed_joins(world, 10, net::NatConfig::open(), sim::msec(42),
-                       sim::sec(1));
+  const auto joins =
+      JoinProcess::fixed(world, 10, net::NatConfig::open(), sim::msec(42));
+  joins->start(sim::sec(1));
   world.simulator().run_until(sim::sec(1));
   EXPECT_EQ(world.alive_count(), 1u);  // first joins exactly at start
   world.simulator().run_until(sim::sec(1) + sim::msec(42 * 9));
@@ -201,7 +206,8 @@ TEST(Scenario, FixedJoinsExactCadence) {
 TEST(Scenario, CatastropheKillsRequestedFraction) {
   auto world = make_world(13);
   populate(world, 20, 80);
-  schedule_catastrophe(world, sim::sec(5), 0.6);
+  CatastropheProcess crash(world, 0.6);
+  crash.start(sim::sec(5));
   world.simulator().run_until(sim::sec(6));
   EXPECT_EQ(world.alive_count(), 40u);
 }

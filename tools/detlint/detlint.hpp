@@ -23,10 +23,8 @@
 //                   (range-for over a declared unordered variable or a
 //                   call returning one, or explicit .begin()/.cbegin()
 //                   loops). Hash-table iteration order is an accident of
-//                   insertion history and libstdc++ internals; in an
-//                   output-reachable function it decides output bytes.
-//                   Findings note when the enclosing function is
-//                   reachable from a recorder/sink/wire output path.
+//                   insertion history and libstdc++ internals; on a
+//                   path that feeds output it decides output bytes.
 //   ptr-key         std::map/std::set (or unordered) keyed on a pointer
 //                   type: ASLR makes the ordering differ across runs.
 //   raw-shuffle     std::shuffle/std::sample/std::random_shuffle —
@@ -39,26 +37,6 @@
 //                   Welford (exp::Accum/SeriesAccum) or iterate a
 //                   deterministically ordered sequence and say so in a
 //                   suppression.
-//   cross-shard-mutate
-//                   a function reachable from a node-affine handler root
-//                   (protocol on_message/round, Network send/deliver, the
-//                   round driver) touches cross-node engine state (the
-//                   traffic meter, drop counters, shared msg-id counter,
-//                   token buckets, the loss/latency RNG, the node table,
-//                   the bootstrap oracle) outside a Simulator::defer
-//                   argument or a `!deferring()` serial guard. Such a
-//                   write lands mid-batch on a worker thread and its
-//                   order relative to sibling shards is a scheduling
-//                   accident — the exact hazard the byte-identity
-//                   contract bans.
-//   naked-schedule  Simulator::schedule_after/schedule_at (or cancel)
-//                   reachable from shard context without the deferring()
-//                   guard. Inside a parallel batch schedule_impl
-//                   auto-defers and returns kInvalidEventId, so storing
-//                   or cancelling the id is broken; cancel() asserts
-//                   outright. Guard with !deferring(), route through
-//                   defer(), or waive with the reason the id is
-//                   discarded.
 //   rng-lineage     RngStream fork-tag audit: two forks of the same
 //                   receiver with the same literal tag yield *identical*
 //                   streams (fork hashes (lineage, tag) and nothing
@@ -68,6 +46,10 @@
 //   suppression     meta-rule: a detlint:allow with an unknown rule id,
 //                   a missing/too-short reason, or one that suppresses
 //                   nothing.
+//
+// Cross-node writes from parallel-batch handlers are not a lint rule:
+// the CROUPIER_CONFLICT_CHECK build (src/sim/conflict.hpp) checks them
+// exactly, on the code the tests run.
 //
 // Suppression syntax (same line as the finding, or in the comment block
 // that ends on the line directly above it — the reason may continue over
@@ -81,7 +63,6 @@
 // anything flagged must be fixed or carry a written reason.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -93,8 +74,7 @@ struct Finding {
   int line = 0;
   std::string rule;
   std::string message;
-  std::string function;           // enclosing function, "" if file scope
-  bool output_reachable = false;  // via the heuristic call graph
+  std::string function;  // enclosing function, "" if file scope
 };
 
 /// Stable ordering for reports: file, then line, then rule.
@@ -112,15 +92,8 @@ struct Suppression {
 /// One function definition recognised by the heuristic parser.
 struct FunctionDef {
   std::string name;  // unqualified
-  int line = 0;
   std::size_t body_begin = 0;  // offsets into the blanked code
   std::size_t body_end = 0;
-  std::set<std::string> calls;  // unqualified callee names
-  /// Every call site with its offset — the affinity pass needs positions
-  /// so edges inside defer()/serial-guard extents can be skipped.
-  std::vector<std::pair<std::string, std::size_t>> call_sites;
-  bool is_root = false;        // emits output itself (see rules.cpp)
-  bool is_shard_root = false;  // node-affine handler registration site
 };
 
 /// Per-file scan state: the blanked source plus everything the per-file
@@ -134,11 +107,6 @@ struct FileScan {
   std::set<std::string> unordered_vars;  // identifiers of unordered type
   std::set<std::string> unordered_fns;   // functions returning unordered
   std::set<std::string> float_vars;      // identifiers of float/double type
-  /// Offset ranges where cross-node effects are legal: the argument of a
-  /// defer(...) call, or the then-block of an `if (!...deferring...)`
-  /// serial guard. Marker uses and call-graph edges inside these are
-  /// exempt from the affinity rules.
-  std::vector<std::pair<std::size_t, std::size_t>> exempt_extents;
   std::vector<Finding> findings;         // pre-suppression
 };
 
@@ -158,9 +126,9 @@ class Linter {
   void add_file(const std::string& path, const std::string& content);
 
   /// Cross-file linking: merges unordered-returning function names,
-  /// re-runs iteration analysis with the merged set, computes
-  /// output-path reachability, applies suppressions, and reports
-  /// bad/unused suppressions. Returns all surviving findings, sorted.
+  /// re-runs iteration analysis with the merged set, attributes findings
+  /// to functions, applies suppressions, and reports bad/unused
+  /// suppressions. Returns all surviving findings, sorted.
   std::vector<Finding> run();
 
   [[nodiscard]] const std::vector<FileScan>& files() const { return files_; }

@@ -3,8 +3,8 @@
 // Everything here works on FileScan::code — the comment/string-blanked
 // source — so token matches are real code, never prose or literals. The
 // analysis is lexical with just enough structure recovered (declarations,
-// loops, function bodies, call sites) to make the determinism rules
-// precise on this tree's idiom.
+// loops, function bodies) to make the determinism rules precise on this
+// tree's idiom.
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
@@ -427,55 +427,6 @@ void scan_float_accum(FileScan& fs, const std::vector<LoopBody>& loops) {
   }
 }
 
-// --- Affinity-safety per-file passes -----------------------------------
-
-/// Records the offset ranges where cross-node effects are legal:
-///   (a) the argument list of a `defer(...)` / `.defer(...)` call — the
-///       canonical route for cross-node effects from shard context;
-///   (b) the then-branch of an `if (!...deferring...)` serial guard
-///       (covers both `if (!simulator_.deferring())` and the hoisted
-///       `const bool deferring = ...; if (!deferring)` idiom).
-void compute_exempt_extents(FileScan& fs) {
-  const std::string& code = fs.code;
-  for (std::size_t at = find_word(code, "defer", 0); at != std::string::npos;
-       at = find_word(code, "defer", at + 1)) {
-    const std::size_t open = skip_ws(code, at + 5);
-    if (open >= code.size() || code[open] != '(') continue;
-    const std::size_t close = match_balanced(code, open);
-    if (close == std::string::npos) continue;
-    fs.exempt_extents.emplace_back(open, close);
-  }
-  for (std::size_t at = find_word(code, "if", 0); at != std::string::npos;
-       at = find_word(code, "if", at + 1)) {
-    const std::size_t open = skip_ws(code, at + 2);
-    if (open >= code.size() || code[open] != '(') continue;
-    const std::size_t close = match_balanced(code, open);
-    if (close == std::string::npos) continue;
-    const std::string cond = code.substr(open, close - open);
-    const std::size_t guard = find_word(cond, "deferring", 0);
-    if (guard == std::string::npos) continue;
-    const std::size_t bang = cond.find('!');
-    if (bang == std::string::npos || bang > guard) continue;
-    std::size_t b = skip_ws(code, close);
-    std::size_t e;
-    if (b < code.size() && code[b] == '{') {
-      e = match_balanced(code, b);
-    } else {
-      e = code.find(';', b);
-      if (e != std::string::npos) ++e;
-    }
-    if (e == std::string::npos) continue;
-    fs.exempt_extents.emplace_back(b, e);
-  }
-}
-
-bool in_exempt_extent(const FileScan& fs, std::size_t offset) {
-  for (const auto& [b, e] : fs.exempt_extents) {
-    if (offset >= b && offset < e) return true;
-  }
-  return false;
-}
-
 /// rng-lineage: duplicate `(receiver, literal-tag)` fork pairs within a
 /// file, and static/thread_local RngStream declarations. fork() hashes
 /// (lineage, tag) and nothing else, so two forks of the same receiver
@@ -566,7 +517,7 @@ void scan_rng_lineage(FileScan& fs) {
   }
 }
 
-// --- Function extraction (for output-path reachability) ----------------
+// --- Function extraction (for finding attribution) ----------------------
 
 void extract_functions(FileScan& fs) {
   const std::string& code = fs.code;
@@ -619,192 +570,9 @@ void extract_functions(FileScan& fs) {
 
     FunctionDef def;
     def.name = name;
-    def.line = line_at(fs, i);
     def.body_begin = p;
     def.body_end = body_end;
-    // Call sites: identifiers immediately before '(' in the body.
-    for (std::size_t j = p; j < body_end; ++j) {
-      if (code[j] != '(') continue;
-      std::size_t cb = j;
-      while (cb > p &&
-             std::isspace(static_cast<unsigned char>(code[cb - 1]))) {
-        --cb;
-      }
-      const std::string callee = ident_ending_at(code, cb);
-      if (!callee.empty() && cpp_keywords().count(callee) == 0 &&
-          callee != name) {
-        def.calls.insert(callee);
-        def.call_sites.emplace_back(callee, j);
-      }
-    }
     fs.functions.push_back(def);
-  }
-}
-
-/// A function is an output *root* when it lives in a designated output
-/// module or demonstrably writes results itself.
-bool is_output_root(const FileScan& fs, const FunctionDef& def) {
-  static const std::vector<std::string> kOutputFiles = {
-      "src/exp/sink", "src/runtime/recorder", "src/wire/",
-  };
-  for (const std::string& m : kOutputFiles) {
-    if (fs.path.find(m) != std::string::npos) return true;
-  }
-  if (def.name.rfind("emit_", 0) == 0 || def.name == "write_csv") {
-    return true;
-  }
-  // Writes through a ResultSink or stdout directly.
-  const std::string body =
-      fs.code.substr(def.body_begin, def.body_end - def.body_begin);
-  for (const char* marker : {"sink.", "sink_.", "std::cout", "printf"}) {
-    if (body.find(marker) != std::string::npos) return true;
-  }
-  return false;
-}
-
-// --- Affinity-safety cross-file pass -----------------------------------
-
-/// Modules the affinity analysis traverses and scans. The engine kernel
-/// (src/sim/) *implements* the deferral machinery the rules police, and
-/// the NAT-ID module (src/natid/) is serial-affinity by registration —
-/// World's delivery-affinity function routes every NAT-ID message to the
-/// serial shard, so its handlers never run on a worker.
-bool affinity_scope(const std::string& path) {
-  // Test code (mock handlers, harness helpers) runs on the test thread,
-  // never inside a parallel batch — and its coincidental names (an
-  // `on_message` on a stub, an `add` on a fake bootstrap) would otherwise
-  // pull production defs into shard reachability through the name-matched
-  // call graph. Only the fixture corpus, which exists to exercise these
-  // rules, stays in scope.
-  if (path.rfind("tests/", 0) == 0) {
-    return path.rfind("tests/detlint_fixtures/", 0) == 0;
-  }
-  return path.find("src/sim/") == std::string::npos &&
-         path.find("src/natid/") == std::string::npos;
-}
-
-/// A function is a shard *root* when it is one of the entry points the
-/// engine invokes with node affinity: a protocol handler (on_message /
-/// round in a file that implements the PeerSampler interface), the
-/// Network's send/delivery pipeline (send runs on the sender's shard,
-/// deliver on the receiver's), or the World's round driver.
-bool is_shard_root(const FileScan& fs, const FunctionDef& def) {
-  if (!affinity_scope(fs.path)) return false;
-  if (def.name == "on_message" || def.name == "round") {
-    return find_word(fs.code, "PeerSampler", 0) != std::string::npos;
-  }
-  if (def.name == "schedule_round") {
-    return fs.path.find("src/runtime/") != std::string::npos;
-  }
-  if (fs.path.find("src/net/") != std::string::npos) {
-    return def.name == "send" || def.name == "deliver" ||
-           def.name == "deliver_fragment";
-  }
-  return false;
-}
-
-/// Cross-node engine state a shard-context function must not touch
-/// outside defer()/serial-guard extents. AnyUse tokens are serial-half
-/// members whose every touch (even a read of a counter mid-mutation) is
-/// order-sensitive; MutCall tokens are containers where only mutating
-/// member calls (or operator[]) are hazards — lookups are fine.
-struct ShardMarker {
-  const char* token;
-  bool any_use;
-  const char* what;
-};
-
-const std::vector<ShardMarker>& shard_markers() {
-  static const std::vector<ShardMarker> kMarkers = {
-      {"drops_", true, "the global drop counters"},
-      {"meter_", true, "the global traffic meter"},
-      {"next_msg_id_", true, "the shared message-id counter"},
-      {"buckets_", true, "the per-sender token buckets (serial-half state)"},
-      {"rng_", true, "the shared loss/latency RNG stream"},
-      {"nodes_", false, "the node table"},
-      {"bootstrap_", false, "the bootstrap oracle"},
-  };
-  return kMarkers;
-}
-
-/// Member calls that mutate a container (for MutCall markers).
-bool mutating_member(const std::string& m) {
-  static const std::set<std::string> kMut = {
-      "erase",   "emplace", "insert",    "clear",
-      "add",     "remove",  "try_emplace", "push_back",
-  };
-  return kMut.count(m) != 0;
-}
-
-/// Scans one shard-reachable function body for affinity hazards,
-/// appending cross-shard-mutate / naked-schedule findings to fs.
-void scan_shard_body(FileScan& fs, const FunctionDef& def) {
-  const std::string& code = fs.code;
-  for (const ShardMarker& m : shard_markers()) {
-    for (std::size_t at = find_word(code, m.token, def.body_begin);
-         at != std::string::npos && at < def.body_end;
-         at = find_word(code, m.token, at + 1)) {
-      if (in_exempt_extent(fs, at)) continue;
-      // A member access on *another* object (x.drops_) is still the same
-      // engine state in this tree's idiom; no receiver filtering needed.
-      if (!m.any_use) {
-        std::size_t p = skip_ws(code, at + std::string(m.token).size());
-        bool mutation = false;
-        if (p < code.size() && code[p] == '[') {
-          mutation = true;  // operator[] default-inserts
-        } else if (p < code.size() &&
-                   (code[p] == '.' ||
-                    (code[p] == '-' && p + 1 < code.size() &&
-                     code[p + 1] == '>'))) {
-          p += code[p] == '.' ? 1 : 2;
-          p = skip_ws(code, p);
-          if (!mutating_member(read_ident(code, p))) continue;
-          mutation = true;
-        }
-        if (!mutation) continue;
-      }
-      add_finding(fs, at, "cross-shard-mutate",
-                  std::string("'") + m.token + "' (" + m.what +
-                      ") touched from shard context without "
-                      "Simulator::defer — under --world-jobs > 1 this "
-                      "write lands mid-batch on a worker thread and its "
-                      "order is a scheduling accident");
-    }
-  }
-
-  for (const char* sched : {"schedule_after", "schedule_at"}) {
-    for (std::size_t at = find_word(code, sched, def.body_begin);
-         at != std::string::npos && at < def.body_end;
-         at = find_word(code, sched, at + 1)) {
-      const std::size_t after = skip_ws(code, at + std::string(sched).size());
-      if (after >= code.size() || code[after] != '(') continue;
-      if (in_exempt_extent(fs, at)) continue;
-      add_finding(fs, at, "naked-schedule",
-                  std::string("Simulator::") + sched +
-                      " from shard context without the deferring() guard: "
-                      "inside a parallel batch the schedule is auto-"
-                      "deferred and the returned EventId is "
-                      "kInvalidEventId — guard with !deferring(), route "
-                      "through defer(), or waive stating the id is "
-                      "discarded");
-    }
-  }
-  for (std::size_t at = find_word(code, "cancel", def.body_begin);
-       at != std::string::npos && at < def.body_end;
-       at = find_word(code, "cancel", at + 1)) {
-    const std::size_t after = skip_ws(code, at + 6);
-    if (after >= code.size() || code[after] != '(') continue;
-    // Member-call shape only (sim.cancel / simulator().cancel): free
-    // functions named cancel are not the Simulator API.
-    if (at == 0 || (code[at - 1] != '.' &&
-                    !(at > 1 && code[at - 1] == '>' && code[at - 2] == '-'))) {
-      continue;
-    }
-    if (in_exempt_extent(fs, at)) continue;
-    add_finding(fs, at, "naked-schedule",
-                "Simulator::cancel from shard context: cancel asserts "
-                "outside the serial phase — route the cancellation "
-                "through defer()");
   }
 }
 
@@ -814,17 +582,14 @@ void analyze(FileScan& fs) {
   harvest_unordered(fs);
   harvest_floats(fs);
   scan_tokens(fs);
-  compute_exempt_extents(fs);
   scan_rng_lineage(fs);
   extract_functions(fs);
 }
 
 const std::set<std::string>& Linter::rule_ids() {
   static const std::set<std::string> ids = {
-      "entropy",        "wallclock",          "unordered-iter",
-      "ptr-key",        "raw-shuffle",        "float-accum",
-      "cross-shard-mutate", "naked-schedule", "rng-lineage",
-      "suppression",
+      "entropy",     "wallclock",   "unordered-iter", "ptr-key",
+      "raw-shuffle", "float-accum", "rng-lineage",    "suppression",
   };
   return ids;
 }
@@ -877,88 +642,7 @@ std::vector<Finding> Linter::run() {
     scan_float_accum(fs, loops);
   }
 
-  // Output-path reachability: BFS over the name-matched call graph from
-  // the output roots. Name matching is conservative — any definition of
-  // a called name counts — which errs toward marking reachable.
-  std::map<std::string, std::vector<const FunctionDef*>> by_name;
-  for (FileScan& fs : files_) {
-    for (FunctionDef& def : fs.functions) {
-      def.is_root = is_output_root(fs, def);
-      by_name[def.name].push_back(&def);
-    }
-  }
-  std::set<std::string> reachable;  // function names
-  std::vector<const FunctionDef*> work;
-  for (const auto& [name, defs] : by_name) {
-    for (const FunctionDef* def : defs) {
-      if (def->is_root && reachable.insert(def->name).second) {
-        work.push_back(def);
-      }
-    }
-  }
-  while (!work.empty()) {
-    const FunctionDef* def = work.back();
-    work.pop_back();
-    for (const std::string& callee : def->calls) {
-      if (!reachable.insert(callee).second) continue;
-      const auto it = by_name.find(callee);
-      if (it == by_name.end()) continue;
-      for (const FunctionDef* next : it->second) work.push_back(next);
-    }
-  }
-
-  // Affinity-safety pass: BFS over the call graph from the node-affine
-  // handler roots, following only call sites *outside* defer()/serial-
-  // guard extents (a call inside a defer argument executes in the serial
-  // merge, not on the worker). Every def of a called name counts —
-  // conservative, like the output BFS — then each shard-reachable body
-  // is scanned for cross-node mutations and naked schedule/cancel calls.
-  {
-    struct DefRef {
-      FileScan* fs;
-      FunctionDef* def;
-    };
-    std::vector<DefRef> defs;
-    std::map<std::string, std::vector<std::size_t>> index;
-    for (FileScan& fs : files_) {
-      for (FunctionDef& def : fs.functions) {
-        def.is_shard_root = is_shard_root(fs, def);
-        index[def.name].push_back(defs.size());
-        defs.push_back({&fs, &def});
-      }
-    }
-    std::set<std::size_t> shard_reachable;
-    std::vector<std::size_t> shard_work;
-    for (std::size_t i = 0; i < defs.size(); ++i) {
-      if (defs[i].def->is_shard_root && shard_reachable.insert(i).second) {
-        shard_work.push_back(i);
-      }
-    }
-    while (!shard_work.empty()) {
-      const DefRef ref = defs[shard_work.back()];
-      shard_work.pop_back();
-      for (const auto& [callee, offset] : ref.def->call_sites) {
-        if (in_exempt_extent(*ref.fs, offset)) continue;
-        const auto it = index.find(callee);
-        if (it == index.end()) continue;
-        for (const std::size_t next : it->second) {
-          // Out-of-scope defs neither get scanned nor propagate: a call
-          // *into* src/sim/ (an RngStream draw, the scheduling API) does
-          // not drag the callee's own callees into shard context.
-          if (!affinity_scope(defs[next].fs->path)) continue;
-          if (shard_reachable.insert(next).second) {
-            shard_work.push_back(next);
-          }
-        }
-      }
-    }
-    for (const std::size_t i : shard_reachable) {
-      scan_shard_body(*defs[i].fs, *defs[i].def);
-    }
-  }
-
-  // Attribute findings to their innermost enclosing function and mark
-  // output reachability.
+  // Attribute findings to their innermost enclosing function.
   std::vector<Finding> all;
   for (FileScan& fs : files_) {
     for (Finding f : fs.findings) {
@@ -972,10 +656,7 @@ std::vector<Finding> Linter::run() {
           best = &def;
         }
       }
-      if (best != nullptr) {
-        f.function = best->name;
-        f.output_reachable = reachable.count(best->name) != 0;
-      }
+      if (best != nullptr) f.function = best->name;
       all.push_back(std::move(f));
     }
   }
@@ -1044,11 +725,7 @@ std::vector<Finding> Linter::run() {
 std::string format(const Finding& f) {
   std::ostringstream os;
   os << f.file << ':' << f.line << ": [" << f.rule << "] " << f.message;
-  if (!f.function.empty()) {
-    os << " (in '" << f.function << '\'';
-    if (f.output_reachable) os << ", reachable from an output path";
-    os << ')';
-  }
+  if (!f.function.empty()) os << " (in '" << f.function << "')";
   return os.str();
 }
 
