@@ -99,12 +99,11 @@ int main(int argc, char** argv) {
             systems[(p / std::size(modes)) % std::size(systems)];
         const Mode& mode = modes[p % std::size(modes)];
         return run_failure(
-            bench::paper_spec(n, 60.001)
-                .protocol(system.protocol)
-                .correlated_failure(static_cast<double>(level) / 100.0, 60,
-                                    mode.corr)
-                .record_nothing()
-                .build(),
+            {.protocol = system.protocol, .nodes = n,
+             .failure_frac = static_cast<double>(level) / 100.0,
+             .failure_at_s = 60, .failure_corr = mode.corr,
+             .duration_s = 60.001,
+             .record = run::ExperimentSpec::RecordKind::None},
             seed, args.world_jobs);
       });
 

@@ -40,11 +40,10 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_trial_grid(
       pool, args, std::size(limits), [&](std::size_t p, std::uint64_t seed) {
         run::Experiment experiment(
-            bench::paper_spec(n, sim::to_seconds(warmup + window))
-                .protocol(exp::strf("croupier:alpha=25,gamma=50,"
-                                    "share_limit=%zu",
-                                    limits[p]))
-                .build(),
+            {.protocol = exp::strf("croupier:alpha=25,gamma=50,"
+                                   "share_limit=%zu",
+                                   limits[p]),
+             .nodes = n, .duration_s = sim::to_seconds(warmup + window)},
             seed, args.world_jobs);
         experiment.run_until(warmup);
         experiment.world().network().meter().reset();

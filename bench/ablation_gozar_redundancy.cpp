@@ -38,10 +38,9 @@ int main(int argc, char** argv) {
       pool, args, std::size(redundancies),
       [&](std::size_t p, std::uint64_t seed) {
         run::Experiment experiment(
-            bench::paper_spec(n, sim::to_seconds(warmup + window) + 0.001)
-                .protocol(exp::strf("gozar:redundancy=%zu", redundancies[p]))
-                .record_nothing()
-                .build(),
+            {.protocol = exp::strf("gozar:redundancy=%zu", redundancies[p]),
+             .nodes = n, .duration_s = sim::to_seconds(warmup + window) + 0.001,
+             .record = run::ExperimentSpec::RecordKind::None},
             seed, args.world_jobs);
         experiment.run_until(warmup);
         experiment.world().network().meter().reset();

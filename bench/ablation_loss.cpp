@@ -51,10 +51,8 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_trial_grid(
       pool, args, std::size(losses), [&](std::size_t p, std::uint64_t seed) {
         run::Experiment experiment(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .loss(losses[p])
-                .build(),
+            {.protocol = bench::croupier_proto(25, 50), .nodes = n,
+             .loss = losses[p], .duration_s = duration},
             seed, args.world_jobs);
         experiment.run();
 
@@ -119,12 +117,9 @@ int main(int argc, char** argv) {
         const std::size_t v = p / std::size(packet_losses);
         const double loss = packet_losses[p % std::size(packet_losses)];
         run::Experiment experiment(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .loss(loss)
-                .mtu(kMtu)
-                .fec(repairs[v])
-                .build(),
+            {.protocol = bench::croupier_proto(25, 50), .nodes = n,
+             .loss = loss, .mtu = kMtu, .fec_repair = repairs[v],
+             .duration_s = duration},
             seed, args.world_jobs);
         experiment.run();
 

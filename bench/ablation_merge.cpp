@@ -69,11 +69,10 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_trial_grid(
       pool, args, std::size(policies), [&](std::size_t p, std::uint64_t seed) {
         return measure(
-            bench::paper_spec(n, duration)
-                .protocol(exp::strf("croupier:alpha=25,gamma=50,merge=%s",
-                                    policies[p]))
-                .churn(churn, 30)
-                .build(),
+            {.protocol = exp::strf("croupier:alpha=25,gamma=50,merge=%s",
+                                   policies[p]),
+             .nodes = n, .churn = churn, .churn_at_s = 30,
+             .duration_s = duration},
             seed, args.world_jobs);
       });
 

@@ -90,11 +90,10 @@ int main(int argc, char** argv) {
       pool, args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
         const Point& pt = sweep[p];
         return measure(
-            bench::paper_spec(n, duration)
-                .protocol(pt.protocol)
-                .ratio(1.0 - static_cast<double>(pt.private_pct) / 100.0)
-                .record_nothing()
-                .build(),
+            {.protocol = pt.protocol, .nodes = n,
+             .ratio = 1.0 - static_cast<double>(pt.private_pct) / 100.0,
+             .duration_s = duration,
+             .record = run::ExperimentSpec::RecordKind::None},
             seed, args.world_jobs);
       });
 

@@ -75,26 +75,31 @@ int main(int argc, char** argv) {
       pool, args, points, [&](std::size_t p, std::uint64_t seed) {
         const std::size_t proto = p / kScenarios;
         const auto scenario = static_cast<Scenario>(p % kScenarios);
-        auto builder = bench::paper_spec(n, duration)
-                           .protocol(protocols[proto])
-                           .record_randomness(10);
+        run::ExperimentSpec spec{
+            .protocol = protocols[proto], .nodes = n, .duration_s = duration,
+            .record = run::ExperimentSpec::RecordKind::Randomness,
+            .record_every_s = 10};
         switch (scenario) {
           case kHonest:
             break;
           case kEclipse:
             // Node 1 is the first joiner — public under every join
             // process, so each protocol's strongest position.
-            builder.eclipse(1, attack_at, 2.0);
+            spec.eclipse_target = 1;
+            spec.eclipse_at_s = attack_at;
+            spec.eclipse_period_s = 2.0;
             break;
           case kNatFlap:
-            builder.natflap(0.2, attack_at, 10.0);
+            spec.natflap_frac = 0.2;
+            spec.natflap_at_s = attack_at;
+            spec.natflap_period_s = 10.0;
             break;
           case kHubs:
           case kScenarios:
-            builder.adversary_hubs(3);
+            spec.adversary_hubs = 3;
             break;
         }
-        return measure(builder.build(), seed, args.world_jobs);
+        return measure(spec, seed, args.world_jobs);
       });
 
   // Final audit statistics averaged over runs, honest column kept for

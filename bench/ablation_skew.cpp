@@ -62,12 +62,11 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_trial_grid(
       pool, args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
         return measure_bias(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .skew(sweep[p].skew)
-                .private_round_scale(1.0 + sweep[p].slowdown)
-                .record_nothing()
-                .build(),
+            {.protocol = bench::croupier_proto(25, 50), .nodes = n,
+             .skew = sweep[p].skew,
+             .private_round_scale = 1.0 + sweep[p].slowdown,
+             .duration_s = duration,
+             .record = run::ExperimentSpec::RecordKind::None},
             seed, args.world_jobs);
       });
 

@@ -86,9 +86,8 @@ int main(int argc, char** argv) {
 
   const auto grid = bench::run_trial_grid(
       pool, args, std::size(variants), [&](std::size_t p, std::uint64_t seed) {
-        return measure(bench::paper_spec(n, duration)
-                           .protocol(variants[p].protocol)
-                           .build(),
+        return measure({.protocol = variants[p].protocol, .nodes = n,
+                        .duration_s = duration},
                        seed, args.world_jobs);
       });
 

@@ -237,13 +237,6 @@ inline std::string croupier_proto(std::size_t alpha, std::size_t gamma) {
   return exp::strf("croupier:alpha=%zu,gamma=%zu", alpha, gamma);
 }
 
-/// Paper §VII-A setup as a spec builder: ω = 0.2, Poisson joins with
-/// 50 ms / 13 ms inter-arrival, King latencies, 1 % clock skew. Chain
-/// further builder calls for the figure-specific workload.
-inline run::SpecBuilder paper_spec(std::size_t nodes, double duration_s) {
-  return run::SpecBuilder().nodes(nodes).ratio(0.2).duration(duration_s);
-}
-
 /// One run of a Croupier estimation experiment (figures 1-5 all share
 /// this skeleton): build a world from the spec, record the error series
 /// once per second.

@@ -35,9 +35,8 @@ int main(int argc, char** argv) {
       pool, args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
         const auto& [alpha, gamma] = windows[p];
         return bench::run_spec_series(
-            bench::paper_spec(nodes, duration)
-                .protocol(bench::croupier_proto(alpha, gamma))
-                .build(),
+            {.protocol = bench::croupier_proto(alpha, gamma), .nodes = nodes,
+             .duration_s = duration},
             seed, args.world_jobs);
       });
 

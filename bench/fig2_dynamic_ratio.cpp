@@ -4,8 +4,9 @@
 // Paper setup: the fig. 1 join pattern, then from t=58 s one extra public
 // node joins every 42 ms for 14 s. (The paper's prose quotes ratio
 // 0.30->0.33 for this phase, which is inconsistent with its own
-// 1000/4000 population — with the stated populations the step is
-// 0.20->0.25; see EXPERIMENTS.md. The *shape* claim is unaffected.)
+// 1000/4000 population: 14 s / 42 ms ≈ 333 extra publics, so the step
+// is 1000/5000 = 0.20 -> 1333/5333 = 0.25. The *shape* claim is
+// unaffected.)
 //
 // Expected shape: small windows re-converge to the new ratio first;
 // large windows lag but win on final accuracy once the ratio stabilizes.
@@ -36,10 +37,9 @@ int main(int argc, char** argv) {
       pool, args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
         const auto& [alpha, gamma] = windows[p];
         return bench::run_spec_series(
-            bench::paper_spec(nodes, duration)
-                .protocol(bench::croupier_proto(alpha, gamma))
-                .join_step(extra_publics, 0, step_at, 42)
-                .build(),
+            {.protocol = bench::croupier_proto(alpha, gamma), .nodes = nodes,
+             .step_publics = extra_publics, .step_at_s = step_at,
+             .step_every_ms = 42, .duration_s = duration},
             seed, args.world_jobs);
       });
 

@@ -67,15 +67,13 @@ int run_mega(const croupier::bench::BenchArgs& args,
     // footprint being measured, and concurrent trials would both blur
     // the attribution and double the peak.
     for (std::size_t r = 0; r < args.runs; ++r) {
-      const auto spec = run::SpecBuilder()
-                            .protocol(bench::croupier_proto(25, 50))
-                            .nodes(n)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .constant_latency(50)
-                            .duration(args.fast ? 12 : 30)
-                            .record_graph_sampled(10)
-                            .build();
+      const run::ExperimentSpec spec{
+          .protocol = bench::croupier_proto(25, 50), .nodes = n, .ratio = 0.2,
+          .join = run::ExperimentSpec::JoinKind::Instant,
+          .latency = run::World::LatencyKind::Constant, .latency_ms = 50,
+          .duration_s = args.fast ? 12.0 : 30.0,
+          .record = run::ExperimentSpec::RecordKind::GraphSampled,
+          .record_every_s = 10};
       // detlint:allow(wallclock) per-point wall-clock for the stderr
       // progress line only; never written to the CSV/JSON output.
       const auto start = std::chrono::steady_clock::now();
@@ -160,9 +158,8 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_series_grid(
       pool, args, sizes.size(), [&](std::size_t p, std::uint64_t seed) {
         return bench::run_spec_series(
-            bench::paper_spec(sizes[p], duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .build(),
+            {.protocol = bench::croupier_proto(25, 50), .nodes = sizes[p],
+             .duration_s = duration},
             seed, args.world_jobs);
       });
 

@@ -29,10 +29,8 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_series_grid(
       pool, args, std::size(ratios), [&](std::size_t p, std::uint64_t seed) {
         return bench::run_spec_series(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .ratio(ratios[p])
-                .build(),
+            {.protocol = bench::croupier_proto(25, 50), .nodes = n,
+             .ratio = ratios[p], .duration_s = duration},
             seed, args.world_jobs);
       });
 

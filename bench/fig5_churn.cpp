@@ -32,10 +32,8 @@ int main(int argc, char** argv) {
         // The Experiment owns the ChurnProcess, so its lifetime spans
         // the whole run without any per-bench bookkeeping.
         return bench::run_spec_series(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .churn(churn_rates[p], 61)
-                .build(),
+            {.protocol = bench::croupier_proto(25, 50), .nodes = n,
+             .churn = churn_rates[p], .churn_at_s = 61, .duration_s = duration},
             seed, args.world_jobs);
       });
 

@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
   const auto grid = bench::run_trial_grid(
       pool, args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
         const Row& row = rows[p];
-        return measure(bench::paper_spec(n, duration)
-                           .protocol(row.protocol)
-                           .ratio(row.all_public ? 1.0 : 0.2)
-                           .record_graph(10)
-                           .build(),
+        return measure({.protocol = row.protocol, .nodes = n,
+                        .ratio = row.all_public ? 1.0 : 0.2,
+                        .duration_s = duration,
+                        .record = run::ExperimentSpec::RecordKind::Graph,
+                        .record_every_s = 10},
                        seed, args.world_jobs);
       });
 

@@ -71,12 +71,11 @@ int main(int argc, char** argv) {
         // Joins compressed to 10 ms inter-arrival for both classes so the
         // population is complete well before the measurement window.
         return measure(
-            bench::paper_spec(n, sim::to_seconds(warmup + window))
-                .protocol(row.protocol)
-                .ratio(row.all_public ? 1.0 : 0.2)
-                .poisson_joins(10, 10)
-                .record_nothing()
-                .build(),
+            {.protocol = row.protocol, .nodes = n,
+             .ratio = row.all_public ? 1.0 : 0.2, .join_public_ms = 10,
+             .join_private_ms = 10,
+             .duration_s = sim::to_seconds(warmup + window),
+             .record = run::ExperimentSpec::RecordKind::None},
             seed, warmup, window, args.world_jobs);
       });
 

@@ -72,12 +72,11 @@ int main(int argc, char** argv) {
         const int level = fail_levels[p / std::size(rows)];
         const Row& row = rows[p % std::size(rows)];
         return cluster_fraction(
-            bench::paper_spec(n, 60.001)
-                .protocol(row.protocol)
-                .ratio(row.all_public ? 1.0 : 0.2)
-                .catastrophe(static_cast<double>(level) / 100.0, 60)
-                .record_nothing()
-                .build(),
+            {.protocol = row.protocol, .nodes = n,
+             .ratio = row.all_public ? 1.0 : 0.2,
+             .catastrophe = static_cast<double>(level) / 100.0,
+             .catastrophe_at_s = 60, .duration_s = 60.001,
+             .record = run::ExperimentSpec::RecordKind::None},
             seed, args.world_jobs);
       });
 

@@ -100,14 +100,11 @@ class AveragingApp final : public net::MessageHandler {
 int main() {
   // 80 public + 320 private nodes, all present from the start; the
   // application drives its own clock below, so nothing is recorded.
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol("croupier")
-                                 .nodes(400)
-                                 .ratio(0.2)
-                                 .instant_joins()
-                                 .duration(120)
-                                 .record_nothing()
-                                 .build(),
+  run::Experiment experiment({.protocol = "croupier", .nodes = 400,
+                              .ratio = 0.2,
+                              .join = run::ExperimentSpec::JoinKind::Instant,
+                              .duration_s = 120,
+                              .record = run::ExperimentSpec::RecordKind::None},
                              /*seed=*/5);
   run::World& world = experiment.world();
   world.simulator().run_until(sim::sec(30));  // PSS warm-up

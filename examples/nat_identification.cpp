@@ -16,15 +16,10 @@ int main() {
   // natid + instant joins: the initial publics are operator-seeded
   // responders (ground-truth classified), exactly what a fresh deployment
   // needs before the identification protocol has anyone to test against.
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol("croupier")
-                                 .nodes(4)
-                                 .ratio(1.0)
-                                 .instant_joins()
-                                 .natid()
-                                 .duration(60)
-                                 .record_nothing()
-                                 .build(),
+  run::Experiment experiment({.protocol = "croupier", .nodes = 4, .ratio = 1.0,
+                              .join = run::ExperimentSpec::JoinKind::Instant,
+                              .natid = true, .duration_s = 60,
+                              .record = run::ExperimentSpec::RecordKind::None},
                              /*seed=*/7);
   run::World& world = experiment.world();
   world.simulator().run_until(sim::sec(2));

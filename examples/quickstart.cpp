@@ -27,14 +27,10 @@ int main() {
   //    private nodes (omega = 0.2) joining as two Poisson processes like
   //    the paper's experiments. The same spec round-trips through text:
   //    run::ExperimentSpec::parse(spec.to_string()) == spec.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(500)
-                        .ratio(0.2)
-                        .poisson_joins(50, 13)
-                        .duration(120)
-                        .record_nothing()
-                        .build();
+  const run::ExperimentSpec spec{
+      .protocol = "croupier:alpha=25,gamma=50", .nodes = 500, .ratio = 0.2,
+      .join_public_ms = 50, .join_private_ms = 13, .duration_s = 120,
+      .record = run::ExperimentSpec::RecordKind::None};
   std::printf("spec: %s\n\n", spec.to_string().c_str());
 
   // 2. Materialize: deterministic simulator + network with King-like

@@ -112,14 +112,11 @@ class RumorApp final : public net::MessageHandler {
 int main() {
   const std::size_t publics = 100;
   const std::size_t privates = 400;
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol("croupier")
-                                 .nodes(publics + privates)
-                                 .ratio(0.2)
-                                 .instant_joins()
-                                 .duration(90)
-                                 .record_nothing()
-                                 .build(),
+  run::Experiment experiment({.protocol = "croupier",
+                              .nodes = publics + privates, .ratio = 0.2,
+                              .join = run::ExperimentSpec::JoinKind::Instant,
+                              .duration_s = 90,
+                              .record = run::ExperimentSpec::RecordKind::None},
                              /*seed=*/11);
   run::World& world = experiment.world();
 

@@ -36,15 +36,11 @@ Quality measure(const std::string& protocol, std::uint64_t seed) {
   // nodes, so a sampler that fails to refresh its views hands out dead
   // peers. Both systems run the identical spec — only the protocol name
   // differs.
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol(protocol)
-                                 .nodes(500)
-                                 .ratio(0.2)
-                                 .instant_joins()
-                                 .churn(0.01, 30)
-                                 .duration(330)
-                                 .record_nothing()
-                                 .build(),
+  run::Experiment experiment({.protocol = protocol, .nodes = 500, .ratio = 0.2,
+                              .join = run::ExperimentSpec::JoinKind::Instant,
+                              .churn = 0.01, .churn_at_s = 30,
+                              .duration_s = 330,
+                              .record = run::ExperimentSpec::RecordKind::None},
                              seed);
   run::World& world = experiment.world();
   world.simulator().run_until(sim::sec(30));

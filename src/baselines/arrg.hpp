@@ -49,6 +49,8 @@ struct ArrgConfig {
 
 class Arrg final : public pss::PeerSampler {
  public:
+  using Config = ArrgConfig;
+
   Arrg(Context ctx, ArrgConfig cfg);
 
   void init() override;

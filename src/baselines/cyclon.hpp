@@ -48,6 +48,8 @@ struct CyclonShuffleRes final : net::Message {
 
 class Cyclon final : public pss::PeerSampler {
  public:
+  using Config = pss::PssConfig;
+
   Cyclon(Context ctx, pss::PssConfig cfg);
 
   void init() override;

@@ -157,6 +157,8 @@ struct GozarConfig {
 
 class Gozar final : public pss::PeerSampler {
  public:
+  using Config = GozarConfig;
+
   Gozar(Context ctx, GozarConfig cfg);
 
   void init() override;

@@ -166,6 +166,8 @@ struct NylonConfig {
 
 class Nylon final : public pss::PeerSampler {
  public:
+  using Config = NylonConfig;
+
   Nylon(Context ctx, NylonConfig cfg);
 
   void init() override;

@@ -80,6 +80,8 @@ struct CroupierShuffleRes final : net::Message {
 
 class Croupier final : public pss::PeerSampler {
  public:
+  using Config = CroupierConfig;
+
   Croupier(Context ctx, CroupierConfig cfg);
 
   void init() override;

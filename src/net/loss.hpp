@@ -1,21 +1,21 @@
-// Pluggable message-loss models.
+// Message-loss conditions.
 //
 // The paper's evaluation uses uniform loss ("messages are dropped with
 // probability p"); the estimator's third assumption is precisely that the
 // loss shows *no bias* between public and private nodes. To measure what
-// happens when that assumption breaks, loss is a model, not a scalar: the
-// Network asks its LossModel for the drop probability of each packet,
-// given the sender/receiver NAT classes and the current virtual time.
+// happens when that assumption breaks, loss is a per-class-pair matrix,
+// not a scalar: the Network asks its LossConfig for the drop probability
+// of each packet, given the sender/receiver NAT classes and the current
+// virtual time.
 //
-// Determinism contract: probability() must be a pure function of its
-// arguments (no internal RNG, no mutable state) — the Network owns the
-// single loss die and rolls it exactly once per packet whose probability
-// is positive, which is what keeps runs byte-identical across the
-// sequential and round-synchronous parallel engines.
+// Determinism contract: probability() is a pure function of its
+// arguments — the Network owns the single loss die and rolls it exactly
+// once per packet whose probability is positive, which is what keeps
+// runs byte-identical across the sequential and round-synchronous
+// parallel engines.
 #pragma once
 
 #include <array>
-#include <memory>
 
 #include "net/nat.hpp"
 #include "sim/time.hpp"
@@ -27,8 +27,7 @@ namespace croupier::net {
 /// virtual time (loss is zero before `after`). rate[0][*] is a public
 /// sender, rate[*][0] a public receiver; index 1 is private. All rates
 /// must lie in [0, 1) — a rate of 1 would silence a class pair entirely
-/// and is rejected up front (same contract the Network always had for
-/// its uniform scalar).
+/// and is rejected up front (the Network asserts it on construction).
 struct LossConfig {
   std::array<std::array<double, 2>, 2> rate{{{0.0, 0.0}, {0.0, 0.0}}};
   sim::SimTime after = 0;
@@ -40,7 +39,12 @@ struct LossConfig {
     return cfg;
   }
 
-  [[nodiscard]] double rate_for(NatType from, NatType to) const {
+  /// Probability that a packet sent at `now` from a node of class `from`
+  /// to a node of class `to` is dropped: 0 before `after`, the pair's
+  /// rate from then on.
+  [[nodiscard]] double probability(sim::SimTime now, NatType from,
+                                   NatType to) const {
+    if (now < after) return 0.0;
     const auto i = [](NatType t) { return t == NatType::Public ? 0 : 1; };
     return rate[i(from)][i(to)];
   }
@@ -60,61 +64,5 @@ struct LossConfig {
   /// uniform scalar.
   [[nodiscard]] bool is_uniform() const { return after == 0 && flat(); }
 };
-
-/// Drop-probability oracle for one packet. See file comment for the
-/// purity requirement.
-class LossModel {
- public:
-  virtual ~LossModel() = default;
-
-  /// Probability in [0, 1) that a packet sent now from a node of class
-  /// `from` to a node of class `to` is dropped.
-  [[nodiscard]] virtual double probability(sim::SimTime now, NatType from,
-                                           NatType to) const = 0;
-
-  /// False when probability() ignores the class arguments entirely —
-  /// the Network then skips the per-packet class lookups on the send
-  /// hot path (the pre-LossModel uniform scalar never paid them).
-  [[nodiscard]] virtual bool class_sensitive() const { return true; }
-};
-
-/// The paper's model: every packet drops with one fixed probability.
-class UniformLoss final : public LossModel {
- public:
-  explicit UniformLoss(double probability);
-  [[nodiscard]] double probability(sim::SimTime, NatType,
-                                   NatType) const override {
-    return probability_;
-  }
-  [[nodiscard]] bool class_sensitive() const override { return false; }
-
- private:
-  double probability_;
-};
-
-/// Per-class-pair, time-varying loss (see LossConfig). Before `after`
-/// the network is loss-free; from `after` on, each packet drops with its
-/// class pair's rate.
-class ClassPairLoss final : public LossModel {
- public:
-  explicit ClassPairLoss(const LossConfig& cfg);
-  [[nodiscard]] double probability(sim::SimTime now, NatType from,
-                                   NatType to) const override {
-    return now >= cfg_.after ? cfg_.rate_for(from, to) : 0.0;
-  }
-  /// A delayed-but-flat matrix is time-sensitive yet class-blind.
-  [[nodiscard]] bool class_sensitive() const override {
-    return !cfg_.flat();
-  }
-
- private:
-  LossConfig cfg_;
-};
-
-/// Builds the cheapest model expressing `cfg`: nullptr when lossless
-/// (the Network skips the loss die entirely — the historic loss=0 hot
-/// path), UniformLoss for a flat always-on rate, ClassPairLoss
-/// otherwise. Asserts every rate is in [0, 1).
-std::unique_ptr<LossModel> make_loss_model(const LossConfig& cfg);
 
 }  // namespace croupier::net

@@ -12,20 +12,20 @@ namespace croupier::net {
 
 Network::Network(sim::Simulator& simulator,
                  std::unique_ptr<LatencyModel> latency, sim::RngStream rng,
-                 std::unique_ptr<LossModel> loss)
+                 const LossConfig& loss)
     : simulator_(simulator),
       latency_(std::move(latency)),
       rng_(rng),
-      loss_(std::move(loss)),
-      loss_class_sensitive_(loss_ != nullptr && loss_->class_sensitive()) {
+      loss_(loss),
+      lossless_(loss.lossless()),
+      loss_class_sensitive_(!loss.flat()) {
   CROUPIER_ASSERT(latency_ != nullptr);
+  for (const auto& row : loss_.rate) {
+    for (const double p : row) {
+      CROUPIER_ASSERT_MSG(p >= 0.0 && p < 1.0, "loss rate must be in [0, 1)");
+    }
+  }
 }
-
-Network::Network(sim::Simulator& simulator,
-                 std::unique_ptr<LatencyModel> latency, sim::RngStream rng,
-                 double loss_probability)
-    : Network(simulator, std::move(latency), rng,
-              make_loss_model(LossConfig::uniform(loss_probability))) {}
 
 void Network::set_packet_config(const PacketConfig& cfg) {
   CROUPIER_ASSERT_MSG(next_msg_id_ == 1 && meter_.per_node().empty(),
@@ -148,13 +148,13 @@ NatType Network::class_or_public(NodeId id) const {
 }
 
 double Network::loss_probability(NodeId from, NodeId to) const {
-  if (loss_ == nullptr) return 0.0;
-  // Class lookups are paid only for models that read them.
+  if (lossless_) return 0.0;
+  // Class lookups are paid only when the rates differ by class.
   return loss_class_sensitive_
-             ? loss_->probability(simulator_.now(), class_or_public(from),
-                                  class_or_public(to))
-             : loss_->probability(simulator_.now(), NatType::Public,
-                                  NatType::Public);
+             ? loss_.probability(simulator_.now(), class_or_public(from),
+                                 class_or_public(to))
+             : loss_.probability(simulator_.now(), NatType::Public,
+                                 NatType::Public);
 }
 
 sim::Duration Network::bucket_delay(NodeId from, std::size_t bytes) {
@@ -177,7 +177,7 @@ void Network::finish_send(NodeId from, NodeId to, MessagePtr msg,
 
   // One die roll per packet with a positive drop probability — and none
   // otherwise, exactly the draw pattern of the historic uniform scalar,
-  // so pre-LossModel runs replay byte-identically.
+  // which keeps every uniform-loss run byte-identical.
   const double p = loss_probability(from, to);
   if (p > 0.0 && rng_.chance(p)) {
     ++drops_.loss;

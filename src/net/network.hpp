@@ -71,21 +71,15 @@ class Network {
     std::uint64_t fragments_expired = 0;      // dropped by reassembly GC
   };
 
-  /// `loss` may be nullptr (a loss-free network: the loss die is never
-  /// rolled, the historic loss=0 hot path).
+  /// A lossless `loss` (the default) never rolls the loss die, the
+  /// historic loss=0 hot path. Asserts every rate is in [0, 1).
   Network(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
-          sim::RngStream rng, std::unique_ptr<LossModel> loss = nullptr);
-
-  /// Convenience for the historic uniform-scalar call sites (tests):
-  /// wraps the probability in a UniformLoss model (0 = lossless).
-  Network(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
-          sim::RngStream rng, double loss_probability);
+          sim::RngStream rng, const LossConfig& loss = {});
 
   /// Arms the packet layer (MTU fragmentation, FEC, bandwidth caps).
   /// Call before any traffic flows; the default PacketConfig keeps every
   /// pre-packet run byte-identical.
   void set_packet_config(const PacketConfig& cfg);
-  [[nodiscard]] const PacketConfig& packet_config() const { return packet_; }
 
   /// Registers a node. The handler must outlive the attachment.
   void attach(NodeId id, const NatConfig& cfg, MessageHandler& handler);
@@ -183,11 +177,10 @@ class Network {
   /// bandwidth metering is off). Serial-half only.
   sim::Duration bucket_delay(NodeId from, std::size_t bytes);
 
-  /// Loss probability for a (from, to) datagram right now; 0 without a
-  /// loss model.
+  /// Loss probability for a (from, to) datagram right now.
   [[nodiscard]] double loss_probability(NodeId from, NodeId to) const;
 
-  /// NAT class for the loss model; a node that already left resolves to
+  /// NAT class for the loss rates; a node that already left resolves to
   /// Public (the packet is doomed at delivery anyway — the rule only has
   /// to be deterministic so both engines roll the same die).
   [[nodiscard]] NatType class_or_public(NodeId id) const;
@@ -195,8 +188,9 @@ class Network {
   sim::Simulator& simulator_;
   std::unique_ptr<LatencyModel> latency_;
   sim::RngStream rng_;
-  std::unique_ptr<LossModel> loss_;
-  bool loss_class_sensitive_ = false;  // cached loss_->class_sensitive()
+  LossConfig loss_;
+  bool lossless_;              // cached loss_.lossless()
+  bool loss_class_sensitive_;  // cached !loss_.flat()
   PacketConfig packet_;
   Fragmenter fragmenter_{PacketConfig{}};
   std::uint64_t next_msg_id_ = 1;  // serial half only

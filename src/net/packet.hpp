@@ -59,9 +59,6 @@ struct PacketConfig {
   /// first fragment arrives.
   sim::Duration reassembly_timeout = sim::sec(3);
 
-  /// True when any packet machinery (fragmentation or bandwidth
-  /// metering) is on; false = the pre-packet Network::send path.
-  [[nodiscard]] bool active() const { return mtu > 0 || bandwidth_bps > 0; }
   [[nodiscard]] bool fec_active() const {
     return mtu > 0 && (fec_repair > 0 || fec_rate > 0.0);
   }

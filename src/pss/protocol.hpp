@@ -20,11 +20,11 @@
 namespace croupier::pss {
 
 /// Parameters shared by all PSS protocols (paper §VII-A: view size 10,
-/// shuffle subset 5, round period 1 s).
+/// shuffle subset 5). The 1 s round period is World::Config's: the
+/// runtime drives rounds.
 struct PssConfig {
   std::size_t view_size = 10;
   std::size_t shuffle_size = 5;
-  sim::Duration round_period = sim::sec(1);
   std::size_t bootstrap_fanout = 5;  // publics handed to a joining node
   MergePolicy merge = MergePolicy::Swapper;
 };

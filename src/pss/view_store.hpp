@@ -3,22 +3,17 @@
 //
 // Motivation (million-node Worlds): a PartialView held a
 // std::vector<Desc> — one heap block per view, descriptors stored as
-// array-of-structs with padding, and every membership probe a linear
-// scan. At 10^6 nodes that is 2·10^6 malloc'd vectors and O(view) scans
-// on the shuffle hot path. ViewStore instead packs each view into one
-// arena block laid out as separate columns:
+// array-of-structs with padding. At 10^6 nodes that is 2·10^6 malloc'd
+// vectors. ViewStore instead packs each view into one arena block laid
+// out as separate columns:
 //
 //   ids    : NodeId[R]            4 bytes/entry
 //   ages   : uint16_t[R]          2 bytes/entry, saturating at 0xffff
-//   index  : uint16_t[H]          open-addressed id -> slot table (O(1))
 //   nats   : uint8_t[ceil(R/4)]   NAT class, dictionary-encoded to 2 bits
 //
-// The index column is size-adaptive: paper-sized views (capacity <= 64)
-// omit it entirely — slot_of scans the packed id column, which at 4
-// bytes/entry beats any hash for one or two cache lines — while larger
-// capacities carry the table, maintained incrementally (backward-shift
-// deletion on erase), so membership stays O(1) instead of degrading
-// linearly as views grow.
+// Membership probes (slot_of) scan the packed id column: views are sized
+// by the protocol's `view=` option (paper default 10), and at 4
+// bytes/entry one or two cache lines of ids beat any hash.
 //
 // The NAT column is dictionary-encoded in the column-store sense
 // (hyrise-style): the column holds 2-bit code points, and NatDictionary
@@ -133,8 +128,8 @@ struct ViewTraits<NodeDescriptor> {
   }
 };
 
-/// Columnar bounded sequence of descriptors with an O(1) id -> slot
-/// index and an incrementally-maintained first-max-age slot.
+/// Columnar bounded sequence of descriptors with an
+/// incrementally-maintained first-max-age slot.
 template <typename Desc>
 class ViewStore {
  public:
@@ -205,16 +200,8 @@ class ViewStore {
   /// Overwrites slot i (the id may change — swapper eviction does this).
   void assign(std::size_t i, const Desc& d) {
     CROUPIER_ASSERT(i < size_);
-    const net::NodeId old_id = ids_[i];
-    const bool id_changed = old_id != Traits::id(d);
     const std::uint16_t old_age = ages_[i];
-    if (id_changed && table_ != nullptr) {
-      table_erase(old_id, static_cast<std::uint32_t>(i));
-    }
     write_columns(i, d);
-    if (id_changed && table_ != nullptr) {
-      table_insert(Traits::id(d), static_cast<std::uint32_t>(i));
-    }
     if (i == max_slot_) {
       // Slot i held the first maximal age; a smaller age may demote it.
       if (ages_[i] < old_age) recompute_max();
@@ -228,23 +215,12 @@ class ViewStore {
     reserve(std::size_t{size_} + 1);
     const std::uint32_t i = size_++;
     write_columns(i, d);
-    if (table_ != nullptr) table_insert(Traits::id(d), i);
     if (i == 0 || ages_[i] > ages_[max_slot_]) max_slot_ = i;
   }
 
   /// Removes slot i; later slots shift down one (relative order kept).
   void erase_at(std::size_t i) {
     CROUPIER_ASSERT(i < size_);
-    // Fix the index incrementally: unlink slot i's entry (backward-shift
-    // deletion, while ids_ still holds every id), then renumber the
-    // survivors — probe positions depend only on ids, so decrementing
-    // the stored slot numbers cannot break a chain.
-    if (table_ != nullptr) {
-      table_erase(ids_[i], static_cast<std::uint32_t>(i));
-      for (std::uint32_t p = 0; p <= table_mask_; ++p) {
-        if (table_[p] > i + 1) --table_[p];
-      }
-    }
     const std::size_t tail = size_ - i - 1;
     std::memmove(ids_ + i, ids_ + i + 1, tail * sizeof(*ids_));
     std::memmove(ages_ + i, ages_ + i + 1, tail * sizeof(*ages_));
@@ -308,7 +284,6 @@ class ViewStore {
     if constexpr (Traits::kHasExtra) {
       extra_.resize(size_);
     }
-    rebuild_table();
     recompute_max();
   }
 
@@ -330,28 +305,12 @@ class ViewStore {
     size_ = 0;
     max_slot_ = 0;
     if constexpr (Traits::kHasExtra) extra_.clear();
-    if (table_ != nullptr) {
-      std::memset(table_, 0, std::size_t{table_mask_ + 1} * sizeof(*table_));
-    }
   }
 
-  /// id -> slot lookup. Paper-sized views (capacity <= 64) scan the
-  /// packed id column — 4 bytes/entry, SIMD-friendly, faster than any
-  /// hash at that size. Larger views carry an open-addressed index
-  /// column maintained incrementally, so the lookup stays O(1) as
-  /// capacities grow instead of degrading linearly.
+  /// id -> slot lookup: a scan of the packed id column (4 bytes/entry).
   [[nodiscard]] std::optional<std::uint32_t> slot_of(net::NodeId id) const {
-    if (table_ == nullptr) {
-      for (std::uint32_t i = 0; i < size_; ++i) {
-        if (ids_[i] == id) return i;
-      }
-      return std::nullopt;
-    }
-    std::uint32_t p = probe_start(id);
-    while (table_[p] != 0) {
-      const std::uint32_t s = table_[p] - 1u;
-      if (ids_[s] == id) return s;
-      p = (p + 1) & table_mask_;
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      if (ids_[i] == id) return i;
     }
     return std::nullopt;
   }
@@ -363,60 +322,11 @@ class ViewStore {
   }
 
  private:
-  static constexpr std::uint32_t next_pow2(std::uint32_t v) {
-    std::uint32_t p = 1;
-    while (p < v) p <<= 1;
-    return p;
-  }
-
-  static constexpr std::size_t block_bytes(std::uint32_t r, std::uint32_t h) {
+  static constexpr std::size_t block_bytes(std::uint32_t r) {
     const std::size_t raw = std::size_t{r} * sizeof(net::NodeId) +
                             std::size_t{r} * sizeof(std::uint16_t) +
-                            std::size_t{h} * sizeof(std::uint16_t) +
                             (std::size_t{r} + 3) / 4;
     return (raw + 7) & ~std::size_t{7};
-  }
-
-  [[nodiscard]] std::uint32_t probe_start(net::NodeId id) const {
-    // Fibonacci hashing; the table is a power of two.
-    return (static_cast<std::uint32_t>(id) * 0x9e3779b9u) & table_mask_;
-  }
-
-  void table_insert(net::NodeId id, std::uint32_t slot) {
-    std::uint32_t p = probe_start(id);
-    while (table_[p] != 0) p = (p + 1) & table_mask_;
-    table_[p] = static_cast<std::uint16_t>(slot + 1);
-  }
-
-  /// Unlinks the entry mapping `id` -> `slot` with backward-shift
-  /// deletion, so later probes never hit a false empty. Requires ids_ to
-  /// still describe every live slot (call before mutating the columns).
-  void table_erase(net::NodeId id, std::uint32_t slot) {
-    std::uint32_t p = probe_start(id);
-    while (table_[p] != slot + 1) p = (p + 1) & table_mask_;
-    std::uint32_t j = p;
-    while (true) {
-      table_[p] = 0;
-      while (true) {
-        j = (j + 1) & table_mask_;
-        if (table_[j] == 0) return;
-        const std::uint32_t h = probe_start(ids_[table_[j] - 1]);
-        // The entry at j may fill the hole at p unless its home position
-        // lies cyclically within (p, j] — moving it past its home would
-        // strand it from its probe chain.
-        const bool movable =
-            (p <= j) ? (h <= p || h > j) : (h <= p && h > j);
-        if (movable) break;
-      }
-      table_[p] = table_[j];
-      p = j;
-    }
-  }
-
-  void rebuild_table() {
-    if (table_ == nullptr) return;
-    std::memset(table_, 0, std::size_t{table_mask_ + 1} * sizeof(*table_));
-    for (std::uint32_t i = 0; i < size_; ++i) table_insert(ids_[i], i);
   }
 
   void recompute_max() {
@@ -445,28 +355,19 @@ class ViewStore {
     }
   }
 
-  // Capacities at or below this scan the id column instead of carrying
-  // an index: one or two cache lines of packed u32s beat a hash probe,
-  // and skipping index maintenance keeps the mutation ops tight.
-  static constexpr std::uint32_t kLinearScanMax = 64;
-
   void grow_storage(std::uint32_t new_reserved) {
-    // The index column stores slot+1 in 16 bits; views are small by
-    // design (paper view size 10), so this bound is never a constraint.
+    // Views are small by design (paper view size 10); the bound stops an
+    // absurd `view=` option, which the registry only checks for >= 1,
+    // before it reaches the allocator.
     CROUPIER_ASSERT(new_reserved <= 0x7fff);
-    const std::uint32_t new_table =
-        new_reserved > kLinearScanMax
-            ? next_pow2(std::max<std::uint32_t>(8, new_reserved * 2))
-            : 0;
-    const std::size_t bytes = block_bytes(new_reserved, new_table);
+    const std::size_t bytes = block_bytes(new_reserved);
     std::byte* block =
         arena_ != nullptr ? arena_->allocate(bytes) : new std::byte[bytes];
 
     auto* new_ids = reinterpret_cast<net::NodeId*>(block);
     auto* new_ages = reinterpret_cast<std::uint16_t*>(
         block + std::size_t{new_reserved} * sizeof(net::NodeId));
-    auto* new_tbl = new_ages + new_reserved;
-    auto* new_nats = reinterpret_cast<std::uint8_t*>(new_tbl + new_table);
+    auto* new_nats = reinterpret_cast<std::uint8_t*>(new_ages + new_reserved);
 
     if (size_ > 0) {
       std::memcpy(new_ids, ids_, std::size_t{size_} * sizeof(net::NodeId));
@@ -479,11 +380,8 @@ class ViewStore {
     block_bytes_ = bytes;
     ids_ = new_ids;
     ages_ = new_ages;
-    table_ = new_table != 0 ? new_tbl : nullptr;
     nats_ = new_nats;
     reserved_ = new_reserved;
-    table_mask_ = new_table != 0 ? new_table - 1 : 0;
-    rebuild_table();
   }
 
   void free_block() {
@@ -502,11 +400,9 @@ class ViewStore {
     block_bytes_ = other.block_bytes_;
     ids_ = other.ids_;
     ages_ = other.ages_;
-    table_ = other.table_;
     nats_ = other.nats_;
     size_ = std::exchange(other.size_, 0);
     reserved_ = std::exchange(other.reserved_, 0);
-    table_mask_ = other.table_mask_;
     max_slot_ = std::exchange(other.max_slot_, 0);
     if constexpr (Traits::kHasExtra) extra_ = std::move(other.extra_);
   }
@@ -521,11 +417,9 @@ class ViewStore {
   std::size_t block_bytes_ = 0;
   net::NodeId* ids_ = nullptr;
   std::uint16_t* ages_ = nullptr;
-  std::uint16_t* table_ = nullptr;
   std::uint8_t* nats_ = nullptr;
   std::uint32_t size_ = 0;
   std::uint32_t reserved_ = 0;
-  std::uint32_t table_mask_ = 0;
   std::uint32_t max_slot_ = 0;
   [[no_unique_address]] ExtraColumn extra_;
 };

@@ -7,8 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "runtime/factories.hpp"
-
 namespace croupier::run {
 
 namespace {
@@ -180,30 +178,30 @@ baselines::ArrgConfig make_arrg_config(const ProtocolOptions& opts) {
 ProtocolRegistry::ProtocolRegistry() {
   entries_["croupier"] = {
       [](const ProtocolOptions& o) {
-        return make_croupier_factory(make_croupier_config(o));
+        return make_factory<core::Croupier>(make_croupier_config(o));
       },
       "view shuffle fanout merge=swapper|healer alpha gamma share_limit "
       "sizing=fixed|proportional min_slots"};
   entries_["cyclon"] = {
       [](const ProtocolOptions& o) {
-        return make_cyclon_factory(make_cyclon_config(o));
+        return make_factory<baselines::Cyclon>(make_cyclon_config(o));
       },
       "view shuffle fanout merge=swapper|healer"};
   entries_["gozar"] = {
       [](const ProtocolOptions& o) {
-        return make_gozar_factory(make_gozar_config(o));
+        return make_factory<baselines::Gozar>(make_gozar_config(o));
       },
       "view shuffle fanout merge=swapper|healer parents keepalive "
       "parent_timeout redundancy"};
   entries_["nylon"] = {
       [](const ProtocolOptions& o) {
-        return make_nylon_factory(make_nylon_config(o));
+        return make_factory<baselines::Nylon>(make_nylon_config(o));
       },
       "view shuffle fanout merge=swapper|healer rvp_links keepalive rvp_ttl "
       "punch_hops routing_table routing_ttl"};
   entries_["arrg"] = {
       [](const ProtocolOptions& o) {
-        return make_arrg_factory(make_arrg_config(o));
+        return make_factory<baselines::Arrg>(make_arrg_config(o));
       },
       "view shuffle fanout merge=swapper|healer open_list"};
 }

@@ -11,13 +11,15 @@
 //   run::World world(cfg, factory);
 //
 // This is what makes experiments *data*: a protocol choice is a string a
-// bench flag, an ExperimentSpec field, or a config file can carry, not a
-// hand-wired make_*_factory call. Errors (unknown protocol, unknown
-// option, malformed value) throw std::invalid_argument with a message
-// naming the offender and the accepted alternatives.
+// bench flag, an ExperimentSpec field, or a config file can carry. Code
+// that already holds a typed config wraps it with make_factory<P>(cfg).
+// Errors (unknown protocol, unknown option, malformed value) throw
+// std::invalid_argument with a message naming the offender and the
+// accepted alternatives.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +36,16 @@ namespace croupier::run {
 /// Parsed `key=value` overrides for one protocol instantiation. Ordered
 /// so error messages and help output are deterministic.
 using ProtocolOptions = std::map<std::string, std::string>;
+
+/// Factory building one `P` per node from `cfg` (P::Config is the
+/// protocol's config type; paper defaults when omitted), e.g.
+/// `make_factory<core::Croupier>(cfg)`.
+template <typename P>
+ProtocolFactory make_factory(typename P::Config cfg = {}) {
+  return [cfg](pss::PeerSampler::Context ctx) {
+    return std::make_unique<P>(std::move(ctx), cfg);
+  };
+}
 
 /// Typed config builders: paper defaults with `opts` applied. Exposed so
 /// tests and advanced callers can inspect or further tweak a parsed

@@ -149,7 +149,8 @@ std::string print_loss(const ExperimentSpec::LossSpec& loss) {
   std::string out;
   const auto emit = [&out](const char* sub, double v) {
     if (v == 0.0) return;
-    out += (out.empty() ? "" : ",") + std::string(sub) + ':' + fmt_double(v);
+    out.append(out.empty() ? "" : ",").append(sub).append(":").append(
+        fmt_double(v));
   };
   emit("pub-pub", loss.pub_pub);
   emit("pub-priv", loss.pub_priv);
@@ -314,7 +315,7 @@ void parse_value(T& out, const std::string& name, const std::string& text,
         out = static_cast<T>(i);
         return;
       }
-      all += (i == 0 ? "" : "|") + std::string(rule.names[i]);
+      all.append(i == 0 ? "" : "|").append(rule.names[i]);
     }
     fail("spec: " + name + " must be " + all + ", got \"" + text + "\"");
   } else if constexpr (std::is_floating_point_v<T>) {
@@ -539,171 +540,6 @@ ExperimentSpec ExperimentSpec::parse(const std::string& text) {
   }
   spec.validate();
   return spec;
-}
-
-SpecBuilder& SpecBuilder::protocol(std::string spec) {
-  spec_.protocol = std::move(spec);
-  return *this;
-}
-SpecBuilder& SpecBuilder::nodes(std::size_t n) {
-  spec_.nodes = n;
-  return *this;
-}
-SpecBuilder& SpecBuilder::ratio(double omega) {
-  spec_.ratio = omega;
-  return *this;
-}
-SpecBuilder& SpecBuilder::poisson_joins(double public_ms, double private_ms) {
-  spec_.join = ExperimentSpec::JoinKind::Poisson;
-  spec_.join_public_ms = public_ms;
-  spec_.join_private_ms = private_ms;
-  return *this;
-}
-SpecBuilder& SpecBuilder::fixed_joins(double public_ms, double private_ms) {
-  spec_.join = ExperimentSpec::JoinKind::Fixed;
-  spec_.join_public_ms = public_ms;
-  spec_.join_private_ms = private_ms;
-  return *this;
-}
-SpecBuilder& SpecBuilder::instant_joins() {
-  spec_.join = ExperimentSpec::JoinKind::Instant;
-  return *this;
-}
-SpecBuilder& SpecBuilder::join_step(std::size_t publics, std::size_t privates,
-                                    double at_s, double every_ms) {
-  spec_.step_publics = publics;
-  spec_.step_privates = privates;
-  spec_.step_at_s = at_s;
-  spec_.step_every_ms = every_ms;
-  return *this;
-}
-SpecBuilder& SpecBuilder::flash_crowd(std::size_t publics,
-                                      std::size_t privates, double at_s,
-                                      double over_s) {
-  spec_.flash_publics = publics;
-  spec_.flash_privates = privates;
-  spec_.flash_at_s = at_s;
-  spec_.flash_over_s = over_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::churn(double fraction, double at_s) {
-  spec_.churn = fraction;
-  spec_.churn_at_s = at_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::catastrophe(double fraction, double at_s) {
-  spec_.catastrophe = fraction;
-  spec_.catastrophe_at_s = at_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::correlated_failure(double fraction, double at_s,
-                                             ExperimentSpec::FailureCorr corr) {
-  spec_.failure_frac = fraction;
-  spec_.failure_at_s = at_s;
-  spec_.failure_corr = corr;
-  return *this;
-}
-SpecBuilder& SpecBuilder::eclipse(std::size_t target, double at_s,
-                                  double period_s) {
-  spec_.eclipse_target = target;
-  spec_.eclipse_at_s = at_s;
-  spec_.eclipse_period_s = period_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::natflap(double fraction, double at_s,
-                                  double period_s) {
-  spec_.natflap_frac = fraction;
-  spec_.natflap_at_s = at_s;
-  spec_.natflap_period_s = period_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::adversary_hubs(std::size_t hubs) {
-  spec_.adversary_hubs = hubs;
-  return *this;
-}
-SpecBuilder& SpecBuilder::loss(const ExperimentSpec::LossSpec& loss) {
-  spec_.loss = loss;
-  return *this;
-}
-SpecBuilder& SpecBuilder::mtu(std::size_t bytes) {
-  spec_.mtu = bytes;
-  return *this;
-}
-SpecBuilder& SpecBuilder::bandwidth(std::uint64_t bytes_per_s,
-                                    std::uint64_t burst_bytes) {
-  spec_.bandwidth_bps = bytes_per_s;
-  spec_.bandwidth_burst = burst_bytes;
-  return *this;
-}
-SpecBuilder& SpecBuilder::fec(std::uint32_t repair, double rate) {
-  spec_.fec_repair = repair;
-  spec_.fec_rate = rate;
-  return *this;
-}
-SpecBuilder& SpecBuilder::skew(double fraction) {
-  spec_.skew = fraction;
-  return *this;
-}
-SpecBuilder& SpecBuilder::private_round_scale(double scale) {
-  spec_.private_round_scale = scale;
-  return *this;
-}
-SpecBuilder& SpecBuilder::king_latency() {
-  spec_.latency = World::LatencyKind::King;
-  return *this;
-}
-SpecBuilder& SpecBuilder::constant_latency(double ms) {
-  spec_.latency = World::LatencyKind::Constant;
-  spec_.latency_ms = ms;
-  return *this;
-}
-SpecBuilder& SpecBuilder::coordinate_latency() {
-  spec_.latency = World::LatencyKind::Coordinate;
-  return *this;
-}
-SpecBuilder& SpecBuilder::round_period(double ms) {
-  spec_.round_ms = ms;
-  return *this;
-}
-SpecBuilder& SpecBuilder::natid(bool enabled) {
-  spec_.natid = enabled;
-  return *this;
-}
-SpecBuilder& SpecBuilder::duration(double seconds) {
-  spec_.duration_s = seconds;
-  return *this;
-}
-SpecBuilder& SpecBuilder::record_estimation(double every_s) {
-  spec_.record = ExperimentSpec::RecordKind::Estimation;
-  spec_.record_every_s = every_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::record_graph(double every_s) {
-  spec_.record = ExperimentSpec::RecordKind::Graph;
-  spec_.record_every_s = every_s;
-  return *this;
-}
-SpecBuilder& SpecBuilder::record_graph_sampled(double every_s) {
-  spec_.record = ExperimentSpec::RecordKind::GraphSampled;
-  spec_.record_every_s = every_s;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::record_randomness(double every_s) {
-  spec_.record = ExperimentSpec::RecordKind::Randomness;
-  spec_.record_every_s = every_s;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::record_nothing() {
-  spec_.record = ExperimentSpec::RecordKind::None;
-  spec_.record_every_s = 0.0;
-  return *this;
-}
-
-ExperimentSpec SpecBuilder::build() const {
-  spec_.validate();
-  return spec_;
 }
 
 Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,

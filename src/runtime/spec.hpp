@@ -17,6 +17,11 @@
 // The format is whitespace-separated `key=value` tokens; to_string emits
 // the canonical minimal form (defaults omitted, fixed key order), and
 // parse(to_string(s)) == s for every valid spec.
+//
+// C++ callers write the same spec as a value (designated initializers,
+// fields in declaration order); Experiment's constructor validates it:
+//
+//   run::Experiment experiment({.nodes = 1000, .churn = 0.01}, seed);
 #pragma once
 
 #include <memory>
@@ -29,6 +34,8 @@
 
 namespace croupier::run {
 
+/// Defaults are the paper's §VII-A setup: ω = 0.2, Poisson joins with
+/// 50 ms / 13 ms mean inter-arrival, King latencies, 1 % clock skew.
 struct ExperimentSpec {
   enum class JoinKind : std::uint8_t {
     Poisson,  // exponential inter-arrival (the paper's join model)
@@ -133,7 +140,7 @@ struct ExperimentSpec {
   std::size_t adversary_hubs = 0;
 
   // Network conditions.
-  LossSpec loss;
+  LossSpec loss{};
 
   // Packet layer (net/packet). mtu=0 (default) = whole messages ride
   // single datagrams, the historic byte-identical model; a positive mtu
@@ -185,64 +192,6 @@ struct ExperimentSpec {
 
   friend bool operator==(const ExperimentSpec&,
                          const ExperimentSpec&) = default;
-};
-
-/// Fluent construction for C++ call sites (benches, examples, tests):
-///
-///   auto spec = SpecBuilder()
-///                   .protocol("croupier:alpha=25,gamma=50")
-///                   .nodes(1000).ratio(0.2)
-///                   .churn(0.01)
-///                   .duration(250)
-///                   .build();
-///
-/// build() validates and returns the value.
-class SpecBuilder {
- public:
-  SpecBuilder& protocol(std::string spec);
-  SpecBuilder& nodes(std::size_t n);
-  SpecBuilder& ratio(double omega);
-  SpecBuilder& poisson_joins(double public_ms, double private_ms);
-  SpecBuilder& fixed_joins(double public_ms, double private_ms);
-  SpecBuilder& instant_joins();
-  SpecBuilder& join_step(std::size_t publics, std::size_t privates,
-                         double at_s, double every_ms);
-  SpecBuilder& flash_crowd(std::size_t publics, std::size_t privates,
-                           double at_s, double over_s = 10.0);
-  SpecBuilder& churn(double fraction, double at_s = 61.0);
-  SpecBuilder& catastrophe(double fraction, double at_s);
-  SpecBuilder& correlated_failure(
-      double fraction, double at_s,
-      ExperimentSpec::FailureCorr corr = ExperimentSpec::FailureCorr::Region);
-  SpecBuilder& eclipse(std::size_t target, double at_s = 60.0,
-                       double period_s = 1.0);
-  SpecBuilder& natflap(double fraction, double at_s = 60.0,
-                       double period_s = 10.0);
-  SpecBuilder& adversary_hubs(std::size_t hubs);
-  SpecBuilder& loss(const ExperimentSpec::LossSpec& loss);
-  SpecBuilder& mtu(std::size_t bytes);
-  SpecBuilder& bandwidth(std::uint64_t bytes_per_s,
-                         std::uint64_t burst_bytes = 0);
-  SpecBuilder& fec(std::uint32_t repair, double rate = 0.0);
-  SpecBuilder& skew(double fraction);
-  SpecBuilder& private_round_scale(double scale);
-  SpecBuilder& king_latency();
-  SpecBuilder& constant_latency(double ms);
-  SpecBuilder& coordinate_latency();
-  SpecBuilder& round_period(double ms);
-  SpecBuilder& natid(bool enabled = true);
-  SpecBuilder& duration(double seconds);
-  SpecBuilder& record_estimation(double every_s = 0.0);
-  SpecBuilder& record_graph(double every_s = 0.0);
-  SpecBuilder& record_graph_sampled(double every_s = 0.0);
-  SpecBuilder& record_randomness(double every_s = 0.0);
-  SpecBuilder& record_nothing();
-
-  /// Validates and returns the spec (throws std::invalid_argument).
-  [[nodiscard]] ExperimentSpec build() const;
-
- private:
-  ExperimentSpec spec_;
 };
 
 /// One materialized run of a spec: owns the World, the scenario pipeline

@@ -74,8 +74,7 @@ World::World(Config cfg, ProtocolFactory factory)
       break;
   }
   network_ = std::make_unique<net::Network>(
-      sim_, std::move(latency), master_rng_.fork(0x2E7),
-      net::make_loss_model(cfg_.loss));
+      sim_, std::move(latency), master_rng_.fork(0x2E7), cfg_.loss);
   network_->set_packet_config(cfg_.packet);
 
   // Protocol traffic (tags < 0x80, non-NAT-ID) only ever touches the

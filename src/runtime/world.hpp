@@ -124,9 +124,6 @@ class World {
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] net::Network& network() { return *network_; }
-  [[nodiscard]] net::BootstrapServer& bootstrap_server() {
-    return bootstrap_;
-  }
   /// RNG stream reserved for scenario processes (joins, churn, failure).
   [[nodiscard]] sim::RngStream& scenario_rng() { return scenario_rng_; }
 

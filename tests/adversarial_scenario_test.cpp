@@ -34,15 +34,12 @@ std::map<net::NodeId, std::size_t> indegree_snapshot(World& world) {
 }
 
 TEST(Eclipse, StarvesTheTargetOfHonestLinks) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier:alpha=25,gamma=50")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .eclipse(1, 10.0, 1.0)
-                            .duration(40)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "croupier:alpha=25,gamma=50", .nodes = 100,
+                         .ratio = 0.2,
+                         .join = ExperimentSpec::JoinKind::Instant,
+                         .eclipse_target = 1, .eclipse_at_s = 10.0,
+                         .eclipse_period_s = 1.0, .duration_s = 40,
+                         .record = ExperimentSpec::RecordKind::None},
                         7);
   experiment.run();
   // Every period the target's neighbours were crashed and replaced in
@@ -68,7 +65,7 @@ TEST(Eclipse, StarvesTheTargetOfHonestLinks) {
 }
 
 TEST(Eclipse, DeadTargetTicksAreInertAndRestartIsClean) {
-  World world(fast_world_config(11), make_croupier_factory({}));
+  World world(fast_world_config(11), make_factory<core::Croupier>());
   populate(world, 10, 10);
   EclipseProcess eclipse(world, 3, sim::sec(1));
   eclipse.start(sim::sec(5));
@@ -88,7 +85,7 @@ TEST(Eclipse, DeadTargetTicksAreInertAndRestartIsClean) {
 }
 
 TEST(NatFlap, RoundTripsClassStateIdempotently) {
-  World world(fast_world_config(13), make_croupier_factory({}));
+  World world(fast_world_config(13), make_factory<core::Croupier>());
   populate(world, 5, 5);
   std::map<net::NodeId, net::NatType> original;
   for (const net::NodeId id : world.alive_ids()) {
@@ -123,7 +120,7 @@ TEST(NatFlap, RoundTripsClassStateIdempotently) {
 }
 
 TEST(NatFlap, StopLeavesTheFlippedClassInPlace) {
-  World world(fast_world_config(17), make_croupier_factory({}));
+  World world(fast_world_config(17), make_factory<core::Croupier>());
   populate(world, 4, 4);
   std::map<net::NodeId, net::NatType> original;
   for (const net::NodeId id : world.alive_ids()) {
@@ -176,15 +173,10 @@ double hub_indegree_vs_public_mean(Experiment& experiment) {
 }
 
 double run_hub_ratio(const char* protocol, std::uint64_t seed) {
-  Experiment experiment(SpecBuilder()
-                            .protocol(protocol)
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .adversary_hubs(1)
-                            .duration(60)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = protocol, .nodes = 100, .ratio = 0.2,
+                         .join = ExperimentSpec::JoinKind::Instant,
+                         .adversary_hubs = 1, .duration_s = 60,
+                         .record = ExperimentSpec::RecordKind::None},
                         seed);
   experiment.run();
   return hub_indegree_vs_public_mean(experiment);
@@ -206,15 +198,10 @@ TEST(HubAdversary, InflatesItsInDegreeUnderGozarButNotCroupier) {
 }
 
 TEST(HubAdversary, CountsPoisonedExchangesAndHijackedRelays) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("gozar")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .adversary_hubs(1)
-                            .duration(60)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "gozar", .nodes = 100, .ratio = 0.2,
+                         .join = ExperimentSpec::JoinKind::Instant,
+                         .adversary_hubs = 1, .duration_s = 60,
+                         .record = ExperimentSpec::RecordKind::None},
                         9);
   experiment.run();
   World& world = experiment.world();

@@ -21,7 +21,7 @@ ArrgConfig small_cfg() {
 
 run::World make_world(std::uint64_t seed = 1) {
   return run::World(fast_world_config(seed),
-                    run::make_arrg_factory(small_cfg()));
+                    run::make_factory<Arrg>(small_cfg()));
 }
 
 TEST(Arrg, WorksOnAllPublicNetwork) {

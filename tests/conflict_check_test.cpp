@@ -28,6 +28,8 @@
 namespace croupier {
 namespace {
 
+using run::ExperimentSpec;
+
 static_assert(sim::conflict::enabled(),
               "conflict_check_test requires -DCROUPIER_CONFLICT_CHECK=ON");
 
@@ -36,7 +38,7 @@ static_assert(sim::conflict::enabled(),
 /// and the parallel leg must actually validate writes (checked_writes
 /// grows only inside batches, so a nonzero delta proves the hooks fired
 /// on worker-executed events rather than being compiled out or bypassed).
-void expect_instrumented_equivalence(const run::ExperimentSpec& spec,
+void expect_instrumented_equivalence(const ExperimentSpec& spec,
                                      std::uint64_t seed) {
   run::Experiment sequential(spec, seed, /*world_jobs=*/1);
   sequential.run();
@@ -63,39 +65,26 @@ void expect_instrumented_equivalence(const run::ExperimentSpec& spec,
 }
 
 TEST(ConflictCheckEquivalence, CroupierSteadyState) {
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .duration(30)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier:alpha=25,gamma=50",
+                            .nodes = 200, .ratio = 0.2, .duration_s = 30};
   expect_instrumented_equivalence(spec, 42);
 }
 
 TEST(ConflictCheckEquivalence, CyclonMaximalBatches) {
   // Constant latency widens the causal window to the full latency — the
   // largest batches, i.e. the most concurrently-validated writes.
-  const auto spec = run::SpecBuilder()
-                        .protocol("cyclon")
-                        .nodes(150)
-                        .ratio(0.2)
-                        .constant_latency(50.0)
-                        .duration(30)
-                        .build();
+  const ExperimentSpec spec{.protocol = "cyclon", .nodes = 150, .ratio = 0.2,
+                            .latency = run::World::LatencyKind::Constant,
+                            .latency_ms = 50.0, .duration_s = 30};
   expect_instrumented_equivalence(spec, 5);
 }
 
 TEST(ConflictCheckEquivalence, GozarChurnAndLoss) {
   // Churn exercises view owner tags across node death/respawn, and loss
   // exercises the deferred drop-counter paths next to the inline hooks.
-  const auto spec = run::SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(150)
-                        .ratio(0.2)
-                        .churn(0.02, 15.0)
-                        .loss(0.05)
-                        .duration(30)
-                        .build();
+  const ExperimentSpec spec{.protocol = "gozar", .nodes = 150, .ratio = 0.2,
+                            .churn = 0.02, .churn_at_s = 15.0, .loss = 0.05,
+                            .duration_s = 30};
   expect_instrumented_equivalence(spec, 7);
 }
 
@@ -143,7 +132,7 @@ void run_delivery_batch(bool rogue) {
   sim::Simulator simulator;
   net::Network network(simulator,
                        std::make_unique<net::ConstantLatency>(sim::msec(50)),
-                       sim::RngStream(9), /*loss_probability=*/0.0);
+                       sim::RngStream(9));
   std::vector<ViewHandler*> registry(3, nullptr);
   ViewHandler h1(1, /*victim=*/1, &registry);
   // The rogue node 2 reaches into node 1's view from node 2's shard.
@@ -191,7 +180,7 @@ TEST(ConflictCheckFaultDeathTest, SharedMeterChargeInsideBatchAborts) {
     sim::Simulator simulator;
     net::Network network(simulator,
                          std::make_unique<net::ConstantLatency>(sim::msec(50)),
-                         sim::RngStream(9), /*loss_probability=*/0.0);
+                         sim::RngStream(9));
     for (net::NodeId node : {1u, 2u}) {
       simulator.schedule_at(0, sim::Affinity{node}, [&network, node] {
         network.meter().on_send(node, 64);

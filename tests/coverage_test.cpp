@@ -52,7 +52,7 @@ TEST(Contracts, KillingDeadNodeAborts) {
   EXPECT_DEATH(
       {
         run::World world(fast_world_config(1),
-                         run::make_croupier_factory({}));
+                         run::make_factory<core::Croupier>());
         world.kill(12345);
       },
       "kill of dead node");
@@ -85,7 +85,7 @@ TEST(Estimator, PublicWithoutHitsFallsBackToCacheOnly) {
 }
 
 TEST(Recorder, StopHaltsSampling) {
-  run::World world(fast_world_config(3), run::make_croupier_factory({}));
+  run::World world(fast_world_config(3), run::make_factory<core::Croupier>());
   populate(world, 5, 5);
   run::EstimationRecorder rec(world, {sim::sec(1), 0});
   rec.start(sim::sec(1));
@@ -97,7 +97,7 @@ TEST(Recorder, StopHaltsSampling) {
 }
 
 TEST(Recorder, GraphRecorderStopHalts) {
-  run::World world(fast_world_config(4), run::make_croupier_factory({}));
+  run::World world(fast_world_config(4), run::make_factory<core::Croupier>());
   populate(world, 8, 0);
   run::GraphStatsRecorder rec(world, {sim::sec(1), 0});
   rec.start(sim::sec(1));
@@ -117,7 +117,7 @@ TEST(Bootstrap, KnownTracksMembership) {
 }
 
 TEST(Network, DeliveredCounterCounts) {
-  run::World world(fast_world_config(5), run::make_croupier_factory({}));
+  run::World world(fast_world_config(5), run::make_factory<core::Croupier>());
   populate(world, 5, 0);
   world.simulator().run_until(sim::sec(10));
   EXPECT_GT(world.network().drops().delivered, 0u);
@@ -130,10 +130,10 @@ class ChurnResilience
     : public ::testing::TestWithParam<const char*> {
  protected:
   static run::ProtocolFactory factory(const std::string& name) {
-    if (name == "croupier") return run::make_croupier_factory({});
-    if (name == "gozar") return run::make_gozar_factory({});
-    if (name == "nylon") return run::make_nylon_factory({});
-    return run::make_croupier_factory({});
+    if (name == "croupier") return run::make_factory<core::Croupier>();
+    if (name == "gozar") return run::make_factory<baselines::Gozar>();
+    if (name == "nylon") return run::make_factory<baselines::Nylon>();
+    return run::make_factory<core::Croupier>();
   }
 };
 

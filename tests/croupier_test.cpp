@@ -25,7 +25,8 @@ CroupierConfig small_cfg() {
 
 run::World make_world(std::uint64_t seed = 1,
                       CroupierConfig cfg = small_cfg()) {
-  return run::World(fast_world_config(seed), run::make_croupier_factory(cfg));
+  return run::World(fast_world_config(seed),
+                    run::make_factory<Croupier>(cfg));
 }
 
 TEST(Croupier, InitFillsPublicViewFromBootstrap) {

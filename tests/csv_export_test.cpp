@@ -23,7 +23,7 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(CsvExport, EstimationSeries) {
-  World world(fast_world_config(1), make_croupier_factory({}));
+  World world(fast_world_config(1), make_factory<core::Croupier>());
   populate(world, 5, 15);
   EstimationRecorder rec(world, {sim::sec(1), 2});
   rec.start(sim::sec(1));
@@ -41,7 +41,7 @@ TEST(CsvExport, EstimationSeries) {
 }
 
 TEST(CsvExport, GraphSeries) {
-  World world(fast_world_config(2), make_croupier_factory({}));
+  World world(fast_world_config(2), make_factory<core::Croupier>());
   populate(world, 10, 0);
   GraphStatsRecorder rec(world, {sim::sec(2), 0});
   rec.start(sim::sec(2));
@@ -58,7 +58,7 @@ TEST(CsvExport, GraphSeries) {
 }
 
 TEST(CsvExport, UnwritablePathReturnsFalse) {
-  World world(fast_world_config(3), make_croupier_factory({}));
+  World world(fast_world_config(3), make_factory<core::Croupier>());
   EstimationRecorder rec(world, {});
   EXPECT_FALSE(rec.write_csv("/nonexistent-dir/x/y.csv"));
 }

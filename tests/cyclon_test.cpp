@@ -20,7 +20,7 @@ pss::PssConfig small_cfg() {
 
 run::World make_world(std::uint64_t seed = 1) {
   return run::World(fast_world_config(seed),
-                    run::make_cyclon_factory(small_cfg()));
+                    run::make_factory<Cyclon>(small_cfg()));
 }
 
 TEST(Cyclon, ViewsFillOnAllPublicNetwork) {

@@ -331,10 +331,8 @@ TEST(StreamingAggregation, MatchesBufferedPathBytes) {
   bench::BenchArgs args;
   args.runs = 4;
   args.seed = 13;
-  const auto spec = bench::paper_spec(48, 20)
-                        .protocol(bench::croupier_proto(10, 25))
-                        .ratio(0.25)
-                        .build();
+  const run::ExperimentSpec spec{.protocol = bench::croupier_proto(10, 25),
+                                 .nodes = 48, .ratio = 0.25, .duration_s = 20};
   TrialPool pool(2);
 
   // Buffered reference: every run materialised, then aggregated.
@@ -370,11 +368,9 @@ TEST(TrialGridDeterminism, FourJobsMatchSerialByteForByte) {
     return bench::run_series_grid(
         pool, args, 2, [&](std::size_t p, std::uint64_t seed) {
           return bench::run_spec_series(
-              bench::paper_spec(32, 15)
-                  .protocol(bench::croupier_proto(windows[p].first,
-                                                  windows[p].second))
-                  .ratio(0.25)
-                  .build(),
+              {.protocol = bench::croupier_proto(windows[p].first,
+                                                 windows[p].second),
+               .nodes = 32, .ratio = 0.25, .duration_s = 15},
               seed);
         });
   };

@@ -46,13 +46,10 @@ struct Fig6Stats {
 };
 
 Fig6Stats measure(const char* protocol, double ratio, std::uint64_t seed) {
-  Experiment experiment(SpecBuilder()
-                            .protocol(protocol)
-                            .nodes(1000)
-                            .ratio(ratio)
-                            .record_randomness(10.0)
-                            .duration(120)
-                            .build(),
+  Experiment experiment({.protocol = protocol, .nodes = 1000, .ratio = ratio,
+                         .duration_s = 120,
+                         .record = ExperimentSpec::RecordKind::Randomness,
+                         .record_every_s = 10.0},
                         seed);
   experiment.run();
   Fig6Stats stats;

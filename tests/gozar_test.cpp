@@ -22,7 +22,8 @@ GozarConfig small_cfg() {
 }
 
 run::World make_world(std::uint64_t seed = 1, GozarConfig cfg = small_cfg()) {
-  return run::World(fast_world_config(seed), run::make_gozar_factory(cfg));
+  return run::World(fast_world_config(seed),
+                    run::make_factory<Gozar>(cfg));
 }
 
 TEST(Gozar, PrivateNodesAcquireParents) {

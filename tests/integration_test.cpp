@@ -35,7 +35,7 @@ run::World::Config king_config(std::uint64_t seed) {
 
 TEST(Integration, EstimationConvergesUnderPoissonJoins) {
   run::World world(king_config(1),
-                   run::make_croupier_factory(croupier_cfg()));
+                   run::make_factory<core::Croupier>(croupier_cfg()));
   // Scaled-down fig. 1 workload: 40 public + 160 private, ω = 0.2.
   const auto publics = run::JoinProcess::poisson(
       world, 40, net::NatConfig::open(), sim::msec(50));
@@ -56,7 +56,7 @@ TEST(Integration, EstimationConvergesUnderPoissonJoins) {
 
 TEST(Integration, EstimationTracksDynamicRatio) {
   run::World world(king_config(3),
-                   run::make_croupier_factory(croupier_cfg(10, 25)));
+                   run::make_factory<core::Croupier>(croupier_cfg(10, 25)));
   populate(world, 40, 160);
   world.simulator().run_until(sim::sec(40));
   // Ratio steps up: 40 more publics join quickly.
@@ -74,7 +74,7 @@ TEST(Integration, EstimationTracksDynamicRatio) {
 
 TEST(Integration, EstimationSurvivesChurn) {
   run::World world(king_config(5),
-                   run::make_croupier_factory(croupier_cfg()));
+                   run::make_factory<core::Croupier>(croupier_cfg()));
   populate(world, 40, 160);
   run::ChurnProcess churn(world, 0.01, net::NatConfig::open(),
                           net::NatConfig::natted());
@@ -89,7 +89,7 @@ TEST(Integration, EstimationSurvivesChurn) {
 
 TEST(Integration, CroupierOverlayLooksRandom) {
   run::World world(king_config(7),
-                   run::make_croupier_factory(croupier_cfg()));
+                   run::make_factory<core::Croupier>(croupier_cfg()));
   populate(world, 40, 160);
   world.simulator().run_until(sim::sec(60));
 
@@ -118,15 +118,15 @@ TEST(Integration, OverheadOrderingCroupierGozarNylon) {
   };
 
   const auto croupier_load =
-      measure(run::make_croupier_factory(croupier_cfg()));
+      measure(run::make_factory<core::Croupier>(croupier_cfg()));
   baselines::GozarConfig gz;
   gz.base.view_size = 10;
   gz.base.shuffle_size = 5;
-  const auto gozar_load = measure(run::make_gozar_factory(gz));
+  const auto gozar_load = measure(run::make_factory<baselines::Gozar>(gz));
   baselines::NylonConfig ny;
   ny.base.view_size = 10;
   ny.base.shuffle_size = 5;
-  const auto nylon_load = measure(run::make_nylon_factory(ny));
+  const auto nylon_load = measure(run::make_factory<baselines::Nylon>(ny));
 
   // The paper's qualitative result: Croupier cheapest for private nodes,
   // Nylon most expensive everywhere.
@@ -140,7 +140,7 @@ TEST(Integration, OverheadOrderingCroupierGozarNylon) {
 
 TEST(Integration, CatastrophicFailureCroupierKeepsBigCluster) {
   run::World world(king_config(13),
-                   run::make_croupier_factory(croupier_cfg()));
+                   run::make_factory<core::Croupier>(croupier_cfg()));
   populate(world, 40, 160);  // 80% private
   world.simulator().run_until(sim::sec(60));
   run::CatastropheProcess crash(world, 0.7);
@@ -165,12 +165,12 @@ TEST(Integration, CatastrophicFailureHurtsGozarMore) {
   };
 
   const double croupier_cluster =
-      cluster_after_failure(run::make_croupier_factory(croupier_cfg()));
+      cluster_after_failure(run::make_factory<core::Croupier>(croupier_cfg()));
   baselines::GozarConfig gz;
   gz.base.view_size = 10;
   gz.base.shuffle_size = 5;
   const double gozar_cluster =
-      cluster_after_failure(run::make_gozar_factory(gz));
+      cluster_after_failure(run::make_factory<baselines::Gozar>(gz));
 
   EXPECT_GT(croupier_cluster, gozar_cluster);
 }
@@ -178,7 +178,7 @@ TEST(Integration, CatastrophicFailureHurtsGozarMore) {
 TEST(Integration, LossDoesNotPartitionCroupier) {
   auto cfg = king_config(19);
   cfg.loss = net::LossConfig::uniform(0.05);
-  run::World world(cfg, run::make_croupier_factory(croupier_cfg()));
+  run::World world(cfg, run::make_factory<core::Croupier>(croupier_cfg()));
   populate(world, 20, 80);
   world.simulator().run_until(sim::sec(60));
   EXPECT_EQ(world.snapshot_overlay().largest_component(), 100u);
@@ -212,11 +212,12 @@ TEST(Integration, InDegreeDistributionComparableToCyclon) {
   auto ccfg = croupier_cfg();
   ccfg.sizing = core::ViewSizing::RatioProportional;
   const auto [cr_mean, cr_sd] =
-      spread(run::make_croupier_factory(ccfg), 40, 160);
+      spread(run::make_factory<core::Croupier>(ccfg), 40, 160);
   pss::PssConfig cy;
   cy.view_size = 10;
   cy.shuffle_size = 5;
-  const auto [cy_mean, cy_sd] = spread(run::make_cyclon_factory(cy), 200, 0);
+  const auto [cy_mean, cy_sd] =
+      spread(run::make_factory<baselines::Cyclon>(cy), 200, 0);
 
   EXPECT_NEAR(cr_mean, cy_mean, 2.0);   // both ~view size
   EXPECT_LT(cr_sd, cy_sd * 2.5 + 2.0);  // no heavy skew
@@ -227,7 +228,7 @@ TEST(Integration, NatIdPathKeepsEstimatorCorrect) {
   // gossip; the estimate still converges to the true ratio.
   auto cfg = king_config(29);
   cfg.use_natid_protocol = true;
-  run::World world(cfg, run::make_croupier_factory(croupier_cfg()));
+  run::World world(cfg, run::make_factory<core::Croupier>(croupier_cfg()));
   for (int i = 0; i < 5; ++i) world.spawn_seeded(net::NatConfig::open());
   world.simulator().run_until(sim::sec(5));
   for (int i = 0; i < 15; ++i) world.spawn(net::NatConfig::open());

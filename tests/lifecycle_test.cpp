@@ -19,7 +19,7 @@ TEST(Lifecycle, KillDuringNatIdentificationIsSafe) {
   auto cfg = fast_world_config(1);
   cfg.use_natid_protocol = true;
   cfg.natid_timeout = sim::sec(3);
-  World world(cfg, make_croupier_factory({}));
+  World world(cfg, make_factory<core::Croupier>());
   for (int i = 0; i < 3; ++i) world.spawn_seeded(net::NatConfig::open());
   world.simulator().run_until(sim::sec(1));
 
@@ -36,7 +36,7 @@ TEST(Lifecycle, KillDuringNatIdentificationIsSafe) {
 TEST(Lifecycle, KillDuringNatIdNeverStartsGossip) {
   auto cfg = fast_world_config(2);
   cfg.use_natid_protocol = true;
-  World world(cfg, make_croupier_factory({}));
+  World world(cfg, make_factory<core::Croupier>());
   for (int i = 0; i < 3; ++i) world.spawn_seeded(net::NatConfig::open());
   world.simulator().run_until(sim::sec(1));
 
@@ -52,7 +52,7 @@ TEST(Lifecycle, KillDuringNatIdNeverStartsGossip) {
 TEST(Lifecycle, MassChurnDuringJoinWaveIsSafe) {
   // Joins, churn and deaths all interleaving: the stress case for the
   // runtime's event/ownership discipline.
-  World world(fast_world_config(3), make_croupier_factory({}));
+  World world(fast_world_config(3), make_factory<core::Croupier>());
   const auto privates =
       JoinProcess::poisson(world, 60, net::NatConfig::natted(), sim::msec(100));
   const auto publics =
@@ -72,7 +72,7 @@ TEST(Lifecycle, MassChurnDuringJoinWaveIsSafe) {
 }
 
 TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
-  World world(fast_world_config(4), make_croupier_factory({}));
+  World world(fast_world_config(4), make_factory<core::Croupier>());
   populate(world, 10, 40);
   std::vector<std::unique_ptr<ScenarioProcess>> waves;
   const auto arm = [&waves](std::unique_ptr<ScenarioProcess> p,
@@ -107,7 +107,7 @@ TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
 TEST(Lifecycle, ChurnStopIsImmediateIdempotentAndRestartable) {
   // An empty world makes the event count the churn tick count: every
   // simulator event is a tick (quota is always zero, nothing gossips).
-  World world(fast_world_config(6), make_croupier_factory({}));
+  World world(fast_world_config(6), make_factory<core::Croupier>());
   ChurnProcess churn(world, 0.5, net::NatConfig::open(),
                      net::NatConfig::natted());
   churn.start(sim::sec(1));
@@ -136,7 +136,7 @@ TEST(Lifecycle, WholeWorldTeardownMidFlight) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     auto cfg = fast_world_config(seed);
     cfg.use_natid_protocol = seed == 2;
-    World world(cfg, make_croupier_factory({}));
+    World world(cfg, make_factory<core::Croupier>());
     for (int i = 0; i < 3; ++i) world.spawn_seeded(net::NatConfig::open());
     populate(world, 5, 20);
     world.simulator().run_until(sim::msec(1500));  // mid-everything

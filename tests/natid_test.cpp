@@ -40,7 +40,7 @@ struct Harness {
   explicit Harness(std::size_t publics = 4) {
     network = std::make_unique<net::Network>(
         sim, std::make_unique<net::ConstantLatency>(sim::msec(30)),
-        sim::RngStream(5), 0.0);
+        sim::RngStream(5));
     for (net::NodeId id = 1; id <= publics; ++id) {
       auto node = std::make_unique<ResponderNode>();
       network->attach(id, net::NatConfig::open(), *node);
@@ -177,7 +177,7 @@ TEST(NatId, WorldIntegrationIdentifiesAllClassesCorrectly) {
   core::CroupierConfig ccfg;
   ccfg.base.view_size = 5;
   ccfg.base.shuffle_size = 3;
-  run::World world(cfg, run::make_croupier_factory(ccfg));
+  run::World world(cfg, run::make_factory<core::Croupier>(ccfg));
 
   // Operator-seeded publics join first; later joiners identify themselves
   // against them with the real protocol.

@@ -41,7 +41,7 @@ struct Fixture {
   explicit Fixture(double loss = 0.0) {
     net = std::make_unique<Network>(
         sim, std::make_unique<ConstantLatency>(msec(10)),
-        sim::RngStream(7), loss);
+        sim::RngStream(7), LossConfig::uniform(loss));
   }
 };
 
@@ -153,42 +153,37 @@ TEST(Network, LossDropsRoughlyExpectedFraction) {
               sends * 0.05);
 }
 
-TEST(LossModel, FactoryPicksTheCheapestModel) {
-  EXPECT_EQ(make_loss_model(LossConfig{}), nullptr);
-  EXPECT_EQ(make_loss_model(LossConfig::uniform(0.0)), nullptr);
+TEST(LossConfig, LosslessFlatAndClassPairForms) {
+  // The Network skips the loss die for lossless configs and the class
+  // lookups for flat ones.
+  EXPECT_TRUE(LossConfig{}.lossless());
+  EXPECT_TRUE(LossConfig::uniform(0.0).lossless());
 
-  const auto uniform = make_loss_model(LossConfig::uniform(0.25));
-  ASSERT_NE(uniform, nullptr);
-  EXPECT_NE(dynamic_cast<UniformLoss*>(uniform.get()), nullptr);
-  EXPECT_EQ(uniform->probability(0, NatType::Public, NatType::Private),
-            0.25);
+  const auto uniform = LossConfig::uniform(0.25);
+  EXPECT_FALSE(uniform.lossless());
+  EXPECT_TRUE(uniform.flat());
+  EXPECT_EQ(uniform.probability(0, NatType::Public, NatType::Private), 0.25);
 
   LossConfig structured;
   structured.rate = {{{0.0, 0.0}, {0.4, 0.4}}};  // private senders only
-  const auto model = make_loss_model(structured);
-  ASSERT_NE(model, nullptr);
-  EXPECT_NE(dynamic_cast<ClassPairLoss*>(model.get()), nullptr);
+  EXPECT_FALSE(structured.lossless());
+  EXPECT_FALSE(structured.flat());
 }
 
-TEST(LossModel, ClassPairRatesAndActivationTime) {
+TEST(LossConfig, ClassPairRatesAndActivationTime) {
   LossConfig cfg;
   cfg.rate = {{{0.1, 0.0}, {0.4, 0.3}}};
   cfg.after = sec(90);
-  const ClassPairLoss model(cfg);
   // Loss-free before the activation instant, per-pair rates from it on.
-  EXPECT_EQ(model.probability(sec(89), NatType::Private, NatType::Public),
-            0.0);
-  EXPECT_EQ(model.probability(sec(90), NatType::Private, NatType::Public),
-            0.4);
-  EXPECT_EQ(model.probability(sec(90), NatType::Public, NatType::Public),
-            0.1);
-  EXPECT_EQ(model.probability(sec(90), NatType::Public, NatType::Private),
-            0.0);
-  EXPECT_EQ(model.probability(sec(90), NatType::Private, NatType::Private),
+  EXPECT_EQ(cfg.probability(sec(89), NatType::Private, NatType::Public), 0.0);
+  EXPECT_EQ(cfg.probability(sec(90), NatType::Private, NatType::Public), 0.4);
+  EXPECT_EQ(cfg.probability(sec(90), NatType::Public, NatType::Public), 0.1);
+  EXPECT_EQ(cfg.probability(sec(90), NatType::Public, NatType::Private), 0.0);
+  EXPECT_EQ(cfg.probability(sec(90), NatType::Private, NatType::Private),
             0.3);
 }
 
-TEST(Network, ClassPairLossDropsOnlyTheConfiguredDirection) {
+TEST(Network, ClassPairRatesDropOnlyTheConfiguredDirection) {
   // Private->public packets drop at 50%; public->private replies are
   // untouched (asymmetric loss, the estimator's third-assumption
   // violation the bench sweeps measure).
@@ -196,7 +191,7 @@ TEST(Network, ClassPairLossDropsOnlyTheConfiguredDirection) {
   LossConfig cfg;
   cfg.rate = {{{0.0, 0.0}, {0.5, 0.5}}};
   Network net(sim, std::make_unique<ConstantLatency>(msec(10)),
-              sim::RngStream(7), make_loss_model(cfg));
+              sim::RngStream(7), cfg);
   Inbox pub_inbox, priv_inbox;
   net.attach(1, NatConfig::open(), pub_inbox);
   net.attach(2, NatConfig::natted(), priv_inbox);
@@ -227,7 +222,7 @@ TEST(Network, TimeVaryingLossActivatesMidRun) {
   cfg.rate = {{{0.5, 0.5}, {0.5, 0.5}}};
   cfg.after = sec(10);
   Network net(sim, std::make_unique<ConstantLatency>(msec(10)),
-              sim::RngStream(11), make_loss_model(cfg));
+              sim::RngStream(11), cfg);
   Inbox a, b;
   net.attach(1, NatConfig::open(), a);
   net.attach(2, NatConfig::open(), b);

@@ -21,7 +21,8 @@ NylonConfig small_cfg() {
 }
 
 run::World make_world(std::uint64_t seed = 1, NylonConfig cfg = small_cfg()) {
-  return run::World(fast_world_config(seed), run::make_nylon_factory(cfg));
+  return run::World(fast_world_config(seed),
+                    run::make_factory<Nylon>(cfg));
 }
 
 TEST(Nylon, ExchangesCreateRvpLinks) {

@@ -263,7 +263,7 @@ struct Fixture {
   explicit Fixture(const PacketConfig& cfg, double loss = 0.0) {
     net = std::make_unique<Network>(
         sim, std::make_unique<ConstantLatency>(msec(10)), sim::RngStream(7),
-        loss);
+        LossConfig::uniform(loss));
     net->set_packet_config(cfg);
     net->attach(1, NatConfig::open(), inbox_a);
     net->attach(2, NatConfig::open(), inbox_b);

@@ -25,6 +25,8 @@
 namespace croupier {
 namespace {
 
+using run::ExperimentSpec;
+
 TEST(EventQueueAffinity, DefaultsToSerialAndPreservesFifoTieOrder) {
   sim::EventQueue q;
   std::vector<int> fired;
@@ -125,7 +127,7 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-RunFingerprint run_spec(const run::ExperimentSpec& spec, std::uint64_t seed,
+RunFingerprint run_spec(const ExperimentSpec& spec, std::uint64_t seed,
                         std::size_t world_jobs) {
   run::Experiment experiment(spec, seed, world_jobs);
   experiment.run();
@@ -182,7 +184,7 @@ RunFingerprint run_spec(const run::ExperimentSpec& spec, std::uint64_t seed,
   return fp;
 }
 
-void expect_engine_equivalence(const run::ExperimentSpec& spec,
+void expect_engine_equivalence(const ExperimentSpec& spec,
                                std::uint64_t seed) {
   const RunFingerprint sequential = run_spec(spec, seed, 1);
   ASSERT_FALSE(sequential.series.empty());
@@ -203,37 +205,23 @@ void expect_engine_equivalence(const run::ExperimentSpec& spec,
 TEST(ParallelWorldDeterminism, CroupierPoissonJoins500Nodes) {
   // The ISSUE's acceptance shape: a 500-node croupier run, world-jobs 1
   // vs 4 byte-identical.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(500)
-                        .ratio(0.2)
-                        .duration(60)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier:alpha=25,gamma=50",
+                            .nodes = 500, .ratio = 0.2, .duration_s = 60};
   expect_engine_equivalence(spec, 42);
 }
 
 TEST(ParallelWorldDeterminism, ChurnAndLoss) {
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .churn(0.02, 20.0)
-                        .loss(0.05)
-                        .duration(50)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 300, .ratio = 0.2,
+                            .churn = 0.02, .churn_at_s = 20.0, .loss = 0.05,
+                            .duration_s = 50};
   expect_engine_equivalence(spec, 7);
 }
 
 TEST(ParallelWorldDeterminism, NatIdProtocolStaysSerialized) {
   // NAT-ID handlers mutate the shared bootstrap registry; the delivery
   // affinity policy must pin them to the serial path.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(200)
-                        .ratio(0.3)
-                        .natid()
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 200, .ratio = 0.3,
+                            .natid = true, .duration_s = 40};
   expect_engine_equivalence(spec, 11);
 }
 
@@ -241,7 +229,7 @@ TEST(ParallelWorldDeterminism, NatIdUnderChurn) {
   // Regression: a joiner churned out while its NAT-ID test was in flight
   // used to abort the responder (it asked the Network for the departed
   // client's public address).
-  const auto spec = run::ExperimentSpec::parse(
+  const auto spec = ExperimentSpec::parse(
       "protocol=croupier nodes=100 join=instant natid=1 churn=0.05 "
       "churn-at=5 duration=30");
   expect_engine_equivalence(spec, 1);
@@ -250,14 +238,11 @@ TEST(ParallelWorldDeterminism, NatIdUnderChurn) {
 TEST(ParallelWorldDeterminism, CatastropheUnderGozar) {
   // Cross-protocol + mass kill mid-run (fig. 7b shape); graph recording
   // exercises the other recorder path.
-  const auto spec = run::SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .catastrophe(0.5, 25.0)
-                        .record_graph(10.0)
-                        .duration(50)
-                        .build();
+  const ExperimentSpec spec{.protocol = "gozar", .nodes = 300, .ratio = 0.2,
+                            .catastrophe = 0.5, .catastrophe_at_s = 25.0,
+                            .duration_s = 50,
+                            .record = ExperimentSpec::RecordKind::Graph,
+                            .record_every_s = 10.0};
   expect_engine_equivalence(spec, 3);
 }
 
@@ -265,13 +250,10 @@ TEST(ParallelWorldDeterminism, FlashCrowdSurge) {
   // A join surge ramping up and down mid-run: a long train of
   // serial-affinity spawn events interleaved with node-affine gossip —
   // the barrier-heavy shape for the batch former.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .flash_crowd(80, 20, 20.0, 8.0)
-                        .duration(45)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier:alpha=25,gamma=50",
+                            .nodes = 200, .ratio = 0.2, .flash_publics = 80,
+                            .flash_privates = 20, .flash_at_s = 20.0,
+                            .flash_over_s = 8.0, .duration_s = 45};
   expect_engine_equivalence(spec, 13);
 }
 
@@ -279,15 +261,10 @@ TEST(ParallelWorldDeterminism, RegionCorrelatedFailure) {
   // A latency-correlated cohort kill: one serial event that reads the
   // latency model and the scenario RNG, then mass-detaches — everything
   // after it must replay identically.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .correlated_failure(
-                            0.4, 20.0,
-                            run::ExperimentSpec::FailureCorr::Region)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 250, .ratio = 0.2,
+                            .failure_frac = 0.4, .failure_at_s = 20.0,
+                            .failure_corr = ExperimentSpec::FailureCorr::Region,
+                            .duration_s = 40};
   expect_engine_equivalence(spec, 23);
 }
 
@@ -295,18 +272,13 @@ TEST(ParallelWorldDeterminism, StructuredTimeVaryingLoss) {
   // Per-class-pair loss switching on mid-run: the loss die starts
   // rolling (and consuming network RNG) only for some packets from
   // t=15 s — the draw pattern must stay identical across engines.
-  run::ExperimentSpec::LossSpec loss;
+  ExperimentSpec::LossSpec loss;
   loss.pub_pub = 0.05;
   loss.priv_pub = 0.3;
   loss.priv_priv = 0.3;
   loss.after_s = 15.0;
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .loss(loss)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 250, .ratio = 0.2,
+                            .loss = loss, .duration_s = 40};
   expect_engine_equivalence(spec, 29);
 }
 
@@ -314,13 +286,9 @@ TEST(ParallelWorldDeterminism, FragmentedShufflesReassembleIdentically) {
   // mtu=64 forces every croupier shuffle through the fragmenter (k = 2):
   // per-receiver reassembly maps mutate inline under node affinity and
   // each message adds a GC event — both must replay identically.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .mtu(64)
-                        .duration(50)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier:alpha=25,gamma=50",
+                            .nodes = 300, .ratio = 0.2, .mtu = 64,
+                            .duration_s = 50};
   expect_engine_equivalence(spec, 31);
 }
 
@@ -328,15 +296,9 @@ TEST(ParallelWorldDeterminism, FecUnderFragmentLossDrawsIdentically) {
   // Per-fragment loss multiplies the network RNG draw count and the FEC
   // decoder exercises the GF(256) elimination on partial arrivals; the
   // draw pattern and reassembly outcomes must not depend on the engine.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .mtu(64)
-                        .fec(2)
-                        .loss(0.1)
-                        .duration(45)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 250, .ratio = 0.2,
+                            .loss = 0.1, .mtu = 64, .fec_repair = 2,
+                            .duration_s = 45};
   expect_engine_equivalence(spec, 37);
 }
 
@@ -345,14 +307,9 @@ TEST(ParallelWorldDeterminism, BandwidthCapDelaysIdentically) {
   // the queueing delay they add to every datagram must be identical
   // whatever the worker count, or delivery times (and therefore every
   // downstream shuffle) diverge.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .mtu(128)
-                        .bandwidth(20000, 4000)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 200, .ratio = 0.2,
+                            .mtu = 128, .bandwidth_bps = 20000,
+                            .bandwidth_burst = 4000, .duration_s = 40};
   expect_engine_equivalence(spec, 41);
 }
 
@@ -363,15 +320,11 @@ TEST(ParallelWorldDeterminism, ZeroMinLatencyDegeneratesToSameTimestamp) {
   // not after, the causal floor — and must form the next batch instead
   // of tripping the floor assert (regression: the floor was once the
   // window end, which this workload violates by construction).
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .instant_joins()
-                        .skew(0.0)  // all rounds share timestamps
-                        .constant_latency(0.0004)
-                        .duration(20)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 200, .ratio = 0.2,
+                            .join = ExperimentSpec::JoinKind::Instant,
+                            .skew = 0.0,  // all rounds share timestamps
+                            .latency = run::World::LatencyKind::Constant,
+                            .latency_ms = 0.0004, .duration_s = 20};
   expect_engine_equivalence(spec, 19);
 }
 
@@ -381,7 +334,7 @@ TEST(ParallelWorldDeterminism, ZeroMinLatencyDegeneratesToSameTimestamp) {
 // round scaled to 10 ms, and the 3 s reassembly timeout.
 TEST(ParallelWorldDeterminism, RoundShorterThanLatency) {
   expect_engine_equivalence(
-      run::ExperimentSpec::parse(
+      ExperimentSpec::parse(
           "protocol=croupier nodes=200 join=instant latency=constant "
           "latency-ms=50 round-ms=20 duration=5"),
       61);
@@ -389,7 +342,7 @@ TEST(ParallelWorldDeterminism, RoundShorterThanLatency) {
 
 TEST(ParallelWorldDeterminism, PrivateRoundShorterThanLatency) {
   expect_engine_equivalence(
-      run::ExperimentSpec::parse(
+      ExperimentSpec::parse(
           "protocol=croupier nodes=300 ratio=0.3 join=instant "
           "private-round-scale=0.01 latency=constant latency-ms=30 "
           "duration=5"),
@@ -398,7 +351,7 @@ TEST(ParallelWorldDeterminism, PrivateRoundShorterThanLatency) {
 
 TEST(ParallelWorldDeterminism, ReassemblyTimeoutShorterThanLatency) {
   expect_engine_equivalence(
-      run::ExperimentSpec::parse(
+      ExperimentSpec::parse(
           "protocol=croupier nodes=1000 join=instant latency=constant "
           "latency-ms=4000 round-ms=5000 mtu=64 duration=60 "
           "record-every=5"),
@@ -408,13 +361,9 @@ TEST(ParallelWorldDeterminism, ReassemblyTimeoutShorterThanLatency) {
 TEST(ParallelWorldDeterminism, ConstantLatencyMaximalBatches) {
   // Constant latency gives the widest causal windows (lookahead = the
   // full latency), the stress case for batch formation.
-  const auto spec = run::SpecBuilder()
-                        .protocol("cyclon")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .constant_latency(50.0)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "cyclon", .nodes = 300, .ratio = 0.2,
+                            .latency = run::World::LatencyKind::Constant,
+                            .latency_ms = 50.0, .duration_s = 40};
   expect_engine_equivalence(spec, 5);
 }
 
@@ -423,14 +372,12 @@ TEST(ParallelWorldDeterminism, EclipseRespawnsIdentically) {
   // view, mass-kills and respawns — every respawned node's RNG lineage
   // and first-round schedule must replay identically, and the audit
   // recorder folds the resulting in-degree skew into the fingerprint.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .eclipse(1, 15.0, 2.0)
-                        .record_randomness(10.0)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier:alpha=25,gamma=50",
+                            .nodes = 250, .ratio = 0.2, .eclipse_target = 1,
+                            .eclipse_at_s = 15.0, .eclipse_period_s = 2.0,
+                            .duration_s = 40,
+                            .record = ExperimentSpec::RecordKind::Randomness,
+                            .record_every_s = 10.0};
   expect_engine_equivalence(spec, 43);
 }
 
@@ -439,14 +386,11 @@ TEST(ParallelWorldDeterminism, NatFlapReclassifiesIdentically) {
   // epoch-tagged RNG forks; pending round events of the old epoch must
   // no-op identically under every engine, and nylon's punch chains are
   // the workload most entangled with the flipped classes.
-  const auto spec = run::SpecBuilder()
-                        .protocol("nylon")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .natflap(0.1, 15.0, 5.0)
-                        .record_randomness(10.0)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "nylon", .nodes = 200, .ratio = 0.2,
+                            .natflap_frac = 0.1, .natflap_at_s = 15.0,
+                            .natflap_period_s = 5.0, .duration_s = 40,
+                            .record = ExperimentSpec::RecordKind::Randomness,
+                            .record_every_s = 10.0};
   expect_engine_equivalence(spec, 47);
 }
 
@@ -454,24 +398,16 @@ TEST(ParallelWorldDeterminism, HubAdversaryUnderGozar) {
   // Hub shims answer shuffles and hijack relays from inside the normal
   // delivery path (node-affine events); their poisoned responses must
   // interleave identically with honest traffic.
-  const auto spec = run::SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .adversary_hubs(2)
-                        .record_randomness(10.0)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "gozar", .nodes = 250, .ratio = 0.2,
+                            .adversary_hubs = 2, .duration_s = 40,
+                            .record = ExperimentSpec::RecordKind::Randomness,
+                            .record_every_s = 10.0};
   expect_engine_equivalence(spec, 53);
 }
 
 TEST(ParallelWorldEngine, ReportsBatchingStats) {
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .duration(30)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 300, .ratio = 0.2,
+                            .duration_s = 30};
   run::Experiment experiment(spec, 1, /*world_jobs=*/4);
   EXPECT_NE(experiment.world().engine_stats(), nullptr);
   experiment.run();

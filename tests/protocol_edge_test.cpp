@@ -19,7 +19,7 @@ class ProtoHarness {
   explicit ProtoHarness(double loss = 0.0) {
     network_ = std::make_unique<net::Network>(
         sim_, std::make_unique<net::ConstantLatency>(sim::msec(10)),
-        sim::RngStream(3), loss);
+        sim::RngStream(3), net::LossConfig::uniform(loss));
   }
 
   template <typename Proto, typename Cfg>

@@ -31,22 +31,22 @@ run::ProtocolFactory make_factory(const std::string& name) {
   if (name == "croupier") {
     core::CroupierConfig cfg;
     cfg.base = base;
-    return run::make_croupier_factory(cfg);
+    return run::make_factory<core::Croupier>(cfg);
   }
-  if (name == "cyclon") return run::make_cyclon_factory(base);
+  if (name == "cyclon") return run::make_factory<baselines::Cyclon>(base);
   if (name == "gozar") {
     baselines::GozarConfig cfg;
     cfg.base = base;
-    return run::make_gozar_factory(cfg);
+    return run::make_factory<baselines::Gozar>(cfg);
   }
   if (name == "nylon") {
     baselines::NylonConfig cfg;
     cfg.base = base;
-    return run::make_nylon_factory(cfg);
+    return run::make_factory<baselines::Nylon>(cfg);
   }
   baselines::ArrgConfig cfg;
   cfg.base = base;
-  return run::make_arrg_factory(cfg);
+  return run::make_factory<baselines::Arrg>(cfg);
 }
 
 // NAT-oblivious protocols run all-public so their contract is testable.

@@ -192,13 +192,10 @@ namespace croupier::run {
 namespace {
 
 TEST(RandomnessRecorder, TwinRunsAreBitwiseIdentical) {
-  const auto spec = SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(150)
-                        .ratio(0.2)
-                        .record_randomness(5.0)
-                        .duration(40)
-                        .build();
+  const ExperimentSpec spec{.protocol = "croupier:alpha=25,gamma=50",
+                            .nodes = 150, .ratio = 0.2, .duration_s = 40,
+                            .record = ExperimentSpec::RecordKind::Randomness,
+                            .record_every_s = 5.0};
   const auto run = [&spec] {
     Experiment experiment(spec, 77);
     experiment.run();

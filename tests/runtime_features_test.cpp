@@ -28,7 +28,7 @@ struct AppMsg final : net::Message {
 };
 
 TEST(AppLayer, MessagesAbove0x80RouteToAppHandler) {
-  World world(fast_world_config(1), make_croupier_factory({}));
+  World world(fast_world_config(1), make_factory<core::Croupier>());
   const auto a = world.spawn(net::NatConfig::open());
   const auto b = world.spawn(net::NatConfig::open());
   AppProbe probe;
@@ -42,7 +42,7 @@ TEST(AppLayer, MessagesAbove0x80RouteToAppHandler) {
 }
 
 TEST(AppLayer, AppMessagesWithoutHandlerAreDropped) {
-  World world(fast_world_config(2), make_croupier_factory({}));
+  World world(fast_world_config(2), make_factory<core::Croupier>());
   const auto a = world.spawn(net::NatConfig::open());
   const auto b = world.spawn(net::NatConfig::open());
   world.network().send(a, b, std::make_shared<AppMsg>());
@@ -52,7 +52,7 @@ TEST(AppLayer, AppMessagesWithoutHandlerAreDropped) {
 }
 
 TEST(AppLayer, ProtocolTrafficNotDeliveredToApp) {
-  World world(fast_world_config(3), make_croupier_factory({}));
+  World world(fast_world_config(3), make_factory<core::Croupier>());
   populate(world, 4, 4);
   AppProbe probe;
   for (net::NodeId id : world.alive_ids()) {
@@ -63,7 +63,7 @@ TEST(AppLayer, ProtocolTrafficNotDeliveredToApp) {
 }
 
 TEST(AppLayer, HandlerRemovable) {
-  World world(fast_world_config(4), make_croupier_factory({}));
+  World world(fast_world_config(4), make_factory<core::Croupier>());
   const auto a = world.spawn(net::NatConfig::open());
   const auto b = world.spawn(net::NatConfig::open());
   AppProbe probe;
@@ -77,7 +77,7 @@ TEST(AppLayer, HandlerRemovable) {
 TEST(RoundScaling, PrivateRoundScaleSlowsPrivatesOnly) {
   auto cfg = fast_world_config(5);
   cfg.private_round_scale = 2.0;  // privates gossip at half rate
-  World world(cfg, make_croupier_factory({}));
+  World world(cfg, make_factory<core::Croupier>());
   const auto pub = world.spawn(net::NatConfig::open());
   const auto priv = world.spawn(net::NatConfig::natted());
   world.simulator().run_until(sim::sec(60));
@@ -90,7 +90,7 @@ TEST(RoundScaling, BiasedRoundsBiasTheEstimate) {
   // slower privates => estimate above the true ratio.
   auto cfg = fast_world_config(6);
   cfg.private_round_scale = 1.5;
-  World world(cfg, make_croupier_factory({}));
+  World world(cfg, make_factory<core::Croupier>());
   populate(world, 10, 40);
   world.simulator().run_until(sim::sec(90));
   double sum = 0;
@@ -103,7 +103,7 @@ TEST(RoundScaling, BiasedRoundsBiasTheEstimate) {
 TEST(Latency, CoordinateModelWorksEndToEnd) {
   auto cfg = fast_world_config(7);
   cfg.latency = World::LatencyKind::Coordinate;
-  World world(cfg, make_croupier_factory({}));
+  World world(cfg, make_factory<core::Croupier>());
   populate(world, 5, 15);
   world.simulator().run_until(sim::sec(30));
   EXPECT_FALSE(world.ratio_estimates().empty());
@@ -115,7 +115,7 @@ TEST(MergePolicy, HealerCroupierStillConverges) {
   ccfg.base.view_size = 5;
   ccfg.base.shuffle_size = 3;
   ccfg.base.merge = pss::MergePolicy::Healer;
-  World world(fast_world_config(8), make_croupier_factory(ccfg));
+  World world(fast_world_config(8), make_factory<core::Croupier>(ccfg));
   populate(world, 8, 32);
   world.simulator().run_until(sim::sec(60));
   for (double e : world.ratio_estimates()) {
@@ -128,7 +128,7 @@ TEST(MergePolicy, HealerCyclonKeepsViewsFresh) {
   cfg.view_size = 5;
   cfg.shuffle_size = 3;
   cfg.merge = pss::MergePolicy::Healer;
-  World world(fast_world_config(9), make_cyclon_factory(cfg));
+  World world(fast_world_config(9), make_factory<baselines::Cyclon>(cfg));
   populate(world, 20, 0);
   world.simulator().run_until(sim::sec(30));
   world.for_each_sampler([&](net::NodeId, pss::PeerSampler& p) {

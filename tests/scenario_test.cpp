@@ -19,7 +19,7 @@ using croupier::testing::populate;
 // populated used to survive the class going extinct, burst-replacing the
 // first node of that class to reappear.
 TEST(Churn, CarryIsDroppedWhileAClassIsEmpty) {
-  World world(fast_world_config(9), make_croupier_factory({}));
+  World world(fast_world_config(9), make_factory<core::Croupier>());
   for (int i = 0; i < 3; ++i) world.spawn(net::NatConfig::open());
   const auto lone_private = world.spawn(net::NatConfig::natted());
 
@@ -47,15 +47,12 @@ TEST(Churn, CarryIsDroppedWhileAClassIsEmpty) {
 TEST(FlashCrowd, RampSpreadsArrivalsAcrossTheWindow) {
   // 60 extra nodes over a 4 s window starting at t=5 s: the triangular
   // profile puts exactly half the arrivals in the first half-window.
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(20)
-                            .ratio(0.5)
-                            .instant_joins()
-                            .flash_crowd(30, 10, 5.0, 4.0)
-                            .duration(10)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "croupier", .nodes = 20, .ratio = 0.5,
+                         .join = ExperimentSpec::JoinKind::Instant,
+                         .flash_publics = 30, .flash_privates = 10,
+                         .flash_at_s = 5.0, .flash_over_s = 4.0,
+                         .duration_s = 10,
+                         .record = ExperimentSpec::RecordKind::None},
                         17);
   experiment.run_until(sim::sec(5));
   EXPECT_EQ(experiment.world().alive_count(), 20u);  // surge not started
@@ -67,7 +64,7 @@ TEST(FlashCrowd, RampSpreadsArrivalsAcrossTheWindow) {
 }
 
 TEST(FlashCrowd, StopHaltsTheSurgeImmediately) {
-  World world(fast_world_config(13), make_croupier_factory({}));
+  World world(fast_world_config(13), make_factory<core::Croupier>());
   populate(world, 5, 5);
   FlashCrowdProcess flash(world, 20, 0, sim::sec(10));
   flash.start(sim::sec(1));
@@ -90,7 +87,7 @@ TEST(FlashCrowd, StopHaltsTheSurgeImmediately) {
 TEST(CorrelatedFailure, RegionCohortIsLatencyCompact) {
   auto cfg = fast_world_config(11);
   cfg.latency = World::LatencyKind::Coordinate;
-  World world(cfg, make_croupier_factory({}));
+  World world(cfg, make_factory<core::Croupier>());
   populate(world, 10, 40);
   const std::vector<net::NodeId> everyone = world.alive_ids();
 
@@ -128,7 +125,7 @@ TEST(CorrelatedFailure, UniformModeMatchesCatastropheSampling) {
   // Same seed, same fraction: the uniform cohort must replay
   // CatastropheProcess's sampling draw for draw.
   const auto survivors_with = [](bool catastrophe) {
-    World world(fast_world_config(21), make_croupier_factory({}));
+    World world(fast_world_config(21), make_factory<core::Croupier>());
     populate(world, 10, 40);
     CorrelatedFailureProcess failure(
         world, 0.5, CorrelatedFailureProcess::Corr::Uniform);
@@ -147,7 +144,7 @@ TEST(CorrelatedFailure, UniformModeMatchesCatastropheSampling) {
 // Restart contract: start() after stop() must not resurrect events of
 // the stopped arming still sitting in the queue.
 TEST(ScenarioLifecycle, CatastropheRestartDoesNotResurrectOldSchedule) {
-  World world(fast_world_config(31), make_croupier_factory({}));
+  World world(fast_world_config(31), make_factory<core::Croupier>());
   populate(world, 5, 20);
   CatastropheProcess failure(world, 0.4);
   failure.start(sim::sec(5));
@@ -162,7 +159,7 @@ TEST(ScenarioLifecycle, CatastropheRestartDoesNotResurrectOldSchedule) {
 }
 
 TEST(ScenarioLifecycle, JoinRestartDoesNotStackChains) {
-  World world(fast_world_config(33), make_croupier_factory({}));
+  World world(fast_world_config(33), make_factory<core::Croupier>());
   auto join = JoinProcess::fixed(world, 10, net::NatConfig::natted(),
                                  sim::sec(1));
   join->start(0);
@@ -180,17 +177,14 @@ TEST(ScenarioLifecycle, JoinRestartDoesNotStackChains) {
 }
 
 TEST(ScenarioPipeline, ExperimentExposesItsProcesses) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(40)
-                            .ratio(0.25)
-                            .flash_crowd(10, 10, 15.0, 2.0)
-                            .churn(0.01, 10)
-                            .correlated_failure(
-                                0.2, 20, ExperimentSpec::FailureCorr::Private)
-                            .duration(25)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "croupier", .nodes = 40, .ratio = 0.25,
+                         .flash_publics = 10, .flash_privates = 10,
+                         .flash_at_s = 15.0, .flash_over_s = 2.0, .churn = 0.01,
+                         .churn_at_s = 10, .failure_frac = 0.2,
+                         .failure_at_s = 20,
+                         .failure_corr = ExperimentSpec::FailureCorr::Private,
+                         .duration_s = 25,
+                         .record = ExperimentSpec::RecordKind::None},
                         5);
   // Poisson pubs + poisson privs + flash + churn + failure.
   EXPECT_EQ(experiment.scenario().size(), 5u);

@@ -1,5 +1,6 @@
-// ExperimentSpec / SpecBuilder / Experiment: the declarative experiment
-// surface. Covers the parse/to_string round-trip, validation, population
+// ExperimentSpec / Experiment: the declarative experiment surface.
+// Specs are written as values (designated initializers) or parsed from
+// text. Covers the parse/to_string round-trip, validation, population
 // arithmetic, and the load-bearing equivalence guarantee: a spec-built
 // Experiment replays a hand-built World event for event (identical
 // recorded series at the same seed).
@@ -9,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/factories.hpp"
 #include "runtime/recorder.hpp"
 #include "runtime/registry.hpp"
 #include "runtime/scenario.hpp"
@@ -17,6 +17,10 @@
 
 namespace croupier::run {
 namespace {
+
+using Corr = ExperimentSpec::FailureCorr;
+using Join = ExperimentSpec::JoinKind;
+using Record = ExperimentSpec::RecordKind;
 
 TEST(ExperimentSpec, DefaultsRoundTripMinimally) {
   const ExperimentSpec spec;
@@ -26,23 +30,15 @@ TEST(ExperimentSpec, DefaultsRoundTripMinimally) {
 }
 
 TEST(ExperimentSpec, FullyLoadedSpecRoundTrips) {
-  const auto spec = SpecBuilder()
-                        .protocol("croupier:alpha=10,gamma=25,merge=healer")
-                        .nodes(1234)
-                        .ratio(0.33)
-                        .fixed_joins(42.5, 13)
-                        .join_step(333, 7, 58, 42)
-                        .churn(0.025, 61)
-                        .catastrophe(0.8, 60)
-                        .loss(0.05)
-                        .skew(0.1)
-                        .private_round_scale(1.2)
-                        .constant_latency(20)
-                        .round_period(500)
-                        .natid()
-                        .duration(123.456)
-                        .record_graph(2.5)
-                        .build();
+  const ExperimentSpec spec{
+      .protocol = "croupier:alpha=10,gamma=25,merge=healer", .nodes = 1234,
+      .ratio = 0.33, .join = Join::Fixed, .join_public_ms = 42.5,
+      .join_private_ms = 13, .step_publics = 333, .step_privates = 7,
+      .step_at_s = 58, .step_every_ms = 42, .churn = 0.025, .churn_at_s = 61,
+      .catastrophe = 0.8, .catastrophe_at_s = 60, .loss = 0.05, .skew = 0.1,
+      .private_round_scale = 1.2, .latency = World::LatencyKind::Constant,
+      .latency_ms = 20, .round_ms = 500, .natid = true, .duration_s = 123.456,
+      .record = Record::Graph, .record_every_s = 2.5};
   const auto text = spec.to_string();
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
   // And the canonical form is stable (parse -> to_string is idempotent).
@@ -69,7 +65,7 @@ TEST(ExperimentSpec, ParseRejectsUnknownKeysAndBadValues) {
   // later inside a TrialPool worker where the throw would abort the run.
   EXPECT_THROW((void)ExperimentSpec::parse("protocol=chord"),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().protocol("croupier:aplha=25").build(),
+  EXPECT_THROW(ExperimentSpec{.protocol = "croupier:aplha=25"}.validate(),
                std::invalid_argument);
 }
 
@@ -82,7 +78,7 @@ TEST(ExperimentSpec, LossRateOneIsRejectedAtValidateTime) {
   EXPECT_THROW((void)ExperimentSpec::parse("loss=1"), std::invalid_argument);
   EXPECT_THROW((void)ExperimentSpec::parse("loss=priv-any:1.0"),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().loss(1.0).build(), std::invalid_argument);
+  EXPECT_THROW(ExperimentSpec{.loss = 1.0}.validate(), std::invalid_argument);
   EXPECT_NO_THROW((void)ExperimentSpec::parse("loss=0.999"));
 }
 
@@ -176,33 +172,24 @@ TEST(ExperimentSpec, NewScenarioFamiliesRoundTripFullyLoaded) {
   loss.priv_pub = 0.3;
   loss.priv_priv = 0.25;
   loss.after_s = 42.5;
-  const auto spec =
-      SpecBuilder()
-          .protocol("croupier")
-          .nodes(800)
-          .ratio(0.25)
-          .flash_crowd(200, 50, 33.5, 7.25)
-          .correlated_failure(0.4, 90,
-                              ExperimentSpec::FailureCorr::Public)
-          .loss(loss)
-          .duration(150)
-          .build();
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 800, .ratio = 0.25,
+                            .flash_publics = 200, .flash_privates = 50,
+                            .flash_at_s = 33.5, .flash_over_s = 7.25,
+                            .failure_frac = 0.4, .failure_at_s = 90,
+                            .failure_corr = Corr::Public, .loss = loss,
+                            .duration_s = 150};
   const auto text = spec.to_string();
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
   EXPECT_EQ(ExperimentSpec::parse(text).to_string(), text);
 }
 
 TEST(ExperimentSpec, AdversarialFamiliesParseValidateAndRoundTrip) {
-  const auto spec = SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(400)
-                        .ratio(0.2)
-                        .eclipse(7, 33.5, 2.5)
-                        .natflap(0.15, 40.0, 12.5)
-                        .adversary_hubs(3)
-                        .record_randomness(5)
-                        .duration(120)
-                        .build();
+  const ExperimentSpec spec{.protocol = "gozar", .nodes = 400, .ratio = 0.2,
+                            .eclipse_target = 7, .eclipse_at_s = 33.5,
+                            .eclipse_period_s = 2.5, .natflap_frac = 0.15,
+                            .natflap_at_s = 40.0, .natflap_period_s = 12.5,
+                            .adversary_hubs = 3, .duration_s = 120,
+                            .record = Record::Randomness, .record_every_s = 5};
   const auto text = spec.to_string();
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
   EXPECT_EQ(ExperimentSpec::parse(text).to_string(), text);
@@ -222,36 +209,43 @@ TEST(ExperimentSpec, AdversarialFamiliesParseValidateAndRoundTrip) {
 TEST(ExperimentSpec, AdversarialBoundsAreRejectedAtValidateTime) {
   // An eclipse target the join processes never spawn (ids are assigned
   // 1..nodes) would silently no-op forever.
-  EXPECT_THROW((void)SpecBuilder().nodes(100).eclipse(101).build(),
+  EXPECT_THROW((ExperimentSpec{.nodes = 100, .eclipse_target = 101}.validate()),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().nodes(100).eclipse(100).build());
-  EXPECT_THROW((void)SpecBuilder().eclipse(1, 10.0, 0.0).build(),
+  EXPECT_NO_THROW(
+      (ExperimentSpec{.nodes = 100, .eclipse_target = 100}.validate()));
+  EXPECT_THROW((ExperimentSpec{.eclipse_target = 1, .eclipse_at_s = 10.0,
+                               .eclipse_period_s = 0.0}
+                    .validate()),
                std::invalid_argument);
   // NAT flapping needs a NAT class to flap.
-  EXPECT_THROW((void)SpecBuilder().ratio(1.0).natflap(0.1).build(),
+  EXPECT_THROW((ExperimentSpec{.ratio = 1.0, .natflap_frac = 0.1}.validate()),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().natflap(1.5).build(),
+  EXPECT_THROW(ExperimentSpec{.natflap_frac = 1.5}.validate(),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().natflap(0.1, 10.0, 0.0).build(),
+  EXPECT_THROW((ExperimentSpec{.natflap_frac = 0.1, .natflap_at_s = 10.0,
+                               .natflap_period_s = 0.0}
+                    .validate()),
                std::invalid_argument);
   // At least one honest node must remain to audit.
-  EXPECT_THROW((void)SpecBuilder().nodes(10).adversary_hubs(10).build(),
+  EXPECT_THROW((ExperimentSpec{.nodes = 10, .adversary_hubs = 10}.validate()),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().nodes(10).adversary_hubs(9).build());
+  EXPECT_NO_THROW(
+      (ExperimentSpec{.nodes = 10, .adversary_hubs = 9}.validate()));
 }
 
 TEST(ExperimentSpec, ValidateRejectsOutOfRangeFields) {
-  EXPECT_THROW((void)SpecBuilder().nodes(0).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().ratio(-0.1).build(),
+  EXPECT_THROW(ExperimentSpec{.nodes = 0}.validate(), std::invalid_argument);
+  EXPECT_THROW(ExperimentSpec{.ratio = -0.1}.validate(),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().churn(1.0).build(),
+  EXPECT_THROW(ExperimentSpec{.churn = 1.0}.validate(),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().loss(2.0).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().duration(0).build(),
+  EXPECT_THROW(ExperimentSpec{.loss = 2.0}.validate(), std::invalid_argument);
+  EXPECT_THROW(ExperimentSpec{.duration_s = 0.0}.validate(),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().poisson_joins(0, 13).build(),
+  EXPECT_THROW((ExperimentSpec{.join_public_ms = 0.0, .join_private_ms = 13}
+                    .validate()),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().build());
+  EXPECT_NO_THROW(ExperimentSpec{}.validate());
 }
 
 TEST(ExperimentSpec, PacketFamiliesParseAndRoundTrip) {
@@ -287,25 +281,26 @@ TEST(ExperimentSpec, PacketFamiliesParseAndRoundTrip) {
   EXPECT_EQ(ExperimentSpec().to_string(),
             "protocol=croupier nodes=1000 ratio=0.2 duration=200");
 
-  // Builder surface mirrors the grammar.
-  const auto built = SpecBuilder().mtu(256).bandwidth(10000, 40000)
-                         .fec(1, 0.25).build();
-  EXPECT_EQ(built.mtu, 256u);
-  EXPECT_EQ(built.bandwidth_burst, 40000u);
-  EXPECT_EQ(built.fec_rate, 0.25);
+  // The value form names the same fields the grammar sets.
+  const ExperimentSpec value{.mtu = 256, .bandwidth_bps = 10000,
+                             .bandwidth_burst = 40000, .fec_repair = 1,
+                             .fec_rate = 0.25, .duration_s = 100};
+  EXPECT_EQ(value, full);
+  EXPECT_EQ(full.mtu, 256u);
 }
 
 TEST(ExperimentSpec, PacketValidationRejectsBadGeometry) {
   // mtu must exceed the 20-byte fragment header.
-  EXPECT_THROW((void)SpecBuilder().mtu(20).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().mtu(12).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().mtu(70000).build(),
+  EXPECT_THROW(ExperimentSpec{.mtu = 20}.validate(), std::invalid_argument);
+  EXPECT_THROW(ExperimentSpec{.mtu = 12}.validate(), std::invalid_argument);
+  EXPECT_THROW(ExperimentSpec{.mtu = 70000}.validate(),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().mtu(21).build());
-  EXPECT_NO_THROW((void)SpecBuilder().mtu(0).build());  // off
+  EXPECT_NO_THROW(ExperimentSpec{.mtu = 21}.validate());
+  EXPECT_NO_THROW(ExperimentSpec{.mtu = 0}.validate());  // off
 
   // Zero-rate buckets: a burst without a rate would never drain.
-  EXPECT_THROW((void)SpecBuilder().bandwidth(0, 1000).build(),
+  EXPECT_THROW((ExperimentSpec{.bandwidth_bps = 0, .bandwidth_burst = 1000}
+                    .validate()),
                std::invalid_argument);
   EXPECT_THROW((void)ExperimentSpec::parse("bandwidth=0"),
                std::invalid_argument);
@@ -313,10 +308,11 @@ TEST(ExperimentSpec, PacketValidationRejectsBadGeometry) {
                std::invalid_argument);
 
   // FEC without fragmentation has nothing to repair.
-  EXPECT_THROW((void)SpecBuilder().fec(2).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().mtu(256).fec(0, -0.5).build(),
+  EXPECT_THROW(ExperimentSpec{.fec_repair = 2}.validate(),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().mtu(256).fec(2).build());
+  EXPECT_THROW((ExperimentSpec{.mtu = 256, .fec_rate = -0.5}.validate()),
+               std::invalid_argument);
+  EXPECT_NO_THROW((ExperimentSpec{.mtu = 256, .fec_repair = 2}.validate()));
 
   // Malformed values and unknown subkeys fail loudly.
   EXPECT_THROW((void)ExperimentSpec::parse("mtu=abc"),
@@ -374,7 +370,7 @@ TEST(Experiment, ReproducesHandBuiltWorldBitForBit) {
     wcfg.seed = seed;
     wcfg.latency = World::LatencyKind::King;
     wcfg.clock_skew = 0.01;
-    World world(wcfg, make_croupier_factory(cfg));
+    World world(wcfg, make_factory<core::Croupier>(cfg));
     const auto publics =
         JoinProcess::poisson(world, 10, net::NatConfig::open(), sim::msec(50));
     const auto privates = JoinProcess::poisson(
@@ -388,13 +384,9 @@ TEST(Experiment, ReproducesHandBuiltWorldBitForBit) {
   }
 
   // Declarative.
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier:alpha=10,gamma=25")
-                            .nodes(50)
-                            .ratio(0.2)
-                            .duration(20)
-                            .record_estimation()
-                            .build(),
+  Experiment experiment({.protocol = "croupier:alpha=10,gamma=25", .nodes = 50,
+                         .ratio = 0.2, .duration_s = 20,
+                         .record = Record::Estimation},
                         seed);
   experiment.run();
   const auto& spec_series = experiment.estimation()->series();
@@ -410,15 +402,9 @@ TEST(Experiment, ReproducesHandBuiltWorldBitForBit) {
 }
 
 TEST(Experiment, ChurnReplacesNodesAndKeepsPopulation) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(60)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .churn(0.05, 5)
-                            .duration(30)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "croupier", .nodes = 60, .ratio = 0.2,
+                         .join = Join::Instant, .churn = 0.05, .churn_at_s = 5,
+                         .duration_s = 30, .record = Record::None},
                         7);
   experiment.run();
   EXPECT_EQ(experiment.world().alive_count(), 60u);
@@ -432,31 +418,20 @@ TEST(Experiment, ChurnReplacesNodesAndKeepsPopulation) {
 }
 
 TEST(Experiment, CatastropheKillsTheRequestedFraction) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .catastrophe(0.6, 10)
-                            .duration(10.001)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "croupier", .nodes = 100, .ratio = 0.2,
+                         .join = Join::Instant, .catastrophe = 0.6,
+                         .catastrophe_at_s = 10, .duration_s = 10.001,
+                         .record = Record::None},
                         3);
   experiment.run();
   EXPECT_EQ(experiment.world().alive_count(), 40u);
 }
 
 TEST(Experiment, CorrelatedFailureKillsTheRequestedFraction) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .correlated_failure(
-                                0.6, 10, ExperimentSpec::FailureCorr::Region)
-                            .duration(10.001)
-                            .record_nothing()
-                            .build(),
+  Experiment experiment({.protocol = "croupier", .nodes = 100, .ratio = 0.2,
+                         .join = Join::Instant, .failure_frac = 0.6,
+                         .failure_at_s = 10, .failure_corr = Corr::Region,
+                         .duration_s = 10.001, .record = Record::None},
                         3);
   experiment.run();
   EXPECT_EQ(experiment.world().alive_count(), 40u);
@@ -466,16 +441,10 @@ TEST(Experiment, CorrelatedFailureKillsTheRequestedFraction) {
 TEST(Experiment, ClassBiasedFailureSparesTheOtherClassUntilExhausted) {
   // 20 publics / 80 privates; a private-biased kill of 40% (40 nodes)
   // fits inside the private class, so every public survives.
-  Experiment spare(SpecBuilder()
-                       .protocol("croupier")
-                       .nodes(100)
-                       .ratio(0.2)
-                       .instant_joins()
-                       .correlated_failure(
-                           0.4, 10, ExperimentSpec::FailureCorr::Private)
-                       .duration(10.001)
-                       .record_nothing()
-                       .build(),
+  Experiment spare({.protocol = "croupier", .nodes = 100, .ratio = 0.2,
+                    .join = Join::Instant, .failure_frac = 0.4,
+                    .failure_at_s = 10, .failure_corr = Corr::Private,
+                    .duration_s = 10.001, .record = Record::None},
                    7);
   spare.run();
   EXPECT_EQ(spare.world().alive_count(), 60u);
@@ -483,16 +452,10 @@ TEST(Experiment, ClassBiasedFailureSparesTheOtherClassUntilExhausted) {
 
   // A public-biased kill of 40% (40 nodes) exhausts the 20 publics and
   // spills the remaining quota into the privates.
-  Experiment spill(SpecBuilder()
-                       .protocol("croupier")
-                       .nodes(100)
-                       .ratio(0.2)
-                       .instant_joins()
-                       .correlated_failure(
-                           0.4, 10, ExperimentSpec::FailureCorr::Public)
-                       .duration(10.001)
-                       .record_nothing()
-                       .build(),
+  Experiment spill({.protocol = "croupier", .nodes = 100, .ratio = 0.2,
+                    .join = Join::Instant, .failure_frac = 0.4,
+                    .failure_at_s = 10, .failure_corr = Corr::Public,
+                    .duration_s = 10.001, .record = Record::None},
                    7);
   spill.run();
   EXPECT_EQ(spill.world().alive_count(), 60u);
@@ -500,14 +463,9 @@ TEST(Experiment, ClassBiasedFailureSparesTheOtherClassUntilExhausted) {
 }
 
 TEST(Experiment, GraphRecordingProducesSeries) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("cyclon")
-                            .nodes(40)
-                            .ratio(1.0)
-                            .instant_joins()
-                            .duration(21)
-                            .record_graph(5)
-                            .build(),
+  Experiment experiment({.protocol = "cyclon", .nodes = 40, .ratio = 1.0,
+                         .join = Join::Instant, .duration_s = 21,
+                         .record = Record::Graph, .record_every_s = 5},
                         11);
   experiment.run();
   ASSERT_NE(experiment.graph_stats(), nullptr);
@@ -517,11 +475,9 @@ TEST(Experiment, GraphRecordingProducesSeries) {
 }
 
 TEST(ExperimentSpec, GraphSampledRoundTrips) {
-  const auto spec = SpecBuilder()
-                        .protocol("cyclon")
-                        .nodes(500)
-                        .record_graph_sampled(7.5)
-                        .build();
+  const ExperimentSpec spec{.protocol = "cyclon", .nodes = 500,
+                            .record = Record::GraphSampled,
+                            .record_every_s = 7.5};
   const auto text = spec.to_string();
   EXPECT_NE(text.find("record=graph-sampled"), std::string::npos) << text;
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
@@ -531,14 +487,9 @@ TEST(ExperimentSpec, GraphSampledRoundTrips) {
 }
 
 TEST(Experiment, GraphSampledRecordingProducesSeries) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("cyclon")
-                            .nodes(40)
-                            .ratio(1.0)
-                            .instant_joins()
-                            .duration(21)
-                            .record_graph_sampled(5)
-                            .build(),
+  Experiment experiment({.protocol = "cyclon", .nodes = 40, .ratio = 1.0,
+                         .join = Join::Instant, .duration_s = 21,
+                         .record = Record::GraphSampled, .record_every_s = 5},
                         11);
   experiment.run();
   ASSERT_NE(experiment.graph_sampled(), nullptr);

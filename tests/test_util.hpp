@@ -5,7 +5,7 @@
 #include <cstddef>
 
 #include "net/nat.hpp"
-#include "runtime/factories.hpp"
+#include "runtime/registry.hpp"
 #include "runtime/world.hpp"
 
 namespace croupier::testing {

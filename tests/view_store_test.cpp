@@ -182,85 +182,99 @@ void expect_same(const PartialView<NodeDescriptor>& v,
   }
 }
 
-TEST(ViewStoreEquivalence, RandomOperationMix) {
-  // Three generator seeds x a long op mix, covering every PartialView
-  // mutation plus capacity shrink and RNG-drawing subsets.
-  for (std::uint64_t run = 1; run <= 3; ++run) {
-    sim::RngStream ops(run * 0x9E37);
-    sim::RngStream rng_a(run * 0xC0FFEE);
-    sim::RngStream rng_b(run * 0xC0FFEE);  // twin: must stay in lockstep
-    PartialView<NodeDescriptor> v(8);
-    RefView<NodeDescriptor> ref(8);
-
-    for (int step = 0; step < 2000; ++step) {
-      const auto id = static_cast<net::NodeId>(ops.uniform(24) + 1);
-      const auto age = static_cast<std::uint16_t>(ops.uniform(6));
-      const auto d = desc(id, age, nat_of(ops.uniform(3)));
-      switch (ops.uniform(9)) {
-        case 0:
-          EXPECT_EQ(v.add_if_room(d), ref.add_if_room(d));
-          break;
-        case 1:
-          v.force_add(d);
-          ref.force_add(d);
-          break;
-        case 2:
-          EXPECT_EQ(v.remove(id), ref.remove(id));
-          break;
-        case 3:
-          v.age_all();
-          ref.age_all();
-          break;
-        case 4: {
-          const auto cap = ops.uniform(8) + 1;
-          v.set_capacity(cap);
-          ref.set_capacity(cap);
-          break;
-        }
-        case 5: {
-          const auto n = ops.uniform(6);
-          EXPECT_EQ(v.random_subset(n, rng_a),
-                    ref.random_subset(n, rng_b));
-          break;
-        }
-        case 6: {
-          const auto n = ops.uniform(6);
-          EXPECT_EQ(v.random_subset_excluding(n, id, rng_a),
-                    ref.random_subset_excluding(n, id, rng_b));
-          break;
-        }
-        case 7: {
-          std::vector<NodeDescriptor> sent =
-              v.random_subset(3, rng_a);
-          EXPECT_EQ(sent, ref.random_subset(3, rng_b));
-          std::vector<NodeDescriptor> received;
-          for (std::size_t k = 0; k < 4; ++k) {
-            received.push_back(
-                desc(static_cast<net::NodeId>(ops.uniform(24) + 1),
-                     static_cast<std::uint16_t>(ops.uniform(6)),
-                     nat_of(ops.uniform(3))));
-          }
-          v.merge_swapper(sent, received, /*self=*/5);
-          ref.merge_swapper(sent, received, /*self=*/5);
-          break;
-        }
-        default: {
-          std::vector<NodeDescriptor> received;
-          for (std::size_t k = 0; k < 4; ++k) {
-            received.push_back(
-                desc(static_cast<net::NodeId>(ops.uniform(24) + 1),
-                     static_cast<std::uint16_t>(ops.uniform(6)),
-                     nat_of(ops.uniform(3))));
-          }
-          v.merge_healer(received, /*self=*/5);
-          ref.merge_healer(received, /*self=*/5);
-          break;
-        }
-      }
-      expect_same(v, ref, "after step");
-      if (::testing::Test::HasFailure()) return;
+/// One generator seed x a long op mix over ids 1..`ids`, covering every
+/// PartialView mutation plus capacity shrink (to 1..`capacity`),
+/// RNG-drawing subsets and `merge`-descriptor merges. Returns the largest
+/// size the view reached.
+std::size_t run_operation_mix(std::uint64_t run, std::size_t capacity,
+                              std::uint64_t ids, std::size_t merge) {
+  sim::RngStream ops(run * 0x9E37);
+  sim::RngStream rng_a(run * 0xC0FFEE);
+  sim::RngStream rng_b(run * 0xC0FFEE);  // twin: must stay in lockstep
+  PartialView<NodeDescriptor> v(capacity);
+  RefView<NodeDescriptor> ref(capacity);
+  std::size_t peak = 0;
+  const auto received = [&] {
+    std::vector<NodeDescriptor> out;
+    for (std::size_t k = 0; k < merge; ++k) {
+      out.push_back(desc(static_cast<net::NodeId>(ops.uniform(ids) + 1),
+                         static_cast<std::uint16_t>(ops.uniform(6)),
+                         nat_of(ops.uniform(3))));
     }
+    return out;
+  };
+
+  for (int step = 0; step < 2000; ++step) {
+    const auto id = static_cast<net::NodeId>(ops.uniform(ids) + 1);
+    const auto age = static_cast<std::uint16_t>(ops.uniform(6));
+    const auto d = desc(id, age, nat_of(ops.uniform(3)));
+    switch (ops.uniform(9)) {
+      case 0:
+        EXPECT_EQ(v.add_if_room(d), ref.add_if_room(d));
+        break;
+      case 1:
+        v.force_add(d);
+        ref.force_add(d);
+        break;
+      case 2:
+        EXPECT_EQ(v.remove(id), ref.remove(id));
+        break;
+      case 3:
+        v.age_all();
+        ref.age_all();
+        break;
+      case 4: {
+        const auto cap = ops.uniform(capacity) + 1;
+        v.set_capacity(cap);
+        ref.set_capacity(cap);
+        break;
+      }
+      case 5: {
+        const auto n = ops.uniform(6);
+        EXPECT_EQ(v.random_subset(n, rng_a), ref.random_subset(n, rng_b));
+        break;
+      }
+      case 6: {
+        const auto n = ops.uniform(6);
+        EXPECT_EQ(v.random_subset_excluding(n, id, rng_a),
+                  ref.random_subset_excluding(n, id, rng_b));
+        break;
+      }
+      case 7: {
+        std::vector<NodeDescriptor> sent = v.random_subset(3, rng_a);
+        EXPECT_EQ(sent, ref.random_subset(3, rng_b));
+        const auto in = received();
+        v.merge_swapper(sent, in, /*self=*/5);
+        ref.merge_swapper(sent, in, /*self=*/5);
+        break;
+      }
+      default: {
+        const auto in = received();
+        v.merge_healer(in, /*self=*/5);
+        ref.merge_healer(in, /*self=*/5);
+        break;
+      }
+    }
+    expect_same(v, ref, "after step");
+    if (::testing::Test::HasFailure()) break;
+    peak = std::max(peak, v.size());
   }
+  return peak;
+}
+
+TEST(ViewStoreEquivalence, RandomOperationMix) {
+  for (std::uint64_t run = 1; run <= 3; ++run) {
+    run_operation_mix(run, /*capacity=*/8, /*ids=*/24, /*merge=*/4);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Views far above the paper's size 10 behave the same.
+  std::size_t peak = 0;
+  for (std::uint64_t run = 1; run <= 3; ++run) {
+    peak = std::max(peak, run_operation_mix(run, /*capacity=*/100,
+                                            /*ids=*/300, /*merge=*/40));
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(peak, 64u);
 }
 
 TEST(ViewStoreEquivalence, ForceAddTieBreaksOnFirstMax) {
@@ -359,22 +373,22 @@ TEST(ViewStore, NatColumnRoundTripsAllClasses) {
 
 TEST(ViewStore, SlotIndexSurvivesGrowthAndErase) {
   ViewStore<NodeDescriptor> s(2);
-  for (net::NodeId id = 1; id <= 40; ++id) {
+  for (net::NodeId id = 1; id <= 200; ++id) {
     s.reserve(static_cast<std::size_t>(id));
     s.push_back(desc(id, static_cast<std::uint16_t>(id)));
   }
-  for (net::NodeId id = 1; id <= 40; ++id) {
+  for (net::NodeId id = 1; id <= 200; ++id) {
     const auto slot = s.slot_of(id);
     ASSERT_TRUE(slot.has_value()) << id;
     EXPECT_EQ(s.id_at(*slot), id);
   }
   // Erase every odd id; the evens must keep resolving.
-  for (net::NodeId id = 1; id <= 40; id += 2) {
+  for (net::NodeId id = 1; id <= 200; id += 2) {
     const auto slot = s.slot_of(id);
     ASSERT_TRUE(slot.has_value());
     s.erase_at(*slot);
   }
-  for (net::NodeId id = 1; id <= 40; ++id) {
+  for (net::NodeId id = 1; id <= 200; ++id) {
     EXPECT_EQ(s.slot_of(id).has_value(), id % 2 == 0) << id;
   }
 }

@@ -20,7 +20,8 @@ core::CroupierConfig proto_cfg() {
 }
 
 World make_world(std::uint64_t seed = 1) {
-  return World(fast_world_config(seed), make_croupier_factory(proto_cfg()));
+  return World(fast_world_config(seed),
+               make_factory<core::Croupier>(proto_cfg()));
 }
 
 TEST(World, SpawnAssignsDistinctIds) {
@@ -73,7 +74,7 @@ TEST(World, RoundsExecuteAtRoundPeriod) {
 TEST(World, ClockSkewSpreadsRoundCounts) {
   auto cfg = fast_world_config(5);
   cfg.clock_skew = 0.05;
-  World world(cfg, make_croupier_factory(proto_cfg()));
+  World world(cfg, make_factory<core::Croupier>(proto_cfg()));
   populate(world, 20, 0);
   world.simulator().run_until(sim::sec(100));
   std::uint64_t lo = UINT64_MAX;
