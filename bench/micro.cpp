@@ -136,20 +136,42 @@ void BM_ViewMergeSwapper(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewMergeSwapper);
 
+// One public node-round of the estimator with a cache of Arg entries
+// (about 215 per node on the 1500-node paper-steady workload, 420 on the
+// 10k-node mega-parallel one): begin_round, the two shares a shuffle
+// request and response carry, two 10-entry merges, one estimate. The
+// merges refresh prefilled origins at ages 0-5, so the cache stays near
+// its size under γ = 50.
 void BM_EstimatorRound(benchmark::State& state) {
+  const auto cache_size = static_cast<net::NodeId>(state.range(0));
   core::RatioEstimator est(1, net::NatType::Public, {25, 50, 10});
   sim::RngStream rng(1);
-  std::vector<core::EstimateEntry> incoming;
-  for (net::NodeId i = 2; i < 12; ++i) incoming.push_back({i, 10, 40, 1});
+  std::vector<core::EstimateEntry> prefill;
+  for (net::NodeId i = 0; i < cache_size; ++i) {
+    prefill.push_back({i + 2, 10, 40, 0});
+  }
+  est.merge(prefill);
+  std::vector<std::vector<core::EstimateEntry>> batches(256);
+  for (auto& batch : batches) {
+    for (int i = 0; i < 10; ++i) {
+      batch.push_back({static_cast<net::NodeId>(2 + rng.uniform(cache_size)),
+                       10, 40, static_cast<std::uint16_t>(rng.uniform(6))});
+    }
+  }
+  std::size_t next = 0;
   for (auto _ : state) {
     est.count_request(net::NatType::Private);
     est.count_request(net::NatType::Public);
     est.begin_round();
-    est.merge(incoming);
+    benchmark::DoNotOptimize(est.share(rng));
+    benchmark::DoNotOptimize(est.share(rng));
+    est.merge(batches[next++ % batches.size()]);
+    est.merge(batches[next++ % batches.size()]);
     benchmark::DoNotOptimize(est.estimate());
   }
+  state.counters["cached"] = static_cast<double>(est.cached_count());
 }
-BENCHMARK(BM_EstimatorRound);
+BENCHMARK(BM_EstimatorRound)->Arg(215)->Arg(420);
 
 void BM_NatBoxLookup(benchmark::State& state) {
   net::NatBox nat(net::NatConfig::natted());

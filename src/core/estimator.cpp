@@ -78,16 +78,18 @@ RatioEstimator::RatioEstimator(net::NodeId self, net::NatType type,
     : self_(self), type_(type), cfg_(cfg) {
   CROUPIER_ASSERT(cfg_.local_history > 0);
   CROUPIER_ASSERT(cfg_.neighbour_history > 0);
+  CROUPIER_ASSERT(cfg_.neighbour_history <=
+                  EstimatorConfig::kMaxNeighbourHistory);
   CROUPIER_ASSERT(cfg_.share_limit > 0);
 }
 
 void RatioEstimator::begin_round() {
-  // Age the neighbour history and expire entries older than γ.
-  for (auto& e : cache_) {
-    if (e.age < 0xffff) ++e.age;
-  }
-  std::erase_if(cache_, [this](const EstimateEntry& e) {
-    return e.age > cfg_.neighbour_history;
+  // Age the neighbour history (every birth stamp is now one round older)
+  // and expire entries older than γ. No cached age passes γ + 1, so the
+  // 16-bit stamps never wrap into a wrong age.
+  ++round_;
+  std::erase_if(cache_, [this](const CacheEntry& e) {
+    return age_of(e) > cfg_.neighbour_history;
   });
 
   // Roll the finished round's counters into the local history window
@@ -118,13 +120,18 @@ void RatioEstimator::merge(std::span<const EstimateEntry> entries) {
     if (incoming.pub_hits == 0 && incoming.priv_hits == 0) continue;
     if (incoming.age > cfg_.neighbour_history) continue;
     auto it = std::find_if(cache_.begin(), cache_.end(),
-                           [&](const EstimateEntry& e) {
+                           [&](const CacheEntry& e) {
                              return e.origin == incoming.origin;
                            });
     if (it == cache_.end()) {
-      cache_.push_back(incoming);
-    } else if (incoming.age < it->age) {
-      *it = incoming;
+      // Grow by an eighth, not push_back's doubling: caches plateau near
+      // their steady size, where doubling left ~40% of the block unused.
+      if (cache_.size() == cache_.capacity()) {
+        cache_.reserve(cache_.size() + cache_.size() / 8 + 4);
+      }
+      cache_.push_back(stamped(incoming));
+    } else if (incoming.age < age_of(*it)) {
+      *it = stamped(incoming);
     }
   }
 }
@@ -140,9 +147,19 @@ std::vector<EstimateEntry> RatioEstimator::share(sim::RngStream& rng) const {
   const auto own = own_entry();
   const std::size_t from_cache =
       own.has_value() ? cfg_.share_limit - 1 : cfg_.share_limit;
-  std::vector<EstimateEntry> out =
-      rng.sample(std::span<const EstimateEntry>(cache_), from_cache);
+  const std::vector<CacheEntry> picked =
+      rng.sample(std::span<const CacheEntry>(cache_), from_cache);
+  std::vector<EstimateEntry> out;
+  out.reserve(picked.size() + (own.has_value() ? 1 : 0));
+  for (const auto& e : picked) out.push_back(entry_of(e));
   if (own.has_value()) out.push_back(*own);
+  return out;
+}
+
+std::vector<EstimateEntry> RatioEstimator::cached() const {
+  std::vector<EstimateEntry> out;
+  out.reserve(cache_.size());
+  for (const auto& e : cache_) out.push_back(entry_of(e));
   return out;
 }
 
@@ -150,7 +167,7 @@ double RatioEstimator::estimate() const {
   double sum = 0.0;
   std::size_t n = 0;
   for (const auto& e : cache_) {
-    sum += e.ratio();
+    sum += entry_of(e).ratio();
     ++n;
   }
   if (const auto own = local_estimate(); own.has_value()) {

@@ -61,6 +61,12 @@ struct EstimatorConfig {
   std::size_t local_history = 25;      // α: rounds of own hit counts kept
   std::size_t neighbour_history = 50;  // γ: max age of cached estimates
   std::size_t share_limit = 10;        // entries piggy-backed per message
+
+  /// Largest γ: cached ages are 16-bit round stamps, exact while no age
+  /// passes γ + 1 <= 0xffff.
+  static constexpr std::size_t kMaxNeighbourHistory = 0xfffe;
+  /// Largest share_limit: an estimate list's wire count is one byte.
+  static constexpr std::size_t kMaxShareLimit = 0xff;
 };
 
 class RatioEstimator {
@@ -95,14 +101,32 @@ class RatioEstimator {
   /// requests within the window (public nodes only).
   [[nodiscard]] std::optional<double> local_estimate() const;
 
-  /// Introspection (tests, diagnostics).
+  /// Introspection (tests, diagnostics): the cached estimates in cache
+  /// order, with their current ages.
   [[nodiscard]] std::size_t cached_count() const { return cache_.size(); }
-  [[nodiscard]] const std::vector<EstimateEntry>& cached() const {
-    return cache_;
-  }
+  [[nodiscard]] std::vector<EstimateEntry> cached() const;
   [[nodiscard]] const EstimatorConfig& config() const { return cfg_; }
 
  private:
+  // One cached estimate. It stores the round it was born in instead of
+  // its age, so aging the cache is one increment of round_. 16 bytes.
+  struct CacheEntry {
+    net::NodeId origin;
+    std::uint32_t pub_hits;
+    std::uint32_t priv_hits;
+    std::uint16_t born;  // round_ - age, mod 2^16
+  };
+
+  [[nodiscard]] std::uint16_t age_of(const CacheEntry& e) const {
+    return static_cast<std::uint16_t>(round_ - e.born);
+  }
+  [[nodiscard]] EstimateEntry entry_of(const CacheEntry& e) const {
+    return EstimateEntry{e.origin, e.pub_hits, e.priv_hits, age_of(e)};
+  }
+  [[nodiscard]] CacheEntry stamped(const EstimateEntry& e) const {
+    return CacheEntry{e.origin, e.pub_hits, e.priv_hits,
+                      static_cast<std::uint16_t>(round_ - e.age)};
+  }
   [[nodiscard]] std::optional<EstimateEntry> own_entry() const;
 
   net::NodeId self_;
@@ -117,8 +141,11 @@ class RatioEstimator {
   // Windowed sums kept incrementally.
   std::uint64_t window_pub_ = 0;
   std::uint64_t window_priv_ = 0;
-  // Cached estimates from other nodes (M_i); never contains self.
-  std::vector<EstimateEntry> cache_;
+  // Rounds begun, mod 2^16: the clock the cache's birth stamps read.
+  std::uint16_t round_ = 0;
+  // Cached estimates from other nodes (M_i); never contains self. Its
+  // order is part of the output: share() draws and estimate() sums by it.
+  std::vector<CacheEntry> cache_;
 };
 
 }  // namespace croupier::core

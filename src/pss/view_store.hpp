@@ -128,6 +128,11 @@ struct ViewTraits<NodeDescriptor> {
   }
 };
 
+/// Largest view a ViewStore holds. Views are small by design (paper view
+/// size 10); the bound stops an absurd `view=` option, which the
+/// registry rejects, before it reaches the allocator.
+inline constexpr std::size_t kMaxViewSlots = 0x7fff;
+
 /// Columnar bounded sequence of descriptors with an
 /// incrementally-maintained first-max-age slot.
 template <typename Desc>
@@ -356,10 +361,7 @@ class ViewStore {
   }
 
   void grow_storage(std::uint32_t new_reserved) {
-    // Views are small by design (paper view size 10); the bound stops an
-    // absurd `view=` option, which the registry only checks for >= 1,
-    // before it reaches the allocator.
-    CROUPIER_ASSERT(new_reserved <= 0x7fff);
+    CROUPIER_ASSERT(new_reserved <= kMaxViewSlots);
     const std::size_t bytes = block_bytes(new_reserved);
     std::byte* block =
         arena_ != nullptr ? arena_->allocate(bytes) : new std::byte[bytes];

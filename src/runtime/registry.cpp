@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -23,8 +24,22 @@ class OptionReader {
   OptionReader(std::string protocol, const ProtocolOptions& opts)
       : protocol_(std::move(protocol)), opts_(opts) {}
 
-  void size(const char* key, std::size_t& out) {
-    if (const auto* v = take(key)) out = static_cast<std::size_t>(u64(key, *v));
+  /// Count option; a value outside [lo, hi] is a spec error. The bounds
+  /// are what the protocol's constructor asserts or divides by.
+  void size(const char* key, std::size_t& out, std::size_t lo = 0,
+            std::size_t hi = std::numeric_limits<std::size_t>::max()) {
+    const auto* v = take(key);
+    if (v == nullptr) return;
+    const std::uint64_t n = u64(key, *v);
+    if (n < lo || n > hi) {
+      std::string range = ">= " + std::to_string(lo);
+      if (hi != std::numeric_limits<std::size_t>::max()) {
+        range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+      }
+      fail("protocol '" + protocol_ + "': option '" + key + "' must be " +
+           range + ", got " + *v);
+    }
+    out = static_cast<std::size_t>(n);
   }
 
   void u8(const char* key, std::uint8_t& out) {
@@ -63,18 +78,25 @@ class OptionReader {
   /// round period is a World::Config knob (the runtime drives rounds),
   /// so it is deliberately not offered here.
   void base(pss::PssConfig& cfg) {
-    size("view", cfg.view_size);
-    size("shuffle", cfg.shuffle_size);
+    size("view", cfg.view_size, 1, pss::kMaxViewSlots);
+    size("shuffle", cfg.shuffle_size, 1);
     size("fanout", cfg.bootstrap_fanout);
     choice("merge", cfg.merge,
            {{"swapper", pss::MergePolicy::Swapper},
             {"healer", pss::MergePolicy::Healer}});
-    if (cfg.view_size == 0) {
-      fail("protocol '" + protocol_ + "': view must be >= 1");
-    }
-    if (cfg.shuffle_size == 0) {
-      fail("protocol '" + protocol_ + "': shuffle must be >= 1");
-    }
+  }
+
+  /// Cross-option rule: a spec error stating `rule` unless `holds`.
+  void require(bool holds, const std::string& rule) const {
+    if (!holds) fail("protocol '" + protocol_ + "': " + rule);
+  }
+
+  /// Croupier, Cyclon, Gozar and Nylon assert that a shuffle fits in the
+  /// view; Arrg draws min(shuffle, view) and runs with any shuffle.
+  void shuffle_within_view(const pss::PssConfig& cfg) const {
+    require(cfg.shuffle_size <= cfg.view_size,
+            "shuffle (" + std::to_string(cfg.shuffle_size) +
+                ") must be <= view (" + std::to_string(cfg.view_size) + ")");
   }
 
   void finish() const {
@@ -121,14 +143,24 @@ core::CroupierConfig make_croupier_config(const ProtocolOptions& opts) {
   core::CroupierConfig cfg;
   OptionReader r("croupier", opts);
   r.base(cfg.base);
-  r.size("alpha", cfg.estimator.local_history);
-  r.size("gamma", cfg.estimator.neighbour_history);
-  r.size("share_limit", cfg.estimator.share_limit);
-  r.size("min_slots", cfg.min_view_slots);
+  r.size("alpha", cfg.estimator.local_history, 1);
+  r.size("gamma", cfg.estimator.neighbour_history, 1,
+         core::EstimatorConfig::kMaxNeighbourHistory);
+  r.size("share_limit", cfg.estimator.share_limit, 1,
+         core::EstimatorConfig::kMaxShareLimit);
+  r.size("min_slots", cfg.min_view_slots, 1);
   r.choice("sizing", cfg.sizing,
            {{"fixed", core::ViewSizing::FixedPerView},
             {"proportional", core::ViewSizing::RatioProportional}});
   r.finish();
+  r.shuffle_within_view(cfg.base);
+  if (cfg.sizing == core::ViewSizing::RatioProportional) {
+    r.require(cfg.base.view_size >= 2 * cfg.min_view_slots,
+              "view (" + std::to_string(cfg.base.view_size) +
+                  ") must be >= 2 * min_slots (" +
+                  std::to_string(cfg.min_view_slots) +
+                  ") with sizing=proportional");
+  }
   return cfg;
 }
 
@@ -137,6 +169,7 @@ pss::PssConfig make_cyclon_config(const ProtocolOptions& opts) {
   OptionReader r("cyclon", opts);
   r.base(cfg);
   r.finish();
+  r.shuffle_within_view(cfg);
   return cfg;
 }
 
@@ -144,11 +177,12 @@ baselines::GozarConfig make_gozar_config(const ProtocolOptions& opts) {
   baselines::GozarConfig cfg;
   OptionReader r("gozar", opts);
   r.base(cfg.base);
-  r.size("parents", cfg.num_parents);
-  r.size("keepalive", cfg.keepalive_rounds);
+  r.size("parents", cfg.num_parents, 1);
+  r.size("keepalive", cfg.keepalive_rounds, 1);
   r.size("parent_timeout", cfg.parent_timeout_rounds);
   r.size("redundancy", cfg.relay_redundancy);
   r.finish();
+  r.shuffle_within_view(cfg.base);
   return cfg;
 }
 
@@ -157,12 +191,17 @@ baselines::NylonConfig make_nylon_config(const ProtocolOptions& opts) {
   OptionReader r("nylon", opts);
   r.base(cfg.base);
   r.size("rvp_links", cfg.max_rvp_links);
-  r.size("keepalive", cfg.keepalive_rounds);
+  r.size("keepalive", cfg.keepalive_rounds, 1);
   r.size("rvp_ttl", cfg.rvp_ttl_rounds);
   r.u8("punch_hops", cfg.max_punch_hops);
   r.size("routing_table", cfg.routing_table_size);
   r.size("routing_ttl", cfg.routing_ttl_rounds);
   r.finish();
+  r.shuffle_within_view(cfg.base);
+  r.require(cfg.rvp_ttl_rounds >= cfg.keepalive_rounds,
+            "rvp_ttl (" + std::to_string(cfg.rvp_ttl_rounds) +
+                ") must be >= keepalive (" +
+                std::to_string(cfg.keepalive_rounds) + ")");
   return cfg;
 }
 
@@ -170,7 +209,7 @@ baselines::ArrgConfig make_arrg_config(const ProtocolOptions& opts) {
   baselines::ArrgConfig cfg;
   OptionReader r("arrg", opts);
   r.base(cfg.base);
-  r.size("open_list", cfg.open_list_size);
+  r.size("open_list", cfg.open_list_size, 1);
   r.finish();
   return cfg;
 }

@@ -13,7 +13,8 @@
 // This is what makes experiments *data*: a protocol choice is a string a
 // bench flag, an ExperimentSpec field, or a config file can carry. Code
 // that already holds a typed config wraps it with make_factory<P>(cfg).
-// Errors (unknown protocol, unknown option, malformed value) throw
+// Errors (unknown protocol, unknown option, malformed or out-of-range
+// value, a broken cross-option rule such as shuffle > view) throw
 // std::invalid_argument with a message naming the offender and the
 // accepted alternatives.
 #pragma once
@@ -50,7 +51,9 @@ ProtocolFactory make_factory(typename P::Config cfg = {}) {
 /// Typed config builders: paper defaults with `opts` applied. Exposed so
 /// tests and advanced callers can inspect or further tweak a parsed
 /// config before wrapping it in a factory. All throw std::invalid_argument
-/// on unknown keys or malformed values.
+/// on unknown keys, malformed or out-of-range values, and broken
+/// cross-option rules, so a config they return never trips a protocol
+/// constructor's assert.
 ///
 /// Options shared by every protocol: view, shuffle, fanout,
 /// merge=swapper|healer.

@@ -166,15 +166,54 @@ class RngStream {
 
   /// Samples up to n distinct elements from items, uniformly without
   /// replacement, in random order (so truncating the result keeps it an
-  /// unbiased sample).
+  /// unbiased sample). The draws are exactly sample_prefix()'s for the
+  /// same pool and n, and the result's capacity is its size.
+  ///
+  /// A small draw (n < size, n <= kSparseSampleMax) runs the partial
+  /// Fisher-Yates over the index range and remembers only the positions
+  /// its swaps displaced, so it neither copies the pool nor allocates
+  /// anything but the result. Larger draws copy the pool and select in
+  /// place: a displaced-position list would make them quadratic.
   template <typename T>
   std::vector<T> sample(std::span<const T> items, std::size_t n) {
-    std::vector<T> pool(items.begin(), items.end());
-    pool.resize(sample_prefix(std::span<T>(pool), n));
-    return pool;
+    const std::size_t size = items.size();
+    if (n >= size || n > kSparseSampleMax) {
+      std::vector<T> pool(items.begin(), items.end());
+      const std::size_t k = sample_prefix(std::span<T>(pool), n);
+      if (k == size) return pool;
+      return std::vector<T>(pool.begin(), pool.begin() + k);
+    }
+    // Step k's swap left at index moved_to[k] the pool position
+    // moved_pos[k]. An index's position is that of its latest record, or
+    // the index itself if it has none; indices below the cursor are never
+    // looked up again. Appending one record per step keeps the scan free
+    // of slot bookkeeping, and the arrays stay uninitialized: step i
+    // reads only records 0..i-1.
+    std::array<std::size_t, kSparseSampleMax> moved_to;
+    std::array<std::size_t, kSparseSampleMax> moved_pos;
+    std::vector<T> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(uniform(size - i));
+      std::size_t pos_j = j;
+      std::size_t pos_i = i;
+      for (std::size_t k = 0; k < i; ++k) {
+        pos_j = moved_to[k] == j ? moved_pos[k] : pos_j;
+        pos_i = moved_to[k] == i ? moved_pos[k] : pos_i;
+      }
+      out.push_back(items[pos_j]);
+      moved_to[i] = j;
+      moved_pos[i] = pos_i;
+    }
+    return out;
   }
 
  private:
+  /// Largest n that sample() draws without copying the pool. It covers
+  /// the estimator's share() (9 or 10), the bootstrap's fan-out (6) and
+  /// gozar's relay pick; failure and natflap draws run to thousands.
+  static constexpr std::size_t kSparseSampleMax = 16;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

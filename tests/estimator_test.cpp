@@ -1,9 +1,15 @@
 // Ratio estimator tests: the maths of paper equations (1)-(9) on
-// hand-computed cases, window semantics for α and γ, wire quantization.
+// hand-computed cases, window semantics for α and γ, wire quantization,
+// and a twin run against the vector-of-structs estimator it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "core/estimator.hpp"
 
@@ -281,6 +287,215 @@ INSTANTIATE_TEST_SUITE_P(
     HitPatterns, EstimatorRatioSweep,
     ::testing::Values(std::pair{1, 4}, std::pair{1, 1}, std::pair{3, 1},
                       std::pair{1, 9}, std::pair{7, 3}));
+
+/// The estimator before birth stamps, verbatim semantics: a vector of
+/// EstimateEntry whose ages begin_round() bumps (saturating at 0xffff),
+/// shared from a copy of the whole cache. The stamped RatioEstimator must
+/// match it call for call.
+class RefEstimator {
+ public:
+  RefEstimator(net::NodeId self, net::NatType type, EstimatorConfig cfg)
+      : self_(self), type_(type), cfg_(cfg) {}
+
+  void begin_round() {
+    for (auto& e : cache_) {
+      if (e.age < 0xffff) ++e.age;
+    }
+    std::erase_if(cache_, [this](const EstimateEntry& e) {
+      return e.age > cfg_.neighbour_history;
+    });
+    history_.emplace_back(round_pub_hits_, round_priv_hits_);
+    window_pub_ += round_pub_hits_;
+    window_priv_ += round_priv_hits_;
+    round_pub_hits_ = 0;
+    round_priv_hits_ = 0;
+    while (history_.size() > cfg_.local_history) {
+      window_pub_ -= history_.front().first;
+      window_priv_ -= history_.front().second;
+      history_.pop_front();
+    }
+  }
+
+  void count_request(net::NatType sender_type) {
+    if (sender_type == net::NatType::Public) {
+      ++round_pub_hits_;
+    } else {
+      ++round_priv_hits_;
+    }
+  }
+
+  void merge(std::span<const EstimateEntry> entries) {
+    for (const auto& incoming : entries) {
+      if (incoming.origin == self_) continue;
+      if (incoming.pub_hits == 0 && incoming.priv_hits == 0) continue;
+      if (incoming.age > cfg_.neighbour_history) continue;
+      auto it = std::find_if(cache_.begin(), cache_.end(),
+                             [&](const EstimateEntry& e) {
+                               return e.origin == incoming.origin;
+                             });
+      if (it == cache_.end()) {
+        cache_.push_back(incoming);
+      } else if (incoming.age < it->age) {
+        *it = incoming;
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<EstimateEntry> share(sim::RngStream& rng) const {
+    const auto own = own_entry();
+    const std::size_t from_cache =
+        own.has_value() ? cfg_.share_limit - 1 : cfg_.share_limit;
+    std::vector<EstimateEntry> out = cache_;
+    out.resize(rng.sample_prefix(std::span<EstimateEntry>(out), from_cache));
+    if (own.has_value()) out.push_back(*own);
+    return out;
+  }
+
+  [[nodiscard]] double estimate() const {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const auto& e : cache_) {
+      sum += e.ratio();
+      ++n;
+    }
+    if (const auto own = local_estimate(); own.has_value()) {
+      sum += *own;
+      ++n;
+    }
+    if (n == 0) return 0.5;
+    return sum / static_cast<double>(n);
+  }
+
+  [[nodiscard]] std::optional<double> local_estimate() const {
+    const auto own = own_entry();
+    if (!own.has_value()) return std::nullopt;
+    return own->ratio();
+  }
+
+  [[nodiscard]] const std::vector<EstimateEntry>& cached() const {
+    return cache_;
+  }
+
+ private:
+  [[nodiscard]] std::optional<EstimateEntry> own_entry() const {
+    if (type_ != net::NatType::Public) return std::nullopt;
+    if (window_pub_ + window_priv_ == 0) return std::nullopt;
+    return EstimateEntry{self_, static_cast<std::uint32_t>(window_pub_),
+                         static_cast<std::uint32_t>(window_priv_), 0};
+  }
+
+  net::NodeId self_;
+  net::NatType type_;
+  EstimatorConfig cfg_;
+  std::uint32_t round_pub_hits_ = 0;
+  std::uint32_t round_priv_hits_ = 0;
+  std::deque<std::pair<std::uint32_t, std::uint32_t>> history_;
+  std::uint64_t window_pub_ = 0;
+  std::uint64_t window_priv_ = 0;
+  std::vector<EstimateEntry> cache_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A shuffle's estimate list as the twin run feeds it: origins from a
+/// range small enough to repeat within one batch and including `self`,
+/// some zero-hit entries, and ages at 0, γ, γ + 1 and 0xffff as well as
+/// uniform ones.
+std::vector<EstimateEntry> twin_batch(sim::RngStream& rng, net::NodeId origins,
+                                      std::size_t gamma) {
+  std::vector<EstimateEntry> batch(rng.uniform(25));
+  for (auto& e : batch) {
+    e.origin = static_cast<net::NodeId>(1 + rng.uniform(origins));
+    if (!rng.chance(0.1)) {
+      e.pub_hits = static_cast<std::uint32_t>(rng.uniform(300));
+      e.priv_hits = static_cast<std::uint32_t>(rng.uniform(1200));
+    }
+    switch (rng.uniform(6)) {
+      case 0: e.age = 0; break;
+      case 1: e.age = static_cast<std::uint16_t>(gamma); break;
+      case 2: e.age = static_cast<std::uint16_t>(gamma + 1); break;
+      case 3: e.age = 0xffff; break;
+      default: e.age = static_cast<std::uint16_t>(rng.uniform(gamma + 2));
+    }
+  }
+  return batch;
+}
+
+void twin_run(EstimatorConfig cfg, net::NatType type, std::uint64_t seed,
+              std::size_t rounds) {
+  constexpr net::NodeId kSelf = 7;
+  const auto origins =
+      static_cast<net::NodeId>(2 * cfg.share_limit + 40);  // > share_limit
+  sim::RngStream ops(seed);
+  sim::RngStream draws(seed ^ 0x5eed);
+  sim::RngStream ref_draws(seed ^ 0x5eed);
+  RatioEstimator est(kSelf, type, cfg);
+  RefEstimator ref(kSelf, type, cfg);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::uint64_t op = ops.uniform(6); op > 0; --op) {
+      switch (ops.uniform(4)) {
+        case 0: {
+          const auto sender = ops.chance(0.3) ? net::NatType::Public
+                                              : net::NatType::Private;
+          est.count_request(sender);
+          ref.count_request(sender);
+          break;
+        }
+        case 1: {
+          const auto batch =
+              twin_batch(ops, origins, cfg.neighbour_history);
+          est.merge(batch);
+          ref.merge(batch);
+          break;
+        }
+        case 2:
+          ASSERT_EQ(est.share(draws), ref.share(ref_draws))
+              << "round " << round;
+          break;
+        default: {
+          ASSERT_EQ(bits(est.estimate()), bits(ref.estimate()))
+              << "round " << round;
+          const auto local = est.local_estimate();
+          const auto ref_local = ref.local_estimate();
+          ASSERT_EQ(local.has_value(), ref_local.has_value());
+          if (local.has_value()) {
+            ASSERT_EQ(bits(*local), bits(*ref_local));
+          }
+        }
+      }
+    }
+    est.begin_round();
+    ref.begin_round();
+    ASSERT_EQ(est.cached(), ref.cached()) << "round " << round;
+    ASSERT_EQ(est.cached_count(), ref.cached().size());
+  }
+  EXPECT_EQ(draws.next_u64(), ref_draws.next_u64());
+}
+
+// (α, γ, share_limit): the paper's defaults, the smallest legal values,
+// the largest share_limit (full shuffles and, past 16 entries, the dense
+// sample path), and the largest γ.
+TEST(RatioEstimatorTwin, MatchesVectorOfStructsEstimator) {
+  for (const EstimatorConfig cfg : {EstimatorConfig{25, 50, 10},
+                                    EstimatorConfig{1, 1, 1},
+                                    EstimatorConfig{100, 250, 255}}) {
+    for (const auto type : {net::NatType::Public, net::NatType::Private}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << "gamma " << cfg.neighbour_history << ", public "
+                     << (type == net::NatType::Public) << ", seed "
+                     << seed);
+        twin_run(cfg, type, seed, 600);
+      }
+    }
+  }
+}
+
+// γ = 65534 keeps entries for up to 65534 rounds; running past 65,536
+// rounds wraps the 16-bit round counter under live birth stamps.
+TEST(RatioEstimatorTwin, MatchesAcrossRoundCounterWrap) {
+  twin_run(EstimatorConfig{3, 65534, 10}, net::NatType::Public, 11, 70'000);
+}
 
 }  // namespace
 }  // namespace croupier::core

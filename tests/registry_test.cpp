@@ -4,6 +4,8 @@
 // construction through a World.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
 #include <stdexcept>
 
 #include "runtime/registry.hpp"
@@ -103,6 +105,82 @@ TEST(ProtocolRegistry, BaselineOptionsApply) {
 
   const auto cyclon = make_cyclon_config({{"shuffle", "4"}});
   EXPECT_EQ(cyclon.shuffle_size, 4u);
+}
+
+// Each spec passes the registry's syntax checks but breaks a bound a
+// protocol relies on: all but the last two used to abort a trial (or
+// divide by zero), and those two break the estimator's u16 age stamps and
+// its one-byte wire count. The error names the protocol and the option.
+struct RejectedSpec {
+  const char* spec;
+  const char* option;
+  friend void PrintTo(const RejectedSpec& c, std::ostream* os) {
+    *os << c.spec;
+  }
+};
+
+class ProtocolRegistryRejects
+    : public ::testing::TestWithParam<RejectedSpec> {};
+
+TEST_P(ProtocolRegistryRejects, OutOfRangeOrInconsistentOption) {
+  const RejectedSpec c = GetParam();
+  const std::string name = ProtocolRegistry::parse_spec(c.spec).first;
+  try {
+    (void)reg().make_from_spec(c.spec);
+    FAIL() << c.spec << ": expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("protocol '" + name + "': ", 0), 0u) << msg;
+    EXPECT_NE(msg.find(c.option), std::string::npos) << msg;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CrashingSpecs, ProtocolRegistryRejects,
+    ::testing::Values(
+        RejectedSpec{"croupier:alpha=0", "alpha"},
+        RejectedSpec{"croupier:gamma=0", "gamma"},
+        RejectedSpec{"croupier:share_limit=0", "share_limit"},
+        RejectedSpec{"croupier:shuffle=20", "shuffle"},
+        RejectedSpec{"cyclon:shuffle=20", "shuffle"},
+        RejectedSpec{"gozar:shuffle=20", "shuffle"},
+        RejectedSpec{"nylon:shuffle=20", "shuffle"},
+        RejectedSpec{"croupier:sizing=proportional,min_slots=6",
+                     "min_slots"},
+        RejectedSpec{"croupier:sizing=proportional,min_slots=0",
+                     "min_slots"},
+        RejectedSpec{"croupier:view=100000", "view"},
+        RejectedSpec{"gozar:parents=0", "parents"},
+        RejectedSpec{"gozar:keepalive=0", "keepalive"},
+        RejectedSpec{"nylon:keepalive=0", "keepalive"},
+        RejectedSpec{"nylon:keepalive=5,rvp_ttl=1", "rvp_ttl"},
+        RejectedSpec{"arrg:open_list=0", "open_list"},
+        RejectedSpec{"croupier:gamma=65535", "gamma"},
+        RejectedSpec{"croupier:share_limit=256", "share_limit"}),
+    [](const ::testing::TestParamInfo<RejectedSpec>& info) {
+      std::string id;
+      for (const char* c = info.param.spec; *c != '\0'; ++c) {
+        id += std::isalnum(static_cast<unsigned char>(*c)) ? *c : '_';
+      }
+      return id;
+    });
+
+// The largest accepted values still build worlds whose trials run.
+TEST(ProtocolRegistry, BoundaryValuesAreAcceptedAndRun) {
+  for (const char* spec :
+       {"croupier:gamma=65534", "croupier:share_limit=255",
+        "croupier:shuffle=10,view=10",
+        "croupier:sizing=proportional,min_slots=5", "croupier:view=32767",
+        "arrg:shuffle=20"}) {
+    World::Config cfg;
+    cfg.seed = 3;
+    cfg.latency = World::LatencyKind::Constant;
+    cfg.constant_latency = sim::msec(20);
+    World world(cfg, reg().make_from_spec(spec));
+    for (int i = 0; i < 8; ++i) world.spawn(net::NatConfig::open());
+    world.simulator().run_until(sim::sec(10));
+    EXPECT_EQ(world.alive_count(), 8u) << spec;
+  }
 }
 
 TEST(ProtocolRegistry, ParseSpecSplitsNameAndOptions) {

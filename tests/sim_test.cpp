@@ -370,6 +370,43 @@ TEST(Rng, SampleFromEmptyPool) {
   EXPECT_TRUE(r.sample(std::span<const int>(pool), 5).empty());
 }
 
+// sample() must make exactly the draws of sample_prefix() on a copy of
+// the pool: the same elements in the same order, with the stream left in
+// the same state, so switching between them cannot move an output byte.
+// Its result is also tight, as shuffle messages keep it.
+void expect_sample_is_prefix_draw(std::size_t size, std::size_t n,
+                                  std::uint64_t seed) {
+  std::vector<int> pool(size);
+  std::iota(pool.begin(), pool.end(), 100);
+  RngStream sampled(seed);
+  RngStream prefixed(seed);
+  const auto picked = sampled.sample(std::span<const int>(pool), n);
+  std::vector<int> copy = pool;
+  copy.resize(prefixed.sample_prefix(std::span<int>(copy), n));
+  EXPECT_EQ(picked, copy) << "size " << size << ", n " << n;
+  EXPECT_EQ(picked.capacity(), picked.size())
+      << "size " << size << ", n " << n;
+  EXPECT_EQ(sampled.next_u64(), prefixed.next_u64())
+      << "size " << size << ", n " << n;
+}
+
+TEST(Rng, SampleMakesSamplePrefixDraws) {
+  // Every n from 0 to size + 2 crosses the 16-entry sparse limit and the
+  // n >= size full shuffle.
+  for (std::size_t size = 0; size <= 40; ++size) {
+    for (std::size_t n = 0; n <= size + 2; ++n) {
+      expect_sample_is_prefix_draw(size, n, size * 1000 + n + 1);
+    }
+  }
+  for (std::size_t n = 0; n <= 1002; ++n) {
+    expect_sample_is_prefix_draw(1000, n, n + 7);
+  }
+}
+
+TEST(Rng, SampleDenseDrawMakesSamplePrefixDraws) {
+  expect_sample_is_prefix_draw(10000, 5000, 99);
+}
+
 // Property sweep: sample() hits every element eventually (uniformity
 // smoke test across pool sizes).
 class RngSampleSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "core/estimator.hpp"
 #include "sim/rng.hpp"
 #include "wire/wire.hpp"
 
@@ -190,6 +192,26 @@ TEST_P(WireFuzzRoundTrip, RandomSequences) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// An estimate list's count is one byte, so 255 entries (the registry's
+// share_limit bound) is the longest list that survives the trip. Counts
+// and ages stay in the byte range, so quantization is the identity, and
+// origins cross the 0xffff escape.
+TEST(RoundTrip, LongestEstimateList) {
+  sim::RngStream rng(17);
+  std::vector<core::EstimateEntry> list;
+  for (std::uint32_t i = 0; i < core::EstimatorConfig::kMaxShareLimit; ++i) {
+    list.push_back(core::EstimateEntry{
+        0xff80u + i, static_cast<std::uint32_t>(rng.uniform(256)),
+        static_cast<std::uint32_t>(rng.uniform(256)),
+        static_cast<std::uint16_t>(rng.uniform(256))});
+  }
+  Writer w;
+  core::encode(w, list);
+  Reader r(w.data());
+  EXPECT_EQ(core::decode_estimates(r), list);
+  EXPECT_TRUE(r.exhausted());
+}
 
 }  // namespace
 }  // namespace croupier::wire
