@@ -4,6 +4,8 @@
 // gossip-round throughput per protocol (the BENCH_micro.json baseline).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
 
 #include "core/croupier.hpp"
@@ -21,18 +23,36 @@ namespace {
 
 using namespace croupier;
 
-void BM_SimulatorEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    for (int i = 0; i < 1000; ++i) {
-      simulator.schedule_after(static_cast<sim::Duration>(i), [] {});
-    }
-    simulator.run();
-    benchmark::DoNotOptimize(simulator.events_processed());
+// A hold model of the event core: every fired event schedules one
+// successor at a random delay, so the queue keeps its size while pushes
+// land all over the heap. Each closure captures a shared_ptr and three
+// ints, like a message delivery.
+struct HoldModel {
+  sim::Simulator simulator;
+  sim::RngStream rng{1};
+  std::shared_ptr<int> message = std::make_shared<int>(0);
+
+  void schedule(std::uint32_t from, std::uint32_t to, std::uint32_t hops) {
+    simulator.schedule_after(1 + rng.uniform(sim::msec(100)),
+                             [this, msg = message, from, to, hops] {
+                               benchmark::DoNotOptimize(*msg);
+                               schedule(to, from, hops + 1);
+                             });
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+};
+
+// One iteration is one event; range(0) events stay pending. mega-parallel
+// holds about one round timer per node (10k) plus the messages in flight.
+void BM_SimulatorEventThroughput(benchmark::State& state) {
+  HoldModel model;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    model.schedule(static_cast<std::uint32_t>(i), 0, 0);
+  }
+  for (auto _ : state) model.simulator.step();
+  benchmark::DoNotOptimize(model.simulator.events_processed());
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SimulatorEventThroughput);
+BENCHMARK(BM_SimulatorEventThroughput)->Arg(1000)->Arg(10000);
 
 void BM_RngUniform(benchmark::State& state) {
   sim::RngStream rng(1);

@@ -88,7 +88,9 @@ if [ -x "$LAB" ]; then
   # contracts on both parallelism axes. So must worlds whose timers undercut
   # the network latency (a 20 ms round, a private round scaled to 10 ms,
   # the 3 s reassembly GC under a 4 s latency): each of those delays
-  # bounds the world engine's lookahead.
+  # bounds the world engine's lookahead. The NAT-ID spec under churn runs
+  # the one guarded event that goes stale in real runs: an identification
+  # timeout firing as a no-op after a ForwardResp decided.
   scenario_flags=(
     --spec="protocol=croupier nodes=300 ratio=0.2 flash=at:30,publics:120,privates:30,over:5 duration=70"
     --spec="protocol=croupier nodes=300 ratio=0.2 failure=at:40,frac:0.3,corr:region duration=70"
@@ -96,6 +98,7 @@ if [ -x "$LAB" ]; then
     --spec="protocol=croupier nodes=200 join=instant latency=constant latency-ms=50 round-ms=20 duration=5"
     --spec="protocol=croupier nodes=300 ratio=0.3 join=instant private-round-scale=0.01 latency=constant latency-ms=30 duration=5"
     --spec="protocol=croupier nodes=1000 join=instant latency=constant latency-ms=4000 round-ms=5000 mtu=64 duration=60 record-every=5"
+    --spec="protocol=croupier nodes=300 ratio=0.2 natid=1 churn=0.01 churn-at=20 duration=60"
     --runs=2)
   run_config "$LAB" "scen.j1" "${scenario_flags[@]}" --jobs=1 --world-jobs=1
   run_config "$LAB" "scen.j4" "${scenario_flags[@]}" --jobs=4 --world-jobs=1
@@ -104,7 +107,7 @@ if [ -x "$LAB" ]; then
   check_same "croupier-lab-scenarios" "scen.j1" "scen.j4" || ok=0
   check_same "croupier-lab-scenarios" "scen.j1" "scen.w4" || ok=0
   [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab scenarios flash/failure/loss/short-timers (jobs 1/4, world-jobs 1/4)"
+    echo "ok   croupier-lab scenarios flash/failure/loss/short-timers/natid (jobs 1/4, world-jobs 1/4)"
 
   # The PR-8 packet layer — fragmentation at mtu=64, FEC repair under
   # per-fragment loss, token-bucket bandwidth caps — must honour the same

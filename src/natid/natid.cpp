@@ -139,7 +139,9 @@ void NatIdClient::start() {
     network_.send(self_, target, test);
   }
 
-  timeout_event_ = network_.simulator().schedule_after(
+  // Never retracted: once a ForwardResp decides, the timeout fires as a
+  // no-op.
+  network_.simulator().schedule_after(
       cfg_.timeout, [this, alive = alive_flag_]() {
         if (!*alive || finished_) return;
         finish(net::NatType::Private);
@@ -150,10 +152,6 @@ bool NatIdClient::on_message(net::NodeId /*from*/, const net::Message& msg) {
   if (msg.type() != kForwardResp) return false;
   if (finished_) return true;
   const auto& resp = static_cast<const ForwardResp&>(msg);
-  if (timeout_event_.has_value()) {
-    network_.simulator().cancel(*timeout_event_);
-    timeout_event_.reset();
-  }
   const net::IpAddr local = network_.local_ip(self_);
   finish(local == resp.observed_ip ? net::NatType::Public
                                    : net::NatType::Private);

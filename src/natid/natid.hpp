@@ -138,7 +138,6 @@ class NatIdClient {
   bool started_ = false;
   bool finished_ = false;
   std::optional<net::NatType> result_;
-  std::optional<sim::EventId> timeout_event_;
   // Guards the timeout closure against the client being destroyed first.
   std::shared_ptr<bool> alive_flag_;
 };

@@ -288,8 +288,7 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
              .emplace(frag.header.msg_id,
                       Assembly{FragmentAssembly(frag.header), msg})
              .first;
-    // One GC event per entry, armed at first-fragment arrival. Never
-    // cancelled (cancel() is off-limits inside parallel batches): if the
+    // One GC event per entry, armed at first-fragment arrival. If the
     // message completes first, the entry sits inert — suppressing late
     // duplicates — until the timeout sweeps it.
     const std::uint64_t msg_id = frag.header.msg_id;

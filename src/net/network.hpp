@@ -20,13 +20,13 @@
 // is byte-identical to its pre-packet self.
 //
 // Parallel-engine contract: send() and deliver() run on worker threads
-// when the round-synchronous engine is active, so every touch of shared
+// when a round-synchronous executor is attached, so every touch of shared
 // state — the traffic meter, the loss/latency RNG, the drop counters, and
 // the event queue — is routed through Simulator::defer(), which replays
 // the effects serially in deterministic order. Only the calling node's
 // own NAT box (and, on delivery, the receiving node's own reassembly
 // buffers — sharded by receiver exactly like the NAT box) is mutated
-// inline.  Under the sequential engine defer() degenerates to an
+// inline.  Outside a parallel batch defer() degenerates to an
 // immediate call and nothing changes.
 #pragma once
 

@@ -2,8 +2,6 @@
 
 #include <fstream>
 
-#include "common/assert.hpp"
-
 namespace croupier::run {
 
 bool EstimationRecorder::write_csv(const std::string& path) const {
@@ -31,39 +29,25 @@ bool GraphStatsRecorder::write_csv(const std::string& path) const {
 }
 
 EstimationRecorder::EstimationRecorder(World& world, Options opt)
-    : world_(world), opt_(opt) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
-
-void EstimationRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
+    : world_(world),
+      opt_(opt),
+      ticker_(world.simulator(), opt.interval, [this] { tick(); }) {}
 
 void EstimationRecorder::tick() {
-  if (!running_) return;
   const auto estimates = world_.ratio_estimates(opt_.min_rounds);
   metrics::ErrorPoint point;
   point.t_seconds = sim::to_seconds(world_.simulator().now());
   point.sample = metrics::estimation_errors(estimates, world_.true_ratio());
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
 }
 
 GraphStatsRecorder::GraphStatsRecorder(World& world, Options opt)
-    : world_(world), opt_(opt), rng_(world.scenario_rng().fork(0x6EA9)) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
-
-void GraphStatsRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
+    : world_(world),
+      opt_(opt),
+      rng_(world.scenario_rng().fork(0x6EA9)),
+      ticker_(world.simulator(), opt.interval, [this] { tick(); }) {}
 
 void GraphStatsRecorder::tick() {
-  if (!running_) return;
   const auto graph = world_.snapshot_overlay();
   GraphStatsPoint point;
   point.t_seconds = sim::to_seconds(world_.simulator().now());
@@ -73,27 +57,21 @@ void GraphStatsRecorder::tick() {
       rng_, opt_.path_length_sources, &point.unreachable_fraction);
   point.clustering_coefficient = graph.avg_clustering_coefficient();
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
 }
 
 SampledGraphStatsRecorder::SampledGraphStatsRecorder(World& world,
                                                      Options opt)
     : world_(world),
-      opt_(opt),
       rng_(world.scenario_rng().fork(0x6EAB)),
-      estimator_(opt.estimator) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
+      estimator_(opt.estimator),
+      ticker_(world.simulator(), opt.interval, [this] { tick(); }) {}
 
 void SampledGraphStatsRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
   kill_epoch_ = world_.kill_count();
-  world_.simulator().schedule_at(at, [this] { tick(); });
+  ticker_.start(at);
 }
 
 void SampledGraphStatsRecorder::tick() {
-  if (!running_) return;
   if (world_.kill_count() != kill_epoch_) {
     kill_epoch_ = world_.kill_count();
     estimator_.reset_accumulators();
@@ -115,7 +93,6 @@ void SampledGraphStatsRecorder::tick() {
       world_.gossiping_count(), neighbors, is_vertex, rng_);
   point.t_seconds = sim::to_seconds(world_.simulator().now());
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
 }
 
 bool SampledGraphStatsRecorder::write_csv(const std::string& path) const {
@@ -134,18 +111,10 @@ bool SampledGraphStatsRecorder::write_csv(const std::string& path) const {
 }
 
 RandomnessAuditRecorder::RandomnessAuditRecorder(World& world, Options opt)
-    : world_(world), opt_(opt) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
-
-void RandomnessAuditRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
+    : world_(world),
+      ticker_(world.simulator(), opt.interval, [this] { tick(); }) {}
 
 void RandomnessAuditRecorder::tick() {
-  if (!running_) return;
   metrics::RandomnessAuditor::Adjacency adjacency;
   adjacency.reserve(world_.gossiping_count());
   for (const net::NodeId id : world_.sorted_ids()) {
@@ -157,7 +126,6 @@ void RandomnessAuditRecorder::tick() {
                                 world_.true_ratio(),
                                 sim::to_seconds(world_.simulator().now()));
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
 }
 
 bool RandomnessAuditRecorder::write_csv(const std::string& path) const {

@@ -10,6 +10,10 @@
 // GraphStatsRecorder: instead of materializing the full overlay every
 // tick it runs the O(sample) streaming estimators (metrics/streaming)
 // against the implicit graph. Selected with record=graph-sampled.
+//
+// Every recorder ticks through a sim::Ticker: start(at) samples at `at`
+// and every interval after that; stop() is immediate and idempotent, and
+// a restart never leaves the stopped chain sampling beside the new one.
 #pragma once
 
 #include <string>
@@ -19,6 +23,7 @@
 #include "metrics/randomness.hpp"
 #include "metrics/streaming.hpp"
 #include "runtime/world.hpp"
+#include "sim/ticker.hpp"
 
 namespace croupier::run {
 
@@ -35,8 +40,8 @@ class EstimationRecorder {
 
   /// Starts sampling at `at` and every `interval` thereafter (while the
   /// simulation keeps running).
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
+  void start(sim::SimTime at) { ticker_.start(at); }
+  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const metrics::ErrorSeries& series() const { return series_; }
 
@@ -54,8 +59,8 @@ class EstimationRecorder {
 
   World& world_;
   Options opt_;
-  bool running_ = false;
   metrics::ErrorSeries series_;
+  sim::Ticker ticker_;
 };
 
 /// One timestamped snapshot of overlay randomness metrics.
@@ -80,8 +85,8 @@ class GraphStatsRecorder {
 
   GraphStatsRecorder(World& world, Options opt = {});
 
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
+  void start(sim::SimTime at) { ticker_.start(at); }
+  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const std::vector<GraphStatsPoint>& series() const {
     return series_;
@@ -96,9 +101,9 @@ class GraphStatsRecorder {
 
   World& world_;
   Options opt_;
-  bool running_ = false;
   sim::RngStream rng_;
   std::vector<GraphStatsPoint> series_;
+  sim::Ticker ticker_;
 };
 
 struct SampledGraphStatsRecorderOptions {
@@ -118,7 +123,7 @@ class SampledGraphStatsRecorder {
   SampledGraphStatsRecorder(World& world, Options opt = {});
 
   void start(sim::SimTime at);
-  void stop() { running_ = false; }
+  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const std::vector<Point>& series() const { return series_; }
 
@@ -136,12 +141,11 @@ class SampledGraphStatsRecorder {
   void tick();
 
   World& world_;
-  Options opt_;
-  bool running_ = false;
   sim::RngStream rng_;
   metrics::StreamingGraphEstimator estimator_;
   std::uint64_t kill_epoch_ = 0;
   std::vector<Point> series_;
+  sim::Ticker ticker_;
 };
 
 struct RandomnessRecorderOptions {
@@ -162,8 +166,8 @@ class RandomnessAuditRecorder {
 
   RandomnessAuditRecorder(World& world, Options opt = {});
 
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
+  void start(sim::SimTime at) { ticker_.start(at); }
+  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const std::vector<metrics::RandomnessPoint>& series() const {
     return series_;
@@ -183,10 +187,9 @@ class RandomnessAuditRecorder {
   void tick();
 
   World& world_;
-  Options opt_;
-  bool running_ = false;
   metrics::RandomnessAuditor auditor_;
   std::vector<metrics::RandomnessPoint> series_;
+  sim::Ticker ticker_;
 };
 
 }  // namespace croupier::run

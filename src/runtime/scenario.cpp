@@ -332,26 +332,21 @@ ChurnProcess::ChurnProcess(World& world, double fraction_per_round,
       fraction_(fraction_per_round),
       public_cfg_(public_cfg),
       private_cfg_(private_cfg),
-      period_(period) {
+      ticker_(world.simulator(), period, [this] { tick(); }) {
   CROUPIER_ASSERT(fraction_ >= 0.0 && fraction_ < 1.0);
   CROUPIER_ASSERT(public_cfg_.nat_type() == net::NatType::Public);
   CROUPIER_ASSERT(private_cfg_.nat_type() == net::NatType::Private);
-  CROUPIER_ASSERT(period_ > 0);
 }
 
 void ChurnProcess::start(sim::SimTime at) {
   CROUPIER_ASSERT(!running_);
   running_ = true;
-  pending_ = world_.simulator().schedule_at(at, [this] { tick(); });
+  ticker_.start(at);
 }
 
 void ChurnProcess::stop() {
-  if (!running_) return;
   running_ = false;
-  if (pending_ != sim::kInvalidEventId) {
-    world_.simulator().cancel(pending_);
-    pending_ = sim::kInvalidEventId;
-  }
+  ticker_.stop();
 }
 
 ScenarioProcess::Stats ChurnProcess::stats() const {
@@ -361,9 +356,6 @@ ScenarioProcess::Stats ChurnProcess::stats() const {
 }
 
 void ChurnProcess::tick() {
-  pending_ = sim::kInvalidEventId;
-  if (!running_) return;
-
   auto replace_class = [this](net::NatType type, double& carry,
                               const net::NatConfig& cfg) {
     if (world_.count(type) == 0) {
@@ -379,79 +371,62 @@ void ChurnProcess::tick() {
 
     auto& rng = world_.scenario_rng();
     for (std::size_t i = 0; i < quota; ++i) {
-      // Pick a victim of the right class by rejection (class shares are
-      // large, so this terminates quickly).
+      // Pick a victim of the right class by rejection. The class is
+      // non-empty and every replacement keeps its size, so this ends
+      // however small a share of the population the class is.
       const auto& alive = world_.alive_ids();
-      if (alive.empty()) break;
-      for (int attempt = 0; attempt < 64; ++attempt) {
-        const net::NodeId victim = alive[rng.index(alive.size())];
-        if (world_.type_of(victim) == type) {
-          world_.kill(victim);
-          world_.spawn(cfg);
-          ++replaced_;
-          break;
-        }
+      net::NodeId victim = alive[rng.index(alive.size())];
+      while (world_.type_of(victim) != type) {
+        victim = alive[rng.index(alive.size())];
       }
+      world_.kill(victim);
+      world_.spawn(cfg);
+      ++replaced_;
     }
   };
 
   replace_class(net::NatType::Public, carry_public_, public_cfg_);
   replace_class(net::NatType::Private, carry_private_, private_cfg_);
-
-  if (running_) {
-    pending_ = world_.simulator().schedule_after(period_, [this] { tick(); });
-  }
 }
 
 // ---------------------------------------------------------------- eclipse
 
 EclipseProcess::EclipseProcess(World& world, net::NodeId target,
                                sim::Duration period)
-    : ScenarioProcess(world), target_(target), period_(period) {
+    : ScenarioProcess(world),
+      target_(target),
+      ticker_(world.simulator(), period, [this] { tick(); }) {
   CROUPIER_ASSERT(target_ != net::kNilNode);
-  CROUPIER_ASSERT(period_ > 0);
 }
 
 void EclipseProcess::start(sim::SimTime at) {
   CROUPIER_ASSERT(!running_);
   running_ = true;
-  pending_ = world_.simulator().schedule_at(at, [this] { tick(); });
+  ticker_.start(at);
 }
 
 void EclipseProcess::stop() {
-  if (!running_) return;
   running_ = false;
-  if (pending_ != sim::kInvalidEventId) {
-    world_.simulator().cancel(pending_);
-    pending_ = sim::kInvalidEventId;
-  }
+  ticker_.stop();
 }
 
 void EclipseProcess::tick() {
-  pending_ = sim::kInvalidEventId;
-  if (!running_) return;
-
   const auto* sampler =
       world_.alive(target_) ? world_.sampler(target_) : nullptr;
-  if (sampler != nullptr) {
-    // Snapshot, sort and dedupe the target's out-edges so the kill order
-    // is a pure function of the view contents.
-    std::vector<net::NodeId> neighbors = sampler->out_neighbors();
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-    for (const net::NodeId id : neighbors) {
-      if (id == target_ || !world_.alive(id)) continue;
-      const net::NatType type = world_.type_of(id);
-      world_.kill(id);
-      world_.spawn(type == net::NatType::Public ? net::NatConfig::open()
-                                                : net::NatConfig::natted());
-      ++stats_.replaced;
-    }
-  }
-
-  if (running_) {
-    pending_ = world_.simulator().schedule_after(period_, [this] { tick(); });
+  if (sampler == nullptr) return;
+  // Snapshot, sort and dedupe the target's out-edges so the kill order
+  // is a pure function of the view contents.
+  std::vector<net::NodeId> neighbors = sampler->out_neighbors();
+  std::sort(neighbors.begin(), neighbors.end());
+  neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
+                  neighbors.end());
+  for (const net::NodeId id : neighbors) {
+    if (id == target_ || !world_.alive(id)) continue;
+    const net::NatType type = world_.type_of(id);
+    world_.kill(id);
+    world_.spawn(type == net::NatType::Public ? net::NatConfig::open()
+                                              : net::NatConfig::natted());
+    ++stats_.replaced;
   }
 }
 
@@ -459,32 +434,26 @@ void EclipseProcess::tick() {
 
 NatFlapProcess::NatFlapProcess(World& world, double fraction,
                                sim::Duration period)
-    : ScenarioProcess(world), fraction_(fraction), period_(period) {
+    : ScenarioProcess(world),
+      fraction_(fraction),
+      ticker_(world.simulator(), period, [this] { tick(); }) {
   CROUPIER_ASSERT(fraction_ > 0.0 && fraction_ <= 1.0);
-  CROUPIER_ASSERT(period_ > 0);
 }
 
 void NatFlapProcess::start(sim::SimTime at) {
   CROUPIER_ASSERT(!running_);
   running_ = true;
-  pending_ = world_.simulator().schedule_at(at, [this] { tick(); });
+  ticker_.start(at);
 }
 
 void NatFlapProcess::stop() {
-  if (!running_) return;
   running_ = false;
-  if (pending_ != sim::kInvalidEventId) {
-    world_.simulator().cancel(pending_);
-    pending_ = sim::kInvalidEventId;
-  }
+  ticker_.stop();
   // Flapped nodes keep their flipped class until the next "back" phase
   // of a restarted process — a stopped attack does not undo itself.
 }
 
 void NatFlapProcess::tick() {
-  pending_ = sim::kInvalidEventId;
-  if (!running_) return;
-
   if (out_phase_) {
     const auto targets = static_cast<std::size_t>(std::floor(
         fraction_ * static_cast<double>(world_.alive_count())));
@@ -508,10 +477,6 @@ void NatFlapProcess::tick() {
     flapped_.clear();
   }
   out_phase_ = !out_phase_;
-
-  if (running_) {
-    pending_ = world_.simulator().schedule_after(period_, [this] { tick(); });
-  }
 }
 
 }  // namespace croupier::run

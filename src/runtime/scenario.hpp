@@ -35,6 +35,7 @@
 
 #include "net/nat.hpp"
 #include "runtime/world.hpp"
+#include "sim/ticker.hpp"
 
 namespace croupier::run {
 
@@ -190,17 +191,12 @@ class ChurnProcess final : public ScenarioProcess {
   ChurnProcess(World& world, double fraction_per_round,
                net::NatConfig public_cfg, net::NatConfig private_cfg,
                sim::Duration period = sim::sec(1));
-  /// Cancels the pending tick: no event capturing this object survives
-  /// it (the owning World must still be alive, which every owner —
-  /// Experiment pipeline or stack scope — already guarantees).
-  ~ChurnProcess() override { stop(); }
 
   /// Starts replacing nodes at time `at`. Runs until stop().
   void start(sim::SimTime at) override;
-  /// Immediate and idempotent: the pending tick is cancelled, so no
-  /// replacement fires after stop() even if one was already queued, and
-  /// a subsequent start() cannot stack a second tick chain on top of a
-  /// zombie one.
+  /// Immediate and idempotent (see sim::Ticker): no replacement fires
+  /// after stop() even if a tick was already queued, and a subsequent
+  /// start() cannot stack a second tick chain on top of a zombie one.
   void stop() override;
 
   [[nodiscard]] std::uint64_t replaced() const { return replaced_; }
@@ -212,11 +208,10 @@ class ChurnProcess final : public ScenarioProcess {
   double fraction_;
   net::NatConfig public_cfg_;
   net::NatConfig private_cfg_;
-  sim::Duration period_;
   double carry_public_ = 0.0;
   double carry_private_ = 0.0;
-  sim::EventId pending_ = sim::kInvalidEventId;
   std::uint64_t replaced_ = 0;
+  sim::Ticker ticker_;
 };
 
 /// Eclipse attack as a membership dynamic: each period, every node the
@@ -230,8 +225,6 @@ class ChurnProcess final : public ScenarioProcess {
 class EclipseProcess final : public ScenarioProcess {
  public:
   EclipseProcess(World& world, net::NodeId target, sim::Duration period);
-  /// Cancels the pending tick, as in ChurnProcess.
-  ~EclipseProcess() override { stop(); }
 
   void start(sim::SimTime at) override;
   void stop() override;
@@ -241,9 +234,8 @@ class EclipseProcess final : public ScenarioProcess {
   void tick();
 
   net::NodeId target_;
-  sim::Duration period_;
   Stats stats_;
-  sim::EventId pending_ = sim::kInvalidEventId;
+  sim::Ticker ticker_;
 };
 
 /// Oscillating NAT reclassification: each period alternates between an
@@ -259,7 +251,6 @@ class EclipseProcess final : public ScenarioProcess {
 class NatFlapProcess final : public ScenarioProcess {
  public:
   NatFlapProcess(World& world, double fraction, sim::Duration period);
-  ~NatFlapProcess() override { stop(); }
 
   void start(sim::SimTime at) override;
   void stop() override;
@@ -274,11 +265,10 @@ class NatFlapProcess final : public ScenarioProcess {
   void tick();
 
   double fraction_;
-  sim::Duration period_;
   bool out_phase_ = true;  // next tick flips out; alternates
   std::vector<std::pair<net::NodeId, net::NatConfig>> flapped_;
   Stats stats_;
-  sim::EventId pending_ = sim::kInvalidEventId;
+  sim::Ticker ticker_;
 };
 
 }  // namespace croupier::run

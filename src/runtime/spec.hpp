@@ -245,8 +245,8 @@ class Experiment {
  private:
   ExperimentSpec spec_;
   std::unique_ptr<World> world_;
-  // Declared after world_ so the pipeline is destroyed first: processes
-  // may cancel their pending events, which needs the simulator alive.
+  // Declared after world_ so the pipeline, which holds World references,
+  // is destroyed first.
   std::vector<std::unique_ptr<ScenarioProcess>> scenario_;
   std::unique_ptr<EstimationRecorder> estimation_;
   std::unique_ptr<GraphStatsRecorder> graph_stats_;

@@ -108,14 +108,6 @@ World::World(Config cfg, ProtocolFactory factory)
   }
 }
 
-void World::run_until(sim::SimTime t) {
-  if (executor_ != nullptr) {
-    executor_->run_until(t);
-  } else {
-    sim_.run_until(t);
-  }
-}
-
 World::~World() = default;
 
 net::NodeId World::spawn(const net::NatConfig& nat) {

@@ -1,10 +1,11 @@
 // World: the experiment orchestrator.
 //
-// Owns the simulator, the network, the bootstrap oracle, and every node's
-// runtime (NAT-ID components + PSS protocol instance). Drives gossip
-// rounds with per-node phase and a configurable clock-skew factor, and
-// provides the snapshots (overlay graphs, per-node estimates, class maps)
-// the metrics and benches consume.
+// Owns the simulator (with a parallel executor attached when world_jobs >
+// 1), the network, the bootstrap oracle, and every node's runtime (NAT-ID
+// components + PSS protocol instance). Drives gossip rounds with per-node
+// phase and a configurable clock-skew factor, and provides the snapshots
+// (overlay graphs, per-node estimates, class maps) the metrics and
+// benches consume.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +60,10 @@ class World {
     /// protocol's accuracy — tested separately).
     bool use_natid_protocol = false;
     sim::Duration natid_timeout = sim::sec(2);
-    /// Worker threads inside this one World. 1 = the classic sequential
-    /// engine; N > 1 = the round-synchronous parallel engine
-    /// (sim/parallel_executor), whose output is byte-identical to 1.
-    /// Only run_until/run_for are engine-aware — driving
-    /// simulator().run_until directly always runs sequentially.
+    /// Worker threads inside this one World. 1 steps every event on the
+    /// calling thread; N > 1 attaches the round-synchronous parallel
+    /// batch step (sim/parallel_executor) to the simulator, whose output
+    /// is byte-identical to 1.
     std::size_t world_jobs = 1;
   };
 
@@ -112,12 +112,10 @@ class World {
   [[nodiscard]] std::size_t count(net::NatType type) const;
   [[nodiscard]] double true_ratio() const;
 
-  /// Plays the simulation to `t` on the configured engine (sequential
-  /// for world_jobs <= 1, round-synchronous parallel otherwise).
-  void run_until(sim::SimTime t);
-  void run_for(sim::Duration span) { run_until(sim_.now() + span); }
+  /// Plays the simulation to `t` (same as simulator().run_until).
+  void run_until(sim::SimTime t) { sim_.run_until(t); }
 
-  /// Engine statistics; nullptr under the sequential engine.
+  /// Batching statistics; nullptr when world_jobs <= 1.
   [[nodiscard]] const sim::ParallelExecutor::Stats* engine_stats() const {
     return executor_ ? &executor_->stats() : nullptr;
   }
@@ -199,7 +197,8 @@ class World {
   Config cfg_;
   ProtocolFactory factory_;
   sim::Simulator sim_;
-  std::unique_ptr<sim::ParallelExecutor> executor_;  // world_jobs > 1 only
+  // Attached to sim_ while it lives; world_jobs > 1 only.
+  std::unique_ptr<sim::ParallelExecutor> executor_;
   sim::RngStream master_rng_;
   sim::RngStream scenario_rng_;
   sim::RngStream spawn_rng_;

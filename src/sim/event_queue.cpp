@@ -1,58 +1,44 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace croupier::sim {
 
-EventId EventQueue::schedule(SimTime at, Affinity affinity, Callback fn) {
+namespace {
+
+// Heap order: "a fires after b", so the earliest (time, id) is the root.
+bool fires_after(const EventQueue::Event& a, const EventQueue::Event& b) {
+  if (a.time != b.time) return a.time > b.time;
+  return a.id > b.id;
+}
+
+}  // namespace
+
+void EventQueue::schedule(SimTime at, Affinity affinity, Callback fn) {
   CROUPIER_ASSERT(fn != nullptr);
-  const EventId id = next_id_++;
-  heap_.push(Entry{at, id, affinity});
-  callbacks_.emplace(id, std::move(fn));
-  ++live_count_;
-  return id;
+  heap_.push_back(Event{at, next_id_++, affinity, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), fires_after);
 }
 
-bool EventQueue::cancel(EventId id) {
-  const auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
-  CROUPIER_ASSERT(live_count_ > 0);
-  --live_count_;
-  return true;
-}
-
-void EventQueue::drop_cancelled_head() {
-  while (!heap_.empty() && !callbacks_.contains(heap_.top().id)) {
-    heap_.pop();
-  }
-}
-
-SimTime EventQueue::next_time() {
-  drop_cancelled_head();
+SimTime EventQueue::next_time() const {
   CROUPIER_ASSERT_MSG(!heap_.empty(), "next_time() on empty queue");
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
-Affinity EventQueue::next_affinity() {
-  drop_cancelled_head();
+Affinity EventQueue::next_affinity() const {
   CROUPIER_ASSERT_MSG(!heap_.empty(), "next_affinity() on empty queue");
-  return heap_.top().affinity;
+  return heap_.front().affinity;
 }
 
-EventQueue::Fired EventQueue::pop() {
-  drop_cancelled_head();
+EventQueue::Event EventQueue::pop() {
   CROUPIER_ASSERT_MSG(!heap_.empty(), "pop() on empty queue");
-  const Entry head = heap_.top();
-  heap_.pop();
-  auto it = callbacks_.find(head.id);
-  CROUPIER_ASSERT(it != callbacks_.end());
-  Fired fired{head.time, head.id, head.affinity, std::move(it->second)};
-  callbacks_.erase(it);
-  --live_count_;
-  return fired;
+  std::pop_heap(heap_.begin(), heap_.end(), fires_after);
+  Event event = std::move(heap_.back());
+  heap_.pop_back();
+  return event;
 }
 
 }  // namespace croupier::sim

@@ -2,34 +2,31 @@
 //
 // Events with equal timestamps fire in scheduling (FIFO) order, which makes
 // simulations deterministic: the (time, sequence-number) pair is a total
-// order. Cancellation is lazy — cancelled ids are remembered and skipped
-// when popped — which keeps both schedule and cancel O(log n) amortized.
+// order. The queue is a binary heap of self-contained entries — each one
+// carries its own callback — and an event, once scheduled, always fires.
+// Code whose events may go stale checks a guard when they fire instead
+// (see "Retiring events" in docs/ARCHITECTURE.md).
 //
 // Every event carries an *affinity* tag: the id of the node whose state
 // the callback touches, or kSerialAffinity when the callback reads or
 // writes state shared across nodes (scenario processes, recorders, NAT
-// identification). The sequential engine ignores affinities; the
-// round-synchronous parallel engine (sim/parallel_executor) uses them to
-// decide which events may execute concurrently and which force a
-// serialization point.
+// identification). Without a sim/parallel_executor attached the simulator
+// ignores affinities; with one, they decide which events may execute
+// concurrently and which force a serialization point.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace croupier::sim {
 
-/// Identifies a scheduled event; usable to cancel it before it fires.
+/// An event's sequence number: assigned in scheduling order, it breaks
+/// timestamp ties.
 using EventId = std::uint64_t;
-
-/// Returned by schedule calls made from inside a parallel batch, where the
-/// real id is only assigned at the deterministic merge. Never a live id.
-constexpr EventId kInvalidEventId = 0;
 
 /// Which node's state an event touches. kSerialAffinity marks events that
 /// touch cross-node state and therefore must run alone, in order.
@@ -40,56 +37,35 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Schedules `fn` at absolute time `at`. Returns an id for cancellation.
-  /// The two-argument form tags the event kSerialAffinity.
-  EventId schedule(SimTime at, Callback fn) {
-    return schedule(at, kSerialAffinity, std::move(fn));
-  }
-  EventId schedule(SimTime at, Affinity affinity, Callback fn);
-
-  /// Cancels a pending event. Returns false if the event already fired,
-  /// was already cancelled, or never existed.
-  bool cancel(EventId id);
-
-  /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
-
-  /// Number of live pending events.
-  [[nodiscard]] std::size_t size() const { return live_count_; }
-
-  /// Timestamp of the earliest live event. Must not be called when empty.
-  [[nodiscard]] SimTime next_time();
-
-  /// Affinity of the earliest live event. Must not be called when empty.
-  [[nodiscard]] Affinity next_affinity();
-
-  /// Removes and returns the earliest live event. Must not be called when
-  /// empty.
-  struct Fired {
+  struct Event {
     SimTime time;
     EventId id;
     Affinity affinity;
     Callback fn;
   };
-  Fired pop();
+
+  /// Schedules `fn` at absolute time `at`. The two-argument form tags the
+  /// event kSerialAffinity.
+  void schedule(SimTime at, Callback fn) {
+    schedule(at, kSerialAffinity, std::move(fn));
+  }
+  void schedule(SimTime at, Affinity affinity, Callback fn);
+
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+
+  /// Timestamp of the earliest event. Must not be called when empty.
+  [[nodiscard]] SimTime next_time() const;
+
+  /// Affinity of the earliest event. Must not be called when empty.
+  [[nodiscard]] Affinity next_affinity() const;
+
+  /// Removes and returns the earliest event. Must not be called when
+  /// empty.
+  Event pop();
 
  private:
-  struct Entry {
-    SimTime time;
-    EventId id;
-    Affinity affinity;
-
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
-  };
-
-  void drop_cancelled_head();
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-  std::size_t live_count_ = 0;
+  std::vector<Event> heap_;  // std::push_heap/pop_heap, earliest at front
   EventId next_id_ = 1;
 };
 

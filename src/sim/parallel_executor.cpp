@@ -14,6 +14,9 @@ ParallelExecutor::ParallelExecutor(Simulator& sim, Options options)
       lookahead_(std::max<Duration>(1, options.lookahead)),
       shard_events_(jobs_),
       logs_(jobs_) {
+  CROUPIER_ASSERT_MSG(sim_.executor_ == nullptr,
+                      "simulator already has an executor");
+  sim_.executor_ = this;
   workers_.reserve(jobs_ - 1);
   for (std::size_t shard = 1; shard < jobs_; ++shard) {
     workers_.emplace_back([this, shard] { worker_loop(shard); });
@@ -21,6 +24,7 @@ ParallelExecutor::ParallelExecutor(Simulator& sim, Options options)
 }
 
 ParallelExecutor::~ParallelExecutor() {
+  sim_.executor_ = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
@@ -29,44 +33,28 @@ ParallelExecutor::~ParallelExecutor() {
   for (auto& w : workers_) w.join();
 }
 
-void ParallelExecutor::run_until(SimTime deadline) {
+void ParallelExecutor::run_window(SimTime deadline) {
+  // Drain the maximal (time, seq)-ordered run of node-affine events
+  // inside the causal window. Stopping at the first serial event keeps
+  // the run a strict prefix of the sequential execution order.
   EventQueue& q = sim_.queue_;
-  while (!q.empty() && q.next_time() <= deadline) {
-    if (q.next_affinity() == kSerialAffinity) {
-      // Serial events are synchronization barriers: everything before
-      // them has merged, so they observe exactly the sequential state.
-      sim_.step();
-      ++stats_.serial_events;
-      continue;
-    }
-
-    // Drain the maximal (time, seq)-ordered run of node-affine events
-    // inside the causal window. Stopping at the first serial event keeps
-    // the run a strict prefix of the sequential execution order.
-    const SimTime t0 = q.next_time();
-    const SimTime wend = std::min(t0 + lookahead_, deadline + 1);
-    batch_.clear();
-    while (!q.empty() && q.next_time() < wend &&
-           q.next_affinity() != kSerialAffinity) {
-      batch_.push_back(q.pop());
-    }
-    CROUPIER_ASSERT(!batch_.empty());
-
-    if (batch_.size() == 1) {
-      // A lone event's deferred effects would replay immediately after it
-      // in issue order anyway (and nothing it runs can observe the
-      // difference — that is the defer() contract), so execute it like
-      // Simulator::step() and skip the worker handoff.
-      auto& ev = batch_.front();
-      sim_.now_ = ev.time;
-      ++sim_.processed_;
-      ++stats_.serial_events;
-      ev.fn();
-      continue;
-    }
-    execute_batch();
+  const SimTime last = std::min(q.next_time() + (lookahead_ - 1), deadline);
+  batch_.clear();
+  while (!q.empty() && q.next_time() <= last &&
+         q.next_affinity() != kSerialAffinity) {
+    batch_.push_back(q.pop());
   }
-  if (sim_.now_ < deadline) sim_.now_ = deadline;
+  CROUPIER_ASSERT(!batch_.empty());
+
+  if (batch_.size() == 1) {
+    // A lone event's deferred effects would replay immediately after it
+    // in issue order anyway (and nothing it runs can observe the
+    // difference — that is the defer() contract), so execute it like
+    // Simulator::step() and skip the worker handoff.
+    sim_.fire(batch_.front());
+    return;
+  }
+  execute_batch();
 }
 
 void ParallelExecutor::execute_batch() {
@@ -94,8 +82,8 @@ void ParallelExecutor::execute_batch() {
     done_cv_.wait(lock, [this] { return pending_ == 0; });
   }
 
-  // Deterministic merge: replay every deferred effect in the order the
-  // sequential engine would have produced it — by issuing event
+  // Deterministic merge: replay every deferred effect in the order
+  // stepping would have produced it — by issuing event
   // (time, seq), then issue order within an event (each event's ops sit
   // contiguously in one shard log; stable_sort keeps them in place).
   merged_.clear();
@@ -115,11 +103,11 @@ void ParallelExecutor::execute_batch() {
   sim_.processed_ += executed;
   // Determinism bound: a deferred schedule at or after the batch's last
   // event time gets a fresh id that sorts after every executed event, so
-  // the sequential engine would run it in the same place (a same-time
-  // target just forms the next batch). Only a target *before* last_time
-  // would reorder history — that is what the assert catches. With a
-  // lookahead no longer than any delay a batched event schedules with,
-  // targets land at >= wend anyway; the floor also keeps the degenerate
+  // stepping would run it in the same place (a same-time target just
+  // forms the next batch). Only a target *before* last_time would
+  // reorder history — that is what the assert catches. With a lookahead
+  // no longer than any delay a batched event schedules with, targets
+  // land past the window anyway; the floor also keeps the degenerate
   // zero-min-latency same-timestamp batches (lookahead clamped to 1 us)
   // working instead of tripping the guard.
   sim_.causal_floor_ = last_time;

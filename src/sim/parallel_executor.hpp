@@ -1,38 +1,38 @@
-// Round-synchronous parallel execution engine for one simulation.
+// Round-synchronous parallel batch step for one simulation.
 //
-// The sequential engine executes events strictly in (time, seq) order.
-// This engine exploits the one structural fact that makes a peer-sampling
-// simulation parallelizable: nodes only influence each other through the
-// simulated network, and every network hop takes at least the latency
-// model's min_latency(). Events for *different* nodes whose timestamps
-// lie within one min_latency window are therefore causally independent —
-// a conservative-lookahead PDES window, degenerating to "all events
+// Stepping executes events strictly in (time, seq) order. This executor
+// exploits the one structural fact that makes a peer-sampling simulation
+// parallelizable: nodes only influence each other through the simulated
+// network, and every network hop takes at least the latency model's
+// min_latency(). Events for *different* nodes whose timestamps lie
+// within one min_latency window are therefore causally independent — a
+// conservative-lookahead PDES window, degenerating to "all events
 // sharing a timestamp" when the lookahead is one microsecond. The window
 // also shrinks below any shorter timer a node arms for itself (its next
 // round, a reassembly GC), so nothing a batch schedules lands inside it.
 //
-// The loop:
-//   1. If the head event is serial-affinity (scenario joins/kills,
-//      recorders, NAT identification), execute it exactly like the
-//      sequential engine — serial events are synchronization barriers.
-//   2. Otherwise drain the maximal run of node-affine events with
-//      time < head_time + lookahead (stopping at any serial event) in
-//      (time, seq) order, partition it into per-worker shards by a
-//      stable hash of the node id, and execute the shards concurrently.
-//      All per-node state is touched only by its own shard; every
-//      cross-node effect (network sends, meter charges, RNG draws, event
-//      scheduling) is deferred into the shard's log via
-//      Simulator::defer().
+// While it lives, the executor is attached to its Simulator, whose
+// run_until loop stays the only event loop:
+//   1. A serial-affinity head event (scenario joins/kills, recorders, NAT
+//      identification) runs through Simulator::step() — serial events
+//      are synchronization barriers.
+//   2. A node-affine head event hands the loop to run_window(): drain the
+//      maximal run of node-affine events with time < head_time +
+//      lookahead (stopping at any serial event) in (time, seq) order,
+//      partition it into per-worker shards by a stable hash of the node
+//      id, and execute the shards concurrently. All per-node state is
+//      touched only by its own shard; every cross-node effect (network
+//      sends, meter charges, RNG draws, event scheduling) is deferred
+//      into the shard's log via Simulator::defer().
 //   3. Merge: concatenate the shard logs, stable-sort by the issuing
-//      event's (time, seq) — restoring exactly the order the sequential
-//      engine would have applied the effects in — and replay them on the
-//      engine thread. Event ids assigned during the replay (message
-//      deliveries, next-round timers) come out in the same order as
-//      under the sequential engine, so future batches tie-break
-//      identically.
+//      event's (time, seq) — restoring exactly the order stepping would
+//      have applied the effects in — and replay them on the engine
+//      thread. Event ids assigned during the replay (message deliveries,
+//      next-round timers) come out in the same order as under stepping,
+//      so future batches tie-break identically.
 //
-// The result is byte-identical output for every worker count, including
-// the sequential engine itself (World runs it when world_jobs <= 1) —
+// The result is byte-identical output for every worker count, and with
+// no executor at all (World attaches one only when world_jobs > 1) —
 // the property scripts/check_determinism.sh pins across every bench.
 #pragma once
 
@@ -71,6 +71,8 @@ class ParallelExecutor {
     Duration lookahead = 1;
   };
 
+  /// Attaches to `sim` until destruction; at most one executor per
+  /// simulator.
   ParallelExecutor(Simulator& sim, Options options);
   ~ParallelExecutor();
 
@@ -80,20 +82,21 @@ class ParallelExecutor {
   [[nodiscard]] std::size_t jobs() const { return jobs_; }
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
-  /// Drives the simulation to `deadline` (inclusive), replacing
-  /// Simulator::run_until. Byte-identical to the sequential engine.
-  void run_until(SimTime deadline);
-
   /// Engine counters (diagnostics; effective parallelism reporting).
   struct Stats {
     std::uint64_t batches = 0;        ///< parallel batches executed
     std::uint64_t batched_events = 0; ///< events executed inside batches
-    std::uint64_t serial_events = 0;  ///< events executed serially
     std::uint64_t max_batch = 0;      ///< largest single batch
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  friend class Simulator;
+
+  /// The batch step of Simulator::run_until, called when the head event
+  /// is node-affine: drains its lookahead window (capped at `deadline`),
+  /// then shards, executes and merges it.
+  void run_window(SimTime deadline);
   void execute_batch();
   void run_shard(std::size_t shard);
   void worker_loop(std::size_t shard);
@@ -104,10 +107,10 @@ class ParallelExecutor {
   Stats stats_;
 
   // One slot per shard, reused across batches.
-  std::vector<std::vector<EventQueue::Fired>> shard_events_;
+  std::vector<std::vector<EventQueue::Event>> shard_events_;
   std::vector<Simulator::ShardLog> logs_;
   std::vector<Simulator::DeferredOp> merged_;
-  std::vector<EventQueue::Fired> batch_;
+  std::vector<EventQueue::Event> batch_;
 
   // Batch handoff for the persistent workers (shards 1..jobs-1; the
   // engine thread runs shard 0). The mutex also publishes shard_events_

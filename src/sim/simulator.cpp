@@ -1,8 +1,10 @@
 #include "sim/simulator.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "sim/parallel_executor.hpp"
 
 namespace croupier::sim {
 
@@ -20,29 +22,29 @@ SimTime Simulator::now() const {
   return log != nullptr ? log->current_time : now_;
 }
 
-EventId Simulator::schedule_after(Duration delay, Affinity affinity,
-                                  EventQueue::Callback fn) {
-  return schedule_impl(now() + delay, affinity, std::move(fn),
-                       /*check_past=*/false);
-}
-
-EventId Simulator::schedule_at(SimTime at, Affinity affinity,
+void Simulator::schedule_after(Duration delay, Affinity affinity,
                                EventQueue::Callback fn) {
-  return schedule_impl(at, affinity, std::move(fn), /*check_past=*/true);
+  schedule_impl(now() + delay, affinity, std::move(fn), /*check_past=*/false);
 }
 
-EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
-                                 EventQueue::Callback fn, bool check_past) {
+void Simulator::schedule_at(SimTime at, Affinity affinity,
+                            EventQueue::Callback fn) {
+  schedule_impl(at, affinity, std::move(fn), /*check_past=*/true);
+}
+
+void Simulator::schedule_impl(SimTime at, Affinity affinity,
+                              EventQueue::Callback fn, bool check_past) {
   if (ShardLog* log = active_log()) {
     // Parallel batch: the queue is shared, so the schedule itself becomes
-    // a deferred effect. Re-entering schedule_impl at merge time (the log
-    // is inactive there) repeats the serial-path checks.
+    // a deferred effect, and the event's id is assigned at the merge.
+    // Re-entering schedule_impl there (the log is inactive) repeats the
+    // serial-path checks.
     log->ops.push_back(DeferredOp{
         log->current_time, log->current_id,
         [this, at, affinity, fn = std::move(fn), check_past]() mutable {
           schedule_impl(at, affinity, std::move(fn), check_past);
         }});
-    return kInvalidEventId;
+    return;
   }
   if (check_past) {
     CROUPIER_ASSERT_MSG(at >= now_, "cannot schedule into the past");
@@ -54,38 +56,40 @@ EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
   // or the reassembly timeout — and the batch was not causally closed.
   CROUPIER_ASSERT_MSG(causal_floor_ == 0 || at >= causal_floor_,
                       "deferred schedule violates the lookahead window");
-  return queue_.schedule(at, affinity, std::move(fn));
+  queue_.schedule(at, affinity, std::move(fn));
 }
 
-bool Simulator::cancel(EventId id) {
-  CROUPIER_ASSERT_MSG(active_log() == nullptr,
-                      "cancel() from inside a parallel batch");
-  CROUPIER_ASSERT_MSG(id != kInvalidEventId,
-                      "cancel() of kInvalidEventId: ids issued inside a "
-                      "parallel batch name no event");
-  return queue_.cancel(id);
+void Simulator::fire(EventQueue::Event& event) {
+  CROUPIER_ASSERT(event.time >= now_);
+  now_ = event.time;
+  ++processed_;
+  event.fn();
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  CROUPIER_ASSERT(fired.time >= now_);
-  now_ = fired.time;
-  ++processed_;
-  fired.fn();
+  auto event = queue_.pop();
+  fire(event);
   return true;
 }
 
-void Simulator::run_until(SimTime deadline) {
+void Simulator::run_events(SimTime deadline) {
   while (!queue_.empty() && queue_.next_time() <= deadline) {
-    step();
+    if (executor_ != nullptr && queue_.next_affinity() != kSerialAffinity) {
+      executor_->run_window(deadline);
+    } else {
+      // A serial event is a synchronization barrier: every batch before
+      // it has merged, so it observes exactly the sequential state.
+      step();
+    }
   }
+}
+
+void Simulator::run_until(SimTime deadline) {
+  run_events(deadline);
   if (now_ < deadline) now_ = deadline;
 }
 
-void Simulator::run() {
-  while (step()) {
-  }
-}
+void Simulator::run() { run_events(std::numeric_limits<SimTime>::max()); }
 
 }  // namespace croupier::sim

@@ -6,22 +6,21 @@
 // (time, scheduling-order) order and advances the clock discontinuously
 // to each event's timestamp.
 //
-// Two engines share this kernel:
-//   - the classic sequential loop (step / run_until / run), and
-//   - the round-synchronous parallel engine (sim/parallel_executor),
-//     which executes causally independent node-affine events on worker
-//     threads and replays their shared-state effects serially in
-//     (time, seq) order, so its output is byte-identical to the
-//     sequential loop.
+// run_until is the one event loop; run() drives it too. The head event
+// runs alone through step() unless it is node-affine and a
+// ParallelExecutor (sim/parallel_executor) is attached: then the executor
+// runs the causally independent node-affine events of one lookahead
+// window on worker threads and replays their shared-state effects
+// serially in (time, seq) order, so its output is byte-identical to
+// stepping one event at a time.
 //
-// The bridge between the two is defer(): any effect that touches state
-// shared across nodes (the network RNG, traffic meters, the event queue
-// itself) must go through defer(fn). Outside a parallel batch defer runs
-// the effect immediately — the classic path is unchanged — while inside a
-// batch it is logged per worker and applied at the deterministic merge.
-// Scheduling calls made during a batch are deferred the same way and
-// return kInvalidEventId (the real id is assigned at the merge; callbacks
-// that need to cancel must be serial-affinity, like the NAT-ID timeout).
+// The bridge between stepping and batching is defer(): any effect that
+// touches state shared across nodes (the network RNG, traffic meters,
+// the event queue itself) must go through defer(fn). Outside a parallel
+// batch defer runs the effect immediately — the serial path is unchanged
+// — while inside a batch it is logged per worker and applied at the
+// deterministic merge. Scheduling calls made during a batch are deferred
+// the same way.
 #pragma once
 
 #include <cstdint>
@@ -33,39 +32,34 @@
 
 namespace croupier::sim {
 
+class ParallelExecutor;
+
 class Simulator {
  public:
   /// Current virtual time. Inside a parallel batch this is the executing
   /// event's own timestamp, so callbacks always observe the same clock
-  /// they would under the sequential engine.
+  /// they would when stepping.
   [[nodiscard]] SimTime now() const;
 
-  /// Number of events executed so far (for diagnostics and tests).
+  /// Number of events executed so far (for diagnostics and tests),
+  /// including guarded events that fired as no-ops.
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-
-  /// True when no pending events remain.
-  [[nodiscard]] bool idle() const { return queue_.empty(); }
 
   /// Schedules a callback `delay` after the current time. The affinity
   /// overload tags the event with the node whose state the callback
-  /// touches; the plain overload tags it kSerialAffinity.
-  EventId schedule_after(Duration delay, EventQueue::Callback fn) {
-    return schedule_after(delay, kSerialAffinity, std::move(fn));
+  /// touches; the plain overload tags it kSerialAffinity. A scheduled
+  /// event always fires: there is no cancel.
+  void schedule_after(Duration delay, EventQueue::Callback fn) {
+    schedule_after(delay, kSerialAffinity, std::move(fn));
   }
-  EventId schedule_after(Duration delay, Affinity affinity,
-                         EventQueue::Callback fn);
+  void schedule_after(Duration delay, Affinity affinity,
+                      EventQueue::Callback fn);
 
   /// Schedules a callback at an absolute virtual time (>= now).
-  EventId schedule_at(SimTime at, EventQueue::Callback fn) {
-    return schedule_at(at, kSerialAffinity, std::move(fn));
+  void schedule_at(SimTime at, EventQueue::Callback fn) {
+    schedule_at(at, kSerialAffinity, std::move(fn));
   }
-  EventId schedule_at(SimTime at, Affinity affinity, EventQueue::Callback fn);
-
-  /// Cancels a pending event; returns false if it already fired. Must not
-  /// be called from inside a parallel batch (serial-affinity events only),
-  /// nor with kInvalidEventId — the placeholder a schedule call returns
-  /// inside a batch, which names no event.
-  bool cancel(EventId id);
+  void schedule_at(SimTime at, Affinity affinity, EventQueue::Callback fn);
 
   /// Runs `effect` now when executing serially, or logs it for the
   /// deterministic (time, seq, issue-order) replay when called from a
@@ -84,18 +78,21 @@ class Simulator {
     std::forward<F>(effect)();
   }
 
-  /// Executes the single next event, if any. Returns false when idle.
+  /// Executes the single next event, if any, whatever its affinity.
+  /// Returns false when idle.
   bool step();
 
-  /// Runs until the queue is empty or the clock would pass `deadline`.
+  /// Runs until the queue is empty or the clock would pass `deadline`,
+  /// through the attached ParallelExecutor's batches when there is one.
   /// Events scheduled exactly at `deadline` are executed. On return the
-  /// clock reads min(deadline, time of last event).
+  /// clock reads max(deadline, time of last event).
   void run_until(SimTime deadline);
 
   /// Runs for a span of virtual time from now.
   void run_for(Duration span) { run_until(now_ + span); }
 
-  /// Runs until no events remain.
+  /// Runs until no events remain; the clock stays at the last event's
+  /// time.
   void run();
 
  private:
@@ -130,14 +127,24 @@ class Simulator {
   /// mis-flags as a store through null.
   static void bind_shard_log(ShardLog* log);
 
-  EventId schedule_impl(SimTime at, Affinity affinity,
-                        EventQueue::Callback fn, bool check_past);
+  void schedule_impl(SimTime at, Affinity affinity, EventQueue::Callback fn,
+                     bool check_past);
+
+  /// The event loop behind run_until and run: every event up to
+  /// `deadline`, without the final clock advance.
+  void run_events(SimTime deadline);
+
+  /// Advances the clock to a popped event and executes it serially.
+  void fire(EventQueue::Event& event);
 
   static thread_local ShardLog* tls_log_;
 
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
+  /// Set by a ParallelExecutor for its lifetime; null runs every event
+  /// through step().
+  ParallelExecutor* executor_ = nullptr;
   /// During a parallel merge: no deferred schedule may target a time
   /// before this (causality guard for the lookahead window). 0 = off.
   SimTime causal_floor_ = 0;

@@ -147,14 +147,14 @@ void run_delivery_batch(bool rogue) {
     return static_cast<sim::Affinity>(to);
   });
 
-  sim::ParallelExecutor engine(simulator, {2, sim::msec(50)});
+  const sim::ParallelExecutor engine(simulator, {2, sim::msec(50)});
   simulator.schedule_at(0, sim::Affinity{1}, [&] {
     network.send(1, 2, std::make_shared<PingMsg>());
   });
   simulator.schedule_at(0, sim::Affinity{2}, [&] {
     network.send(2, 1, std::make_shared<PingMsg>());
   });
-  engine.run_until(sim::sec(1));
+  simulator.run_until(sim::sec(1));
 }
 
 TEST(ConflictCheckFault, HonestDeliveryBatchPasses) {
@@ -186,8 +186,8 @@ TEST(ConflictCheckFaultDeathTest, SharedMeterChargeInsideBatchAborts) {
         network.meter().on_send(node, 64);
       });
     }
-    sim::ParallelExecutor engine(simulator, {2, sim::msec(50)});
-    engine.run_until(sim::sec(1));
+    const sim::ParallelExecutor engine(simulator, {2, sim::msec(50)});
+    simulator.run_until(sim::sec(1));
   };
   EXPECT_DEATH(charge_meter_in_batch(), "shared state \\(TrafficMeter\\)");
 }

@@ -66,16 +66,6 @@ TEST(Simulator, RunForAdvancesRelative) {
   EXPECT_EQ(s.now(), sim::sec(5));
 }
 
-TEST(EventQueue, NextTimeSkipsCancelledPrefix) {
-  sim::EventQueue q;
-  const auto a = q.schedule(1, [] {});
-  const auto b = q.schedule(2, [] {});
-  q.schedule(3, [] {});
-  q.cancel(a);
-  q.cancel(b);
-  EXPECT_EQ(q.next_time(), 3u);
-}
-
 TEST(Estimator, PublicWithoutHitsFallsBackToCacheOnly) {
   core::RatioEstimator e(1, net::NatType::Public, {25, 50, 10});
   e.begin_round();  // no hits at all
@@ -94,6 +84,40 @@ TEST(Recorder, StopHaltsSampling) {
   rec.stop();
   world.simulator().run_until(sim::sec(10));
   EXPECT_EQ(rec.series().size(), count);
+}
+
+// Starts a 1 s recorder at 1 s, stops it at 2.5 s, restarts it at 3 s
+// (before the stopped chain's next tick would have fired) and runs to
+// 5.5 s; returns the time of every point recorded.
+template <typename Recorder>
+std::vector<double> restarted_tick_times(typename Recorder::Options opt) {
+  run::World world(fast_world_config(3), run::make_factory<core::Croupier>());
+  populate(world, 5, 5);
+  Recorder rec(world, opt);
+  rec.start(sim::sec(1));
+  world.simulator().run_until(sim::msec(2500));
+  rec.stop();
+  rec.start(sim::sec(3));
+  world.simulator().run_until(sim::msec(5500));
+  std::vector<double> times;
+  for (const auto& p : rec.series()) times.push_back(p.t_seconds);
+  return times;
+}
+
+TEST(Recorder, RestartSamplesOncePerTick) {
+  // One point per tick time for every recorder kind: the stopped chain
+  // must not keep sampling beside the restarted one.
+  const std::vector<double> once{1, 2, 3, 4, 5};
+  EXPECT_EQ(restarted_tick_times<run::EstimationRecorder>({sim::sec(1), 0}),
+            once);
+  EXPECT_EQ(restarted_tick_times<run::GraphStatsRecorder>({sim::sec(1), 0}),
+            once);
+  EXPECT_EQ(
+      restarted_tick_times<run::SampledGraphStatsRecorder>({sim::sec(1), {}}),
+      once);
+  EXPECT_EQ(
+      restarted_tick_times<run::RandomnessAuditRecorder>({sim::sec(1)}),
+      once);
 }
 
 TEST(Recorder, GraphRecorderStopHalts) {

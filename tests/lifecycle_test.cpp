@@ -105,29 +105,30 @@ TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
 // live — it fired once more after stop, and a stop+restart stacked a
 // second tick chain on top of the zombie one (double replacement rate).
 TEST(Lifecycle, ChurnStopIsImmediateIdempotentAndRestartable) {
-  // An empty world makes the event count the churn tick count: every
-  // simulator event is a tick (quota is always zero, nothing gossips).
+  // Two nodes per class at fraction 0.5: every tick replaces exactly one
+  // node of each class, so replaced() counts ticks twice over.
   World world(fast_world_config(6), make_factory<core::Croupier>());
+  populate(world, 2, 2);
   ChurnProcess churn(world, 0.5, net::NatConfig::open(),
                      net::NatConfig::natted());
   churn.start(sim::sec(1));
   world.simulator().run_until(sim::msec(5200));  // ticks at 1..5 s
-  EXPECT_EQ(world.simulator().events_processed(), 5u);
+  EXPECT_EQ(churn.replaced(), 10u);
 
   churn.stop();
   churn.stop();  // idempotent
   EXPECT_FALSE(churn.running());
-  // Immediate: the tick already queued for t=6 s must not fire.
+  // Immediate: the tick already queued for t=6 s must not replace.
   world.simulator().run_until(sim::msec(5900));
   churn.start(sim::sec(6));  // restart before the zombie would have fired
   world.simulator().run_until(sim::sec(10) + sim::msec(200));
   // Exactly one chain: ticks at 6..10 s. With the zombie alive too, the
-  // two chains would have doubled this.
-  EXPECT_EQ(world.simulator().events_processed(), 10u);
+  // two chains would have read 30.
+  EXPECT_EQ(churn.replaced(), 20u);
   churn.stop();
   world.simulator().run_until(sim::sec(20));
-  EXPECT_EQ(world.simulator().events_processed(), 10u);
-  EXPECT_EQ(churn.replaced(), 0u);
+  EXPECT_EQ(churn.replaced(), 20u);
+  EXPECT_EQ(world.alive_count(), 4u);
 }
 
 TEST(Lifecycle, WholeWorldTeardownMidFlight) {

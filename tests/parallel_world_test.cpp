@@ -76,33 +76,13 @@ TEST(ParallelExecutorEngine, SameTimestampEventsMergeInScheduleOrder) {
                         sim.defer([&effects, i] { effects.push_back(i); });
                       });
     }
-    sim::ParallelExecutor engine(sim, {jobs, sim::msec(1)});
-    engine.run_until(200);
+    const sim::ParallelExecutor engine(sim, {jobs, sim::msec(1)});
+    sim.run_until(200);
     EXPECT_EQ(effects, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
         << "jobs=" << jobs;
     EXPECT_EQ(sim.events_processed(), 8u);
     EXPECT_EQ(sim.now(), 200u);
   }
-}
-
-TEST(ParallelExecutorEngine, CancelOfIdIssuedInsideBatchDies) {
-  // Inside a batch schedule_after only logs the schedule and returns the
-  // kInvalidEventId placeholder. Cancelling that stored "id" later must
-  // fail loudly instead of quietly returning false.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto cancel_stored_id = [] {
-    sim::Simulator sim;
-    sim::EventId stored = ~sim::EventId{0};  // a never-issued id
-    for (sim::Affinity node : {1u, 2u}) {
-      sim.schedule_at(100, node, [&sim, &stored, node] {
-        if (node == 1) stored = sim.schedule_after(sim::msec(5), node, [] {});
-      });
-    }
-    sim::ParallelExecutor engine(sim, {1, sim::msec(1)});
-    engine.run_until(200);
-    sim.cancel(stored);
-  };
-  EXPECT_DEATH(cancel_stored_id(), "issued inside a parallel batch");
 }
 
 /// Everything observable about one finished experiment, for exact
@@ -421,6 +401,18 @@ TEST(ParallelWorldEngine, ReportsBatchingStats) {
 
   run::Experiment sequential(spec, 1, /*world_jobs=*/1);
   EXPECT_EQ(sequential.world().engine_stats(), nullptr);
+}
+
+TEST(ParallelWorldEngine, SimulatorRunUntilUsesTheWorldsExecutor) {
+  // world_jobs is a property of the World, not of one entry point:
+  // driving its simulator directly must batch too.
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 300, .ratio = 0.2,
+                            .duration_s = 30};
+  run::Experiment experiment(spec, 1, /*world_jobs=*/4);
+  experiment.world().simulator().run_until(sim::sec(30));
+  const auto* stats = experiment.world().engine_stats();
+  ASSERT_NE(stats, nullptr);
+  EXPECT_GT(stats->batches, 0u);
 }
 
 }  // namespace

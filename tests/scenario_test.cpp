@@ -44,6 +44,20 @@ TEST(Churn, CarryIsDroppedWhileAClassIsEmpty) {
   churn.stop();
 }
 
+TEST(Churn, ReplacesTheFullQuotaOfASmallClass) {
+  // Ten publics among 1000 nodes: a rejection pick misses the class 99%
+  // of the time, so any cap on the attempts silently drops replacements.
+  // 20 ticks at 10% per class must replace 20 publics and 1980 privates.
+  World world(fast_world_config(5), make_factory<core::Croupier>());
+  populate(world, 10, 990);
+  ChurnProcess churn(world, 0.1, net::NatConfig::open(),
+                     net::NatConfig::natted());
+  churn.start(sim::sec(1));
+  world.simulator().run_until(sim::msec(20500));  // ticks at 1..20 s
+  EXPECT_EQ(churn.replaced(), 2000u);
+  EXPECT_EQ(world.count(net::NatType::Public), 10u);
+}
+
 TEST(FlashCrowd, RampSpreadsArrivalsAcrossTheWindow) {
   // 60 extra nodes over a 4 s window starting at t=5 s: the triangular
   // profile puts exactly half the arrivals in the first half-window.
