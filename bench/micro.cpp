@@ -205,6 +205,25 @@ void BM_NatBoxLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_NatBoxLookup);
 
+// One outbound refresh and one inbound check per iteration on a private
+// box holding range(0) live mappings: 31 and 135 are the largest boxes
+// the suite's paper-steady and churn-relay workloads hold.
+void BM_NatBox(benchmark::State& state) {
+  const auto live = static_cast<net::NodeId>(state.range(0));
+  net::NatBox nat(net::NatConfig::natted());
+  for (net::NodeId i = 0; i < live; ++i) nat.on_outbound(sim::sec(1), 5 * i);
+  std::size_t hits = 0;
+  net::NodeId k = 0;
+  for (auto _ : state) {
+    nat.on_outbound(sim::sec(2), 5 * (k % live));
+    hits += nat.allows_inbound(sim::sec(2), 5 * ((7 * k + 3) % live)) ? 1 : 0;
+    ++k;
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NatBox)->Arg(31)->Arg(135);
+
 metrics::OverlayGraph random_overlay(std::size_t n, std::size_t degree) {
   sim::RngStream rng(7);
   std::vector<std::pair<net::NodeId, std::vector<net::NodeId>>> adj;

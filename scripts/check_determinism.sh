@@ -129,11 +129,15 @@ if [ -x "$LAB" ]; then
   # The PR-9 randomness audit + adversarial processes — eclipse respawn,
   # NAT flapping through World::reclassify, the hub adversary shim — all
   # recorded through the randomness auditor, must honour the same
-  # determinism contracts on both parallelism axes.
+  # determinism contracts on both parallelism axes. So must Nylon under
+  # churn (the suite's churn-relay shape, shortened), whose RVP and route
+  # tables run full and whose private NAT boxes are written from worker
+  # shards.
   randomness_flags=(
     --spec="protocol=croupier nodes=250 ratio=0.2 eclipse=target:1,at:20,period:2 record=randomness duration=60"
     --spec="protocol=nylon nodes=250 ratio=0.2 natflap=frac:0.1,at:20,period:10 record=randomness duration=60"
     --spec="protocol=gozar nodes=250 ratio=0.2 adversary=hubs:2 record=randomness duration=60"
+    --spec="protocol=nylon nodes=400 ratio=0.2 churn=0.01 record=randomness duration=60"
     --runs=2)
   run_config "$LAB" "rand.j1" "${randomness_flags[@]}" --jobs=1 --world-jobs=1
   run_config "$LAB" "rand.j4" "${randomness_flags[@]}" --jobs=4 --world-jobs=1
@@ -142,7 +146,7 @@ if [ -x "$LAB" ]; then
   check_same "croupier-lab-randomness" "rand.j1" "rand.j4" || ok=0
   check_same "croupier-lab-randomness" "rand.j1" "rand.w4" || ok=0
   [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab randomness eclipse/natflap/adversary (jobs 1/4, world-jobs 1/4)"
+    echo "ok   croupier-lab randomness eclipse/natflap/adversary/nylon-churn (jobs 1/4, world-jobs 1/4)"
 else
   echo "FAIL croupier-lab binary missing at $LAB"
   fail=1

@@ -102,8 +102,73 @@ NylonConnect NylonConnect::decode(wire::Reader& r) {
   return m;
 }
 
+RoundTable::RoundTable(std::size_t capacity) : capacity_(capacity) {
+  CROUPIER_ASSERT_MSG(capacity_ >= 1, "a round table needs room for one entry");
+}
+
+namespace {
+
+/// First entry whose id is not below `id`, on a const or mutable table.
+template <typename Entries>
+auto lower_bound_id(Entries& entries, net::NodeId id) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const RoundTable::Entry& e, net::NodeId key) { return e.id < key; });
+}
+
+}  // namespace
+
+const RoundTable::Entry* RoundTable::find_live(net::NodeId id,
+                                               std::uint64_t now,
+                                               std::size_t ttl) const {
+  const auto it = lower_bound_id(entries_, id);
+  if (it == entries_.end() || it->id != id || now - it->round > ttl) {
+    return nullptr;
+  }
+  return &*it;
+}
+
+void RoundTable::refresh(net::NodeId id, std::uint64_t round) {
+  const auto it = lower_bound_id(entries_, id);
+  if (it != entries_.end() && it->id == id) it->round = round;
+}
+
+void RoundTable::touch(net::NodeId id, std::uint64_t round,
+                       net::NodeId next_hop) {
+  const auto pos = lower_bound_id(entries_, id);
+  if (pos != entries_.end() && pos->id == id) {
+    *pos = Entry{id, next_hop, round};
+    return;
+  }
+  if (entries_.size() < capacity_) {
+    entries_.insert(pos, Entry{id, next_hop, round});
+    return;
+  }
+  // Full: the victim's slot is reused by shifting the entries between it
+  // and the insertion point one place toward it.
+  const auto victim = std::min_element(
+      entries_.begin(), entries_.end(),
+      [](const Entry& a, const Entry& b) { return a.round < b.round; });
+  if (victim < pos) {
+    std::move(victim + 1, pos, victim);
+    *(pos - 1) = Entry{id, next_hop, round};
+  } else {
+    std::move_backward(pos, victim, victim + 1);
+    *pos = Entry{id, next_hop, round};
+  }
+}
+
+void RoundTable::expire(std::uint64_t now, std::size_t ttl) {
+  std::erase_if(entries_,
+                [&](const Entry& e) { return now - e.round > ttl; });
+}
+
 Nylon::Nylon(Context ctx, NylonConfig cfg)
-    : PeerSampler(std::move(ctx)), cfg_(cfg), view_(cfg.base.view_size, ctx_.arena) {
+    : PeerSampler(std::move(ctx)),
+      cfg_(cfg),
+      view_(cfg.base.view_size, ctx_.arena),
+      rvp_links_(cfg.max_rvp_links),
+      routing_(cfg.routing_table_size) {
   CROUPIER_ASSERT(cfg_.base.shuffle_size > 0 &&
                   cfg_.base.shuffle_size <= cfg_.base.view_size);
   CROUPIER_ASSERT(cfg_.keepalive_rounds > 0);
@@ -121,85 +186,34 @@ void Nylon::init() {
 
 void Nylon::touch_rvp(net::NodeId peer) {
   if (peer == self()) return;
-  auto it = rvp_links_.find(peer);
-  if (it != rvp_links_.end()) {
-    it->second = round_counter_;
-    return;
-  }
-  if (rvp_links_.size() >= cfg_.max_rvp_links) {
-    // Evict the stalest link; ties break on the lower peer id so the
-    // victim never depends on hash-table iteration order.
-    net::NodeId victim = net::kNilNode;
-    std::uint64_t victim_round = 0;
-    // detlint:allow(unordered-iter) pure min-selection under the total
-    // (round, id) order above — the result is visit-order-insensitive.
-    for (const auto& [p, seen] : rvp_links_) {
-      if (victim == net::kNilNode || seen < victim_round ||
-          (seen == victim_round && p < victim)) {
-        victim = p;
-        victim_round = seen;
-      }
-    }
-    rvp_links_.erase(victim);
-  }
-  rvp_links_.emplace(peer, round_counter_);
+  rvp_links_.touch(peer, round_counter_);
 }
 
 bool Nylon::rvp_live(net::NodeId peer) const {
-  const auto it = rvp_links_.find(peer);
-  return it != rvp_links_.end() &&
-         round_counter_ - it->second <= cfg_.rvp_ttl_rounds;
+  return rvp_links_.find_live(peer, round_counter_, cfg_.rvp_ttl_rounds) !=
+         nullptr;
 }
 
 void Nylon::learn_route(net::NodeId target, net::NodeId next_hop) {
   if (target == self() || next_hop == self()) return;
-  auto it = routing_.find(target);
-  if (it != routing_.end()) {
-    it->second = Route{next_hop, round_counter_};
-    return;
-  }
-  if (routing_.size() >= cfg_.routing_table_size) {
-    net::NodeId victim = net::kNilNode;
-    std::uint64_t victim_round = 0;
-    // detlint:allow(unordered-iter) pure min-selection under the total
-    // (round, id) order above — the result is visit-order-insensitive.
-    for (const auto& [t, route] : routing_) {
-      if (victim == net::kNilNode || route.round < victim_round ||
-          (route.round == victim_round && t < victim)) {
-        victim = t;
-        victim_round = route.round;
-      }
-    }
-    routing_.erase(victim);
-  }
-  routing_.emplace(target, Route{next_hop, round_counter_});
+  routing_.touch(target, round_counter_, next_hop);
 }
 
 net::NodeId Nylon::route_to(net::NodeId target) const {
-  const auto it = routing_.find(target);
-  if (it == routing_.end() ||
-      round_counter_ - it->second.round > cfg_.routing_ttl_rounds) {
-    return net::kNilNode;
-  }
-  return it->second.next_hop;
+  const auto* route =
+      routing_.find_live(target, round_counter_, cfg_.routing_ttl_rounds);
+  return route == nullptr ? net::kNilNode : route->next_hop;
 }
 
 void Nylon::keepalives() {
-  // Expire stale links, then refresh the survivors' NAT mappings. Every
-  // keepalive is a real packet both here and at the receiving end: the RVP
-  // machinery is what makes Nylon expensive (paper fig. 7a).
-  std::erase_if(rvp_links_, [this](const auto& kv) {
-    return round_counter_ - kv.second > cfg_.rvp_ttl_rounds;
-  });
+  // Expire stale links, then refresh the survivors' NAT mappings, in
+  // ascending id order. Every keepalive is a real packet both here and at
+  // the receiving end: the RVP machinery is what makes Nylon expensive
+  // (paper fig. 7a).
+  rvp_links_.expire(round_counter_, cfg_.rvp_ttl_rounds);
   if (round_counter_ % cfg_.keepalive_rounds != 0) return;
-  std::vector<net::NodeId> peers;
-  peers.reserve(rvp_links_.size());
-  // detlint:allow(unordered-iter) keys only, sorted below before any
-  // side effect — the send order is id-ascending, not hash order.
-  for (const auto& [peer, _] : rvp_links_) peers.push_back(peer);
-  std::sort(peers.begin(), peers.end());
-  for (const net::NodeId peer : peers) {
-    network().send(self(), peer, std::make_shared<NylonKeepalive>());
+  for (const auto& link : rvp_links_) {
+    network().send(self(), link.id, std::make_shared<NylonKeepalive>());
   }
 }
 
@@ -295,8 +309,7 @@ void Nylon::on_message(net::NodeId from, const net::Message& msg) {
     case kNylonProbe:
     case kNylonKeepalive: {
       // Refresh our side of the link if we track this peer.
-      auto it = rvp_links_.find(from);
-      if (it != rvp_links_.end()) it->second = round_counter_;
+      rvp_links_.refresh(from, round_counter_);
       break;
     }
     default:

@@ -20,7 +20,6 @@
 
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "pss/protocol.hpp"
@@ -154,6 +153,46 @@ struct NylonKeepalive final : net::Message {
   void encode(wire::Writer& w) const override { w.u8(type()); }
 };
 
+/// A bounded table of node ids, each stamped with the round it was last
+/// touched: Nylon's RVP links and its punch-chain routes. One vector
+/// sorted by id, so lookups are binary searches and iteration is
+/// ascending id by construction. A miss on a full table evicts the entry
+/// with the smallest round, ties to the lower id: in id order, the first
+/// entry holding the minimal round.
+class RoundTable {
+ public:
+  struct Entry {
+    net::NodeId id;
+    net::NodeId next_hop;  // routes only; kNilNode in the RVP table
+    std::uint64_t round;
+  };
+
+  /// `capacity` must be at least 1: a full table makes room by eviction.
+  explicit RoundTable(std::size_t capacity);
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] auto begin() const { return entries_.begin(); }
+  [[nodiscard]] auto end() const { return entries_.end(); }
+
+  /// The entry for `id` if it was touched within `ttl` rounds of `now`.
+  [[nodiscard]] const Entry* find_live(net::NodeId id, std::uint64_t now,
+                                       std::size_t ttl) const;
+
+  /// Re-stamps `id` with `round` if the table holds it, live or not.
+  void refresh(net::NodeId id, std::uint64_t round);
+
+  /// Inserts `id`, or re-stamps it and replaces its next hop.
+  void touch(net::NodeId id, std::uint64_t round,
+             net::NodeId next_hop = net::kNilNode);
+
+  /// Drops every entry not touched within `ttl` rounds of `now`.
+  void expire(std::uint64_t now, std::size_t ttl);
+
+ private:
+  std::size_t capacity_;
+  std::vector<Entry> entries_;
+};
+
 struct NylonConfig {
   pss::PssConfig base;
   std::size_t max_rvp_links = 80;      // bound on the RVP table
@@ -204,18 +243,16 @@ class Nylon final : public pss::PeerSampler {
 
   NylonConfig cfg_;
   pss::PartialView<NylonDescriptor> view_;
-  std::unordered_map<net::NodeId, std::uint64_t> rvp_links_;  // id -> round
+  RoundTable rvp_links_;  // RVP peers by id, with the round last heard
 
-  // Punch-chain routing state: for each known target, the neighbour its
-  // descriptor was last received from ("maintaining routing tables to
-  // nodes that have recently been communicated with", paper §I on Nylon).
-  // The current *view* is not enough: swapper merging ships descriptors
-  // away immediately, so chains must follow historical forwarding state.
-  struct Route {
-    net::NodeId next_hop;
-    std::uint64_t round;
-  };
-  std::unordered_map<net::NodeId, Route> routing_;
+  // Punch-chain routing state, sorted by target: the neighbour each
+  // target's descriptor was last received from (the entry's next_hop)
+  // and the round it arrived; a full table evicts the stalest route
+  // ("maintaining routing tables to nodes that have recently been
+  // communicated with", paper §I on Nylon). The current *view* is not
+  // enough: swapper merging ships descriptors away immediately, so chains
+  // must follow historical forwarding state.
+  RoundTable routing_;
   std::uint64_t round_counter_ = 0;
 
   struct Pending {

@@ -28,9 +28,9 @@ class Message {
   virtual void encode(wire::Writer& w) const = 0;
 
   /// Encoded payload size in bytes (excludes UDP/IP headers; the network
-  /// adds those when charging traffic).
+  /// adds those when charging traffic). Counts without allocating.
   [[nodiscard]] std::size_t wire_size() const {
-    wire::Writer w;
+    auto w = wire::Writer::counting();
     encode(w);
     return w.size();
   }

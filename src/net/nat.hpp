@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "net/address.hpp"
 #include "sim/time.hpp"
@@ -71,12 +71,19 @@ struct NatConfig {
 
 /// The stateful gateway in front of one private node: a table of
 /// (remote node -> last outbound time) driving the filtering decision.
+///
+/// The table is open-addressed with linear probing over a power-of-two
+/// slot array; an empty slot holds kNilNode. Nothing is ever erased in
+/// place: expired mappings stay (invisible, since every read checks
+/// entry_live) until an insert would push the load above 3/4, and then
+/// the table is rebuilt around the live mappings alone.
 class NatBox {
  public:
   explicit NatBox(NatConfig cfg) : cfg_(cfg) {}
 
   /// Records that the owning node sent a packet to `dst` at time `now`,
   /// creating or refreshing the corresponding mapping/filter entry.
+  /// `dst` must not be kNilNode (the empty-slot marker).
   void on_outbound(sim::SimTime now, NodeId dst);
 
   /// Decides whether an inbound packet from `src` arriving at `now` passes
@@ -89,16 +96,26 @@ class NatBox {
   [[nodiscard]] const NatConfig& config() const { return cfg_; }
 
  private:
+  struct Mapping {
+    NodeId peer = kNilNode;
+    sim::SimTime last = 0;
+  };
+
   [[nodiscard]] bool entry_live(sim::SimTime now, sim::SimTime last) const {
     return now <= last + cfg_.mapping_timeout;
   }
-  void maybe_collect(sim::SimTime now);
+  /// The slot holding `peer`, or the empty slot that ends its probe run.
+  /// Requires a non-empty table.
+  [[nodiscard]] std::size_t probe(NodeId peer) const;
+  /// Rebuilds the table around the mappings live at `now`, with room for
+  /// one more at a load of at most 1/2.
+  void rebuild(sim::SimTime now);
 
   NatConfig cfg_;
-  std::unordered_map<NodeId, sim::SimTime> last_outbound_;
+  std::vector<Mapping> slots_;  // empty until the first outbound packet
+  std::size_t used_ = 0;        // occupied slots, live or expired
   sim::SimTime last_any_outbound_ = 0;
   bool any_outbound_ever_ = false;
-  std::uint32_t ops_since_gc_ = 0;
 };
 
 }  // namespace croupier::net

@@ -104,8 +104,9 @@ class Network {
   [[nodiscard]] IpAddr local_ip(NodeId id) const;
   [[nodiscard]] IpAddr public_ip(NodeId id) const;
 
-  /// Sends a datagram. `from` must be attached; `to` may be anything (the
-  /// packet is silently dropped if unreachable, like real UDP).
+  /// Sends a datagram. `from` must be attached; `to` may be any id but
+  /// kNilNode, which a private sender's NAT box cannot map (the packet is
+  /// silently dropped if unreachable, like real UDP).
   void send(NodeId from, NodeId to, MessagePtr msg);
 
   /// Decides the affinity tag of a delivery event: the receiving node for

@@ -190,11 +190,11 @@ baselines::NylonConfig make_nylon_config(const ProtocolOptions& opts) {
   baselines::NylonConfig cfg;
   OptionReader r("nylon", opts);
   r.base(cfg.base);
-  r.size("rvp_links", cfg.max_rvp_links);
+  r.size("rvp_links", cfg.max_rvp_links, 1);
   r.size("keepalive", cfg.keepalive_rounds, 1);
   r.size("rvp_ttl", cfg.rvp_ttl_rounds);
   r.u8("punch_hops", cfg.max_punch_hops);
-  r.size("routing_table", cfg.routing_table_size);
+  r.size("routing_table", cfg.routing_table_size, 1);
   r.size("routing_ttl", cfg.routing_ttl_rounds);
   r.finish();
   r.shuffle_within_view(cfg.base);

@@ -18,6 +18,10 @@ void Writer::u64(std::uint64_t v) {
 }
 
 void Writer::bytes(std::span<const std::byte> data) {
+  if (counting_) {
+    counted_ += data.size();
+    return;
+  }
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 

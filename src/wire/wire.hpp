@@ -16,24 +16,50 @@
 #include <string_view>
 #include <vector>
 
+#include "common/assert.hpp"
+
 namespace croupier::wire {
 
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
+  /// A writer that stores nothing and only counts the bytes written:
+  /// sizing a message allocates nothing. data() and take() assert on it.
+  [[nodiscard]] static Writer counting() {
+    Writer w;
+    w.counting_ = true;
+    return w;
+  }
+
+  void u8(std::uint8_t v) {
+    if (counting_) {
+      ++counted_;
+    } else {
+      buf_.push_back(static_cast<std::byte>(v));
+    }
+  }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void bytes(std::span<const std::byte> data);
 
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] std::span<const std::byte> data() const { return buf_; }
+  [[nodiscard]] std::size_t size() const {
+    return counting_ ? counted_ : buf_.size();
+  }
+  [[nodiscard]] std::span<const std::byte> data() const {
+    CROUPIER_ASSERT_MSG(!counting_, "a counting writer keeps no bytes");
+    return buf_;
+  }
 
   /// Consumes the writer, releasing the underlying buffer.
-  std::vector<std::byte> take() && { return std::move(buf_); }
+  std::vector<std::byte> take() && {
+    CROUPIER_ASSERT_MSG(!counting_, "a counting writer keeps no bytes");
+    return std::move(buf_);
+  }
 
  private:
   std::vector<std::byte> buf_;
+  std::size_t counted_ = 0;
+  bool counting_ = false;
 };
 
 class Reader {

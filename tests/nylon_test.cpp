@@ -1,7 +1,12 @@
 // Nylon baseline tests: RVP link lifecycle, hole punching, chain routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "baselines/nylon.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
 
 namespace croupier::baselines {
@@ -181,6 +186,182 @@ TEST(Nylon, ConnectedOverlayOnMixedNetwork) {
   populate(world, 5, 20);
   world.simulator().run_until(sim::sec(40));
   EXPECT_EQ(world.snapshot_overlay().largest_component(), 25u);
+}
+
+TEST(Nylon, RoutingTableBounded) {
+  NylonConfig cfg = small_cfg();
+  cfg.routing_table_size = 3;
+  auto world = make_world(19, cfg);
+  populate(world, 5, 15);
+  world.simulator().run_until(sim::sec(30));
+  std::size_t largest = 0;
+  world.for_each_sampler([&](net::NodeId, pss::PeerSampler& p) {
+    largest = std::max(largest,
+                       dynamic_cast<const Nylon&>(p).routing_entry_count());
+  });
+  EXPECT_EQ(largest, 3u);
+}
+
+// Nylon's RVP and route tables as they were before the flat layout: maps
+// from id to round with an explicit (round, id) min-selection on eviction
+// and a collect-then-sort keepalive order. std::map stands in for the
+// hash maps so the scans need no lint waiver; no step below depends on
+// the order in which a scan visits the entries.
+struct RefNylonTables {
+  struct Route {
+    net::NodeId next_hop;
+    std::uint64_t round;
+  };
+
+  std::size_t max_rvp_links;
+  std::size_t rvp_ttl;
+  std::size_t routing_size;
+  std::size_t routing_ttl;
+  std::map<net::NodeId, std::uint64_t> rvp_links;
+  std::map<net::NodeId, Route> routing;
+
+  void touch_rvp(net::NodeId peer, std::uint64_t now) {
+    auto it = rvp_links.find(peer);
+    if (it != rvp_links.end()) {
+      it->second = now;
+      return;
+    }
+    if (rvp_links.size() >= max_rvp_links) {
+      net::NodeId victim = net::kNilNode;
+      std::uint64_t victim_round = 0;
+      for (const auto& [p, seen] : rvp_links) {
+        if (victim == net::kNilNode || seen < victim_round ||
+            (seen == victim_round && p < victim)) {
+          victim = p;
+          victim_round = seen;
+        }
+      }
+      rvp_links.erase(victim);
+    }
+    rvp_links.emplace(peer, now);
+  }
+
+  [[nodiscard]] bool rvp_live(net::NodeId peer, std::uint64_t now) const {
+    const auto it = rvp_links.find(peer);
+    return it != rvp_links.end() && now - it->second <= rvp_ttl;
+  }
+
+  void refresh(net::NodeId peer, std::uint64_t now) {
+    auto it = rvp_links.find(peer);
+    if (it != rvp_links.end()) it->second = now;
+  }
+
+  void learn_route(net::NodeId target, net::NodeId next_hop,
+                   std::uint64_t now) {
+    auto it = routing.find(target);
+    if (it != routing.end()) {
+      it->second = Route{next_hop, now};
+      return;
+    }
+    if (routing.size() >= routing_size) {
+      net::NodeId victim = net::kNilNode;
+      std::uint64_t victim_round = 0;
+      for (const auto& [t, route] : routing) {
+        if (victim == net::kNilNode || route.round < victim_round ||
+            (route.round == victim_round && t < victim)) {
+          victim = t;
+          victim_round = route.round;
+        }
+      }
+      routing.erase(victim);
+    }
+    routing.emplace(target, Route{next_hop, now});
+  }
+
+  [[nodiscard]] net::NodeId route_to(net::NodeId target,
+                                     std::uint64_t now) const {
+    const auto it = routing.find(target);
+    if (it == routing.end() || now - it->second.round > routing_ttl) {
+      return net::kNilNode;
+    }
+    return it->second.next_hop;
+  }
+
+  /// Expires stale links and returns the keepalive send order.
+  std::vector<net::NodeId> keepalives(std::uint64_t now) {
+    std::erase_if(rvp_links,
+                  [&](const auto& kv) { return now - kv.second > rvp_ttl; });
+    std::vector<net::NodeId> peers;
+    for (const auto& [peer, _] : rvp_links) peers.push_back(peer);
+    std::sort(peers.begin(), peers.end());
+    return peers;
+  }
+};
+
+// Drives a pair of RoundTables and the reference with one seeded mix of
+// touches, route updates and keepalive refreshes. Ids come from a range
+// a little above the capacity, so hits, misses, evictions and round ties
+// are all common; rounds advance by 0-3 per step, past both TTLs.
+void round_table_twin(std::size_t cap, std::uint64_t seed) {
+  const std::size_t rvp_ttl = 8 + cap / 4;
+  const std::size_t route_ttl = 6 + cap / 5;
+  const auto ids = static_cast<net::NodeId>(cap + cap / 4 + 3);
+  RoundTable rvp(cap);
+  RoundTable routes(cap);
+  RefNylonTables ref{cap, rvp_ttl, cap, route_ttl, {}, {}};
+  sim::RngStream rng(seed);
+  std::uint64_t now = 0;
+  std::size_t fullest_rvp = 0;
+  std::size_t fullest_routes = 0;
+  for (int step = 0; step < 500; ++step) {
+    now += rng.uniform(4);
+    if (!rng.chance(0.2)) {  // a round start: expire, then keepalives
+      rvp.expire(now, rvp_ttl);
+      std::vector<net::NodeId> order;
+      for (const auto& link : rvp) order.push_back(link.id);
+      ASSERT_EQ(order, ref.keepalives(now)) << "step " << step;
+    }
+    // Busy stretches fill the tables; quiet ones let their entries expire.
+    const bool busy = (step / 50) % 2 == 0;
+    for (auto op = rng.uniform(busy ? 2 + cap : 2); op > 0; --op) {
+      const auto id = static_cast<net::NodeId>(rng.uniform(ids));
+      switch (rng.uniform(3)) {
+        case 0:
+          rvp.touch(id, now);
+          ref.touch_rvp(id, now);
+          break;
+        case 1: {
+          const auto hop = static_cast<net::NodeId>(rng.uniform(ids));
+          routes.touch(id, now, hop);
+          ref.learn_route(id, hop, now);
+          break;
+        }
+        default:
+          rvp.refresh(id, now);
+          ref.refresh(id, now);
+      }
+    }
+    ASSERT_EQ(rvp.size(), ref.rvp_links.size()) << "step " << step;
+    ASSERT_EQ(routes.size(), ref.routing.size()) << "step " << step;
+    fullest_rvp = std::max(fullest_rvp, rvp.size());
+    fullest_routes = std::max(fullest_routes, routes.size());
+    for (net::NodeId id = 0; id < ids; ++id) {
+      ASSERT_EQ(rvp.find_live(id, now, rvp_ttl) != nullptr,
+                ref.rvp_live(id, now))
+          << "step " << step << ", id " << id;
+      const auto* route = routes.find_live(id, now, route_ttl);
+      ASSERT_EQ(route == nullptr ? net::kNilNode : route->next_hop,
+                ref.route_to(id, now))
+          << "step " << step << ", id " << id;
+    }
+  }
+  // Both tables ran full, so the eviction path was exercised.
+  EXPECT_EQ(fullest_rvp, cap);
+  EXPECT_EQ(fullest_routes, cap);
+}
+
+TEST(RoundTableTwin, MatchesHashMapTables) {
+  for (const std::size_t cap : {1u, 4u, 80u, 200u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "cap " << cap << ", seed " << seed);
+      round_table_twin(cap, seed);
+    }
+  }
 }
 
 }  // namespace

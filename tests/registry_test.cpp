@@ -108,9 +108,10 @@ TEST(ProtocolRegistry, BaselineOptionsApply) {
 }
 
 // Each spec passes the registry's syntax checks but breaks a bound a
-// protocol relies on: all but the last two used to abort a trial (or
-// divide by zero), and those two break the estimator's u16 age stamps and
-// its one-byte wire count. The error names the protocol and the option.
+// protocol relies on. Most used to abort a trial (or divide by zero);
+// the two zero-sized Nylon tables kept one entry each all the same; and
+// the last two break the estimator's u16 age stamps and its one-byte
+// wire count. The error names the protocol and the option.
 struct RejectedSpec {
   const char* spec;
   const char* option;
@@ -154,6 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
         RejectedSpec{"gozar:keepalive=0", "keepalive"},
         RejectedSpec{"nylon:keepalive=0", "keepalive"},
         RejectedSpec{"nylon:keepalive=5,rvp_ttl=1", "rvp_ttl"},
+        RejectedSpec{"nylon:rvp_links=0", "rvp_links"},
+        RejectedSpec{"nylon:routing_table=0", "routing_table"},
         RejectedSpec{"arrg:open_list=0", "open_list"},
         RejectedSpec{"croupier:gamma=65535", "gamma"},
         RejectedSpec{"croupier:share_limit=256", "share_limit"}),
