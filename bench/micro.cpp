@@ -108,10 +108,15 @@ void BM_FragmentRoundTrip(benchmark::State& state) {
     message[i] = static_cast<std::byte>(i * 31 + 7);
   }
   for (auto _ : state) {
-    const auto frags = fragmenter.split(1, message);
-    net::FragmentAssembly assembly(frags.back().header);
-    for (auto it = frags.rbegin(); it != frags.rend(); ++it) {
-      if (assembly.add(it->header, it->payload)) break;
+    // The sender's one buffer: the message, then its padding and repair
+    // rows laid out in place.
+    std::vector<std::byte> encoded;
+    encoded.reserve(fragmenter.buffer_size(message.size()));
+    encoded.assign(message.begin(), message.end());
+    const auto frags = fragmenter.split(std::move(encoded));
+    net::FragmentAssembly assembly(frags.header(frags.count() - 1));
+    for (std::size_t i = frags.count(); i-- > 0;) {
+      if (assembly.add(frags.header(i), frags.payload(i))) break;
     }
     auto bytes = assembly.bytes();
     benchmark::DoNotOptimize(bytes);

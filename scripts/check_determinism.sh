@@ -111,11 +111,14 @@ if [ -x "$LAB" ]; then
 
   # The PR-8 packet layer — fragmentation at mtu=64, FEC repair under
   # per-fragment loss, token-bucket bandwidth caps — must honour the same
-  # determinism contracts on both parallelism axes.
+  # determinism contracts on both parallelism axes. The last spec adds
+  # churn and NAT flapping, so nodes holding reassembly entries are
+  # detached and reclassified while fragments are in flight.
   packet_flags=(
     --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 duration=70"
     --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 fec=2 loss=0.1 duration=70"
     --spec="protocol=croupier nodes=300 ratio=0.2 mtu=128 bandwidth=rate:20000,burst:4000 duration=70"
+    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 fec=2 loss=0.1 churn=0.01 churn-at=20 natflap=frac:0.1,at:20,period:10 duration=70"
     --runs=2)
   run_config "$LAB" "pkt.j1" "${packet_flags[@]}" --jobs=1 --world-jobs=1
   run_config "$LAB" "pkt.j4" "${packet_flags[@]}" --jobs=4 --world-jobs=1
@@ -124,7 +127,7 @@ if [ -x "$LAB" ]; then
   check_same "croupier-lab-packet" "pkt.j1" "pkt.j4" || ok=0
   check_same "croupier-lab-packet" "pkt.j1" "pkt.w4" || ok=0
   [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab packet mtu/fec/bandwidth (jobs 1/4, world-jobs 1/4)"
+    echo "ok   croupier-lab packet mtu/fec/bandwidth/churn-natflap (jobs 1/4, world-jobs 1/4)"
 
   # The PR-9 randomness audit + adversarial processes — eclipse respawn,
   # NAT flapping through World::reclassify, the hub adversary shim — all

@@ -19,87 +19,80 @@ std::uint8_t repair_coeff(std::size_t k, std::size_t repair_index,
   return gf_inv(static_cast<std::uint8_t>(x ^ y));
 }
 
-std::vector<std::byte> encode_repair(std::span<const std::byte> message,
-                                     std::size_t k, std::size_t chunk_len,
-                                     std::size_t repair_index) {
+void encode_repair(std::span<const std::byte> message, std::size_t k,
+                   std::size_t chunk_len, std::size_t repair_index,
+                   std::span<std::byte> row) {
   CROUPIER_ASSERT(k >= 1 && chunk_len >= 1);
   CROUPIER_ASSERT(k * chunk_len >= message.size());
-  std::vector<std::byte> out(chunk_len, std::byte{0});
+  CROUPIER_ASSERT(row.size() == chunk_len);
+  std::fill(row.begin(), row.end(), std::byte{0});
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t begin = i * chunk_len;
     if (begin >= message.size()) break;  // all-zero tail chunks contribute 0
     const std::size_t len = std::min(chunk_len, message.size() - begin);
-    gf_mul_add(out.data(), message.data() + begin, len,
+    gf_mul_add(row.data(), message.data() + begin, len,
                repair_coeff(k, repair_index, i));
   }
-  return out;
 }
 
 Decoder::Decoder(std::size_t k, std::size_t chunk_len)
     : k_(k), chunk_len_(chunk_len) {
   CROUPIER_ASSERT(k >= 1 && chunk_len >= 1);
   CROUPIER_ASSERT(k <= kMaxCodedFragments);
+  matrix_.assign(k * (chunk_len + k), std::byte{0});
 }
 
 bool Decoder::add(std::size_t index, std::span<const std::byte> payload) {
   CROUPIER_ASSERT(payload.size() <= chunk_len_);
-  if (rows_.size() == k_) return false;
-  if (std::find(indices_.begin(), indices_.end(), index) != indices_.end()) {
-    return false;
-  }
-  Row row;
-  row.coeff.assign(k_, 0);
+  CROUPIER_ASSERT(index < kMaxCodedFragments);
+  if (rows_ == k_ || held_.test(index)) return false;
+  held_.set(index);
+  // The row's slot is still all zero: the payload's padding and every
+  // coefficient it does not set stay zero.
+  std::byte* coeff = coeff_row(rows_);
   if (index < k_) {
-    row.coeff[index] = 1;
+    coeff[index] = std::byte{1};
   } else {
-    CROUPIER_ASSERT(index < kMaxCodedFragments);
     for (std::size_t i = 0; i < k_; ++i) {
-      row.coeff[i] = repair_coeff(k_, index - k_, i);
+      coeff[i] = std::byte{repair_coeff(k_, index - k_, i)};
     }
   }
-  row.data.assign(chunk_len_, std::byte{0});
   if (!payload.empty()) {
-    std::memcpy(row.data.data(), payload.data(), payload.size());
+    std::memcpy(data_row(rows_), payload.data(), payload.size());
   }
-  indices_.push_back(index);
-  rows_.push_back(std::move(row));
+  ++rows_;
   return true;
 }
 
-std::optional<std::vector<std::byte>> Decoder::decode() const {
-  if (rows_.size() < k_) return std::nullopt;
-  // Work on a copy: decode() is a const query and the caller may retry
-  // (it never needs to here — ready() gates the call — but the copy also
-  // keeps elimination from corrupting rows on the singular path).
-  std::vector<Row> m = rows_;
+std::span<const std::byte> Decoder::decode() {
+  if (rows_ < k_) return {};
   for (std::size_t col = 0; col < k_; ++col) {
     // Partial "pivoting": any row with a non-zero entry works over a
     // field; take the first for determinism.
     std::size_t pivot = col;
-    while (pivot < m.size() && m[pivot].coeff[col] == 0) ++pivot;
-    if (pivot == m.size()) return std::nullopt;  // singular
-    std::swap(m[col], m[pivot]);
-    const std::uint8_t inv = gf_inv(m[col].coeff[col]);
-    gf_scale(m[col].data.data(), chunk_len_, inv);
-    for (std::size_t i = col; i < k_; ++i) {
-      m[col].coeff[i] = gf_mul(m[col].coeff[i], inv);
+    while (pivot < k_ && coeff_row(pivot)[col] == std::byte{0}) ++pivot;
+    if (pivot == k_) return {};  // singular
+    if (pivot != col) {
+      std::swap_ranges(data_row(col), data_row(col) + chunk_len_,
+                       data_row(pivot));
+      std::swap_ranges(coeff_row(col), coeff_row(col) + k_,
+                       coeff_row(pivot));
     }
-    for (std::size_t r = 0; r < m.size(); ++r) {
+    // The pivot row is zero left of `col`, so whole-row operations
+    // change only the columns from `col` on.
+    const std::uint8_t inv =
+        gf_inv(std::to_integer<std::uint8_t>(coeff_row(col)[col]));
+    gf_scale(data_row(col), chunk_len_, inv);
+    gf_scale(coeff_row(col), k_, inv);
+    for (std::size_t r = 0; r < k_; ++r) {
       if (r == col) continue;
-      const std::uint8_t f = m[r].coeff[col];
+      const auto f = std::to_integer<std::uint8_t>(coeff_row(r)[col]);
       if (f == 0) continue;
-      gf_mul_add(m[r].data.data(), m[col].data.data(), chunk_len_, f);
-      for (std::size_t i = col; i < k_; ++i) {
-        m[r].coeff[i] = gf_add(m[r].coeff[i], gf_mul(f, m[col].coeff[i]));
-      }
+      gf_mul_add(data_row(r), data_row(col), chunk_len_, f);
+      gf_mul_add(coeff_row(r), coeff_row(col), k_, f);
     }
   }
-  std::vector<std::byte> out;
-  out.reserve(k_ * chunk_len_);
-  for (std::size_t i = 0; i < k_; ++i) {
-    out.insert(out.end(), m[i].data.begin(), m[i].data.end());
-  }
-  return out;
+  return {matrix_.data(), k_ * chunk_len_};
 }
 
 }  // namespace croupier::fec

@@ -17,11 +17,17 @@
 // construction needs k + repairs <= 256 distinct field points
 // (kMaxCodedFragments); the packet layer falls back to plain
 // fragmentation beyond that.
+//
+// Both halves work on caller-owned or construction-time memory: the
+// encoder writes a repair row into a row the caller provides, and the
+// decoder keeps its k rows in one flat allocation made when it is
+// built, eliminates over them in place once the k-th row arrives, and
+// hands back a view of the solved source chunks.
 #pragma once
 
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,13 +43,14 @@ constexpr std::size_t kMaxCodedFragments = 256;
                                         std::size_t repair_index,
                                         std::size_t source_index);
 
-/// Builds repair payload `repair_index` over `message` split into k
-/// chunks of chunk_len bytes (the tail chunk implicitly zero-padded).
-/// Requires k >= 1, k * chunk_len >= message.size() and
+/// Writes repair payload `repair_index` over `message` split into k
+/// chunks of chunk_len bytes (the tail chunk implicitly zero-padded)
+/// into `row`, every one of its chunk_len bytes. `row` must not overlap
+/// `message`. Requires k >= 1, k * chunk_len >= message.size() and
 /// k + repair_index < kMaxCodedFragments.
-[[nodiscard]] std::vector<std::byte> encode_repair(
-    std::span<const std::byte> message, std::size_t k, std::size_t chunk_len,
-    std::size_t repair_index);
+void encode_repair(std::span<const std::byte> message, std::size_t k,
+                   std::size_t chunk_len, std::size_t repair_index,
+                   std::span<std::byte> row);
 
 /// Accumulates received fragments of one coded message and solves for
 /// the source chunks once k distinct rows arrived.
@@ -57,25 +64,33 @@ class Decoder {
   bool add(std::size_t index, std::span<const std::byte> payload);
 
   /// True once k distinct fragments are held.
-  [[nodiscard]] bool ready() const { return rows_.size() == k_; }
-  [[nodiscard]] std::size_t rows() const { return rows_.size(); }
+  [[nodiscard]] bool ready() const { return rows_ == k_; }
+  [[nodiscard]] std::size_t rows() const { return rows_; }
 
-  /// Gaussian elimination over the held rows; the concatenated k source
-  /// chunks (k * chunk_len bytes) on success, nullopt when fewer than k
-  /// rows are held (or the rows are singular, which the Cauchy
-  /// construction rules out for its own fragments).
-  [[nodiscard]] std::optional<std::vector<std::byte>> decode() const;
+  /// Gaussian elimination over the held rows, in place: the
+  /// concatenated k source chunks (k * chunk_len bytes), a view into the
+  /// decoder. Empty when fewer than k rows are held, or when the rows are
+  /// singular, which the Cauchy construction rules out for its own
+  /// fragments. Row operations keep the rank, so a repeated call finds
+  /// the identity and returns the same view, or fails again.
+  std::span<const std::byte> decode();
 
  private:
-  struct Row {
-    std::vector<std::uint8_t> coeff;  // k coefficients
-    std::vector<std::byte> data;      // chunk_len bytes
-  };
+  [[nodiscard]] std::byte* data_row(std::size_t row) {
+    return matrix_.data() + row * chunk_len_;
+  }
+  [[nodiscard]] std::byte* coeff_row(std::size_t row) {
+    return matrix_.data() + k_ * chunk_len_ + row * k_;
+  }
 
   std::size_t k_;
   std::size_t chunk_len_;
-  std::vector<std::size_t> indices_;  // accepted fragment indices
-  std::vector<Row> rows_;
+  std::size_t rows_ = 0;
+  std::bitset<kMaxCodedFragments> held_;  // accepted fragment indices
+  /// k data rows of chunk_len bytes, then k coefficient rows of k bytes,
+  /// each held row at its arrival position until elimination sorts the
+  /// data rows into source order.
+  std::vector<std::byte> matrix_;
 };
 
 }  // namespace croupier::fec

@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -98,6 +99,18 @@ IpAddr Network::public_ip(NodeId id) const {
   return IpAddr{0x52000000u | (id & 0x00ffffffu)};
 }
 
+namespace {
+
+/// First reassembly entry whose msg_id is not below `msg_id`.
+template <typename Assemblies>
+auto find_slot(Assemblies& assemblies, std::uint64_t msg_id) {
+  return std::lower_bound(
+      assemblies.begin(), assemblies.end(), msg_id,
+      [](const auto& entry, std::uint64_t id) { return entry.msg_id < id; });
+}
+
+}  // namespace
+
 std::size_t Network::pending_reassemblies(NodeId id) const {
   const auto it = nodes_.find(id);
   return it == nodes_.end() ? 0 : it->second.assemblies.size();
@@ -121,17 +134,18 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   }
 
   if (fragmenter_.needs_fragmentation(wire_bytes)) {
-    // Encode and split on the worker (pure sender-local work); the
-    // msg_id is stamped by the serial half.
+    // Encode once, on the worker (pure sender-local work), into the one
+    // buffer every fragment shares: the counting pass above sized it.
+    // The msg_id is stamped by the serial half.
     wire::Writer w;
+    w.reserve(fragmenter_.buffer_size(wire_bytes));
     msg->encode(w);
-    const std::vector<std::byte> buf = std::move(w).take();
-    CROUPIER_ASSERT_MSG(buf.size() == wire_bytes,
+    CROUPIER_ASSERT_MSG(w.size() == wire_bytes,
                         "wire_size() disagrees with encode()");
-    auto frags = fragmenter_.split(0, buf);
-    simulator_.defer([this, from, to, msg = std::move(msg),
-                      frags = std::move(frags)]() mutable {
-      finish_send_fragments(from, to, std::move(msg), std::move(frags));
+    auto out = std::make_shared<Outgoing>(
+        Outgoing{std::move(msg), fragmenter_.split(std::move(w).take())});
+    simulator_.defer([this, from, to, out = std::move(out)]() mutable {
+      finish_send_fragments(from, to, std::move(out));
     });
     return;
   }
@@ -195,16 +209,17 @@ void Network::finish_send(NodeId from, NodeId to, MessagePtr msg,
       });
 }
 
-void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
-                                    std::vector<Fragment> frags) {
+void Network::finish_send_fragments(NodeId from, NodeId to,
+                                    std::shared_ptr<Outgoing> out) {
   sim::conflict::record_shared_write("Network: fragmented send pipeline");
-  const std::uint64_t msg_id = next_msg_id_++;
+  out->frags.set_msg_id(next_msg_id_++);
+  const std::shared_ptr<const Outgoing> shared = std::move(out);
   const double p = loss_probability(from, to);
-  const sim::Affinity affinity =
-      delivery_affinity_ ? delivery_affinity_(to, *msg) : sim::kSerialAffinity;
-  for (auto& frag : frags) {
-    frag.header.msg_id = msg_id;
-    const std::size_t bytes = frag.wire_size() + kUdpIpHeaderBytes;
+  const sim::Affinity affinity = delivery_affinity_
+                                     ? delivery_affinity_(to, *shared->msg)
+                                     : sim::kSerialAffinity;
+  for (std::size_t i = 0; i < shared->frags.count(); ++i) {
+    const std::size_t bytes = shared->frags.wire_size(i) + kUdpIpHeaderBytes;
     meter_.on_send(from, bytes);
     ++drops_.fragments_sent;
     // The datagram leaves the sender's access link whether or not the
@@ -218,11 +233,10 @@ void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
     }
     const sim::Duration delay =
         queue_delay + latency_->sample(from, to, rng_);
-    simulator_.schedule_after(
-        delay, affinity,
-        [this, from, to, msg, frag = std::move(frag), bytes]() mutable {
-          deliver_fragment(from, to, std::move(msg), std::move(frag), bytes);
-        });
+    simulator_.schedule_after(delay, affinity,
+                              [this, from, to, shared, index = i] {
+                                deliver_fragment(from, to, *shared, index);
+                              });
   }
 }
 
@@ -253,8 +267,9 @@ void Network::deliver(NodeId from, NodeId to, MessagePtr msg,
   to_it->second.handler->on_message(from, *msg);
 }
 
-void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
-                               Fragment frag, std::size_t bytes) {
+void Network::deliver_fragment(NodeId from, NodeId to, const Outgoing& out,
+                               std::size_t index) {
+  const std::size_t bytes = out.frags.wire_size(index) + kUdpIpHeaderBytes;
   const auto to_it = nodes_.find(to);
   if (to_it == nodes_.end()) {
     simulator_.defer([this, bytes] {
@@ -278,54 +293,54 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
     meter_.on_deliver(to, bytes);
   });
 
-  // Reassembly buffers are the receiving node's own state (this event is
+  // Reassembly entries are the receiving node's own state (this event is
   // sharded on `to`, like the NAT box above), so the mutation is inline.
   sim::conflict::record_write(to, "Network: reassembly buffers");
+  const FragmentHeader h = out.frags.header(index);
   auto& assemblies = to_it->second.assemblies;
-  auto it = assemblies.find(frag.header.msg_id);
-  if (it == assemblies.end()) {
-    it = assemblies
-             .emplace(frag.header.msg_id,
-                      Assembly{FragmentAssembly(frag.header), msg})
-             .first;
+  auto it = find_slot(assemblies, h.msg_id);
+  if (it == assemblies.end() || it->msg_id != h.msg_id) {
+    it = assemblies.insert(
+        it, Assembly{h.msg_id, std::make_unique<FragmentAssembly>(h)});
     // One GC event per entry, armed at first-fragment arrival. If the
     // message completes first, the entry sits inert — suppressing late
-    // duplicates — until the timeout sweeps it.
-    const std::uint64_t msg_id = frag.header.msg_id;
+    // duplicates — until the timeout erases it.
+    const std::uint64_t msg_id = h.msg_id;
     const sim::Affinity affinity = delivery_affinity_
-                                       ? delivery_affinity_(to, *msg)
+                                       ? delivery_affinity_(to, *out.msg)
                                        : sim::kSerialAffinity;
     simulator_.schedule_after(
         packet_.reassembly_timeout, affinity,
         [this, to, msg_id] { expire_assembly(to, msg_id); });
   }
-  if (it->second.frags.add(frag.header, frag.payload)) {
-    // This fragment completed the message: reconstruct the bytes (the
-    // honest path — repair fragments really decode) and deliver the
-    // carried message.
-    const auto reassembled = it->second.frags.bytes();
-    CROUPIER_ASSERT_MSG(reassembled.has_value() &&
-                            reassembled->size() == frag.header.total_len,
-                        "reassembly yielded the wrong byte count");
-    const auto held =
-        static_cast<std::uint64_t>(it->second.frags.fragments_held());
-    simulator_.defer([this, held] {
-      ++drops_.delivered;
-      drops_.fragments_reassembled += held;
-    });
-    to_it->second.handler->on_message(from, *it->second.msg);
+  if (it->pending == nullptr ||
+      !it->pending->add(h, out.frags.payload(index))) {
+    return;
   }
+  // This fragment completed the message. The bytes were really
+  // reassembled (repair fragments really decode), so they must be the
+  // sender's encoding; the handler gets the carried message.
+  CROUPIER_ASSERT_MSG(std::ranges::equal(it->pending->bytes(),
+                                         out.frags.message()),
+                      "reassembly yielded bytes other than the sender's");
+  const auto held = static_cast<std::uint64_t>(it->pending->fragments_held());
+  it->pending.reset();
+  simulator_.defer([this, held] {
+    ++drops_.delivered;
+    drops_.fragments_reassembled += held;
+  });
+  to_it->second.handler->on_message(from, *out.msg);
 }
 
 void Network::expire_assembly(NodeId to, std::uint64_t msg_id) {
   const auto to_it = nodes_.find(to);
   if (to_it == nodes_.end()) return;  // node died; state already gone
   auto& assemblies = to_it->second.assemblies;
-  const auto it = assemblies.find(msg_id);
-  if (it == assemblies.end()) return;
-  if (!it->second.frags.complete()) {
+  const auto it = find_slot(assemblies, msg_id);
+  if (it == assemblies.end() || it->msg_id != msg_id) return;
+  if (it->pending != nullptr) {
     const auto held =
-        static_cast<std::uint64_t>(it->second.frags.fragments_held());
+        static_cast<std::uint64_t>(it->pending->fragments_held());
     simulator_.defer([this, held] { drops_.fragments_expired += held; });
   }
   assemblies.erase(it);

@@ -9,10 +9,13 @@
 // contact") that all the protocols in this repository are designed around.
 //
 // Packet layer (net/packet): with a PacketConfig whose mtu is positive, a
-// message larger than the MTU is split into framed fragments, each its
-// own datagram — its own loss die, latency sample and byte charge — and
-// reassembled at the receiver (FEC repair fragments optional); incomplete
-// reassemblies are garbage-collected after a deterministic timeout. A
+// message larger than the MTU is encoded once into one buffer holding its
+// source chunks and FEC repair rows (optional), shared read-only by the
+// delivery events of its framed fragments. Each fragment is its own
+// datagram — its own loss die, latency sample and byte charge. Each
+// receiver keeps its reassembly entries in a vector sorted by msg_id; an
+// entry frees its working state when its message completes and is erased
+// by one deterministic GC event, armed at its first fragment. A
 // positive bandwidth_bps additionally meters every sender through a
 // TokenBucket whose queueing delay adds to the propagation latency, so
 // saturation shows up as RTT inflation. With the default config
@@ -25,9 +28,11 @@
 // the event queue — is routed through Simulator::defer(), which replays
 // the effects serially in deterministic order. Only the calling node's
 // own NAT box (and, on delivery, the receiving node's own reassembly
-// buffers — sharded by receiver exactly like the NAT box) is mutated
-// inline.  Outside a parallel batch defer() degenerates to an
-// immediate call and nothing changes.
+// entries — sharded by receiver exactly like the NAT box) is mutated
+// inline. A fragmented message's shared buffer is built on the sender's
+// worker, stamped with its msg_id by the serial half, and only read
+// after that, by delivery events on any worker. Outside a parallel
+// batch defer() degenerates to an immediate call and nothing changes.
 #pragma once
 
 #include <cstdint>
@@ -136,26 +141,35 @@ class Network {
   [[nodiscard]] const DropStats& drops() const { return drops_; }
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
 
-  /// Incomplete reassembly entries currently buffered at `id` (tests).
+  /// Reassembly entries at `id` that their GC event has not erased yet:
+  /// incomplete ones and completed ones swallowing late fragments
+  /// (tests).
   [[nodiscard]] std::size_t pending_reassemblies(NodeId id) const;
 
  private:
-  /// One in-progress fragmented message at a receiver. The carried
-  /// MessagePtr is what reaches the handler once the byte-level
-  /// reassembly completes (the entry survives, inert, until its GC
-  /// timeout so late duplicates cannot re-open it).
-  struct Assembly {
-    FragmentAssembly frags;
+  /// One fragmented message in flight: the carried message and its
+  /// fragment set, shared read-only by every fragment's delivery event
+  /// once the serial half has stamped its msg_id.
+  struct Outgoing {
     MessagePtr msg;
+    FragmentSet frags;
+  };
+
+  /// A receiver's reassembly entry. `pending` holds the working state
+  /// until the message completes and is released then; the inert entry
+  /// left behind swallows late fragments until its GC event erases it.
+  struct Assembly {
+    std::uint64_t msg_id;
+    std::unique_ptr<FragmentAssembly> pending;
   };
 
   struct NodeState {
     NatConfig cfg;
     std::optional<NatBox> nat;  // engaged for Natted/Firewalled nodes
     MessageHandler* handler = nullptr;
-    /// Reassembly buffers, keyed by msg_id. Receiver-sharded state like
-    /// the NAT box: mutated inline from delivery events, never iterated.
-    std::unordered_map<std::uint64_t, Assembly> assemblies;
+    /// Reassembly entries sorted by msg_id. Receiver-sharded state like
+    /// the NAT box: mutated inline from delivery events.
+    std::vector<Assembly> assemblies;
   };
 
   /// The shared-state half of send(): meter charge, bucket charge, loss
@@ -163,14 +177,14 @@ class Network {
   /// defer() effect of send(); conflict-check builds abort if it runs
   /// inside a parallel batch.
   void finish_send(NodeId from, NodeId to, MessagePtr msg, std::size_t bytes);
-  /// Same serial half for a fragmented message: assigns the msg_id and
+  /// Same serial half for a fragmented message: stamps the msg_id, then
   /// runs the per-datagram pipeline for every fragment.
-  void finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
-                             std::vector<Fragment> frags);
+  void finish_send_fragments(NodeId from, NodeId to,
+                             std::shared_ptr<Outgoing> out);
   void deliver(NodeId from, NodeId to, MessagePtr msg, std::size_t bytes);
-  void deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
-                        Fragment frag, std::size_t bytes);
-  /// Reassembly GC: drops the entry for (to, msg_id); counts its
+  void deliver_fragment(NodeId from, NodeId to, const Outgoing& out,
+                        std::size_t index);
+  /// Reassembly GC: erases the entry for (to, msg_id); counts its
   /// fragments as expired when the message never completed.
   void expire_assembly(NodeId to, std::uint64_t msg_id);
 

@@ -52,44 +52,55 @@ std::size_t Fragmenter::repair_count(std::size_t k) const {
   return std::min(r, fec::kMaxCodedFragments - k);
 }
 
-std::vector<Fragment> Fragmenter::split(
-    std::uint64_t msg_id, std::span<const std::byte> message) const {
-  CROUPIER_ASSERT(needs_fragmentation(message.size()));
-  const std::size_t k = source_count(message.size());
+std::size_t Fragmenter::buffer_size(std::size_t message_bytes) const {
+  const std::size_t k = source_count(message_bytes);
+  return (k + repair_count(k)) * ((message_bytes + k - 1) / k);
+}
+
+FragmentSet Fragmenter::split(std::vector<std::byte> encoded) const {
+  const std::size_t total = encoded.size();
+  CROUPIER_ASSERT(needs_fragmentation(total));
+  const std::size_t k = source_count(total);
   const std::size_t r = repair_count(k);
-  // Equal-size chunks (tail zero-padded logically) so repair rows line
-  // up; chunk_len <= mtu - header holds because k is the ceiling split.
-  const std::size_t chunk_len = (message.size() + k - 1) / k;
+  // Equal-size chunks (tail zero-padded) so repair rows line up;
+  // chunk_len <= mtu - header holds because k is the ceiling split.
+  const std::size_t chunk_len = (total + k - 1) / k;
   CROUPIER_ASSERT(chunk_len <= cfg_.mtu - kFragmentHeaderBytes);
   CROUPIER_ASSERT_MSG(k + r <= 0xffff, "message too large for u16 fragment "
                                        "count at this mtu");
 
-  std::vector<Fragment> out;
-  out.reserve(k + r);
-  FragmentHeader h;
-  h.msg_id = msg_id;
-  h.count = static_cast<std::uint16_t>(k + r);
-  h.source = static_cast<std::uint16_t>(k);
-  h.total_len = static_cast<std::uint32_t>(message.size());
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t begin = i * chunk_len;
-    const std::size_t len = std::min(chunk_len, message.size() - begin);
-    h.index = static_cast<std::uint16_t>(i);
-    h.payload_len = static_cast<std::uint16_t>(len);
-    out.push_back(Fragment{
-        h, std::vector<std::byte>(message.begin() +
-                                      static_cast<std::ptrdiff_t>(begin),
-                                  message.begin() +
-                                      static_cast<std::ptrdiff_t>(begin +
-                                                                  len))});
-  }
+  FragmentHeader frame;
+  frame.count = static_cast<std::uint16_t>(k + r);
+  frame.source = static_cast<std::uint16_t>(k);
+  frame.total_len = static_cast<std::uint32_t>(total);
+  // Zero-pads the tail chunk and makes room for the repair rows; a
+  // buffer reserved at buffer_size() does not reallocate here.
+  encoded.resize((k + r) * chunk_len);
+  const std::span<const std::byte> message(encoded.data(), total);
   for (std::size_t j = 0; j < r; ++j) {
-    h.index = static_cast<std::uint16_t>(k + j);
-    h.payload_len = static_cast<std::uint16_t>(chunk_len);
-    out.push_back(
-        Fragment{h, fec::encode_repair(message, k, chunk_len, j)});
+    fec::encode_repair(
+        message, k, chunk_len, j,
+        std::span<std::byte>(encoded).subspan((k + j) * chunk_len,
+                                              chunk_len));
   }
-  return out;
+  return FragmentSet(frame, chunk_len, std::move(encoded));
+}
+
+FragmentHeader FragmentSet::header(std::size_t index) const {
+  FragmentHeader h = frame_;
+  h.index = static_cast<std::uint16_t>(index);
+  h.payload_len = static_cast<std::uint16_t>(payload(index).size());
+  return h;
+}
+
+std::span<const std::byte> FragmentSet::payload(std::size_t index) const {
+  CROUPIER_ASSERT(index < count());
+  const std::size_t begin = index * chunk_len_;
+  const std::size_t len =
+      index < source() ? std::min(chunk_len_, std::size_t{frame_.total_len} -
+                                                  begin)
+                       : chunk_len_;
+  return std::span<const std::byte>(buf_).subspan(begin, len);
 }
 
 FragmentAssembly::FragmentAssembly(const FragmentHeader& first)
@@ -97,7 +108,6 @@ FragmentAssembly::FragmentAssembly(const FragmentHeader& first)
       chunk_len_((first.total_len + first.source - 1) / first.source) {
   CROUPIER_ASSERT(first.source >= 1 && first.count >= first.source);
   CROUPIER_ASSERT(first.total_len >= 1);
-  have_.assign(first.count, false);
   if (first.count > first.source) {
     // Coded message: repair fragments can substitute for any source, so
     // rows go through the GF(256) decoder (sender guarantees the Cauchy
@@ -105,6 +115,7 @@ FragmentAssembly::FragmentAssembly(const FragmentHeader& first)
     decoder_.emplace(first.source, chunk_len_);
   } else {
     buffer_.assign(first.total_len, std::byte{0});
+    have_.assign(first.count, false);
   }
 }
 
@@ -116,11 +127,12 @@ bool FragmentAssembly::add(const FragmentHeader& h,
       payload.size() > chunk_len_) {
     return false;  // corrupt or mismatched frame: ignore
   }
-  if (complete() || have_[h.index]) return false;
-  have_[h.index] = true;
+  if (complete()) return false;
   if (decoder_.has_value()) {
-    decoder_->add(h.index, payload);
+    if (!decoder_->add(h.index, payload)) return false;  // duplicate
   } else {
+    if (have_[h.index]) return false;
+    have_[h.index] = true;
     // Plain fragmentation: chunk h.index lands at a fixed offset.
     const std::size_t begin = static_cast<std::size_t>(h.index) * chunk_len_;
     CROUPIER_ASSERT(begin + payload.size() <= buffer_.size());
@@ -128,16 +140,16 @@ bool FragmentAssembly::add(const FragmentHeader& h,
               buffer_.begin() + static_cast<std::ptrdiff_t>(begin));
   }
   ++held_;
-  return complete();
-}
-
-std::optional<std::vector<std::byte>> FragmentAssembly::bytes() const {
-  if (!complete()) return std::nullopt;
-  if (!decoder_.has_value()) return buffer_;
-  auto padded = decoder_->decode();
-  if (!padded.has_value()) return std::nullopt;
-  padded->resize(geometry_.total_len);  // trim the zero-padded tail chunk
-  return padded;
+  if (!complete()) return false;
+  if (decoder_.has_value()) {
+    // The one elimination, at the k-th row; the padded tail chunk is
+    // trimmed off the view.
+    const auto padded = decoder_->decode();
+    if (!padded.empty()) bytes_ = padded.first(geometry_.total_len);
+  } else {
+    bytes_ = buffer_;
+  }
+  return true;
 }
 
 }  // namespace croupier::net

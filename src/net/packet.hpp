@@ -20,15 +20,20 @@
 //   u16 payload_len  bytes of chunk data following this header
 //   u32 total_len    original message wire size
 //
-// Reassembly (FragmentAssembly) completes on any k distinct fragments;
-// the Network garbage-collects incomplete entries after a deterministic
-// timeout so lossy links cannot grow receiver state without bound.
+// The sender encodes a message once into the buffer of a FragmentSet,
+// which holds the k source chunks and the r repair rows; each fragment
+// is a frame and a span derived from that buffer. Reassembly
+// (FragmentAssembly) completes on any k distinct fragments and hands
+// back a view of the message's bytes; the Network garbage-collects its
+// entries after a deterministic timeout so lossy links cannot grow
+// receiver state without bound.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fec/rateless.hpp"
@@ -84,18 +89,49 @@ struct FragmentHeader {
                          const FragmentHeader&) = default;
 };
 
-struct Fragment {
-  FragmentHeader header;
-  std::vector<std::byte> payload;
+/// One fragmented message as its sender lays it out: a single buffer
+/// holding the k source chunks, the last one zero-padded to chunk_len,
+/// followed by the r repair rows. Fragment i's frame and payload are
+/// derived from the geometry and i, so nothing is copied per fragment.
+class FragmentSet {
+ public:
+  /// Fragments in the set (k + r) and source chunks among them (k).
+  [[nodiscard]] std::size_t count() const { return frame_.count; }
+  [[nodiscard]] std::size_t source() const { return frame_.source; }
 
-  /// Bytes this fragment occupies on the wire (frame + chunk), before
+  /// Stamps the msg_id every fragment's frame carries.
+  void set_msg_id(std::uint64_t msg_id) { frame_.msg_id = msg_id; }
+
+  /// Fragment `index`'s frame.
+  [[nodiscard]] FragmentHeader header(std::size_t index) const;
+
+  /// Fragment `index`'s chunk data: a source chunk at its true length
+  /// (the last one may be short) or a full repair row.
+  [[nodiscard]] std::span<const std::byte> payload(std::size_t index) const;
+
+  /// Bytes fragment `index` occupies on the wire (frame + chunk), before
   /// the UDP/IP headers the Network charges per datagram.
-  [[nodiscard]] std::size_t wire_size() const {
-    return kFragmentHeaderBytes + payload.size();
+  [[nodiscard]] std::size_t wire_size(std::size_t index) const {
+    return kFragmentHeaderBytes + payload(index).size();
   }
+
+  /// The message's own wire bytes (total_len of them).
+  [[nodiscard]] std::span<const std::byte> message() const {
+    return {buf_.data(), frame_.total_len};
+  }
+
+ private:
+  friend class Fragmenter;
+  FragmentSet(const FragmentHeader& frame, std::size_t chunk_len,
+              std::vector<std::byte> buf)
+      : frame_(frame), chunk_len_(chunk_len), buf_(std::move(buf)) {}
+
+  FragmentHeader frame_;  // msg_id and geometry; index and payload_len unset
+  std::size_t chunk_len_;
+  std::vector<std::byte> buf_;  // (k + r) * chunk_len bytes
 };
 
-/// Splits encoded messages into framed fragments per a PacketConfig.
+/// Lays encoded messages out as fragment sets per a PacketConfig.
 class Fragmenter {
  public:
   explicit Fragmenter(const PacketConfig& cfg);
@@ -114,10 +150,15 @@ class Fragmenter {
   /// alone already exceeds it — plain fragmentation fallback).
   [[nodiscard]] std::size_t repair_count(std::size_t k) const;
 
-  /// Splits `message` into source + repair fragments stamped with
-  /// msg_id. Requires needs_fragmentation(message.size()).
-  [[nodiscard]] std::vector<Fragment> split(
-      std::uint64_t msg_id, std::span<const std::byte> message) const;
+  /// Size of the one buffer a message of this wire size is laid out in,
+  /// (k + r) * chunk_len. Reserve it before encoding the message and
+  /// split() needs no further allocation.
+  [[nodiscard]] std::size_t buffer_size(std::size_t message_bytes) const;
+
+  /// Lays `encoded`, one message's wire bytes, out in place: zero-pads
+  /// the source chunks and appends the repair rows. The set's msg_id is
+  /// 0 until stamped. Requires needs_fragmentation(encoded.size()).
+  [[nodiscard]] FragmentSet split(std::vector<std::byte> encoded) const;
 
  private:
   PacketConfig cfg_;
@@ -129,26 +170,32 @@ class FragmentAssembly {
   /// Geometry is taken from the first fragment seen (fragments of one
   /// msg_id always agree in-sim; mismatching ones are ignored).
   explicit FragmentAssembly(const FragmentHeader& first);
+  // bytes() views the assembly's own storage.
+  FragmentAssembly(const FragmentAssembly&) = delete;
+  FragmentAssembly& operator=(const FragmentAssembly&) = delete;
 
   /// Feeds one fragment. Duplicates and geometry mismatches are
-  /// ignored. Returns true when this fragment completed the message.
+  /// ignored. Returns true when this fragment completed the message;
+  /// a coded message is decoded then, once.
   bool add(const FragmentHeader& h, std::span<const std::byte> payload);
 
   [[nodiscard]] bool complete() const { return held_ == geometry_.source; }
   [[nodiscard]] std::size_t fragments_held() const { return held_; }
 
-  /// The reassembled message (total_len bytes), FEC-decoded when repair
-  /// fragments participated; nullopt while incomplete.
-  [[nodiscard]] std::optional<std::vector<std::byte>> bytes() const;
+  /// The reassembled message (total_len bytes), a view into the
+  /// assembly; empty while incomplete or when decoding failed.
+  [[nodiscard]] std::span<const std::byte> bytes() const { return bytes_; }
 
  private:
   FragmentHeader geometry_;
   std::size_t chunk_len_;
   std::size_t held_ = 0;
-  std::vector<bool> have_;  // per fragment index, duplicate suppression
-  /// Plain messages (count == source) assemble chunks in place; coded
-  /// ones (repair fragments present) go through the GF(256) decoder.
+  std::span<const std::byte> bytes_;
+  /// Plain messages (count == source) copy chunks into place and track
+  /// them in have_; coded ones (repair fragments present) go through the
+  /// GF(256) decoder, which rejects duplicates itself.
   std::vector<std::byte> buffer_;
+  std::vector<bool> have_;
   std::optional<fec::Decoder> decoder_;
 };
 

@@ -30,6 +30,13 @@ class Writer {
     return w;
   }
 
+  /// Reserves room for `n` bytes, so a caller that sized the message
+  /// first encodes it, and can grow the buffer to `n`, without a
+  /// reallocation.
+  void reserve(std::size_t n) {
+    if (!counting_) buf_.reserve(n);
+  }
+
   void u8(std::uint8_t v) {
     if (counting_) {
       ++counted_;

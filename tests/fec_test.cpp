@@ -2,8 +2,10 @@
 // k-of-n recovery guarantee, and clean failure below k fragments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fec/gf256.hpp"
@@ -85,6 +87,16 @@ std::vector<std::vector<std::byte>> chunks_of(
   return out;
 }
 
+/// Repair row `repair_index` of `msg`, written by the codec into a
+/// fresh row.
+std::vector<std::byte> repair_row(const std::vector<std::byte>& msg,
+                                  std::size_t k, std::size_t chunk_len,
+                                  std::size_t repair_index) {
+  std::vector<std::byte> row(chunk_len);
+  encode_repair(msg, k, chunk_len, repair_index, row);
+  return row;
+}
+
 TEST(Rateless, RepairCoeffIsNonZeroAndDeterministic) {
   for (std::size_t k = 1; k <= 8; ++k) {
     for (std::size_t r = 0; r < 4; ++r) {
@@ -108,9 +120,8 @@ TEST(Rateless, DecodesFromExactlyKSourceFragments) {
   }
   ASSERT_TRUE(dec.ready());
   const auto out = dec.decode();
-  ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->size(), k * chunk_len);
-  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ((*out)[i], msg[i]);
+  ASSERT_EQ(out.size(), k * chunk_len);
+  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
 }
 
 TEST(Rateless, DecodesFromAnyKOfNMixes) {
@@ -137,14 +148,14 @@ TEST(Rateless, DecodesFromAnyKOfNMixes) {
         EXPECT_TRUE(dec.add(index, chunks[index]));
       } else {
         EXPECT_TRUE(dec.add(
-            index, encode_repair(msg, k, chunk_len, index - k)));
+            index, repair_row(msg, k, chunk_len, index - k)));
       }
     }
     ASSERT_TRUE(dec.ready());
     const auto out = dec.decode();
-    ASSERT_TRUE(out.has_value());
+    ASSERT_EQ(out.size(), k * chunk_len);
     for (std::size_t i = 0; i < msg.size(); ++i) {
-      EXPECT_EQ((*out)[i], msg[i]) << "pick[0]=" << pick[0];
+      EXPECT_EQ(out[i], msg[i]) << "pick[0]=" << pick[0];
     }
   }
 }
@@ -155,11 +166,16 @@ TEST(Rateless, FailsCleanlyBelowK) {
   Decoder dec(k, chunk_len);
   // k-1 fragments, deliberately a mix of source and repair rows.
   EXPECT_TRUE(dec.add(0, chunks_of(msg, k, chunk_len)[0]));
-  EXPECT_TRUE(dec.add(4, encode_repair(msg, k, chunk_len, 0)));
-  EXPECT_TRUE(dec.add(6, encode_repair(msg, k, chunk_len, 2)));
+  EXPECT_TRUE(dec.add(4, repair_row(msg, k, chunk_len, 0)));
+  EXPECT_TRUE(dec.add(6, repair_row(msg, k, chunk_len, 2)));
   EXPECT_FALSE(dec.ready());
   EXPECT_EQ(dec.rows(), 3u);
-  EXPECT_FALSE(dec.decode().has_value());
+  EXPECT_TRUE(dec.decode().empty());
+  // The failed attempt left the rows intact: the k-th row completes it.
+  EXPECT_TRUE(dec.add(3, chunks_of(msg, k, chunk_len)[3]));
+  const auto out = dec.decode();
+  ASSERT_EQ(out.size(), k * chunk_len);
+  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
 }
 
 TEST(Rateless, RejectsDuplicatesAndOverfill) {
@@ -169,13 +185,13 @@ TEST(Rateless, RejectsDuplicatesAndOverfill) {
   Decoder dec(k, chunk_len);
   EXPECT_TRUE(dec.add(0, chunks[0]));
   EXPECT_FALSE(dec.add(0, chunks[0]));  // duplicate index
-  EXPECT_TRUE(dec.add(2, encode_repair(msg, k, chunk_len, 0)));
+  EXPECT_TRUE(dec.add(2, repair_row(msg, k, chunk_len, 0)));
   EXPECT_TRUE(dec.ready());
   EXPECT_FALSE(dec.add(1, chunks[1]));  // already ready: rejected
   EXPECT_EQ(dec.rows(), 2u);
   const auto out = dec.decode();
-  ASSERT_TRUE(out.has_value());
-  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ((*out)[i], msg[i]);
+  ASSERT_EQ(out.size(), k * chunk_len);
+  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
 }
 
 TEST(Rateless, ShortPayloadIsZeroPadded) {
@@ -187,10 +203,40 @@ TEST(Rateless, ShortPayloadIsZeroPadded) {
   EXPECT_TRUE(dec.add(0, std::span<const std::byte>(msg).subspan(0, 4)));
   EXPECT_TRUE(dec.add(1, std::span<const std::byte>(msg).subspan(4, 2)));
   const auto out = dec.decode();
-  ASSERT_TRUE(out.has_value());
-  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ((*out)[i], msg[i]);
-  EXPECT_EQ((*out)[6], std::byte{0});
-  EXPECT_EQ((*out)[7], std::byte{0});
+  ASSERT_EQ(out.size(), k * chunk_len);
+  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
+  EXPECT_EQ(out[6], std::byte{0});
+  EXPECT_EQ(out[7], std::byte{0});
+}
+
+TEST(Rateless, EncodeRepairWritesTheWholeRow) {
+  // The caller's row may hold anything: the codec overwrites all of it,
+  // padding columns included.
+  const std::size_t k = 3, chunk_len = 5;
+  const auto msg = make_message(11);
+  std::vector<std::byte> dirty(chunk_len, std::byte{0xA5});
+  encode_repair(msg, k, chunk_len, 1, dirty);
+  EXPECT_EQ(dirty, repair_row(msg, k, chunk_len, 1));
+  // An explicitly zero-padded message gives the same row.
+  auto padded = msg;
+  padded.resize(k * chunk_len, std::byte{0});
+  EXPECT_EQ(repair_row(padded, k, chunk_len, 1),
+            repair_row(msg, k, chunk_len, 1));
+}
+
+TEST(Rateless, RepeatedDecodeReturnsTheSameView) {
+  const std::size_t k = 3, chunk_len = 4;
+  const auto msg = make_message(12);
+  Decoder dec(k, chunk_len);
+  EXPECT_TRUE(dec.add(4, repair_row(msg, k, chunk_len, 1)));
+  EXPECT_TRUE(dec.add(3, repair_row(msg, k, chunk_len, 0)));
+  EXPECT_TRUE(dec.add(1, std::span<const std::byte>(msg).subspan(4, 4)));
+  const auto first = dec.decode();
+  const auto second = dec.decode();
+  ASSERT_EQ(first.size(), k * chunk_len);
+  EXPECT_EQ(first.data(), second.data());
+  EXPECT_EQ(second.size(), first.size());
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), msg.begin()));
 }
 
 TEST(Rateless, LargeKRoundTrip) {
@@ -204,7 +250,7 @@ TEST(Rateless, LargeKRoundTrip) {
   for (std::size_t i = 0; i < k; ++i) {
     if (i % 5 == 0) {
       EXPECT_TRUE(dec.add(k + repair,
-                          encode_repair(msg, k, chunk_len, repair)));
+                          repair_row(msg, k, chunk_len, repair)));
       ++repair;
     } else {
       EXPECT_TRUE(dec.add(i, chunks[i]));
@@ -213,8 +259,8 @@ TEST(Rateless, LargeKRoundTrip) {
   ASSERT_LE(k + repair, kMaxCodedFragments);
   ASSERT_TRUE(dec.ready());
   const auto out = dec.decode();
-  ASSERT_TRUE(out.has_value());
-  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ((*out)[i], msg[i]);
+  ASSERT_EQ(out.size(), k * chunk_len);
+  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
 }
 
 }  // namespace

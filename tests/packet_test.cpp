@@ -3,11 +3,13 @@
 // token-bucket conservation, and the Network-level fragmented path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "fec/rateless.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/token_bucket.hpp"
@@ -92,21 +94,27 @@ TEST(Fragmenter, GeometryAtSmallMtu) {
   EXPECT_TRUE(frag.needs_fragmentation(65));
   EXPECT_EQ(frag.source_count(100), 3u);  // ceil(100 / 44)
   EXPECT_EQ(frag.repair_count(3), 0u);    // fec off
+  EXPECT_EQ(frag.buffer_size(100), 3u * 34u);
 
   const auto msg = make_payload(100);
-  const auto frags = frag.split(9, msg);
-  ASSERT_EQ(frags.size(), 3u);
+  auto frags = frag.split(msg);
+  frags.set_msg_id(9);
+  ASSERT_EQ(frags.count(), 3u);
+  ASSERT_EQ(frags.source(), 3u);
   std::size_t total = 0;
-  for (std::size_t i = 0; i < frags.size(); ++i) {
-    EXPECT_EQ(frags[i].header.msg_id, 9u);
-    EXPECT_EQ(frags[i].header.index, i);
-    EXPECT_EQ(frags[i].header.count, 3u);
-    EXPECT_EQ(frags[i].header.source, 3u);
-    EXPECT_EQ(frags[i].header.total_len, 100u);
-    EXPECT_LE(frags[i].wire_size(), cfg.mtu);
-    total += frags[i].payload.size();
+  for (std::size_t i = 0; i < frags.count(); ++i) {
+    const FragmentHeader h = frags.header(i);
+    EXPECT_EQ(h.msg_id, 9u);
+    EXPECT_EQ(h.index, i);
+    EXPECT_EQ(h.count, 3u);
+    EXPECT_EQ(h.source, 3u);
+    EXPECT_EQ(h.total_len, 100u);
+    EXPECT_EQ(h.payload_len, frags.payload(i).size());
+    EXPECT_LE(frags.wire_size(i), cfg.mtu);
+    total += frags.payload(i).size();
   }
   EXPECT_EQ(total, 100u);  // source fragments carry exactly the message
+  EXPECT_TRUE(std::ranges::equal(frags.message(), msg));
 }
 
 TEST(Fragmenter, FecAppendsRepairFragments) {
@@ -116,38 +124,43 @@ TEST(Fragmenter, FecAppendsRepairFragments) {
   cfg.fec_rate = 0.5;  // + ceil(0.5 * k)
   const Fragmenter frag(cfg);
   EXPECT_EQ(frag.repair_count(3), 2u + 2u);
+  EXPECT_EQ(frag.buffer_size(100), 7u * 34u);
 
   const auto msg = make_payload(100);  // k = 3
-  const auto frags = frag.split(1, msg);
-  ASSERT_EQ(frags.size(), 7u);
-  for (const auto& f : frags) {
-    EXPECT_EQ(f.header.count, 7u);
-    EXPECT_EQ(f.header.source, 3u);
-    EXPECT_LE(f.wire_size(), cfg.mtu);
+  const auto frags = frag.split(msg);
+  ASSERT_EQ(frags.count(), 7u);
+  for (std::size_t i = 0; i < frags.count(); ++i) {
+    const FragmentHeader h = frags.header(i);
+    EXPECT_EQ(h.count, 7u);
+    EXPECT_EQ(h.source, 3u);
+    EXPECT_LE(frags.wire_size(i), cfg.mtu);
   }
-  // Repair payloads are full chunks.
-  EXPECT_EQ(frags[3].payload.size(), frags[0].payload.size());
+  // Repair payloads are full chunks; the short tail chunk is not.
+  EXPECT_EQ(frags.payload(3).size(), frags.payload(0).size());
+  EXPECT_EQ(frags.payload(2).size(), 32u);
+  // Each repair row is the codec's row over the message.
+  std::vector<std::byte> row(34);
+  fec::encode_repair(msg, 3, 34, 1, row);
+  EXPECT_TRUE(std::ranges::equal(frags.payload(4), row));
 }
 
 TEST(FragmentAssembly, ReassemblesUnderReorderAndDuplication) {
   PacketConfig cfg;
   cfg.mtu = 64;
   const auto msg = make_payload(150);  // k = 4
-  const auto frags = Fragmenter(cfg).split(5, msg);
-  ASSERT_EQ(frags.size(), 4u);
+  const auto frags = Fragmenter(cfg).split(msg);
+  ASSERT_EQ(frags.count(), 4u);
 
-  FragmentAssembly assembly(frags[2].header);
-  EXPECT_FALSE(assembly.add(frags[2].header, frags[2].payload));
-  EXPECT_FALSE(assembly.add(frags[2].header, frags[2].payload));  // dup
-  EXPECT_FALSE(assembly.add(frags[0].header, frags[0].payload));
-  EXPECT_FALSE(assembly.add(frags[3].header, frags[3].payload));
+  FragmentAssembly assembly(frags.header(2));
+  EXPECT_FALSE(assembly.add(frags.header(2), frags.payload(2)));
+  EXPECT_FALSE(assembly.add(frags.header(2), frags.payload(2)));  // dup
+  EXPECT_FALSE(assembly.add(frags.header(0), frags.payload(0)));
+  EXPECT_FALSE(assembly.add(frags.header(3), frags.payload(3)));
   EXPECT_EQ(assembly.fragments_held(), 3u);
-  EXPECT_FALSE(assembly.bytes().has_value());  // incomplete
-  EXPECT_TRUE(assembly.add(frags[1].header, frags[1].payload));
+  EXPECT_TRUE(assembly.bytes().empty());  // incomplete
+  EXPECT_TRUE(assembly.add(frags.header(1), frags.payload(1)));
   ASSERT_TRUE(assembly.complete());
-  const auto out = assembly.bytes();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, msg);
+  EXPECT_TRUE(std::ranges::equal(assembly.bytes(), msg));
 }
 
 TEST(FragmentAssembly, FecDecodeAtExactlyKofN) {
@@ -155,40 +168,39 @@ TEST(FragmentAssembly, FecDecodeAtExactlyKofN) {
   cfg.mtu = 64;
   cfg.fec_repair = 2;
   const auto msg = make_payload(150);  // k = 4, n = 6
-  const auto frags = Fragmenter(cfg).split(5, msg);
-  ASSERT_EQ(frags.size(), 6u);
+  const auto frags = Fragmenter(cfg).split(msg);
+  ASSERT_EQ(frags.count(), 6u);
 
   // Drop sources 1 and 3; the two repairs substitute.
-  FragmentAssembly assembly(frags[4].header);
-  assembly.add(frags[4].header, frags[4].payload);
-  assembly.add(frags[0].header, frags[0].payload);
-  assembly.add(frags[5].header, frags[5].payload);
+  FragmentAssembly assembly(frags.header(4));
+  assembly.add(frags.header(4), frags.payload(4));
+  assembly.add(frags.header(0), frags.payload(0));
+  assembly.add(frags.header(5), frags.payload(5));
   EXPECT_FALSE(assembly.complete());  // k-1 held: must not complete
-  EXPECT_FALSE(assembly.bytes().has_value());
-  EXPECT_TRUE(assembly.add(frags[2].header, frags[2].payload));
-  const auto out = assembly.bytes();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, msg);
+  EXPECT_TRUE(assembly.bytes().empty());
+  EXPECT_TRUE(assembly.add(frags.header(2), frags.payload(2)));
+  EXPECT_TRUE(std::ranges::equal(assembly.bytes(), msg));
+  // A duplicate after completion changes nothing.
+  EXPECT_FALSE(assembly.add(frags.header(1), frags.payload(1)));
+  EXPECT_EQ(assembly.fragments_held(), 4u);
 }
 
 TEST(FragmentAssembly, IgnoresGeometryMismatches) {
   PacketConfig cfg;
   cfg.mtu = 64;
   const auto msg = make_payload(100);
-  const auto frags = Fragmenter(cfg).split(5, msg);
-  FragmentAssembly assembly(frags[0].header);
-  EXPECT_FALSE(assembly.add(frags[0].header, frags[0].payload));
+  const auto frags = Fragmenter(cfg).split(msg);
+  FragmentAssembly assembly(frags.header(0));
+  EXPECT_FALSE(assembly.add(frags.header(0), frags.payload(0)));
 
-  FragmentHeader bad = frags[1].header;
+  FragmentHeader bad = frags.header(1);
   bad.total_len = 999;  // mismatched geometry
-  EXPECT_FALSE(assembly.add(bad, frags[1].payload));
-  bad = frags[1].header;
+  EXPECT_FALSE(assembly.add(bad, frags.payload(1)));
+  bad = frags.header(1);
   bad.index = bad.count;  // out-of-range index
-  EXPECT_FALSE(assembly.add(bad, frags[1].payload));
+  EXPECT_FALSE(assembly.add(bad, frags.payload(1)));
   // Payload length disagreeing with the header is ignored too.
-  EXPECT_FALSE(assembly.add(
-      frags[1].header,
-      std::span<const std::byte>(frags[1].payload.data(), 1)));
+  EXPECT_FALSE(assembly.add(frags.header(1), frags.payload(1).first(1)));
   EXPECT_EQ(assembly.fragments_held(), 1u);
 }
 
@@ -298,6 +310,48 @@ TEST(NetworkPacket, LargeMessageFragmentsAndReassembles) {
   f.sim.run();
   EXPECT_EQ(f.net->pending_reassemblies(2), 0u);
   EXPECT_EQ(d.fragments_expired, 0u);  // complete entries never expire
+}
+
+TEST(NetworkPacket, CompletedFecEntryLingersUntilItsGcEvent) {
+  PacketConfig cfg;
+  cfg.mtu = 128;
+  cfg.fec_repair = 2;  // k = 3, so 5 fragments, all landing at 10 ms
+  Fixture f(cfg);
+  f.net->send(1, 2, std::make_shared<BigMsg>(300));
+  f.sim.run_until(msec(11));
+  ASSERT_EQ(f.inbox_b.received_from.size(), 1u);
+  EXPECT_EQ(f.net->drops().fragments_reassembled, 3u);
+  // The two fragments after the k-th are swallowed by the inert entry.
+  EXPECT_EQ(f.net->pending_reassemblies(2), 1u);
+  f.sim.run_until(msec(3009));
+  EXPECT_EQ(f.net->pending_reassemblies(2), 1u);
+  f.sim.run();
+  // One GC event, armed at the first arrival, erases the entry.
+  EXPECT_EQ(f.sim.now(), msec(3010));
+  EXPECT_EQ(f.net->pending_reassemblies(2), 0u);
+  EXPECT_EQ(f.net->drops().fragments_expired, 0u);
+  EXPECT_EQ(f.sim.events_processed(), 6u);  // 5 deliveries + 1 GC
+  EXPECT_EQ(f.inbox_b.received_from.size(), 1u);
+}
+
+TEST(NetworkPacket, FragmentAfterCollectionOpensAFreshEntry) {
+  PacketConfig cfg;
+  cfg.mtu = 128;  // k = 3 fragments of 150, 150 and 149 wire bytes
+  cfg.bandwidth_bps = 1000;
+  cfg.bandwidth_burst = 200;
+  cfg.reassembly_timeout = msec(50);
+  Fixture f(cfg);
+  f.net->send(1, 2, std::make_shared<BigMsg>(300));
+  f.sim.run();
+  // The bucket spaces the fragments at 10, 110 and 259 ms, each after
+  // its predecessor's entry was collected: three entries open and
+  // expire, holding one fragment each, and the message never completes.
+  EXPECT_TRUE(f.inbox_b.received_from.empty());
+  EXPECT_EQ(f.net->drops().fragments_expired, 3u);
+  EXPECT_EQ(f.net->drops().fragments_reassembled, 0u);
+  EXPECT_EQ(f.net->pending_reassemblies(2), 0u);
+  EXPECT_EQ(f.sim.events_processed(), 6u);  // 3 deliveries + 3 GC
+  EXPECT_EQ(f.sim.now(), msec(309));
 }
 
 TEST(NetworkPacket, LossyFragmentsExpireAndFecRecovers) {
