@@ -74,13 +74,12 @@ int run_mega(const croupier::bench::BenchArgs& args,
           .duration_s = args.fast ? 12.0 : 30.0,
           .record = run::ExperimentSpec::RecordKind::GraphSampled,
           .record_every_s = 10};
-      // detlint:allow(wallclock) per-point wall-clock for the stderr
-      // progress line only; never written to the CSV/JSON output.
+      // Per-point wall-clock for the stderr progress line only; never
+      // written to the CSV/JSON output.
       const auto start = std::chrono::steady_clock::now();
       run::Experiment experiment(spec, exp::trial_seed(args.seed, p, r),
                                  args.world_jobs);
       experiment.run();
-      // detlint:allow(wallclock) stderr-only progress timing, as above.
       const auto wall_end = std::chrono::steady_clock::now();
       const std::chrono::duration<double> wall = wall_end - start;
 

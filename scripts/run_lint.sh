@@ -1,28 +1,26 @@
 #!/usr/bin/env bash
-# Lint gate: detlint (the determinism lint, tools/detlint) over the full
-# tree, then clang-tidy (config: .clang-tidy) when it is installed.
-# CI's `lint` job runs exactly this; locally it is the fast pre-commit
-# check — detlint alone takes well under a second.
+# Lint gate: the determinism lint (scripts/determinism_lint.sh) over the
+# library and croupier-lab, then clang-tidy (config: .clang-tidy) when it
+# is installed. CI's `lint` job runs exactly this; locally it is the fast
+# pre-commit check. The full build's ctest runs the determinism lint over
+# every target as `determinism_lint`.
 #
 # Every leg runs even when an earlier one fails; the exit code is the
-# aggregate, so CI annotates all findings from one run instead of
-# revealing them one leg at a time.
+# aggregate, so one run reports the findings of every leg.
 #
 # Usage: scripts/run_lint.sh [--no-tidy]
-#   BUILD_DIR=...    build directory for the detlint binary
+#   BUILD_DIR=...    build directory for the library and croupier-lab
 #                    (default build-lint; reusing an existing build dir is
-#                    fine, detlint is a leaf target)
+#                    fine)
 #   TIDY_DIR=...     clang-tidy build directory (default build-tidy)
 #   REQUIRE_TIDY=1   missing clang-tidy is a failure instead of a skip
 #                    (CI sets this: the tidy leg must actually execute)
-#   SARIF_OUT=...    also write the detlint report as SARIF to this path
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-lint}
 TIDY_DIR=${TIDY_DIR:-build-tidy}
 REQUIRE_TIDY=${REQUIRE_TIDY:-0}
-SARIF_OUT=${SARIF_OUT:-}
 NO_TIDY=0
 if [ "${1:-}" = "--no-tidy" ]; then
   NO_TIDY=1
@@ -30,19 +28,16 @@ fi
 
 failed=0
 
-echo "== detlint =="
+echo "== determinism lint =="
 if cmake -B "$BUILD_DIR" -S . -DCROUPIER_BUILD_TESTS=OFF \
      -DCROUPIER_BUILD_BENCHES=OFF -DCROUPIER_BUILD_EXAMPLES=OFF >/dev/null \
-   && cmake --build "$BUILD_DIR" -j "$(nproc)" --target detlint >/dev/null
+   && cmake --build "$BUILD_DIR" -j "$(nproc)" \
+        --target croupier_core croupier_lab >/dev/null
 then
-  "$BUILD_DIR/tools/detlint/detlint" --root=. || failed=1
-  if [ -n "$SARIF_OUT" ]; then
-    # Second pass for the machine-readable mirror; the scan is sub-second.
-    "$BUILD_DIR/tools/detlint/detlint" --root=. --format=sarif \
-      --output="$SARIF_OUT" >/dev/null || true
-  fi
+  scripts/determinism_lint.sh nm "$BUILD_DIR/src/libcroupier_core.a" \
+    "$BUILD_DIR" || failed=1
 else
-  echo "detlint: failed to build" >&2
+  echo "determinism lint: failed to build" >&2
   failed=1
 fi
 
@@ -54,7 +49,7 @@ if ! command -v clang-tidy >/dev/null 2>&1; then
     echo "clang-tidy required (REQUIRE_TIDY=1) but not installed" >&2
     exit 1
   fi
-  echo "clang-tidy not installed; skipping (detlint exit: $failed)" >&2
+  echo "clang-tidy not installed; skipping (lint exit: $failed)" >&2
   exit "$failed"
 fi
 

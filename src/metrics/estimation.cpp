@@ -15,8 +15,9 @@ ErrorSample estimation_errors(std::span<const double> estimates,
   double worst = 0.0;
   for (double e : estimates) {
     const double err = std::abs(truth - e);
-    // detlint:allow(float-accum) `estimates` arrives in ascending-node-id
-    // order (World::ratio_estimates walks sorted_ids) — order is fixed.
+    // `estimates` arrives in ascending-node-id order
+    // (World::ratio_estimates walks sorted_ids), so the summation order is
+    // fixed.
     sum += err;
     worst = std::max(worst, err);
   }

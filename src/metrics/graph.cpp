@@ -135,8 +135,9 @@ double OverlayGraph::avg_clustering_coefficient() const {
     }
     const double possible =
         static_cast<double>(nbrs.size()) * (static_cast<double>(nbrs.size()) - 1.0) / 2.0;
-    // detlint:allow(float-accum) vertex order is the builder's insertion
-    // order; World::snapshot_overlay inserts ascending by id — fixed.
+    // Vertex order is the builder's insertion order, and
+    // World::snapshot_overlay inserts ascending by id, so the summation
+    // order is fixed.
     sum += static_cast<double>(links) / possible;
   }
   return sum / static_cast<double>(ids_.size());

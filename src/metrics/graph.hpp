@@ -15,9 +15,9 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash_index.hpp"
 #include "net/address.hpp"
 #include "sim/rng.hpp"
 
@@ -64,7 +64,7 @@ class OverlayGraph {
 
  private:
   std::vector<net::NodeId> ids_;                      // dense index -> id
-  std::unordered_map<net::NodeId, std::uint32_t> index_;
+  HashIndex<net::NodeId, std::uint32_t> index_;
   std::vector<std::vector<std::uint32_t>> out_;       // directed adjacency
   std::size_t edge_count_ = 0;
 };

@@ -14,15 +14,14 @@ ClassLoad summarize_load(
   double pub_bytes = 0.0;
   double priv_bytes = 0.0;
   ClassLoad load;
+  // Summand order follows `classes`, which callers pass sorted by node id
+  // (World::class_map), so the sums are byte-stable.
   for (const auto& [id, type] : classes) {
     const auto t = meter.totals(id);
     if (type == net::NatType::Public) {
-      // detlint:allow(float-accum) summand order follows `classes`, which
-      // callers pass sorted by node id (World::class_map) — byte-stable.
       pub_bytes += static_cast<double>(t.bytes_total());
       ++load.public_nodes;
     } else {
-      // detlint:allow(float-accum) same fixed, caller-sorted order.
       priv_bytes += static_cast<double>(t.bytes_total());
       ++load.private_nodes;
     }

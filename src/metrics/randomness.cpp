@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+
+#include "common/hash_index.hpp"
 
 namespace croupier::metrics {
 
@@ -36,8 +37,8 @@ RandomnessPoint RandomnessAuditor::observe(const Adjacency& adjacency,
   point.t_seconds = t_seconds;
   point.nodes = adjacency.size();
 
-  // Class lookup for edge targets (point queries only — never iterated).
-  std::unordered_map<net::NodeId, net::NatType> class_of;
+  // Class lookup for edge targets.
+  HashIndex<net::NodeId, net::NatType> class_of;
   class_of.reserve(classes.size());
   for (const auto& [id, type] : classes) class_of.emplace(id, type);
 

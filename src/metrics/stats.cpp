@@ -28,13 +28,12 @@ Summary summarize(std::span<const double> values) {
   std::sort(sorted.begin(), sorted.end());
 
   double sum = 0.0;
-  // detlint:allow(float-accum) iterates a value-sorted copy — summand
-  // order is a function of the values alone, not of input order.
+  // Summing the value-sorted copy makes the summand order a function of
+  // the values alone, not of input order.
   for (double v : sorted) sum += v;
   s.mean = sum / static_cast<double>(sorted.size());
 
   double var = 0.0;
-  // detlint:allow(float-accum) same value-sorted order as the mean.
   for (double v : sorted) var += (v - s.mean) * (v - s.mean);
   s.stddev = std::sqrt(var / static_cast<double>(sorted.size()));
 

@@ -162,8 +162,8 @@ StreamingGraphStats StreamingGraphEstimator::tick(
     }
     const double possible = static_cast<double>(hood.size()) *
                             (static_cast<double>(hood.size()) - 1.0) / 2.0;
-    // detlint:allow(float-accum) probe order is drawn from the seeded
-    // RngStream, so the summation order is fixed by the seed.
+    // Probe order is drawn from the seeded RngStream, so the summation
+    // order is fixed by the seed.
     cc_sum += static_cast<double>(links) / possible;
   }
   if (cc_samples > 0) {
@@ -174,7 +174,7 @@ StreamingGraphStats StreamingGraphEstimator::tick(
   std::uint64_t total_hops = 0;
   std::uint64_t found_pairs = 0;
   std::uint64_t unreachable_pairs = 0;
-  std::unordered_map<net::NodeId, std::uint32_t> dist;
+  HashIndex<net::NodeId, std::uint32_t> dist;
   std::deque<net::NodeId> frontier;
   std::vector<net::NodeId> targets;
   for (std::size_t s = 0; s < cfg_.path_sources; ++s) {

@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash_index.hpp"
 #include "net/address.hpp"
 #include "sim/rng.hpp"
 
@@ -63,7 +63,7 @@ class ComponentTracker {
   std::uint32_t intern(net::NodeId a);
   std::uint32_t find(std::uint32_t x);
 
-  std::unordered_map<net::NodeId, std::uint32_t> index_;
+  HashIndex<net::NodeId, std::uint32_t> index_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> size_;
   std::size_t largest_ = 0;
@@ -147,7 +147,7 @@ class StreamingGraphEstimator {
 
   // Cross-tick accumulators.
   ComponentTracker components_;
-  std::unordered_map<net::NodeId, std::uint64_t> indeg_hits_;
+  HashIndex<net::NodeId, std::uint64_t> indeg_hits_;
   std::uint64_t indeg_probes_ = 0;     // sources probed (cumulative)
   std::uint64_t edge_samples_ = 0;     // sum of hits
   std::uint64_t edge_samples_sq_ = 0;  // sum of hits^2, kept incrementally

@@ -10,14 +10,14 @@ namespace croupier::net {
 namespace {
 
 void registry_add(std::vector<NodeId>& pool,
-                  std::unordered_map<NodeId, std::size_t>& index, NodeId id) {
+                  HashIndex<NodeId, std::size_t>& index, NodeId id) {
   CROUPIER_ASSERT_MSG(!index.contains(id), "node registered twice");
   index.emplace(id, pool.size());
   pool.push_back(id);
 }
 
 void registry_remove(std::vector<NodeId>& pool,
-                     std::unordered_map<NodeId, std::size_t>& index,
+                     HashIndex<NodeId, std::size_t>& index,
                      NodeId id) {
   const auto it = index.find(id);
   if (it == index.end()) return;

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash_index.hpp"
 #include "net/address.hpp"
 #include "sim/rng.hpp"
 
@@ -42,9 +42,9 @@ class BootstrapServer {
                                          sim::RngStream& rng);
   // Registries support O(1) add/remove via swap-with-last.
   std::vector<NodeId> publics_;
-  std::unordered_map<NodeId, std::size_t> index_public_;
+  HashIndex<NodeId, std::size_t> index_public_;
   std::vector<NodeId> all_;
-  std::unordered_map<NodeId, std::size_t> index_all_;
+  HashIndex<NodeId, std::size_t> index_all_;
 };
 
 }  // namespace croupier::net

@@ -301,7 +301,8 @@ void Network::deliver_fragment(NodeId from, NodeId to, const Outgoing& out,
   auto it = find_slot(assemblies, h.msg_id);
   if (it == assemblies.end() || it->msg_id != h.msg_id) {
     it = assemblies.insert(
-        it, Assembly{h.msg_id, std::make_unique<FragmentAssembly>(h)});
+        it, Assembly{h.msg_id, simulator_.now() + packet_.reassembly_timeout,
+                     std::make_unique<FragmentAssembly>(h)});
     // One GC event per entry, armed at first-fragment arrival. If the
     // message completes first, the entry sits inert — suppressing late
     // duplicates — until the timeout erases it.
@@ -337,7 +338,10 @@ void Network::expire_assembly(NodeId to, std::uint64_t msg_id) {
   if (to_it == nodes_.end()) return;  // node died; state already gone
   auto& assemblies = to_it->second.assemblies;
   const auto it = find_slot(assemblies, msg_id);
-  if (it == assemblies.end() || it->msg_id != msg_id) return;
+  if (it == assemblies.end() || it->msg_id != msg_id ||
+      it->expires > simulator_.now()) {
+    return;
+  }
   if (it->pending != nullptr) {
     const auto held =
         static_cast<std::uint64_t>(it->pending->fragments_held());

@@ -39,9 +39,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash_index.hpp"
 #include "net/address.hpp"
 #include "net/latency.hpp"
 #include "net/loss.hpp"
@@ -158,8 +158,12 @@ class Network {
   /// A receiver's reassembly entry. `pending` holds the working state
   /// until the message completes and is released then; the inert entry
   /// left behind swallows late fragments until its GC event erases it.
+  /// `expires` is the time that event fires: reclassify() drops entries
+  /// but not their events, so an older event for the same msg_id must
+  /// leave a newer entry alone.
   struct Assembly {
     std::uint64_t msg_id;
+    sim::SimTime expires;
     std::unique_ptr<FragmentAssembly> pending;
   };
 
@@ -184,8 +188,8 @@ class Network {
   void deliver(NodeId from, NodeId to, MessagePtr msg, std::size_t bytes);
   void deliver_fragment(NodeId from, NodeId to, const Outgoing& out,
                         std::size_t index);
-  /// Reassembly GC: erases the entry for (to, msg_id); counts its
-  /// fragments as expired when the message never completed.
+  /// Reassembly GC: erases the entry for (to, msg_id) that expires now;
+  /// counts its fragments as expired when the message never completed.
   void expire_assembly(NodeId to, std::uint64_t msg_id);
 
   /// Sender's token-bucket queueing delay for one datagram (0 when
@@ -209,10 +213,9 @@ class Network {
   PacketConfig packet_;
   Fragmenter fragmenter_{PacketConfig{}};
   std::uint64_t next_msg_id_ = 1;  // serial half only
-  std::unordered_map<NodeId, NodeState> nodes_;
-  /// Per-sender buckets, created on first charge; serial-half only,
-  /// never iterated.
-  std::unordered_map<NodeId, TokenBucket> buckets_;
+  HashIndex<NodeId, NodeState> nodes_;
+  /// Per-sender buckets, created on first charge; serial-half only.
+  HashIndex<NodeId, TokenBucket> buckets_;
   TrafficMeter meter_;
   DropStats drops_;
   DeliveryAffinityFn delivery_affinity_;

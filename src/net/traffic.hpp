@@ -52,6 +52,21 @@ class TrafficMeter {
     return it == per_node_.end() ? TrafficTotals{} : it->second;
   }
 
+  /// Every node's totals summed. The sums are exact integers, so the
+  /// map's visiting order cannot change them.
+  [[nodiscard]] TrafficTotals sum() const {
+    TrafficTotals s;
+    for (const auto& [node, t] : per_node_) {
+      s.bytes_sent += t.bytes_sent;
+      s.bytes_received += t.bytes_received;
+      s.msgs_sent += t.msgs_sent;
+      s.msgs_received += t.msgs_received;
+    }
+    return s;
+  }
+
+  /// The map itself, visited in hash order. Only the suite's traced
+  /// replica reads it; everything else reads totals() or sum().
   [[nodiscard]] const std::unordered_map<NodeId, TrafficTotals>& per_node()
       const {
     return per_node_;

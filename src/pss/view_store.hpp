@@ -45,11 +45,11 @@
 #include <optional>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/hash_index.hpp"
 #include "net/address.hpp"
 #include "pss/descriptor.hpp"
 
@@ -86,7 +86,7 @@ class ViewArena {
   static constexpr std::size_t kSlabBytes = std::size_t{1} << 20;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::size_t, std::vector<std::byte*>> free_;
+  HashIndex<std::size_t, std::vector<std::byte*>> free_;
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::byte* cursor_ = nullptr;
   std::size_t cursor_left_ = 0;

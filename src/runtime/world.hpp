@@ -11,10 +11,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash_index.hpp"
 #include "metrics/graph.hpp"
 #include "natid/natid.hpp"
 #include "net/bootstrap.hpp"
@@ -208,9 +208,9 @@ class World {
   // Declared before nodes_: views release their blocks into the arena on
   // node destruction, so the arena must be destroyed after the nodes.
   pss::ViewArena view_arena_;
-  std::unordered_map<net::NodeId, std::unique_ptr<NodeRuntime>> nodes_;
+  HashIndex<net::NodeId, std::unique_ptr<NodeRuntime>> nodes_;
   std::vector<net::NodeId> alive_ids_;
-  std::unordered_map<net::NodeId, std::size_t> alive_index_;
+  HashIndex<net::NodeId, std::size_t> alive_index_;
   net::NodeId next_id_ = 1;
   std::size_t public_count_ = 0;  // ground truth over live nodes
   std::size_t gossiping_count_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -124,58 +125,88 @@ TEST(Rateless, DecodesFromExactlyKSourceFragments) {
   for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
 }
 
-TEST(Rateless, DecodesFromAnyKOfNMixes) {
-  const std::size_t k = 3, chunk_len = 4;
-  const auto msg = make_message(11);
-  const auto chunks = chunks_of(msg, k, chunk_len);
+/// The FEC geometry sweep, after the block-size x N sweep of wh256's unit
+/// test: k = 1..8 source chunks of kSweepChunk bytes, 0..4 repair rows,
+/// and a message that fills the tail chunk, misses its last byte, or
+/// leaves it one byte long. `check` gets the message, k, and the k + r
+/// fragment payloads as the wire carries them (the tail chunk short).
+constexpr std::size_t kSweepChunk = 5;
 
-  // All (k+r choose k) = 20 subsets would be overkill; cover the shapes:
-  // sources only, repairs only, and every single-erasure substitution.
-  std::vector<std::vector<std::size_t>> picks = {{0, 1, 2}, {3, 4, 5}};
-  for (std::size_t missing = 0; missing < k; ++missing) {
-    std::vector<std::size_t> pick;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (i != missing) pick.push_back(i);
-    }
-    pick.push_back(k + missing);  // substitute a distinct repair
-    picks.push_back(pick);
-  }
-
-  for (const auto& pick : picks) {
-    Decoder dec(k, chunk_len);
-    for (const std::size_t index : pick) {
-      if (index < k) {
-        EXPECT_TRUE(dec.add(index, chunks[index]));
-      } else {
-        EXPECT_TRUE(dec.add(
-            index, repair_row(msg, k, chunk_len, index - k)));
+template <typename Check>
+void for_each_geometry(Check check) {
+  constexpr std::size_t c = kSweepChunk;
+  for (std::size_t k = 1; k <= 8; ++k) {
+    for (std::size_t r = 0; r <= 4; ++r) {
+      for (const std::size_t len : {k * c, k * c - 1, k * c - (c - 1)}) {
+        const auto msg = make_message(len);
+        std::vector<std::vector<std::byte>> rows;
+        for (std::size_t i = 0; i < k; ++i) {
+          rows.emplace_back(msg.begin() + static_cast<std::ptrdiff_t>(i * c),
+                            msg.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min((i + 1) * c, len)));
+        }
+        for (std::size_t j = 0; j < r; ++j) {
+          rows.push_back(repair_row(msg, k, c, j));
+        }
+        check(msg, k, rows);
       }
-    }
-    ASSERT_TRUE(dec.ready());
-    const auto out = dec.decode();
-    ASSERT_EQ(out.size(), k * chunk_len);
-    for (std::size_t i = 0; i < msg.size(); ++i) {
-      EXPECT_EQ(out[i], msg[i]) << "pick[0]=" << pick[0];
     }
   }
 }
 
+/// Adds the rows whose bit is set in `mask` to a fresh decoder.
+Decoder decoder_for(std::size_t k,
+                    const std::vector<std::vector<std::byte>>& rows,
+                    std::uint32_t mask) {
+  Decoder dec(k, kSweepChunk);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (((mask >> i) & 1u) != 0) {
+      EXPECT_TRUE(dec.add(i, rows[i]));
+    }
+  }
+  return dec;
+}
+
+/// The decoded buffer is the message followed by zero padding.
+bool decodes_to(std::span<const std::byte> out,
+                const std::vector<std::byte>& msg, std::size_t k) {
+  return out.size() == k * kSweepChunk &&
+         std::equal(msg.begin(), msg.end(), out.begin()) &&
+         std::all_of(out.begin() + static_cast<std::ptrdiff_t>(msg.size()),
+                     out.end(), [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST(Rateless, DecodesFromAnyKOfNMixes) {
+  // Every k-subset of the k + r fragment indices decodes.
+  for_each_geometry([](const auto& msg, std::size_t k, const auto& rows) {
+    for (std::uint32_t mask = 0; mask < (1u << rows.size()); ++mask) {
+      if (std::popcount(mask) != static_cast<int>(k)) continue;
+      Decoder dec = decoder_for(k, rows, mask);
+      ASSERT_TRUE(dec.ready());
+      ASSERT_TRUE(decodes_to(dec.decode(), msg, k))
+          << "k=" << k << " n=" << rows.size() << " len=" << msg.size()
+          << " mask=" << mask;
+    }
+  });
+}
+
 TEST(Rateless, FailsCleanlyBelowK) {
-  const std::size_t k = 4, chunk_len = 6;
-  const auto msg = make_message(21);
-  Decoder dec(k, chunk_len);
-  // k-1 fragments, deliberately a mix of source and repair rows.
-  EXPECT_TRUE(dec.add(0, chunks_of(msg, k, chunk_len)[0]));
-  EXPECT_TRUE(dec.add(4, repair_row(msg, k, chunk_len, 0)));
-  EXPECT_TRUE(dec.add(6, repair_row(msg, k, chunk_len, 2)));
-  EXPECT_FALSE(dec.ready());
-  EXPECT_EQ(dec.rows(), 3u);
-  EXPECT_TRUE(dec.decode().empty());
-  // The failed attempt left the rows intact: the k-th row completes it.
-  EXPECT_TRUE(dec.add(3, chunks_of(msg, k, chunk_len)[3]));
-  const auto out = dec.decode();
-  ASSERT_EQ(out.size(), k * chunk_len);
-  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(out[i], msg[i]);
+  // No (k-1)-subset decodes, and a failed attempt leaves its rows
+  // intact: any further fragment completes the message.
+  for_each_geometry([](const auto& msg, std::size_t k, const auto& rows) {
+    for (std::uint32_t mask = 0; mask < (1u << rows.size()); ++mask) {
+      if (std::popcount(mask) != static_cast<int>(k) - 1) continue;
+      Decoder dec = decoder_for(k, rows, mask);
+      ASSERT_FALSE(dec.ready());
+      EXPECT_EQ(dec.rows(), k - 1);
+      ASSERT_TRUE(dec.decode().empty());
+      const auto next = static_cast<std::size_t>(std::countr_one(mask));
+      EXPECT_TRUE(dec.add(next, rows[next]));
+      ASSERT_TRUE(decodes_to(dec.decode(), msg, k))
+          << "k=" << k << " n=" << rows.size() << " len=" << msg.size()
+          << " mask=" << mask << " next=" << next;
+    }
+  });
 }
 
 TEST(Rateless, RejectsDuplicatesAndOverfill) {

@@ -17,12 +17,23 @@
 //    inside a loose [10, 100] gross-regression band. A hub-captured
 //    overlay measures in the thousands.
 //  - lag-1 repeat ratio: cyclon 1.11 (a fresh-enough re-sample each
-//    10 s snapshot), pinned to 1 +/- 0.5. Croupier 18.3 — structurally
-//    elevated, not a defect: private nodes re-draw from the ~200-node
-//    public pool while the expectation is computed against all n-1
-//    candidates, and the (alpha, gamma) history windows hold entries
-//    across snapshots. Pinned to [5, 30]; a frozen overlay would sit
-//    at (n-1)/view ~ 100.
+//    10 s snapshot), pinned to 1 +/- 0.5. Croupier 18.3, pinned to
+//    [5, 30]; a frozen overlay would sit at (n-1)/view ~ 100. Split by
+//    source class it is 1.12 for public nodes and 22.6 for private
+//    ones, so private views are the slow ones. The public pool's size
+//    does not explain it: an expectation that draws each class from its
+//    own pool moves the private figure only from 22.65 to 22.56. Nor do
+//    alpha and gamma, which size the estimator's windows; those hold no
+//    view entries. The cause is the 5-descriptor shuffle budget:
+//    Croupier::round splits it 3 public / 2 private, and a private
+//    sender's self-descriptor takes one of the 2 private slots. Under
+//    proportional sizing the public view has about 2 slots, one of them
+//    the shuffle target, so a private request carries itself, at most 1
+//    public descriptor and at most 1 private one. A private node keeps
+//    73% of its view entries from one round to the next; a public node
+//    keeps 24%, and Cyclon and Gozar nodes 32-33%. With shuffle=10 the
+//    ratio is 1.33. Choosing the budget is an open ROADMAP.md item
+//    (Croupier's private-view mixing); these pins change only with it.
 //  - public-selection bias: cyclon exactly 1 (all-public population);
 //    croupier 0.927, pinned to 1 +/- 0.3 (near-unbiased class mixing).
 //  - clustering (fig 6c): croupier 0.0253 vs cyclon 0.0236 — same
@@ -78,8 +89,9 @@ TEST(Fig6Contract, CroupierMatchesCyclonRandomnessAtPaperScale) {
       << "croupier z " << croupier.chi2_z << " vs cyclon z "
       << cyclon.chi2_z;
 
-  // Temporal independence: cyclon re-draws, croupier's class-structured
-  // persistence stays far from the frozen-overlay ceiling (~100).
+  // Temporal independence: cyclon re-draws; croupier's private views,
+  // slowed by the shuffle budget, stay far from the frozen-overlay
+  // ceiling (~100).
   EXPECT_NEAR(cyclon.repeat_ratio, 1.0, 0.5);
   EXPECT_GT(croupier.repeat_ratio, 5.0);
   EXPECT_LT(croupier.repeat_ratio, 30.0);

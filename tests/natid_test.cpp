@@ -124,12 +124,8 @@ TEST(NatId, UsesThreeMessagesOnHappyPath) {
   NatIdClient::Config cfg;
   cfg.parallel_probes = 1;  // single probe chain: exactly 3 messages
   h.classify(net::NatConfig::open(), cfg);
-  std::uint64_t total_msgs = 0;
-  // detlint:allow(unordered-iter) order-insensitive sum over the meter map
-  for (const auto& [id, t] : h.network->meter().per_node()) {
-    total_msgs += t.msgs_sent;
-  }
-  EXPECT_EQ(total_msgs, 3u);  // MatchingIpTest + ForwardTest + ForwardResp
+  // MatchingIpTest + ForwardTest + ForwardResp.
+  EXPECT_EQ(h.network->meter().sum().msgs_sent, 3u);
 }
 
 TEST(NatId, ParallelProbesStillDecideOnce) {

@@ -171,11 +171,7 @@ TEST(Nylon, KeepalivesGenerateTraffic) {
   world.simulator().run_until(sim::sec(20));
   // Count keepalive messages: with 10 nodes / RVP links present, traffic
   // clearly exceeds the two shuffle messages per round per node.
-  std::uint64_t msgs = 0;
-  // detlint:allow(unordered-iter) order-insensitive sum over the meter map
-  for (const auto& [id, t] : world.network().meter().per_node()) {
-    msgs += t.msgs_sent;
-  }
+  const std::uint64_t msgs = world.network().meter().sum().msgs_sent;
   // 10 nodes x 10 rounds x (1 shuffle + 1 response) = 200 baseline; RVP
   // keepalives must add visibly on top.
   EXPECT_GT(msgs, 260u);

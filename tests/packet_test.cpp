@@ -354,6 +354,29 @@ TEST(NetworkPacket, FragmentAfterCollectionOpensAFreshEntry) {
   EXPECT_EQ(f.sim.now(), msec(309));
 }
 
+TEST(NetworkPacket, StaleGcEventAfterReclassifySparesTheFreshEntry) {
+  PacketConfig cfg;
+  cfg.mtu = 128;  // fragments land at 10, 110 and 259 ms, as above
+  cfg.bandwidth_bps = 1000;
+  cfg.bandwidth_burst = 200;
+  cfg.reassembly_timeout = msec(200);
+  Fixture f(cfg);
+  f.net->send(1, 2, std::make_shared<BigMsg>(300));
+  f.sim.run_until(msec(50));
+  // Drops the entry opened at 10 ms; its GC event, due at 210 ms, stays.
+  f.net->reclassify(2, NatConfig::open());
+  f.sim.run_until(msec(250));
+  // The 110 ms fragment's entry outlives the stale 210 ms event.
+  EXPECT_EQ(f.net->pending_reassemblies(2), 1u);
+  EXPECT_EQ(f.net->drops().fragments_expired, 0u);
+  f.sim.run();
+  // The 259 ms fragment joins it, and its own event expires both at 310.
+  EXPECT_EQ(f.sim.now(), msec(310));
+  EXPECT_EQ(f.sim.events_processed(), 5u);  // 3 deliveries + 2 GC
+  EXPECT_EQ(f.net->drops().fragments_expired, 2u);
+  EXPECT_EQ(f.net->pending_reassemblies(2), 0u);
+}
+
 TEST(NetworkPacket, LossyFragmentsExpireAndFecRecovers) {
   PacketConfig cfg;
   cfg.mtu = 128;

@@ -157,10 +157,7 @@ RunFingerprint run_spec(const ExperimentSpec& spec, std::uint64_t seed,
   fp.fragments_expired = drops.fragments_expired;
   fp.delivered_bytes = drops.delivered_bytes;
   fp.alive = world.alive_count();
-  // detlint:allow(unordered-iter) order-insensitive sum over the meter map
-  for (const auto& [node, totals] : world.network().meter().per_node()) {
-    fp.bytes_total += totals.bytes_total();
-  }
+  fp.bytes_total = world.network().meter().sum().bytes_total();
   return fp;
 }
 

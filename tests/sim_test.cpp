@@ -182,7 +182,6 @@ TEST(Rng, ForkIsIndependentOfParentDraws) {
   RngStream fork_before = a.fork(1);
   a.next_u64();
   a.next_u64();
-  // detlint:allow(rng-lineage) duplicate tag is the subject: fork must be pure
   RngStream fork_after = a.fork(1);
   // fork() must not depend on how much the parent has been consumed.
   EXPECT_EQ(fork_before.next_u64(), fork_after.next_u64());
@@ -190,7 +189,6 @@ TEST(Rng, ForkIsIndependentOfParentDraws) {
 
 TEST(Rng, ForksWithDifferentTagsDiffer) {
   RngStream a(7);
-  // detlint:allow(rng-lineage) same tag as the purity test above, by design
   RngStream f1 = a.fork(1);
   RngStream f2 = a.fork(2);
   EXPECT_NE(f1.next_u64(), f2.next_u64());

@@ -397,14 +397,13 @@ std::vector<Fold> run_lab_grid(exp::TrialPool& pool,
       [&](std::size_t i) {
         const std::size_t p = i / args.runs;
         const std::size_t r = i % args.runs;
-        // detlint:allow(wallclock) per-trial timing, reported on stderr
-        // only (report_timing) — never reaches the result sink.
+        // Per-trial timing, reported on stderr only (report_timing); it
+        // never reaches the result sink.
         const auto start = std::chrono::steady_clock::now();
         run::Experiment experiment(specs[p], exp::trial_seed(args.seed, p, r),
                                    args.world_jobs);
         experiment.run();
         auto series = record(std::as_const(experiment));
-        // detlint:allow(wallclock) stderr-only timing, as above.
         const auto trial_end = std::chrono::steady_clock::now();
         const std::chrono::duration<double> took = trial_end - start;
         return std::make_tuple(std::move(series),
@@ -476,8 +475,8 @@ int main(int argc, char** argv) {
   for (const auto& spec : specs) sink.comment(spec.to_string());
   sink.blank();
 
-  // detlint:allow(wallclock) sweep wall-clock for the stderr timing
-  // report only; the sink output carries no wall-clock bytes.
+  // Sweep wall-clock for the stderr timing report only; the sink output
+  // carries no wall-clock bytes.
   const auto sweep_start = std::chrono::steady_clock::now();
   std::vector<PointTiming> timing(specs.size());
   const auto run_columns = [&](const auto& columns, auto series_of) {
@@ -521,7 +520,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // detlint:allow(wallclock) stderr-only timing report, as above.
   const auto sweep_end = std::chrono::steady_clock::now();
   const std::chrono::duration<double> elapsed = sweep_end - sweep_start;
   report_timing(labels, timing, args, elapsed.count());
