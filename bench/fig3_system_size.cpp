@@ -11,7 +11,7 @@
 // estimation error, with per-point wall-clock and resident-memory
 // reported on stderr. Instant joins and constant latency keep the
 // simulated horizon short; the point is the memory/throughput envelope
-// of the SoA membership store, not another accuracy figure. Without
+// of the arena-backed partial views, not another accuracy figure. Without
 // --mega the bench's output is byte-identical to before the extension.
 #include <chrono>
 #include <span>

@@ -12,8 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "runtime/spec.hpp"
 #include "runtime/world.hpp"
@@ -111,7 +111,9 @@ int main() {
 
   // Synthetic sensor readings: mean 20.0 with wide spread.
   sim::RngStream rng(99);
-  std::unordered_map<net::NodeId, std::unique_ptr<AveragingApp>> apps;
+  // Ordered by node id, so app sends, their RNG draws and the error sums
+  // run in one fixed order.
+  std::map<net::NodeId, std::unique_ptr<AveragingApp>> apps;
   double true_sum = 0;
   for (net::NodeId id : world.alive_ids()) {
     const double reading = 20.0 + rng.normal(0.0, 8.0);

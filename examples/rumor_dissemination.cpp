@@ -13,8 +13,8 @@
 //
 // Prints rumor coverage over time on a 500-node, 80%-private network.
 #include <cstdio>
+#include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "core/croupier.hpp"
 #include "runtime/spec.hpp"
@@ -123,7 +123,8 @@ int main() {
   // Let the PSS warm up before the application starts.
   world.simulator().run_until(sim::sec(30));
 
-  std::unordered_map<net::NodeId, std::unique_ptr<RumorApp>> apps;
+  // Ordered by node id, so app rounds send in one fixed order.
+  std::map<net::NodeId, std::unique_ptr<RumorApp>> apps;
   for (net::NodeId id : world.alive_ids()) {
     auto app = std::make_unique<RumorApp>(world, id);
     world.set_app_handler(id, app.get());

@@ -14,8 +14,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 
+#include "common/hash_index.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/world.hpp"
 
@@ -46,7 +46,7 @@ Quality measure(const std::string& protocol, std::uint64_t seed) {
   world.simulator().run_until(sim::sec(30));
 
   net::NodeId observer = world.alive_ids().front();
-  std::unordered_map<net::NodeId, std::size_t> counts;
+  HashIndex<net::NodeId, std::size_t> counts;
   std::size_t total = 0;
   std::size_t public_hits = 0;
   std::size_t dead_hits = 0;

@@ -2,23 +2,25 @@
 # Determinism lint: the static half of the byte-identity contract (same
 # spec + seed => same output bytes). Run as the `determinism_lint` ctest.
 #
-# Usage: scripts/determinism_lint.sh NM ARCHIVE BUILD_DIR
-#   NM         the nm binary (${CMAKE_NM})
-#   ARCHIVE    libcroupier_core.a: references no clock and no entropy
-#              symbol
-#   BUILD_DIR  build tree: the object files of its bench/, tools/,
-#              examples/ and tests/ targets reference no entropy symbol
+# Usage: scripts/determinism_lint.sh NM ARCHIVE OBJECT_LIST
+#   NM           the nm binary (${CMAKE_NM})
+#   ARCHIVE      libcroupier_core.a: references no clock and no entropy
+#                symbol
+#   OBJECT_LIST  a file naming one object file per line, which CMake
+#                writes as <build>/determinism_lint_objects.txt: the
+#                objects of every bench/, tools/, examples/ and tests/
+#                target, which reference no entropy symbol
 #
 # It reads object files, not executables: a statically linked gtest or
 # Google Benchmark reads the clock on its own account. Clock reads in
 # executables are legal (stderr timing); check_determinism.sh's byte
 # diff of two runs fails if one reaches stdout or CSV. Prints one
 # `path: [rule] symbol-or-line` line per finding and exits 1 on any
-# finding, on an nm failure and on an archive or tree with nothing to
+# finding, on an nm failure and on an archive or list with nothing to
 # check, so a wrong path never passes.
 set -uo pipefail
-[ $# -eq 3 ] || { echo "usage: $0 NM ARCHIVE BUILD_DIR" >&2; exit 2; }
-nm_bin=$1 archive=$2 build_dir=$3
+[ $# -eq 3 ] || { echo "usage: $0 NM ARCHIVE OBJECT_LIST" >&2; exit 2; }
+nm_bin=$1 archive=$2 object_list=$3
 
 entropy='rand|srand|rand_r|[a-z]*rand48(_r)?|arc4random.*|getrandom|getentropy|std::random_device::.*'
 wallclock='time|clock|clock_gettime|gettimeofday|localtime(_r)?|gmtime(_r)?|mktime|std::chrono::.*_clock::now[(][)]'
@@ -42,10 +44,9 @@ check_symbols() {
 }
 
 check_symbols "entropy $entropy wallclock $wallclock" "$archive" || failed=1
-mapfile -t objects < <(find "$build_dir"/{bench,tools,examples,tests} \
-  -name '*.o' ! -name 'determinism_lint_canary.*' 2>/dev/null)
+mapfile -t objects < <(grep -v '^$' "$object_list")
 if [ "${#objects[@]}" -eq 0 ]; then
-  echo "$build_dir: no object files" >&2
+  echo "$object_list: no object files" >&2
   failed=1
 else
   check_symbols "entropy $entropy" "${objects[@]}" || failed=1
@@ -64,18 +65,18 @@ grep_rule() {
   esac
 }
 grep_rule unordered-iter 'std::unordered_' \
-  --exclude=hash_index.hpp --exclude=traffic.hpp src bench tools
+  --exclude=hash_index.hpp --exclude=traffic.hpp src bench tools examples
 grep_rule ptr-key 'std::(unordered_)?(multi)?(map|set)<[^,>]*\*' \
-  src bench tools tests
+  src bench tools examples tests
 grep_rule raw-shuffle 'std::(ranges::)?(shuffle|sample|random_shuffle) *\(' \
-  src bench tools tests
+  src bench tools examples tests
 grep_rule rng-lineage '(static|thread_local)( +const)? +(sim::)?RngStream ' \
-  src bench tools
+  src bench tools examples
 # fork() hashes (lineage, tag) only: one receiver forked twice with the
 # same literal tag yields one stream twice.
 forks=$(grep -rnoE --include='*.[ch]pp' \
   '[A-Za-z_][A-Za-z0-9_]*(\.|->)fork\((0[xX][0-9A-Fa-f]+|[0-9]+)[uUlL]*\)' \
-  src bench tools)
+  src bench tools examples)
 [ $? -le 1 ] || failed=1
 awk -F: 'NF {
   key = $1 ":" $3

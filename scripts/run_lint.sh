@@ -35,7 +35,7 @@ if cmake -B "$BUILD_DIR" -S . -DCROUPIER_BUILD_TESTS=OFF \
         --target croupier_core croupier_lab >/dev/null
 then
   scripts/determinism_lint.sh nm "$BUILD_DIR/src/libcroupier_core.a" \
-    "$BUILD_DIR" || failed=1
+    "$BUILD_DIR/determinism_lint_objects.txt" || failed=1
 else
   echo "determinism lint: failed to build" >&2
   failed=1

@@ -44,38 +44,6 @@ struct GozarDescriptor {
 void encode(wire::Writer& w, const GozarDescriptor& d);
 GozarDescriptor decode_gozar_descriptor(wire::Reader& r);
 
-}  // namespace croupier::baselines
-
-namespace croupier::pss {
-
-/// Gozar descriptors carry the subject's relay parents beyond the base
-/// (id, nat, age) triple; the parent lists live in the store's side
-/// column.
-template <>
-struct ViewTraits<baselines::GozarDescriptor> {
-  static constexpr bool kHasExtra = true;
-  using Extra = std::vector<net::NodeId>;
-
-  static net::NodeId id(const baselines::GozarDescriptor& d) { return d.id; }
-  static net::NatType nat(const baselines::GozarDescriptor& d) {
-    return d.nat_type;
-  }
-  static std::uint16_t age(const baselines::GozarDescriptor& d) {
-    return d.age;
-  }
-  static const Extra& extra(const baselines::GozarDescriptor& d) {
-    return d.parents;
-  }
-  static baselines::GozarDescriptor make(net::NodeId id, net::NatType nat,
-                                         std::uint16_t age,
-                                         const Extra& parents) {
-    return baselines::GozarDescriptor{id, nat, age, parents};
-  }
-};
-
-}  // namespace croupier::pss
-
-namespace croupier::baselines {
 void encode(wire::Writer& w, const std::vector<GozarDescriptor>& v);
 std::vector<GozarDescriptor> decode_gozar_descriptors(wire::Reader& r);
 

@@ -45,37 +45,6 @@ struct NylonDescriptor {
                          const NylonDescriptor&) = default;
 };
 
-}  // namespace croupier::baselines
-
-namespace croupier::pss {
-
-/// Nylon descriptors decorate the base triple with the local
-/// learned_from bookkeeping (next hop of the RVP chain).
-template <>
-struct ViewTraits<baselines::NylonDescriptor> {
-  static constexpr bool kHasExtra = true;
-  using Extra = net::NodeId;
-
-  static net::NodeId id(const baselines::NylonDescriptor& d) { return d.id; }
-  static net::NatType nat(const baselines::NylonDescriptor& d) {
-    return d.nat_type;
-  }
-  static std::uint16_t age(const baselines::NylonDescriptor& d) {
-    return d.age;
-  }
-  static Extra extra(const baselines::NylonDescriptor& d) {
-    return d.learned_from;
-  }
-  static baselines::NylonDescriptor make(net::NodeId id, net::NatType nat,
-                                         std::uint16_t age, Extra learned) {
-    return baselines::NylonDescriptor{id, nat, age, learned};
-  }
-};
-
-}  // namespace croupier::pss
-
-namespace croupier::baselines {
-
 constexpr std::uint8_t kNylonShuffleReq = 0x40;
 constexpr std::uint8_t kNylonShuffleRes = 0x41;
 constexpr std::uint8_t kNylonPunchReq = 0x42;

@@ -5,12 +5,6 @@
 
 namespace croupier::net {
 
-sim::Duration UniformLatency::sample(NodeId, NodeId, sim::RngStream& rng) {
-  return static_cast<sim::Duration>(
-      rng.uniform_in(static_cast<std::int64_t>(lo_),
-                     static_cast<std::int64_t>(hi_)));
-}
-
 KingLatencyModel::KingLatencyModel(std::uint64_t seed, Params params)
     : seed_(seed), params_(params) {}
 

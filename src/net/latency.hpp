@@ -59,21 +59,6 @@ class ConstantLatency final : public LatencyModel {
   sim::Duration delay_;
 };
 
-/// Uniform delay in [lo, hi]; useful for quick randomized tests.
-class UniformLatency final : public LatencyModel {
- public:
-  UniformLatency(sim::Duration lo, sim::Duration hi) : lo_(lo), hi_(hi) {}
-  sim::Duration sample(NodeId, NodeId, sim::RngStream& rng) override;
-  [[nodiscard]] sim::Duration min_latency() const override { return lo_; }
-  [[nodiscard]] sim::Duration base_latency(NodeId, NodeId) const override {
-    return (lo_ + hi_) / 2;
-  }
-
- private:
-  sim::Duration lo_;
-  sim::Duration hi_;
-};
-
 /// Tuning knobs for the synthetic King-like latency space.
 struct KingLatencyParams {
   double median_ms = 77.0;       // King median RTT/2 scale

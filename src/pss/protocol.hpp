@@ -37,8 +37,8 @@ class PeerSampler : public net::MessageHandler {
     net::Network* network = nullptr;
     net::BootstrapServer* bootstrap = nullptr;
     sim::RngStream rng;
-    /// Pool the node's view columns are carved from (World-owned; may be
-    /// null, e.g. in protocol unit tests — views then fall back to heap).
+    /// Pool the node's view storage is drawn from (World-owned; may be
+    /// null, e.g. in protocol unit tests — views then use the heap).
     ViewArena* arena = nullptr;
   };
 

@@ -10,26 +10,29 @@
 //
 // The view is templated on the descriptor type because Gozar and Nylon
 // decorate descriptors with traversal state (relay parents / RVPs); any
-// Desc with a ViewTraits specialization (pss/view_store.hpp) works.
+// Desc with `id`, `age` and `bump_age()` works.
 //
-// Storage is the columnar ViewStore: separate id/age/NAT columns in one
-// arena block, an O(1) id -> slot index, and an incrementally-maintained
-// first-max-age slot. The semantics here are unchanged from the
-// vector-of-structs original — same slot ordering, same tie-breaks, same
-// RNG draw sequences — so experiment output is byte-identical
-// (tests/view_store_test.cpp pins this against a reference
-// implementation).
+// Storage is one std::pmr::vector<Desc> drawn from the World's ViewArena
+// (pss/view_arena.hpp). Views hold about 10 slots, so membership probes
+// and the oldest-slot query are linear scans. The slot rules are the
+// ones every output byte depends on: descriptors keep append order, an
+// update assigns in place, erase compacts to the left, and the oldest
+// entry is the first slot of maximal age. tests/view_twin_test.cpp pins
+// them against a reference implementation.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <memory_resource>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "net/address.hpp"
-#include "pss/view_store.hpp"
+#include "pss/view_arena.hpp"
 #include "sim/conflict.hpp"
 #include "sim/rng.hpp"
 
@@ -46,45 +49,21 @@ enum class MergePolicy : std::uint8_t {
 template <typename Desc>
 class PartialView {
  public:
-  /// Iterable snapshot view over the store: materializes descriptors
-  /// from the columns on demand (all call sites range-for the result).
-  class Entries {
-   public:
-    class iterator {
-     public:
-      using value_type = Desc;
-      using difference_type = std::ptrdiff_t;
-
-      iterator(const ViewStore<Desc>* s, std::size_t i) : s_(s), i_(i) {}
-      Desc operator*() const { return s_->get(i_); }
-      iterator& operator++() {
-        ++i_;
-        return *this;
-      }
-      friend bool operator==(const iterator& a, const iterator& b) {
-        return a.i_ == b.i_;
-      }
-
-     private:
-      const ViewStore<Desc>* s_;
-      std::size_t i_;
-    };
-
-    explicit Entries(const ViewStore<Desc>& s) : s_(&s) {}
-    [[nodiscard]] std::size_t size() const { return s_->size(); }
-    [[nodiscard]] bool empty() const { return s_->size() == 0; }
-    [[nodiscard]] Desc operator[](std::size_t i) const { return s_->get(i); }
-    [[nodiscard]] iterator begin() const { return iterator(s_, 0); }
-    [[nodiscard]] iterator end() const { return iterator(s_, s_->size()); }
-
-   private:
-    const ViewStore<Desc>* s_;
-  };
-
+  /// A view of `capacity` slots whose storage comes from `arena`, or
+  /// from the heap when `arena` is null.
   explicit PartialView(std::size_t capacity, ViewArena* arena = nullptr)
-      : capacity_(capacity), store_(capacity, arena) {
-    CROUPIER_ASSERT(capacity > 0);
+      : capacity_(capacity),
+        entries_(arena != nullptr
+                     ? static_cast<std::pmr::memory_resource*>(arena)
+                     : std::pmr::new_delete_resource()) {
+    CROUPIER_ASSERT(capacity > 0 && capacity <= kMaxViewSlots);
+    entries_.reserve(capacity);
   }
+
+  // A copied pmr::vector would take the default resource and leave the
+  // arena, so views are not copyable.
+  PartialView(const PartialView&) = delete;
+  PartialView& operator=(const PartialView&) = delete;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -104,64 +83,71 @@ class PartialView {
   /// earliest slot). Used by Croupier's ratio-proportional view sizing,
   /// where the public/private capacity split tracks the estimated ratio.
   void set_capacity(std::size_t capacity) {
-    CROUPIER_ASSERT(capacity > 0);
+    CROUPIER_ASSERT(capacity > 0 && capacity <= kMaxViewSlots);
     record_mutation("PartialView::set_capacity");
     capacity_ = capacity;
-    store_.reserve(capacity);
-    if (store_.size() <= capacity_) return;
+    entries_.reserve(capacity);
+    if (entries_.size() <= capacity_) return;
 
-    const std::size_t evict = store_.size() - capacity_;
-    std::vector<std::uint32_t> order(store_.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
     // Oldest first; ties by earliest slot — the order repeated
     // remove-first-max would pick victims in.
-    std::sort(order.begin(), order.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (store_.age_at(a) != store_.age_at(b)) {
-                  return store_.age_at(a) > store_.age_at(b);
-                }
-                return a < b;
-              });
-    order.resize(evict);
-    std::sort(order.begin(), order.end());
-    store_.erase_slots_sorted(order);
+    const std::size_t evict = entries_.size() - capacity_;
+    std::vector<std::uint32_t> order(entries_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::partial_sort(order.begin(), order.begin() + evict, order.end(),
+                      [this](std::uint32_t a, std::uint32_t b) {
+                        if (entries_[a].age != entries_[b].age) {
+                          return entries_[a].age > entries_[b].age;
+                        }
+                        return a < b;
+                      });
+    std::vector<bool> victim(entries_.size(), false);
+    for (std::size_t i = 0; i < evict; ++i) victim[order[i]] = true;
+    std::size_t out = 0;
+    for (std::size_t in = 0; in < entries_.size(); ++in) {
+      if (victim[in]) continue;
+      if (out != in) entries_[out] = std::move(entries_[in]);
+      ++out;
+    }
+    entries_.resize(out);
   }
 
-  [[nodiscard]] std::size_t size() const { return store_.size(); }
-  [[nodiscard]] bool empty() const { return store_.size() == 0; }
-  [[nodiscard]] bool full() const { return store_.size() >= capacity_; }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
 
-  [[nodiscard]] Entries entries() const { return Entries(store_); }
+  /// The descriptors in slot order.
+  [[nodiscard]] std::span<const Desc> entries() const { return entries_; }
 
   [[nodiscard]] bool contains(net::NodeId id) const {
-    return store_.slot_of(id).has_value();
+    return slot_of(id) != entries_.end();
   }
 
   [[nodiscard]] std::optional<Desc> find(net::NodeId id) const {
-    const auto slot = store_.slot_of(id);
-    if (!slot.has_value()) return std::nullopt;
-    return store_.get(*slot);
+    const auto slot = slot_of(id);
+    if (slot == entries_.end()) return std::nullopt;
+    return *slot;
   }
 
   /// Ages every descriptor by one round.
   void age_all() {
     record_mutation("PartialView::age_all");
-    store_.bump_ages();
+    for (auto& d : entries_) d.bump_age();
   }
 
   /// Tail policy: the oldest descriptor (ties broken by position, which is
   /// deterministic). Empty view yields nullopt.
   [[nodiscard]] std::optional<Desc> oldest() const {
-    if (store_.size() == 0) return std::nullopt;
-    return store_.get(store_.oldest_slot());
+    if (entries_.empty()) return std::nullopt;
+    return *oldest_slot();
   }
 
   /// Removes a node if present; returns whether it was there.
   bool remove(net::NodeId id) {
-    const auto slot = store_.slot_of(id);
-    if (!slot.has_value()) return false;
+    const auto slot = slot_of(id);
+    if (slot == entries_.end()) return false;
     record_mutation("PartialView::remove");
-    store_.erase_at(*slot);
+    entries_.erase(slot);
     return true;
   }
 
@@ -170,7 +156,7 @@ class PartialView {
   bool add_if_room(const Desc& d) {
     if (full() || contains(d.id)) return false;
     record_mutation("PartialView::add_if_room");
-    store_.push_back(d);
+    entries_.push_back(d);
     return true;
   }
 
@@ -178,34 +164,34 @@ class PartialView {
   /// descriptor; if the node is present, keeps the newer copy.
   void force_add(const Desc& d) {
     record_mutation("PartialView::force_add");
-    if (const auto slot = store_.slot_of(d.id); slot.has_value()) {
-      if (d.age < store_.age_at(*slot)) store_.assign(*slot, d);
+    if (const auto slot = slot_of(d.id); slot != entries_.end()) {
+      if (d.age < slot->age) *slot = d;
       return;
     }
     if (!full()) {
-      store_.push_back(d);
+      entries_.push_back(d);
       return;
     }
-    store_.assign(store_.oldest_slot(), d);
+    *oldest_slot() = d;
   }
 
   /// Uniformly random subset of up to n descriptors (without replacement).
   [[nodiscard]] std::vector<Desc> random_subset(std::size_t n,
                                                 sim::RngStream& rng) const {
-    std::vector<Desc> pool = materialize();
+    std::vector<Desc> pool(entries_.begin(), entries_.end());
     pool.resize(rng.sample_prefix(std::span<Desc>(pool), n));
     return pool;
   }
 
   /// Random subset of up to n descriptors, never including `excluded`.
-  /// One pass: the pool is materialized already filtered and sampled in
-  /// place (no second copy inside the RNG).
+  /// One pass: the pool is copied already filtered and sampled in place
+  /// (no second copy inside the RNG).
   [[nodiscard]] std::vector<Desc> random_subset_excluding(
       std::size_t n, net::NodeId excluded, sim::RngStream& rng) const {
     std::vector<Desc> pool;
-    pool.reserve(store_.size());
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      if (store_.id_at(i) != excluded) pool.push_back(store_.get(i));
+    pool.reserve(entries_.size());
+    for (const auto& d : entries_) {
+      if (d.id != excluded) pool.push_back(d);
     }
     pool.resize(rng.sample_prefix(std::span<Desc>(pool), n));
     return pool;
@@ -213,8 +199,8 @@ class PartialView {
 
   /// Uniformly random single entry.
   [[nodiscard]] std::optional<Desc> random_entry(sim::RngStream& rng) const {
-    if (store_.size() == 0) return std::nullopt;
-    return store_.get(rng.index(store_.size()));
+    if (entries_.empty()) return std::nullopt;
+    return entries_[rng.index(entries_.size())];
   }
 
   /// Healer merge (Jelasity et al. [7]): integrates `received` keeping
@@ -226,18 +212,16 @@ class PartialView {
     record_mutation("PartialView::merge_healer");
     for (const auto& r : received) {
       if (r.id == self) continue;
-      if (const auto slot = store_.slot_of(r.id); slot.has_value()) {
-        if (r.age < store_.age_at(*slot)) store_.assign(*slot, r);
+      if (const auto slot = slot_of(r.id); slot != entries_.end()) {
+        if (r.age < slot->age) *slot = r;
         continue;
       }
       if (!full()) {
-        store_.push_back(r);
+        entries_.push_back(r);
         continue;
       }
-      const auto victim = store_.oldest_slot();
-      if (store_.age_at(victim) > r.age) {
-        store_.assign(victim, r);  // replace only if strictly fresher
-      }
+      const auto victim = oldest_slot();
+      if (victim->age > r.age) *victim = r;  // only if strictly fresher
     }
   }
 
@@ -252,13 +236,13 @@ class PartialView {
 
     for (const auto& r : received) {
       if (r.id == self) continue;
-      if (const auto slot = store_.slot_of(r.id); slot.has_value()) {
+      if (const auto slot = slot_of(r.id); slot != entries_.end()) {
         // Node already known: keep the more recent descriptor.
-        if (r.age < store_.age_at(*slot)) store_.assign(*slot, r);
+        if (r.age < slot->age) *slot = r;
         continue;
       }
       if (!full()) {
-        store_.push_back(r);
+        entries_.push_back(r);
         continue;
       }
       // Full: evict one of the descriptors we sent away (swap semantics —
@@ -267,8 +251,8 @@ class PartialView {
       while (!evictable.empty() && !placed) {
         const net::NodeId victim = evictable.front();
         evictable.pop_front();
-        if (const auto vslot = store_.slot_of(victim); vslot.has_value()) {
-          store_.assign(*vslot, r);
+        if (const auto vslot = slot_of(victim); vslot != entries_.end()) {
+          *vslot = r;
           placed = true;
         }
       }
@@ -278,14 +262,26 @@ class PartialView {
 
   void clear() {
     record_mutation("PartialView::clear");
-    store_.clear();
+    entries_.clear();
   }
 
  private:
-  [[nodiscard]] std::vector<Desc> materialize() const {
-    std::vector<Desc> out;
-    store_.materialize_into(out);
-    return out;
+  using Slots = std::pmr::vector<Desc>;
+
+  /// The slot holding `id`, or end(): a linear scan.
+  [[nodiscard]] typename Slots::iterator slot_of(net::NodeId id) {
+    return std::ranges::find(entries_, id, &Desc::id);
+  }
+  [[nodiscard]] typename Slots::const_iterator slot_of(net::NodeId id) const {
+    return std::ranges::find(entries_, id, &Desc::id);
+  }
+
+  /// The first slot of maximal age; the view must not be empty.
+  [[nodiscard]] typename Slots::iterator oldest_slot() {
+    return std::ranges::max_element(entries_, {}, &Desc::age);
+  }
+  [[nodiscard]] typename Slots::const_iterator oldest_slot() const {
+    return std::ranges::max_element(entries_, {}, &Desc::age);
   }
 
   /// Conflict-checker probe on every mutation path; compiles to nothing
@@ -299,7 +295,7 @@ class PartialView {
   }
 
   std::size_t capacity_;
-  ViewStore<Desc> store_;
+  Slots entries_;
 #if defined(CROUPIER_CONFLICT_CHECK)
   net::NodeId owner_ = 0;  // 0 = untagged; never checked
 #endif

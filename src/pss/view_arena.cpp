@@ -1,10 +1,25 @@
-#include "pss/view_store.hpp"
+#include "pss/view_arena.hpp"
+
+#include <algorithm>
+
+#include "common/assert.hpp"
 
 namespace croupier::pss {
 
-std::byte* ViewArena::allocate(std::size_t bytes) {
+namespace {
+
+constexpr std::size_t kAlign = 8;
+
+std::size_t round_up(std::size_t bytes) {
+  return (bytes + kAlign - 1) & ~(kAlign - 1);
+}
+
+}  // namespace
+
+void* ViewArena::do_allocate(std::size_t bytes, std::size_t alignment) {
   CROUPIER_ASSERT(bytes > 0);
-  bytes = (bytes + 7) & ~std::size_t{7};
+  CROUPIER_ASSERT(alignment <= kAlign);
+  bytes = round_up(bytes);
   std::lock_guard<std::mutex> lock(mu_);
 
   if (auto it = free_.find(bytes); it != free_.end() && !it->second.empty()) {
@@ -36,11 +51,11 @@ std::byte* ViewArena::allocate(std::size_t bytes) {
   return block;
 }
 
-void ViewArena::release(std::byte* block, std::size_t bytes) {
-  if (block == nullptr) return;
-  bytes = (bytes + 7) & ~std::size_t{7};
+void ViewArena::do_deallocate(void* block, std::size_t bytes,
+                              std::size_t /*alignment*/) {
+  bytes = round_up(bytes);
   std::lock_guard<std::mutex> lock(mu_);
-  free_[bytes].push_back(block);
+  free_[bytes].push_back(static_cast<std::byte*>(block));
   CROUPIER_ASSERT(stats_.live_blocks > 0);
   --stats_.live_blocks;
   stats_.live_bytes -= bytes;

@@ -1,32 +1,6 @@
 #include "runtime/recorder.hpp"
 
-#include <fstream>
-
 namespace croupier::run {
-
-bool EstimationRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,avg_error,max_error,truth,nodes\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.sample.avg_error << ','
-        << p.sample.max_error << ',' << p.sample.truth << ','
-        << p.sample.node_count << '\n';
-  }
-  return static_cast<bool>(out);
-}
-
-bool GraphStatsRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,avg_path_length,clustering,unreachable,nodes,edges\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.avg_path_length << ','
-        << p.clustering_coefficient << ',' << p.unreachable_fraction << ','
-        << p.nodes << ',' << p.edges << '\n';
-  }
-  return static_cast<bool>(out);
-}
 
 EstimationRecorder::EstimationRecorder(World& world, Options opt)
     : world_(world),
@@ -95,21 +69,6 @@ void SampledGraphStatsRecorder::tick() {
   series_.push_back(point);
 }
 
-bool SampledGraphStatsRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,avg_path_length,clustering,unreachable,in_degree_cv,"
-         "largest_component,component_nodes,nodes,edge_samples,path_pairs\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.avg_path_length << ','
-        << p.clustering_coefficient << ',' << p.unreachable_fraction << ','
-        << p.in_degree_cv << ',' << p.largest_component_fraction << ','
-        << p.component_nodes << ',' << p.population << ',' << p.edge_samples
-        << ',' << p.path_pairs << '\n';
-  }
-  return static_cast<bool>(out);
-}
-
 RandomnessAuditRecorder::RandomnessAuditRecorder(World& world, Options opt)
     : world_(world),
       ticker_(world.simulator(), opt.interval, [this] { tick(); }) {}
@@ -126,22 +85,6 @@ void RandomnessAuditRecorder::tick() {
                                 world_.true_ratio(),
                                 sim::to_seconds(world_.simulator().now()));
   series_.push_back(point);
-}
-
-bool RandomnessAuditRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,chi2,chi2_z,repeat_observed,repeat_expected,"
-         "repeat_ratio,public_fraction,public_expected,bias_ratio,nodes,"
-         "edges\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.chi2 << ',' << p.chi2_z << ','
-        << p.repeat_observed << ',' << p.repeat_expected << ','
-        << p.repeat_ratio << ',' << p.public_fraction << ','
-        << p.public_expected << ',' << p.bias_ratio << ',' << p.nodes << ','
-        << p.edges_observed << '\n';
-  }
-  return static_cast<bool>(out);
 }
 
 }  // namespace croupier::run

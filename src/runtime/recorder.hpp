@@ -16,7 +16,6 @@
 // a restart never leaves the stopped chain sampling beside the new one.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "metrics/estimation.hpp"
@@ -49,10 +48,6 @@ class EstimationRecorder {
   [[nodiscard]] metrics::ErrorPoint latest() const {
     return series_.empty() ? metrics::ErrorPoint{} : series_.back();
   }
-
-  /// Dumps the series as CSV (t_seconds,avg_error,max_error,truth,nodes).
-  /// Returns false if the file could not be written.
-  bool write_csv(const std::string& path) const;
 
  private:
   void tick();
@@ -92,10 +87,6 @@ class GraphStatsRecorder {
     return series_;
   }
 
-  /// Dumps the series as CSV
-  /// (t_seconds,avg_path_length,clustering,unreachable,nodes,edges).
-  bool write_csv(const std::string& path) const;
-
  private:
   void tick();
 
@@ -131,11 +122,6 @@ class SampledGraphStatsRecorder {
   [[nodiscard]] Point latest() const {
     return series_.empty() ? Point{} : series_.back();
   }
-
-  /// Dumps the series as CSV (t_seconds,avg_path_length,clustering,
-  /// unreachable,in_degree_cv,largest_component,component_nodes,nodes,
-  /// edge_samples,path_pairs).
-  bool write_csv(const std::string& path) const;
 
  private:
   void tick();
@@ -177,11 +163,6 @@ class RandomnessAuditRecorder {
   [[nodiscard]] metrics::RandomnessPoint latest() const {
     return series_.empty() ? metrics::RandomnessPoint{} : series_.back();
   }
-
-  /// Dumps the series as CSV (t_seconds,chi2,chi2_z,repeat_observed,
-  /// repeat_expected,repeat_ratio,public_fraction,public_expected,
-  /// bias_ratio,nodes,edges).
-  bool write_csv(const std::string& path) const;
 
  private:
   void tick();

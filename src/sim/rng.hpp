@@ -94,14 +94,6 @@ class RngStream {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_in(std::int64_t lo, std::int64_t hi) {
-    CROUPIER_ASSERT(lo <= hi);
-    const auto span =
-        static_cast<std::uint64_t>(hi - lo) + 1;  // no overflow for our uses
-    return lo + static_cast<std::int64_t>(uniform(span));
-  }
-
   /// Bernoulli trial with success probability p.
   bool chance(double p) {
     if (p <= 0.0) return false;

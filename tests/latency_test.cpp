@@ -19,16 +19,6 @@ TEST(ConstantLatency, AlwaysSame) {
   EXPECT_EQ(m.sample(9, 7, rng), msec(42));
 }
 
-TEST(UniformLatency, WithinBounds) {
-  UniformLatency m(msec(10), msec(20));
-  sim::RngStream rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const auto d = m.sample(1, 2, rng);
-    EXPECT_GE(d, msec(10));
-    EXPECT_LE(d, msec(20));
-  }
-}
-
 TEST(KingLatency, BaseIsDeterministic) {
   KingLatencyModel a(123);
   KingLatencyModel b(123);

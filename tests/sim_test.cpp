@@ -248,21 +248,6 @@ TEST(Rng, UniformRespectsBound) {
   }
 }
 
-TEST(Rng, UniformInInclusiveRange) {
-  RngStream r(5);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = r.uniform_in(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformIsRoughlyUniform) {
   RngStream r(11);
   std::vector<int> buckets(10, 0);

@@ -1,22 +1,26 @@
-// Pins the columnar ViewStore-backed PartialView to the seed's
-// vector-of-structs semantics: a reference AoS implementation (a copy
-// of the pre-refactor PartialView) runs the same operation sequences —
-// with twin RNG streams where draws are involved — and every
-// intermediate state must match descriptor-for-descriptor in slot
-// order. Slot order is the byte-identity lever: identical order means
-// identical wire payloads and identical downstream RNG draws, which is
-// what keeps every bench's output unchanged across the refactor.
+// The view twin test: pins PartialView to the seed's vector-of-structs
+// semantics. A reference AoS implementation (a copy of the seed's
+// PartialView) runs the same operation sequences — with twin RNG
+// streams where draws are involved — and every intermediate state must
+// match descriptor-for-descriptor in slot order, for plain descriptors
+// and for Gozar's and Nylon's decorated ones. Slot order is the
+// byte-identity lever: identical order means identical wire payloads
+// and identical downstream RNG draws, which is what keeps every bench's
+// output unchanged when the view's storage changes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "baselines/gozar.hpp"
+#include "baselines/nylon.hpp"
 #include "pss/descriptor.hpp"
 #include "pss/view.hpp"
-#include "pss/view_store.hpp"
+#include "pss/view_arena.hpp"
 #include "sim/rng.hpp"
 
 namespace croupier::pss {
@@ -165,10 +169,30 @@ net::NatType nat_of(std::uint64_t bits) {
   return bits % 2 == 0 ? net::NatType::Public : net::NatType::Private;
 }
 
-/// Asserts slot-order equality between the store-backed view and the
-/// reference — the property every downstream byte depends on.
-void expect_same(const PartialView<NodeDescriptor>& v,
-                 const RefView<NodeDescriptor>& ref, const char* where) {
+/// Draws one descriptor over ids 1..`ids` with an age in 0..5, plus the
+/// type's decoration: 0-3 relay parents for Gozar, the neighbour it was
+/// learned from for Nylon.
+template <typename Desc>
+Desc draw(sim::RngStream& ops, std::uint64_t ids) {
+  Desc d{};
+  d.id = static_cast<net::NodeId>(ops.uniform(ids) + 1);
+  d.age = static_cast<std::uint16_t>(ops.uniform(6));
+  d.nat_type = nat_of(ops.uniform(3));
+  if constexpr (std::is_same_v<Desc, baselines::GozarDescriptor>) {
+    for (auto n = ops.uniform(4); n > 0; --n) {
+      d.parents.push_back(static_cast<net::NodeId>(ops.uniform(ids) + 1));
+    }
+  } else if constexpr (std::is_same_v<Desc, baselines::NylonDescriptor>) {
+    d.learned_from = static_cast<net::NodeId>(ops.uniform(ids) + 1);
+  }
+  return d;
+}
+
+/// Asserts slot-order equality between the view and the reference — the
+/// property every downstream byte depends on.
+template <typename Desc>
+void expect_same(const PartialView<Desc>& v, const RefView<Desc>& ref,
+                 const char* where) {
   ASSERT_EQ(v.size(), ref.size()) << where;
   const auto entries = v.entries();
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -186,28 +210,24 @@ void expect_same(const PartialView<NodeDescriptor>& v,
 /// PartialView mutation plus capacity shrink (to 1..`capacity`),
 /// RNG-drawing subsets and `merge`-descriptor merges. Returns the largest
 /// size the view reached.
+template <typename Desc>
 std::size_t run_operation_mix(std::uint64_t run, std::size_t capacity,
                               std::uint64_t ids, std::size_t merge) {
   sim::RngStream ops(run * 0x9E37);
   sim::RngStream rng_a(run * 0xC0FFEE);
   sim::RngStream rng_b(run * 0xC0FFEE);  // twin: must stay in lockstep
-  PartialView<NodeDescriptor> v(capacity);
-  RefView<NodeDescriptor> ref(capacity);
+  PartialView<Desc> v(capacity);
+  RefView<Desc> ref(capacity);
   std::size_t peak = 0;
   const auto received = [&] {
-    std::vector<NodeDescriptor> out;
-    for (std::size_t k = 0; k < merge; ++k) {
-      out.push_back(desc(static_cast<net::NodeId>(ops.uniform(ids) + 1),
-                         static_cast<std::uint16_t>(ops.uniform(6)),
-                         nat_of(ops.uniform(3))));
-    }
+    std::vector<Desc> out;
+    for (std::size_t k = 0; k < merge; ++k) out.push_back(draw<Desc>(ops, ids));
     return out;
   };
 
   for (int step = 0; step < 2000; ++step) {
-    const auto id = static_cast<net::NodeId>(ops.uniform(ids) + 1);
-    const auto age = static_cast<std::uint16_t>(ops.uniform(6));
-    const auto d = desc(id, age, nat_of(ops.uniform(3)));
+    const auto d = draw<Desc>(ops, ids);
+    const net::NodeId id = d.id;
     switch (ops.uniform(9)) {
       case 0:
         EXPECT_EQ(v.add_if_room(d), ref.add_if_room(d));
@@ -241,7 +261,7 @@ std::size_t run_operation_mix(std::uint64_t run, std::size_t capacity,
         break;
       }
       case 7: {
-        std::vector<NodeDescriptor> sent = v.random_subset(3, rng_a);
+        std::vector<Desc> sent = v.random_subset(3, rng_a);
         EXPECT_EQ(sent, ref.random_subset(3, rng_b));
         const auto in = received();
         v.merge_swapper(sent, in, /*self=*/5);
@@ -262,22 +282,45 @@ std::size_t run_operation_mix(std::uint64_t run, std::size_t capacity,
   return peak;
 }
 
-TEST(ViewStoreEquivalence, RandomOperationMix) {
+TEST(ViewTwin, RandomOperationMix) {
   for (std::uint64_t run = 1; run <= 3; ++run) {
-    run_operation_mix(run, /*capacity=*/8, /*ids=*/24, /*merge=*/4);
+    run_operation_mix<NodeDescriptor>(run, /*capacity=*/8, /*ids=*/24,
+                                      /*merge=*/4);
     if (::testing::Test::HasFailure()) return;
   }
   // Views far above the paper's size 10 behave the same.
   std::size_t peak = 0;
   for (std::uint64_t run = 1; run <= 3; ++run) {
-    peak = std::max(peak, run_operation_mix(run, /*capacity=*/100,
-                                            /*ids=*/300, /*merge=*/40));
+    peak = std::max(peak, run_operation_mix<NodeDescriptor>(
+                              run, /*capacity=*/100, /*ids=*/300,
+                              /*merge=*/40));
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(peak, 64u);
 }
 
-TEST(ViewStoreEquivalence, ForceAddTieBreaksOnFirstMax) {
+// Gozar's relay parents and Nylon's learned_from travel with their
+// descriptor through every slot move: assignment, eviction, compaction.
+template <typename Desc>
+void run_decorated_mix() {
+  for (std::uint64_t run = 1; run <= 3; ++run) {
+    run_operation_mix<Desc>(run, /*capacity=*/8, /*ids=*/24, /*merge=*/4);
+    if (::testing::Test::HasFailure()) return;
+    run_operation_mix<Desc>(run, /*capacity=*/40, /*ids=*/120,
+                            /*merge=*/16);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(ViewTwin, GozarDescriptorOperationMix) {
+  run_decorated_mix<baselines::GozarDescriptor>();
+}
+
+TEST(ViewTwin, NylonDescriptorOperationMix) {
+  run_decorated_mix<baselines::NylonDescriptor>();
+}
+
+TEST(ViewTwin, ForceAddTieBreaksOnFirstMax) {
   // Several slots share the max age; the seed replaced the *first* of
   // them (max_element with strict less). Pin that tie-break.
   PartialView<NodeDescriptor> v(3);
@@ -297,8 +340,8 @@ TEST(ViewStoreEquivalence, ForceAddTieBreaksOnFirstMax) {
   EXPECT_EQ(v.entries()[1].id, 10u);
 }
 
-TEST(ViewStoreEquivalence, SetCapacityShrinkMatchesRepeatedFirstMax) {
-  // The store shrinks in one pass (k largest by age, ties by earliest
+TEST(ViewTwin, SetCapacityShrinkMatchesRepeatedFirstMax) {
+  // The view shrinks in one pass (k largest by age, ties by earliest
   // slot); the seed looped remove-first-max. Same survivors, same order.
   PartialView<NodeDescriptor> v(8);
   RefView<NodeDescriptor> ref(8);
@@ -316,8 +359,8 @@ TEST(ViewStoreEquivalence, SetCapacityShrinkMatchesRepeatedFirstMax) {
   expect_same(v, ref, "shrink to 1");
 }
 
-TEST(ViewStoreEquivalence, AgeSaturationKeepsOldestStable) {
-  // Saturated ages tie at 0xffff: after bump_ages the first saturated
+TEST(ViewTwin, AgeSaturationKeepsOldestStable) {
+  // Saturated ages tie at 0xffff: after age_all the first saturated
   // slot must win, exactly as max_element did.
   PartialView<NodeDescriptor> v(4);
   RefView<NodeDescriptor> ref(4);
@@ -333,64 +376,26 @@ TEST(ViewStoreEquivalence, AgeSaturationKeepsOldestStable) {
   EXPECT_EQ(v.oldest()->id, 1u);  // 1 and 2 both saturated; 1 is first
 }
 
-TEST(ViewStore, ArenaBlocksAreReusedAcrossViews) {
+TEST(ViewArena, BlocksAreReusedAcrossViews) {
   ViewArena arena;
   {
-    ViewStore<NodeDescriptor> a(8, &arena);
-    for (net::NodeId id = 1; id <= 8; ++id) a.push_back(desc(id, 0));
+    PartialView<NodeDescriptor> a(8, &arena);
+    for (net::NodeId id = 1; id <= 8; ++id) a.add_if_room(desc(id, 0));
   }
   const auto after_first = arena.stats();
   EXPECT_EQ(after_first.live_blocks, 0u);
   EXPECT_GE(after_first.slab_bytes, after_first.live_bytes);
   {
-    ViewStore<NodeDescriptor> b(8, &arena);
-    b.push_back(desc(42, 3));
+    PartialView<NodeDescriptor> b(8, &arena);
+    b.add_if_room(desc(42, 3, net::NatType::Private));
     const auto live = arena.stats();
     EXPECT_EQ(live.live_blocks, 1u);
+    EXPECT_EQ(live.live_bytes, 8 * sizeof(NodeDescriptor));
     EXPECT_GE(live.reuses, 1u);  // same size class: the freed block
     EXPECT_EQ(live.slab_count, after_first.slab_count);  // no new slab
-    EXPECT_EQ(b.id_at(0), 42u);
-    EXPECT_EQ(b.age_at(0), 3u);
-    EXPECT_EQ(b.nat_at(0), net::NatType::Public);
+    EXPECT_EQ(b.entries()[0], desc(42, 3, net::NatType::Private));
   }
   EXPECT_EQ(arena.stats().live_blocks, 0u);
-}
-
-TEST(ViewStore, NatColumnRoundTripsAllClasses) {
-  // 9 slots across 3 packed bytes (4 classes per byte), alternating
-  // classes so neighbouring 2-bit lanes would corrupt each other if the
-  // shifts were off.
-  ViewStore<NodeDescriptor> s(9);
-  const net::NatType kinds[] = {net::NatType::Public, net::NatType::Private};
-  for (net::NodeId id = 0; id < 9; ++id) {
-    s.push_back(desc(id + 1, static_cast<std::uint16_t>(id), kinds[id % 2]));
-  }
-  for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_EQ(s.nat_at(i), kinds[i % 2]) << "slot " << i;
-    EXPECT_EQ(s.get(i).nat_type, kinds[i % 2]) << "slot " << i;
-  }
-}
-
-TEST(ViewStore, SlotIndexSurvivesGrowthAndErase) {
-  ViewStore<NodeDescriptor> s(2);
-  for (net::NodeId id = 1; id <= 200; ++id) {
-    s.reserve(static_cast<std::size_t>(id));
-    s.push_back(desc(id, static_cast<std::uint16_t>(id)));
-  }
-  for (net::NodeId id = 1; id <= 200; ++id) {
-    const auto slot = s.slot_of(id);
-    ASSERT_TRUE(slot.has_value()) << id;
-    EXPECT_EQ(s.id_at(*slot), id);
-  }
-  // Erase every odd id; the evens must keep resolving.
-  for (net::NodeId id = 1; id <= 200; id += 2) {
-    const auto slot = s.slot_of(id);
-    ASSERT_TRUE(slot.has_value());
-    s.erase_at(*slot);
-  }
-  for (net::NodeId id = 1; id <= 200; ++id) {
-    EXPECT_EQ(s.slot_of(id).has_value(), id % 2 == 0) << id;
-  }
 }
 
 }  // namespace
