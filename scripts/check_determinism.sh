@@ -13,12 +13,19 @@
 # (--jobs=4 --world-jobs=4). croupier-lab additionally must reproduce
 # fig1's series rows byte for byte (the PR-3 API-redesign acceptance).
 #
+# With REFERENCE_BUILD_DIR set to a build of another tree (say, the
+# parent commit, for a change that must not move an output byte), every
+# figure bench's --jobs=1 stdout and CSV and every example's stdout must
+# also match that build's runs byte for byte.
+#
 # Usage: scripts/check_determinism.sh [--fast]
-#   BUILD_DIR=...  bench build directory (default build)
+#   BUILD_DIR=...            bench build directory (default build)
+#   REFERENCE_BUILD_DIR=...  optional build to compare outputs against
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
+REF_DIR=${REFERENCE_BUILD_DIR:-}
 MODE=${1:---fast}
 
 TMP=$(mktemp -d)
@@ -52,7 +59,40 @@ for bench in "$BUILD_DIR"/bench/fig* "$BUILD_DIR"/bench/ablation_*; do
   check_same "$name" "$name.j1" "$name.j4" || ok=0
   check_same "$name" "$name.j1" "$name.w4" || ok=0
   [ "$ok" = 1 ] && echo "ok   $name (jobs 1/4, world-jobs 1/4)"
+  if [ -n "$REF_DIR" ]; then
+    if [ -x "$REF_DIR/bench/$name" ]; then
+      run_config "$REF_DIR/bench/$name" "$name.ref" "$MODE" --runs=2 \
+        --jobs=1 --world-jobs=1
+      check_same "$name" "$name.j1" "$name.ref" &&
+        echo "ok   $name == reference build (jobs 1)"
+    else
+      echo "FAIL $name missing from reference build $REF_DIR"
+      fail=1
+    fi
+  fi
 done
+
+# Examples print to stdout only; with a reference build, each must print
+# exactly what the reference's copy prints.
+if [ -n "$REF_DIR" ]; then
+  for example in "$BUILD_DIR"/examples/*; do
+    [ -f "$example" ] && [ -x "$example" ] || continue
+    name=$(basename "$example")
+    if [ ! -x "$REF_DIR/examples/$name" ]; then
+      echo "FAIL example $name missing from reference build $REF_DIR"
+      fail=1
+      continue
+    fi
+    "$example" >"$TMP/ex.$name.txt" 2>/dev/null
+    "$REF_DIR/examples/$name" >"$TMP/ex.$name.ref.txt" 2>/dev/null
+    if cmp -s "$TMP/ex.$name.txt" "$TMP/ex.$name.ref.txt"; then
+      echo "ok   example $name == reference build"
+    else
+      echo "FAIL example $name (output differs from reference build)"
+      fail=1
+    fi
+  done
+fi
 
 # croupier-lab: same determinism contracts on both axes, plus the
 # API-redesign acceptance check — a lab sweep of fig1's three

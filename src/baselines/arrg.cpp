@@ -53,8 +53,10 @@ void Arrg::init() {
 void Arrg::note_success(net::NodeId partner) {
   const auto it = std::find(open_list_.begin(), open_list_.end(), partner);
   if (it != open_list_.end()) open_list_.erase(it);
+  if (open_list_.size() == cfg_.open_list_size) {
+    open_list_.erase(open_list_.begin());
+  }
   open_list_.push_back(partner);
-  while (open_list_.size() > cfg_.open_list_size) open_list_.pop_front();
 }
 
 void Arrg::start_exchange(net::NodeId target) {

@@ -11,8 +11,8 @@
 // just retry-with-known-good, which over-represents reachable nodes.
 #pragma once
 
-#include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "pss/protocol.hpp"
@@ -60,7 +60,7 @@ class Arrg final : public pss::PeerSampler {
   std::optional<pss::NodeDescriptor> sample() override;
   [[nodiscard]] std::vector<net::NodeId> out_neighbors() const override;
 
-  [[nodiscard]] const std::deque<net::NodeId>& open_list() const {
+  [[nodiscard]] std::span<const net::NodeId> open_list() const {
     return open_list_;
   }
   [[nodiscard]] std::uint64_t fallback_count() const { return fallbacks_; }
@@ -74,7 +74,7 @@ class Arrg final : public pss::PeerSampler {
 
   ArrgConfig cfg_;
   pss::PartialView<pss::NodeDescriptor> view_;
-  std::deque<net::NodeId> open_list_;  // bounded, most recent at the back
+  std::vector<net::NodeId> open_list_;  // bounded, most recent at the back
 
   struct Pending {
     net::NodeId target;

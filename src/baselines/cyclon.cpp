@@ -66,8 +66,7 @@ void Cyclon::round() {
   req.sender = pss::NodeDescriptor::self(self(), nat_type());
   req.entries = view_.random_subset(cfg_.shuffle_size - 1, rng());
 
-  pending_.push_back(Pending{target->id, req.entries});
-  while (pending_.size() > 8) pending_.pop_front();
+  pending_.push(target->id, req.entries);
 
   network().send(self(), target->id,
                  std::make_shared<CyclonShuffleReq>(std::move(req)));
@@ -100,14 +99,7 @@ void Cyclon::handle_request(net::NodeId from, const CyclonShuffleReq& req) {
 }
 
 void Cyclon::handle_response(net::NodeId from, const CyclonShuffleRes& res) {
-  std::vector<pss::NodeDescriptor> sent;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->target == from) {
-      sent = std::move(it->sent);
-      pending_.erase(it);
-      break;
-    }
-  }
+  const auto sent = pending_.take(from);
   pss::merge_by_policy<pss::NodeDescriptor>(view_, cfg_.merge, sent,
                                             res.entries, self());
 }

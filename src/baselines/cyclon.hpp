@@ -11,7 +11,6 @@
 // exchange, swapper merge.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -70,11 +69,7 @@ class Cyclon final : public pss::PeerSampler {
   pss::PssConfig cfg_;
   pss::PartialView<pss::NodeDescriptor> view_;
 
-  struct Pending {
-    net::NodeId target;
-    std::vector<pss::NodeDescriptor> sent;
-  };
-  std::deque<Pending> pending_;
+  pss::PendingShuffles<std::vector<pss::NodeDescriptor>> pending_;
 };
 
 }  // namespace croupier::baselines

@@ -199,8 +199,7 @@ void Gozar::round() {
   req.nonce = next_nonce_++;
   req.entries = view_.random_subset(cfg_.base.shuffle_size - 1, rng());
 
-  pending_.push_back(Pending{target->id, req.entries});
-  while (pending_.size() > 8) pending_.pop_front();
+  pending_.push(target->id, req.entries);
 
   if (target->nat_type == net::NatType::Public) {
     network().send(self(), target->id,
@@ -267,8 +266,10 @@ void Gozar::handle_request(net::NodeId physical_from,
       seen_exchanges_.end()) {
     return;
   }
+  if (seen_exchanges_.size() == 32) {
+    seen_exchanges_.erase(seen_exchanges_.begin());
+  }
   seen_exchanges_.push_back(key);
-  while (seen_exchanges_.size() > 32) seen_exchanges_.pop_front();
 
   GozarShuffleRes res;
   res.responder = self();
@@ -299,14 +300,7 @@ void Gozar::handle_request(net::NodeId physical_from,
 }
 
 void Gozar::handle_response(const GozarShuffleRes& res) {
-  std::vector<GozarDescriptor> sent;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->target == res.responder) {
-      sent = std::move(it->sent);
-      pending_.erase(it);
-      break;
-    }
-  }
+  const auto sent = pending_.take(res.responder);
   view_.merge_swapper(sent, res.entries, self());
 }
 

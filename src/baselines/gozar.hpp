@@ -17,7 +17,6 @@
 // node whose cached parents all died is unreachable).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -159,14 +158,11 @@ class Gozar final : public pss::PeerSampler {
   std::vector<Parent> parents_;  // only populated on private nodes
   std::uint64_t round_counter_ = 0;
 
-  struct Pending {
-    net::NodeId target;
-    std::vector<GozarDescriptor> sent;
-  };
-  std::deque<Pending> pending_;
+  pss::PendingShuffles<std::vector<GozarDescriptor>> pending_;
 
-  // Dedup window for redundant relay copies: (initiator, nonce) pairs.
-  std::deque<std::pair<net::NodeId, std::uint16_t>> seen_exchanges_;
+  // Dedup window for redundant relay copies: the last 32 (initiator,
+  // nonce) pairs, oldest first.
+  std::vector<std::pair<net::NodeId, std::uint16_t>> seen_exchanges_;
   std::uint16_t next_nonce_ = 1;
 };
 

@@ -233,8 +233,7 @@ void Nylon::round() {
   req.sender = NylonDescriptor{self(), nat_type(), 0, self()};
   req.entries = view_.random_subset(cfg_.base.shuffle_size - 1, rng());
 
-  pending_.push_back(Pending{target->id, req.entries});
-  while (pending_.size() > 8) pending_.pop_front();
+  pending_.push(target->id, req.entries);
 
   send_shuffle(*target, std::move(req));
 }
@@ -269,8 +268,10 @@ void Nylon::send_shuffle(const NylonDescriptor& target, NylonShuffleReq req) {
   punch->hops = 0;
   network().send(self(), first_hop, std::move(punch));
 
+  if (awaiting_punch_.size() == 8) {
+    awaiting_punch_.erase(awaiting_punch_.begin());
+  }
   awaiting_punch_.push_back(AwaitingPunch{target.id, std::move(req)});
-  while (awaiting_punch_.size() > 8) awaiting_punch_.pop_front();
 }
 
 void Nylon::on_message(net::NodeId from, const net::Message& msg) {
@@ -372,14 +373,7 @@ void Nylon::handle_request(net::NodeId from, const NylonShuffleReq& req) {
 }
 
 void Nylon::handle_response(net::NodeId from, const NylonShuffleRes& res) {
-  std::vector<NylonDescriptor> sent;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->target == from) {
-      sent = std::move(it->sent);
-      pending_.erase(it);
-      break;
-    }
-  }
+  const auto sent = pending_.take(from);
   std::vector<NylonDescriptor> incoming = res.entries;
   for (auto& d : incoming) {
     d.learned_from = from;

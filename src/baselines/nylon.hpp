@@ -18,7 +18,6 @@
 // keepalives to the RVP set dominate its overhead (fig. 7a).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -224,18 +223,15 @@ class Nylon final : public pss::PeerSampler {
   RoundTable routing_;
   std::uint64_t round_counter_ = 0;
 
-  struct Pending {
-    net::NodeId target;
-    std::vector<NylonDescriptor> sent;
-  };
-  std::deque<Pending> pending_;
+  pss::PendingShuffles<std::vector<NylonDescriptor>> pending_;
 
-  // Prepared shuffle requests awaiting hole-punch completion.
+  // Prepared shuffle requests awaiting hole-punch completion: the last 8,
+  // oldest first.
   struct AwaitingPunch {
     net::NodeId target;
     NylonShuffleReq req;
   };
-  std::deque<AwaitingPunch> awaiting_punch_;
+  std::vector<AwaitingPunch> awaiting_punch_;
 
   std::uint64_t punches_started_ = 0;
   std::uint64_t punches_completed_ = 0;

@@ -111,8 +111,7 @@ void Croupier::round() {
       is_public ? pri_budget : (pri_budget > 0 ? pri_budget - 1 : 0), rng());
   req.estimates = estimator_.share(rng());
 
-  pending_.push_back(PendingShuffle{target->id, req.pub, req.pri});
-  while (pending_.size() > 8) pending_.pop_front();
+  pending_.push(target->id, SentSubsets{req.pub, req.pri});
 
   network().send(self(), target->id,
                  std::make_shared<CroupierShuffleReq>(std::move(req)));
@@ -151,13 +150,19 @@ void Croupier::handle_request(net::NodeId from,
   res.estimates = estimator_.share(rng());
 
   // Merge the received subsets (sender's self-descriptor joins its class).
-  std::vector<pss::NodeDescriptor> in_pub = req.pub;
-  std::vector<pss::NodeDescriptor> in_pri = req.pri;
-  if (req.sender.nat_type == net::NatType::Public) {
-    in_pub.push_back(req.sender);
-  } else {
-    in_pri.push_back(req.sender);
-  }
+  // The sender's class is copied with room for it, so appending the
+  // sender does not regrow the copy.
+  const auto copy = [](const std::vector<pss::NodeDescriptor>& subset,
+                       bool room) {
+    std::vector<pss::NodeDescriptor> out;
+    out.reserve(subset.size() + (room ? 1 : 0));
+    out.assign(subset.begin(), subset.end());
+    return out;
+  };
+  const bool public_sender = req.sender.nat_type == net::NatType::Public;
+  std::vector<pss::NodeDescriptor> in_pub = copy(req.pub, public_sender);
+  std::vector<pss::NodeDescriptor> in_pri = copy(req.pri, !public_sender);
+  (public_sender ? in_pub : in_pri).push_back(req.sender);
   pss::merge_by_policy<pss::NodeDescriptor>(view_u_, cfg_.base.merge,
                                             res.pub, in_pub, self());
   pss::merge_by_policy<pss::NodeDescriptor>(view_v_, cfg_.base.merge,
@@ -170,21 +175,11 @@ void Croupier::handle_request(net::NodeId from,
 
 void Croupier::handle_response(net::NodeId from,
                                const CroupierShuffleRes& res) {
-  // Locate what we sent to `from` (normally the most recent entry).
-  std::vector<pss::NodeDescriptor> sent_pub;
-  std::vector<pss::NodeDescriptor> sent_pri;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->target == from) {
-      sent_pub = std::move(it->sent_pub);
-      sent_pri = std::move(it->sent_pri);
-      pending_.erase(it);
-      break;
-    }
-  }
+  const SentSubsets sent = pending_.take(from);
   pss::merge_by_policy<pss::NodeDescriptor>(view_u_, cfg_.base.merge,
-                                            sent_pub, res.pub, self());
+                                            sent.pub, res.pub, self());
   pss::merge_by_policy<pss::NodeDescriptor>(view_v_, cfg_.base.merge,
-                                            sent_pri, res.pri, self());
+                                            sent.pri, res.pri, self());
   estimator_.merge(res.estimates);
 }
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -127,14 +126,11 @@ class Croupier final : public pss::PeerSampler {
   pss::PartialView<pss::NodeDescriptor> view_v_;  // private view
   RatioEstimator estimator_;
 
-  // Subsets shipped in still-unanswered requests, keyed by target; needed
-  // for the swapper merge when the response arrives. Bounded FIFO.
-  struct PendingShuffle {
-    net::NodeId target;
-    std::vector<pss::NodeDescriptor> sent_pub;
-    std::vector<pss::NodeDescriptor> sent_pri;
+  struct SentSubsets {
+    std::vector<pss::NodeDescriptor> pub;
+    std::vector<pss::NodeDescriptor> pri;
   };
-  std::deque<PendingShuffle> pending_;
+  pss::PendingShuffles<SentSubsets> pending_;
   std::uint64_t rebootstraps_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -27,6 +28,39 @@ std::pair<std::uint8_t, std::uint8_t> quantize(std::uint32_t pub,
         std::clamp<std::uint32_t>(v > 0 ? std::max(scaled, 1u) : 0u, 0u, 255u));
   };
   return {squeeze(pub), squeeze(priv)};
+}
+
+// The first position of `origin` in `origins`, or origins.size(). Each
+// block of 16 origins is tested with four 4-lane compares OR-ed together
+// (the GCC/Clang vector extension: GCC does not vectorize an early-exit
+// find), and only the block that holds the origin, or the tail, is
+// scanned one origin at a time.
+std::size_t find_origin(std::span<const net::NodeId> origins,
+                        net::NodeId origin) {
+  using Lanes = std::uint32_t __attribute__((vector_size(16)));
+  static_assert(sizeof(net::NodeId) == sizeof(std::uint32_t));
+  constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(std::uint32_t);
+  constexpr std::size_t kBlock = 4 * kLanes;
+  const auto load = [&](std::size_t at) {
+    Lanes v;
+    std::memcpy(&v, origins.data() + at, sizeof v);
+    return v;
+  };
+  const Lanes key = {origin, origin, origin, origin};
+  const std::size_t size = origins.size();
+  std::size_t i = 0;
+  for (; i + kBlock <= size; i += kBlock) {
+    const auto hit = (load(i) == key) | (load(i + kLanes) == key) |
+                     (load(i + 2 * kLanes) == key) |
+                     (load(i + 3 * kLanes) == key);
+    std::uint64_t halves[2];
+    std::memcpy(halves, &hit, sizeof halves);
+    if ((halves[0] | halves[1]) != 0) break;
+  }
+  for (; i < size; ++i) {
+    if (origins[i] == origin) return i;
+  }
+  return size;
 }
 
 }  // namespace
@@ -88,22 +122,55 @@ void RatioEstimator::begin_round() {
   // and expire entries older than γ. No cached age passes γ + 1, so the
   // 16-bit stamps never wrap into a wrong age.
   ++round_;
-  std::erase_if(cache_, [this](const CacheEntry& e) {
-    return age_of(e) > cfg_.neighbour_history;
-  });
+  expire_cache();
 
   // Roll the finished round's counters into the local history window
   // (Algorithm 2 lines 9-11) and keep the windowed sums incremental.
-  history_.emplace_back(round_pub_hits_, round_priv_hits_);
-  window_pub_ += round_pub_hits_;
-  window_priv_ += round_priv_hits_;
+  const Hits finished{round_pub_hits_, round_priv_hits_};
+  window_pub_ += finished.pub;
+  window_priv_ += finished.priv;
   round_pub_hits_ = 0;
   round_priv_hits_ = 0;
-  while (history_.size() > cfg_.local_history) {
-    window_pub_ -= history_.front().first;
-    window_priv_ -= history_.front().second;
-    history_.pop_front();
+  if (history_.size() < cfg_.local_history) {
+    if (history_.empty()) history_.reserve(cfg_.local_history);
+    history_.push_back(finished);
+    return;
   }
+  Hits& oldest = history_[history_next_];
+  window_pub_ -= oldest.pub;
+  window_priv_ -= oldest.priv;
+  oldest = finished;
+  if (++history_next_ == history_.size()) history_next_ = 0;
+}
+
+void RatioEstimator::expire_cache() {
+  // A stable compaction of the three columns. The entries before the
+  // first expired one stay where they are, and each later run of
+  // survivors moves left with one copy per column.
+  const auto expired = [this](std::size_t i) {
+    return age_at(i) > cfg_.neighbour_history;
+  };
+  const std::size_t size = born_.size();
+  std::size_t in = 0;
+  while (in < size && !expired(in)) ++in;
+  std::size_t out = in;
+  while (in < size) {
+    while (in < size && expired(in)) ++in;
+    std::size_t end = in;
+    while (end < size && !expired(end)) ++end;
+    const auto shift = [&](auto& column) {
+      std::copy(column.begin() + in, column.begin() + end,
+                column.begin() + out);
+    };
+    shift(origins_);
+    shift(hits_);
+    shift(born_);
+    out += end - in;
+    in = end;
+  }
+  origins_.resize(out);
+  hits_.resize(out);
+  born_.resize(out);
 }
 
 void RatioEstimator::count_request(net::NatType sender_type) {
@@ -119,19 +186,23 @@ void RatioEstimator::merge(std::span<const EstimateEntry> entries) {
     if (incoming.origin == self_) continue;  // own estimate is kept locally
     if (incoming.pub_hits == 0 && incoming.priv_hits == 0) continue;
     if (incoming.age > cfg_.neighbour_history) continue;
-    auto it = std::find_if(cache_.begin(), cache_.end(),
-                           [&](const CacheEntry& e) {
-                             return e.origin == incoming.origin;
-                           });
-    if (it == cache_.end()) {
+    const Hits hits{incoming.pub_hits, incoming.priv_hits};
+    const std::size_t at = find_origin(origins_, incoming.origin);
+    if (at == origins_.size()) {
       // Grow by an eighth, not push_back's doubling: caches plateau near
       // their steady size, where doubling left ~40% of the block unused.
-      if (cache_.size() == cache_.capacity()) {
-        cache_.reserve(cache_.size() + cache_.size() / 8 + 4);
+      if (origins_.size() == origins_.capacity()) {
+        const std::size_t grown = origins_.size() + origins_.size() / 8 + 4;
+        origins_.reserve(grown);
+        hits_.reserve(grown);
+        born_.reserve(grown);
       }
-      cache_.push_back(stamped(incoming));
-    } else if (incoming.age < age_of(*it)) {
-      *it = stamped(incoming);
+      origins_.push_back(incoming.origin);
+      hits_.push_back(hits);
+      born_.push_back(birth_of(incoming));
+    } else if (incoming.age < age_at(at)) {
+      hits_[at] = hits;
+      born_[at] = birth_of(incoming);
     }
   }
 }
@@ -147,29 +218,28 @@ std::vector<EstimateEntry> RatioEstimator::share(sim::RngStream& rng) const {
   const auto own = own_entry();
   const std::size_t from_cache =
       own.has_value() ? cfg_.share_limit - 1 : cfg_.share_limit;
-  const std::vector<CacheEntry> picked =
-      rng.sample(std::span<const CacheEntry>(cache_), from_cache);
   std::vector<EstimateEntry> out;
-  out.reserve(picked.size() + (own.has_value() ? 1 : 0));
-  for (const auto& e : picked) out.push_back(entry_of(e));
+  out.reserve(std::min(from_cache, origins_.size()) +
+              (own.has_value() ? 1 : 0));
+  rng.sample_positions(origins_.size(), from_cache,
+                       [&](std::size_t i) { out.push_back(entry_at(i)); });
   if (own.has_value()) out.push_back(*own);
   return out;
 }
 
 std::vector<EstimateEntry> RatioEstimator::cached() const {
   std::vector<EstimateEntry> out;
-  out.reserve(cache_.size());
-  for (const auto& e : cache_) out.push_back(entry_of(e));
+  out.reserve(origins_.size());
+  for (std::size_t i = 0; i < origins_.size(); ++i) {
+    out.push_back(entry_at(i));
+  }
   return out;
 }
 
 double RatioEstimator::estimate() const {
   double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& e : cache_) {
-    sum += entry_of(e).ratio();
-    ++n;
-  }
+  for (const Hits& h : hits_) sum += hit_ratio(h.pub, h.priv);
+  std::size_t n = hits_.size();
   if (const auto own = local_estimate(); own.has_value()) {
     sum += *own;
     ++n;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -33,6 +32,13 @@
 
 namespace croupier::core {
 
+/// E_i of equation (6) from one window's hit counts; 0 without hits.
+[[nodiscard]] inline double hit_ratio(std::uint32_t pub_hits,
+                                      std::uint32_t priv_hits) {
+  const auto total = pub_hits + priv_hits;
+  return total == 0 ? 0.0 : static_cast<double>(pub_hits) / total;
+}
+
 /// One node's local estimate as it travels between nodes.
 struct EstimateEntry {
   net::NodeId origin = net::kNilNode;
@@ -41,10 +47,7 @@ struct EstimateEntry {
   std::uint16_t age = 0;  // rounds since the origin computed it
 
   /// The ratio this entry encodes: E_i of equation (6).
-  [[nodiscard]] double ratio() const {
-    const auto total = pub_hits + priv_hits;
-    return total == 0 ? 0.0 : static_cast<double>(pub_hits) / total;
-  }
+  [[nodiscard]] double ratio() const { return hit_ratio(pub_hits, priv_hits); }
 
   friend bool operator==(const EstimateEntry&, const EstimateEntry&) = default;
 };
@@ -103,31 +106,27 @@ class RatioEstimator {
 
   /// Introspection (tests, diagnostics): the cached estimates in cache
   /// order, with their current ages.
-  [[nodiscard]] std::size_t cached_count() const { return cache_.size(); }
+  [[nodiscard]] std::size_t cached_count() const { return origins_.size(); }
   [[nodiscard]] std::vector<EstimateEntry> cached() const;
   [[nodiscard]] const EstimatorConfig& config() const { return cfg_; }
 
  private:
-  // One cached estimate. It stores the round it was born in instead of
-  // its age, so aging the cache is one increment of round_. 16 bytes.
-  struct CacheEntry {
-    net::NodeId origin;
-    std::uint32_t pub_hits;
-    std::uint32_t priv_hits;
-    std::uint16_t born;  // round_ - age, mod 2^16
+  struct Hits {
+    std::uint32_t pub;
+    std::uint32_t priv;
   };
 
-  [[nodiscard]] std::uint16_t age_of(const CacheEntry& e) const {
-    return static_cast<std::uint16_t>(round_ - e.born);
+  [[nodiscard]] std::uint16_t age_at(std::size_t i) const {
+    return static_cast<std::uint16_t>(round_ - born_[i]);
   }
-  [[nodiscard]] EstimateEntry entry_of(const CacheEntry& e) const {
-    return EstimateEntry{e.origin, e.pub_hits, e.priv_hits, age_of(e)};
+  [[nodiscard]] EstimateEntry entry_at(std::size_t i) const {
+    return EstimateEntry{origins_[i], hits_[i].pub, hits_[i].priv, age_at(i)};
   }
-  [[nodiscard]] CacheEntry stamped(const EstimateEntry& e) const {
-    return CacheEntry{e.origin, e.pub_hits, e.priv_hits,
-                      static_cast<std::uint16_t>(round_ - e.age)};
+  [[nodiscard]] std::uint16_t birth_of(const EstimateEntry& e) const {
+    return static_cast<std::uint16_t>(round_ - e.age);
   }
   [[nodiscard]] std::optional<EstimateEntry> own_entry() const;
+  void expire_cache();
 
   net::NodeId self_;
   net::NatType type_;
@@ -136,16 +135,24 @@ class RatioEstimator {
   // Hit counters for the in-progress round (c_u, c_v).
   std::uint32_t round_pub_hits_ = 0;
   std::uint32_t round_priv_hits_ = 0;
-  // Per-round history, newest at the back, bounded to α entries (C_u, C_v).
-  std::deque<std::pair<std::uint32_t, std::uint32_t>> history_;
+  // Per-round history (C_u, C_v): a ring of at most α rounds, reserved
+  // at the first round and filled one round at a time. Once full,
+  // history_next_ is the oldest round's position.
+  std::vector<Hits> history_;
+  std::size_t history_next_ = 0;
   // Windowed sums kept incrementally.
   std::uint64_t window_pub_ = 0;
   std::uint64_t window_priv_ = 0;
   // Rounds begun, mod 2^16: the clock the cache's birth stamps read.
   std::uint16_t round_ = 0;
-  // Cached estimates from other nodes (M_i); never contains self. Its
-  // order is part of the output: share() draws and estimate() sums by it.
-  std::vector<CacheEntry> cache_;
+  // Cached estimates from other nodes (M_i); never contains self. One
+  // entry per position across three parallel columns: its origin, its
+  // hit counts and its birth round (round_ - age, mod 2^16), so aging
+  // the cache is one increment of round_. Position order is part of the
+  // output: share() draws and estimate() sums by it.
+  std::vector<net::NodeId> origins_;
+  std::vector<Hits> hits_;
+  std::vector<std::uint16_t> born_;
 };
 
 }  // namespace croupier::core

@@ -7,6 +7,7 @@
 // metrics consume it through out_neighbors()/usable_neighbors().
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -27,6 +28,38 @@ struct PssConfig {
   std::size_t shuffle_size = 5;
   std::size_t bootstrap_fanout = 5;  // publics handed to a joining node
   MergePolicy merge = MergePolicy::Swapper;
+};
+
+/// What a node shipped in its still-unanswered shuffle requests, keyed by
+/// target, for the swapper merge when the response arrives. A FIFO of the
+/// last 8 requests in one vector. It is not reserved to the bound: most
+/// requests are answered within the round, so few are pending at once.
+template <typename Sent>
+class PendingShuffles {
+ public:
+  /// Records a request to `target`, forgetting the oldest past the bound.
+  void push(net::NodeId target, Sent sent) {
+    if (entries_.size() == kBound) entries_.erase(entries_.begin());
+    entries_.push_back(Entry{target, std::move(sent)});
+  }
+
+  /// Removes the oldest request to `target` and returns what it carried;
+  /// an empty Sent when none is pending.
+  Sent take(net::NodeId target) {
+    const auto it = std::ranges::find(entries_, target, &Entry::target);
+    if (it == entries_.end()) return Sent{};
+    Sent sent = std::move(it->sent);
+    entries_.erase(it);
+    return sent;
+  }
+
+ private:
+  static constexpr std::size_t kBound = 8;
+  struct Entry {
+    net::NodeId target;
+    Sent sent;
+  };
+  std::vector<Entry> entries_;
 };
 
 class PeerSampler : public net::MessageHandler {

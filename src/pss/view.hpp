@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory_resource>
 #include <numeric>
 #include <optional>
@@ -227,13 +226,11 @@ class PartialView {
 
   /// Swapper merge (paper Algorithm 2, `updateView`): integrates
   /// `received` into the view given that `sent` was shipped to the peer.
-  /// `self` is never inserted.
+  /// `self` is never inserted. `sent` must not alias the view's slots.
   void merge_swapper(std::span<const Desc> sent, std::span<const Desc> received,
                      net::NodeId self) {
     record_mutation("PartialView::merge_swapper");
-    std::deque<net::NodeId> evictable;
-    for (const auto& d : sent) evictable.push_back(d.id);
-
+    std::size_t next_victim = 0;  // sent descriptors are evicted in order
     for (const auto& r : received) {
       if (r.id == self) continue;
       if (const auto slot = slot_of(r.id); slot != entries_.end()) {
@@ -248,9 +245,8 @@ class PartialView {
       // Full: evict one of the descriptors we sent away (swap semantics —
       // minimal information loss, per the swapper policy).
       bool placed = false;
-      while (!evictable.empty() && !placed) {
-        const net::NodeId victim = evictable.front();
-        evictable.pop_front();
+      while (next_victim < sent.size() && !placed) {
+        const net::NodeId victim = sent[next_victim++].id;
         if (const auto vslot = slot_of(victim); vslot != entries_.end()) {
           *vslot = r;
           placed = true;

@@ -156,24 +156,25 @@ class RngStream {
     return n;
   }
 
-  /// Samples up to n distinct elements from items, uniformly without
-  /// replacement, in random order (so truncating the result keeps it an
-  /// unbiased sample). The draws are exactly sample_prefix()'s for the
-  /// same pool and n, and the result's capacity is its size.
+  /// The pool positions sample() picks from a pool of `size` elements:
+  /// min(n, size) distinct indices below `size`, passed to `pick` in
+  /// pick order. The draws are exactly sample_prefix()'s on such a pool;
+  /// they depend only on `size` and n. Callers that keep a pool in
+  /// columns gather each pick from them instead of copying the pool.
   ///
   /// A small draw (n < size, n <= kSparseSampleMax) runs the partial
   /// Fisher-Yates over the index range and remembers only the positions
-  /// its swaps displaced, so it neither copies the pool nor allocates
-  /// anything but the result. Larger draws copy the pool and select in
-  /// place: a displaced-position list would make them quadratic.
-  template <typename T>
-  std::vector<T> sample(std::span<const T> items, std::size_t n) {
-    const std::size_t size = items.size();
+  /// its swaps displaced, so it allocates nothing. Larger draws run
+  /// sample_prefix() over an index array: a displaced-position list
+  /// would make them quadratic.
+  template <typename Pick>
+  void sample_positions(std::size_t size, std::size_t n, Pick&& pick) {
     if (n >= size || n > kSparseSampleMax) {
-      std::vector<T> pool(items.begin(), items.end());
-      const std::size_t k = sample_prefix(std::span<T>(pool), n);
-      if (k == size) return pool;
-      return std::vector<T>(pool.begin(), pool.begin() + k);
+      std::vector<std::size_t> order(size);
+      for (std::size_t i = 0; i < size; ++i) order[i] = i;
+      const std::size_t k = sample_prefix(std::span<std::size_t>(order), n);
+      for (std::size_t i = 0; i < k; ++i) pick(order[i]);
+      return;
     }
     // Step k's swap left at index moved_to[k] the pool position
     // moved_pos[k]. An index's position is that of its latest record, or
@@ -183,8 +184,6 @@ class RngStream {
     // reads only records 0..i-1.
     std::array<std::size_t, kSparseSampleMax> moved_to;
     std::array<std::size_t, kSparseSampleMax> moved_pos;
-    std::vector<T> out;
-    out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t j = i + static_cast<std::size_t>(uniform(size - i));
       std::size_t pos_j = j;
@@ -193,17 +192,38 @@ class RngStream {
         pos_j = moved_to[k] == j ? moved_pos[k] : pos_j;
         pos_i = moved_to[k] == i ? moved_pos[k] : pos_i;
       }
-      out.push_back(items[pos_j]);
+      pick(pos_j);
       moved_to[i] = j;
       moved_pos[i] = pos_i;
     }
+  }
+
+  /// Samples up to n distinct elements from items, uniformly without
+  /// replacement, in random order (so truncating the result keeps it an
+  /// unbiased sample). The draws are exactly sample_prefix()'s for the
+  /// same pool and n, and the result's capacity is its size.
+  ///
+  /// A full draw (n >= size) shuffles a copy of the pool; any other
+  /// gathers the elements at sample_positions(). Either way the result
+  /// is the only copy of the pool's elements.
+  template <typename T>
+  std::vector<T> sample(std::span<const T> items, std::size_t n) {
+    if (n >= items.size()) {
+      std::vector<T> out(items.begin(), items.end());
+      shuffle(std::span<T>(out));
+      return out;
+    }
+    std::vector<T> out;
+    out.reserve(n);
+    sample_positions(items.size(), n,
+                     [&](std::size_t pos) { out.push_back(items[pos]); });
     return out;
   }
 
  private:
-  /// Largest n that sample() draws without copying the pool. It covers
-  /// the estimator's share() (9 or 10), the bootstrap's fan-out (6) and
-  /// gozar's relay pick; failure and natflap draws run to thousands.
+  /// Largest n that sample_positions() draws without an index array. It
+  /// covers the estimator's share() (9 or 10), the bootstrap's fan-out (6)
+  /// and gozar's relay pick; failure and natflap draws run to thousands.
   static constexpr std::size_t kSparseSampleMax = 16;
 
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -175,6 +175,39 @@ TEST(RatioEstimator, MergeKeepsNewerPerOrigin) {
   EXPECT_EQ(e.cached()[0].pub_hits, 3u);
 }
 
+// merge() finds an origin by comparing blocks of 16 origins at once and
+// then scanning the tail. Caches of 1 to 40 origins cover no full block,
+// one and two full blocks and every tail length; refreshing the origin
+// at each position must update that slot alone. Origins go up to
+// 0xffffffff - 1, and some share their low 16 bits with a narrow one.
+TEST(RatioEstimator, MergeFindsOriginAtEveryPosition) {
+  const auto origin_at = [](std::size_t i) -> net::NodeId {
+    const auto n = static_cast<net::NodeId>(i);
+    switch (i % 4) {
+      case 0: return 2 + n;
+      case 1: return 0xffff + n;
+      case 2: return 0x10000 + n;  // low bits of the narrow origin at i - 2
+      default: return 0xfffffffe - n;
+    }
+  };
+  for (std::size_t size = 1; size <= 40; ++size) {
+    std::vector<EstimateEntry> fill;
+    for (std::size_t i = 0; i < size; ++i) {
+      fill.push_back({origin_at(i), 1, 4, 5});
+    }
+    for (std::size_t pos = 0; pos < size; ++pos) {
+      RatioEstimator e(1, net::NatType::Private, cfg());
+      e.merge(fill);
+      std::vector<EstimateEntry> expected = e.cached();
+      ASSERT_EQ(expected.size(), size);
+      const EstimateEntry younger{origin_at(pos), 7, 3, 2};
+      e.merge(std::vector<EstimateEntry>{younger});
+      expected[pos] = younger;
+      EXPECT_EQ(e.cached(), expected) << "size " << size << ", pos " << pos;
+    }
+  }
+}
+
 TEST(RatioEstimator, GammaExpiresCachedEntries) {
   RatioEstimator e(1, net::NatType::Private, cfg(/*alpha=*/5, /*gamma=*/3));
   e.merge(std::vector<EstimateEntry>{{2, 1, 4, 0}});
@@ -399,13 +432,15 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// A shuffle's estimate list as the twin run feeds it: origins from a
 /// range small enough to repeat within one batch and including `self`,
-/// some zero-hit entries, and ages at 0, γ, γ + 1 and 0xffff as well as
-/// uniform ones.
+/// every third one moved past 16 bits (3 becomes the 0xffff wire
+/// sentinel), some zero-hit entries, and ages at 0, γ, γ + 1 and 0xffff
+/// as well as uniform ones.
 std::vector<EstimateEntry> twin_batch(sim::RngStream& rng, net::NodeId origins,
                                       std::size_t gamma) {
   std::vector<EstimateEntry> batch(rng.uniform(25));
   for (auto& e : batch) {
     e.origin = static_cast<net::NodeId>(1 + rng.uniform(origins));
+    if (e.origin % 3 == 0) e.origin += 0xfffc;
     if (!rng.chance(0.1)) {
       e.pub_hits = static_cast<std::uint32_t>(rng.uniform(300));
       e.priv_hits = static_cast<std::uint32_t>(rng.uniform(1200));

@@ -373,6 +373,37 @@ TEST(Rng, SampleDenseDrawMakesSamplePrefixDraws) {
   expect_sample_is_prefix_draw(10000, 5000, 99);
 }
 
+// sample_positions() must make exactly sample()'s draws: its positions
+// index the elements sample() returns, in the same order, and the stream
+// is left in the same state.
+void expect_positions_index_sample(std::size_t size, std::size_t n,
+                                   std::uint64_t seed) {
+  std::vector<int> pool(size);
+  std::iota(pool.begin(), pool.end(), 100);
+  RngStream sampled(seed);
+  RngStream positioned(seed);
+  const auto picked = sampled.sample(std::span<const int>(pool), n);
+  std::vector<int> gathered;
+  positioned.sample_positions(size, n, [&](std::size_t pos) {
+    ASSERT_LT(pos, size) << "n " << n;
+    gathered.push_back(pool[pos]);
+  });
+  EXPECT_EQ(gathered, picked) << "size " << size << ", n " << n;
+  EXPECT_EQ(sampled.next_u64(), positioned.next_u64())
+      << "size " << size << ", n " << n;
+}
+
+TEST(Rng, SamplePositionsIndexSampledElements) {
+  for (std::size_t size = 0; size <= 40; ++size) {
+    for (std::size_t n = 0; n <= size + 2; ++n) {
+      expect_positions_index_sample(size, n, size * 1000 + n + 1);
+    }
+  }
+  for (std::size_t n = 0; n <= 1002; ++n) {
+    expect_positions_index_sample(1000, n, n + 7);
+  }
+}
+
 // Property sweep: sample() hits every element eventually (uniformity
 // smoke test across pool sizes).
 class RngSampleSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -357,6 +357,18 @@ TEST(ViewTwin, SetCapacityShrinkMatchesRepeatedFirstMax) {
   v.set_capacity(1);
   ref.set_capacity(1);
   expect_same(v, ref, "shrink to 1");
+
+  // A shrink that splits a run of equal ages: of three 9s, the two
+  // earliest go and the last survives.
+  PartialView<NodeDescriptor> tied(4);
+  RefView<NodeDescriptor> tied_ref(4);
+  for (const auto& d : {desc(1, 9), desc(2, 9), desc(3, 9), desc(4, 0)}) {
+    tied.add_if_room(d);
+    tied_ref.add_if_room(d);
+  }
+  tied.set_capacity(2);
+  tied_ref.set_capacity(2);
+  expect_same(tied, tied_ref, "shrink splitting a tie");
 }
 
 TEST(ViewTwin, AgeSaturationKeepsOldestStable) {
