@@ -1,6 +1,6 @@
-// Ablation: Croupier's view-sizing policy (a design choice DESIGN.md
-// calls out — the paper fixes "view size 10" but leaves the two-view
-// split open).
+// Ablation: Croupier's view-sizing policy (core::ViewSizing in
+// src/core/croupier.hpp — the paper fixes "view size 10" but leaves the
+// two-view split open).
 //
 // Compares Fixed{10,10} (20 tracked descriptors) against
 // RatioProportional{10} and RatioProportional{20} on: estimation error,

@@ -370,4 +370,22 @@ inline double steady_state(const std::vector<double>& v,
   return sum / static_cast<double>(n);
 }
 
+/// Emits one estimation sweep point (figures 1 and 3-5, croupier-lab):
+/// its avg- and max-error series, then the steady-state errors as a
+/// summary comment and as values of `block`.
+inline void emit_estimation(exp::ResultSink& sink, const std::string& avg_name,
+                            const std::string& max_name,
+                            const std::string& block,
+                            const AggregatedSeries& agg, std::size_t runs) {
+  emit_series(sink, avg_name, agg.t, agg.avg_err, agg.avg_err_sd, runs);
+  emit_series(sink, max_name, agg.t, agg.max_err, agg.max_err_sd, runs);
+  const double steady_avg = steady_state(agg.avg_err);
+  const double steady_max = steady_state(agg.max_err);
+  sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
+                         block.c_str(), steady_avg, steady_max));
+  sink.blank();
+  sink.value(block, "steady avg-err", steady_avg);
+  sink.value(block, "steady max-err", steady_max);
+}
+
 }  // namespace croupier::bench

@@ -42,24 +42,11 @@ int main(int argc, char** argv) {
 
   for (std::size_t p = 0; p < std::size(windows); ++p) {
     const auto& [alpha, gamma] = windows[p];
-    const auto& agg = grid[p];
-
-    bench::emit_series(
+    bench::emit_estimation(
         sink, exp::strf("fig1a avg-error alpha=%zu gamma=%zu", alpha, gamma),
-        agg.t, agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(
-        sink, exp::strf("fig1b max-error alpha=%zu gamma=%zu", alpha, gamma),
-        agg.t, agg.max_err, agg.max_err_sd, args.runs);
-
-    const std::string block =
-        exp::strf("summary alpha=%zu gamma=%zu", alpha, gamma);
-    const double steady_avg = bench::steady_state(agg.avg_err);
-    const double steady_max = bench::steady_state(agg.max_err);
-    sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                           block.c_str(), steady_avg, steady_max));
-    sink.blank();
-    sink.value(block, "steady avg-err", steady_avg);
-    sink.value(block, "steady max-err", steady_max);
+        exp::strf("fig1b max-error alpha=%zu gamma=%zu", alpha, gamma),
+        exp::strf("summary alpha=%zu gamma=%zu", alpha, gamma), grid[p],
+        args.runs);
   }
   return 0;
 }

@@ -164,21 +164,9 @@ int main(int argc, char** argv) {
 
   for (std::size_t p = 0; p < sizes.size(); ++p) {
     const std::size_t n = sizes[p];
-    const auto& agg = grid[p];
-
-    bench::emit_series(sink, exp::strf("fig3a avg-error n=%zu", n), agg.t,
-                       agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(sink, exp::strf("fig3b max-error n=%zu", n), agg.t,
-                       agg.max_err, agg.max_err_sd, args.runs);
-
-    const std::string block = exp::strf("summary n=%zu", n);
-    const double steady_avg = bench::steady_state(agg.avg_err);
-    const double steady_max = bench::steady_state(agg.max_err);
-    sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                           block.c_str(), steady_avg, steady_max));
-    sink.blank();
-    sink.value(block, "steady avg-err", steady_avg);
-    sink.value(block, "steady max-err", steady_max);
+    bench::emit_estimation(sink, exp::strf("fig3a avg-error n=%zu", n),
+                           exp::strf("fig3b max-error n=%zu", n),
+                           exp::strf("summary n=%zu", n), grid[p], args.runs);
   }
   return 0;
 }

@@ -36,21 +36,10 @@ int main(int argc, char** argv) {
 
   for (std::size_t p = 0; p < std::size(ratios); ++p) {
     const double ratio = ratios[p];
-    const auto& agg = grid[p];
-
-    bench::emit_series(sink, exp::strf("fig4a avg-error ratio=%.2f", ratio),
-                       agg.t, agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(sink, exp::strf("fig4b max-error ratio=%.2f", ratio),
-                       agg.t, agg.max_err, agg.max_err_sd, args.runs);
-
-    const std::string block = exp::strf("summary ratio=%.2f", ratio);
-    const double steady_avg = bench::steady_state(agg.avg_err);
-    const double steady_max = bench::steady_state(agg.max_err);
-    sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                           block.c_str(), steady_avg, steady_max));
-    sink.blank();
-    sink.value(block, "steady avg-err", steady_avg);
-    sink.value(block, "steady max-err", steady_max);
+    bench::emit_estimation(sink, exp::strf("fig4a avg-error ratio=%.2f", ratio),
+                           exp::strf("fig4b max-error ratio=%.2f", ratio),
+                           exp::strf("summary ratio=%.2f", ratio), grid[p],
+                           args.runs);
   }
   return 0;
 }

@@ -38,24 +38,11 @@ int main(int argc, char** argv) {
       });
 
   for (std::size_t p = 0; p < std::size(churn_rates); ++p) {
-    const double rate = churn_rates[p];
-    const auto& agg = grid[p];
-
-    bench::emit_series(sink,
-                       exp::strf("fig5a avg-error churn=%.1f%%", rate * 100),
-                       agg.t, agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(sink,
-                       exp::strf("fig5b max-error churn=%.1f%%", rate * 100),
-                       agg.t, agg.max_err, agg.max_err_sd, args.runs);
-
-    const std::string block = exp::strf("summary churn=%.1f%%", rate * 100);
-    const double steady_avg = bench::steady_state(agg.avg_err);
-    const double steady_max = bench::steady_state(agg.max_err);
-    sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                           block.c_str(), steady_avg, steady_max));
-    sink.blank();
-    sink.value(block, "steady avg-err", steady_avg);
-    sink.value(block, "steady max-err", steady_max);
+    const double pct = churn_rates[p] * 100;
+    bench::emit_estimation(sink, exp::strf("fig5a avg-error churn=%.1f%%", pct),
+                           exp::strf("fig5b max-error churn=%.1f%%", pct),
+                           exp::strf("summary churn=%.1f%%", pct), grid[p],
+                           args.runs);
   }
   return 0;
 }

@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
   };
   const Row rows[] = {
       // Like-for-like with the single-view systems: Croupier's two views
-      // share the 10-slot budget (see DESIGN.md "View-size policy").
+      // share the 10-slot budget (see core::ViewSizing in
+      // src/core/croupier.hpp).
       {"croupier", "croupier:alpha=25,gamma=50,sizing=proportional"},
       {"gozar", "gozar"},
       {"nylon", "nylon"},

@@ -15,8 +15,9 @@
 #
 # With REFERENCE_BUILD_DIR set to a build of another tree (say, the
 # parent commit, for a change that must not move an output byte), every
-# figure bench's --jobs=1 stdout and CSV and every example's stdout must
-# also match that build's runs byte for byte.
+# figure bench's and every croupier-lab sweep's --jobs=1 stdout and CSV,
+# and every example's stdout, must also match that build's runs byte for
+# byte.
 #
 # Usage: scripts/check_determinism.sh [--fast]
 #   BUILD_DIR=...            bench build directory (default build)
@@ -100,18 +101,36 @@ fi
 # byte for byte at the same seed (the sweep points share fig1's
 # trial-seed grid coordinates).
 LAB="$BUILD_DIR/tools/croupier-lab"
+lab_check() {  # tag label lab-flags...
+  local tag=$1 label=$2 ok=1
+  shift 2
+  run_config "$LAB" "$tag.j1" "$@" --jobs=1 --world-jobs=1
+  run_config "$LAB" "$tag.j4" "$@" --jobs=4 --world-jobs=1
+  run_config "$LAB" "$tag.w4" "$@" --jobs=4 --world-jobs=4
+  check_same "$label" "$tag.j1" "$tag.j4" || ok=0
+  check_same "$label" "$tag.j1" "$tag.w4" || ok=0
+  if [ "$ok" = 1 ]; then
+    echo "ok   $label (jobs 1/4, world-jobs 1/4)"
+  fi
+  [ -n "$REF_DIR" ] || return 0
+  if [ ! -x "$REF_DIR/tools/croupier-lab" ]; then
+    echo "FAIL $label: croupier-lab missing from reference build $REF_DIR"
+    fail=1
+    return 0
+  fi
+  run_config "$REF_DIR/tools/croupier-lab" "$tag.ref" "$@" --jobs=1 \
+    --world-jobs=1
+  if check_same "$label" "$tag.j1" "$tag.ref"; then
+    echo "ok   $label == reference build (jobs 1)"
+  fi
+}
+
 if [ -x "$LAB" ]; then
-  lab_flags=(--protocol=croupier:alpha=10,gamma=25
-             --protocol=croupier:alpha=25,gamma=50
-             --protocol=croupier:alpha=100,gamma=250
-             --nodes=500 --ratio=0.2 --duration=120 --runs=2)
-  run_config "$LAB" "lab.j1" "${lab_flags[@]}" --jobs=1 --world-jobs=1
-  run_config "$LAB" "lab.j4" "${lab_flags[@]}" --jobs=4 --world-jobs=1
-  run_config "$LAB" "lab.w4" "${lab_flags[@]}" --jobs=4 --world-jobs=4
-  ok=1
-  check_same "croupier-lab" "lab.j1" "lab.j4" || ok=0
-  check_same "croupier-lab" "lab.j1" "lab.w4" || ok=0
-  [ "$ok" = 1 ] && echo "ok   croupier-lab (jobs 1/4, world-jobs 1/4)"
+  lab_check lab "croupier-lab" \
+    --protocol=croupier:alpha=10,gamma=25 \
+    --protocol=croupier:alpha=25,gamma=50 \
+    --protocol=croupier:alpha=100,gamma=250 \
+    --nodes=500 --ratio=0.2 --duration=120 --runs=2
 
   "$BUILD_DIR/bench/fig1_stable_ratio" --fast --runs=2 --jobs=4 \
     2>/dev/null | grep -E '^[0-9]' >"$TMP/fig1.rows"
@@ -131,43 +150,28 @@ if [ -x "$LAB" ]; then
   # bounds the world engine's lookahead. The NAT-ID spec under churn runs
   # the one guarded event that goes stale in real runs: an identification
   # timeout firing as a no-op after a ForwardResp decided.
-  scenario_flags=(
-    --spec="protocol=croupier nodes=300 ratio=0.2 flash=at:30,publics:120,privates:30,over:5 duration=70"
-    --spec="protocol=croupier nodes=300 ratio=0.2 failure=at:40,frac:0.3,corr:region duration=70"
-    --spec="protocol=croupier nodes=300 ratio=0.2 loss=pub-pub:0.05,priv-any:0.2,after:30 duration=70"
-    --spec="protocol=croupier nodes=200 join=instant latency=constant latency-ms=50 round-ms=20 duration=5"
-    --spec="protocol=croupier nodes=300 ratio=0.3 join=instant private-round-scale=0.01 latency=constant latency-ms=30 duration=5"
-    --spec="protocol=croupier nodes=1000 join=instant latency=constant latency-ms=4000 round-ms=5000 mtu=64 duration=60 record-every=5"
-    --spec="protocol=croupier nodes=300 ratio=0.2 natid=1 churn=0.01 churn-at=20 duration=60"
-    --runs=2)
-  run_config "$LAB" "scen.j1" "${scenario_flags[@]}" --jobs=1 --world-jobs=1
-  run_config "$LAB" "scen.j4" "${scenario_flags[@]}" --jobs=4 --world-jobs=1
-  run_config "$LAB" "scen.w4" "${scenario_flags[@]}" --jobs=4 --world-jobs=4
-  ok=1
-  check_same "croupier-lab-scenarios" "scen.j1" "scen.j4" || ok=0
-  check_same "croupier-lab-scenarios" "scen.j1" "scen.w4" || ok=0
-  [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab scenarios flash/failure/loss/short-timers/natid (jobs 1/4, world-jobs 1/4)"
+  lab_check scen \
+    "croupier-lab scenarios flash/failure/loss/short-timers/natid" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 flash=at:30,publics:120,privates:30,over:5 duration=70" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 failure=at:40,frac:0.3,corr:region duration=70" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 loss=pub-pub:0.05,priv-any:0.2,after:30 duration=70" \
+    --spec="protocol=croupier nodes=200 join=instant latency=constant latency-ms=50 round-ms=20 duration=5" \
+    --spec="protocol=croupier nodes=300 ratio=0.3 join=instant private-round-scale=0.01 latency=constant latency-ms=30 duration=5" \
+    --spec="protocol=croupier nodes=1000 join=instant latency=constant latency-ms=4000 round-ms=5000 mtu=64 duration=60 record-every=5" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 natid=1 churn=0.01 churn-at=20 duration=60" \
+    --runs=2
 
   # The PR-8 packet layer — fragmentation at mtu=64, FEC repair under
   # per-fragment loss, token-bucket bandwidth caps — must honour the same
   # determinism contracts on both parallelism axes. The last spec adds
   # churn and NAT flapping, so nodes holding reassembly entries are
   # detached and reclassified while fragments are in flight.
-  packet_flags=(
-    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 duration=70"
-    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 fec=2 loss=0.1 duration=70"
-    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=128 bandwidth=rate:20000,burst:4000 duration=70"
-    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 fec=2 loss=0.1 churn=0.01 churn-at=20 natflap=frac:0.1,at:20,period:10 duration=70"
-    --runs=2)
-  run_config "$LAB" "pkt.j1" "${packet_flags[@]}" --jobs=1 --world-jobs=1
-  run_config "$LAB" "pkt.j4" "${packet_flags[@]}" --jobs=4 --world-jobs=1
-  run_config "$LAB" "pkt.w4" "${packet_flags[@]}" --jobs=4 --world-jobs=4
-  ok=1
-  check_same "croupier-lab-packet" "pkt.j1" "pkt.j4" || ok=0
-  check_same "croupier-lab-packet" "pkt.j1" "pkt.w4" || ok=0
-  [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab packet mtu/fec/bandwidth/churn-natflap (jobs 1/4, world-jobs 1/4)"
+  lab_check pkt "croupier-lab packet mtu/fec/bandwidth/churn-natflap" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 duration=70" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 fec=2 loss=0.1 duration=70" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=128 bandwidth=rate:20000,burst:4000 duration=70" \
+    --spec="protocol=croupier nodes=300 ratio=0.2 mtu=64 fec=2 loss=0.1 churn=0.01 churn-at=20 natflap=frac:0.1,at:20,period:10 duration=70" \
+    --runs=2
 
   # The PR-9 randomness audit + adversarial processes — eclipse respawn,
   # NAT flapping through World::reclassify, the hub adversary shim — all
@@ -176,20 +180,13 @@ if [ -x "$LAB" ]; then
   # churn (the suite's churn-relay shape, shortened), whose RVP and route
   # tables run full and whose private NAT boxes are written from worker
   # shards.
-  randomness_flags=(
-    --spec="protocol=croupier nodes=250 ratio=0.2 eclipse=target:1,at:20,period:2 record=randomness duration=60"
-    --spec="protocol=nylon nodes=250 ratio=0.2 natflap=frac:0.1,at:20,period:10 record=randomness duration=60"
-    --spec="protocol=gozar nodes=250 ratio=0.2 adversary=hubs:2 record=randomness duration=60"
-    --spec="protocol=nylon nodes=400 ratio=0.2 churn=0.01 record=randomness duration=60"
-    --runs=2)
-  run_config "$LAB" "rand.j1" "${randomness_flags[@]}" --jobs=1 --world-jobs=1
-  run_config "$LAB" "rand.j4" "${randomness_flags[@]}" --jobs=4 --world-jobs=1
-  run_config "$LAB" "rand.w4" "${randomness_flags[@]}" --jobs=4 --world-jobs=4
-  ok=1
-  check_same "croupier-lab-randomness" "rand.j1" "rand.j4" || ok=0
-  check_same "croupier-lab-randomness" "rand.j1" "rand.w4" || ok=0
-  [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab randomness eclipse/natflap/adversary/nylon-churn (jobs 1/4, world-jobs 1/4)"
+  lab_check rand \
+    "croupier-lab randomness eclipse/natflap/adversary/nylon-churn" \
+    --spec="protocol=croupier nodes=250 ratio=0.2 eclipse=target:1,at:20,period:2 record=randomness duration=60" \
+    --spec="protocol=nylon nodes=250 ratio=0.2 natflap=frac:0.1,at:20,period:10 record=randomness duration=60" \
+    --spec="protocol=gozar nodes=250 ratio=0.2 adversary=hubs:2 record=randomness duration=60" \
+    --spec="protocol=nylon nodes=400 ratio=0.2 churn=0.01 record=randomness duration=60" \
+    --runs=2
 else
   echo "FAIL croupier-lab binary missing at $LAB"
   fail=1

@@ -11,9 +11,9 @@
 // tick it runs the O(sample) streaming estimators (metrics/streaming)
 // against the implicit graph. Selected with record=graph-sampled.
 //
-// Every recorder ticks through a sim::Ticker: start(at) samples at `at`
-// and every interval after that; stop() is immediate and idempotent, and
-// a restart never leaves the stopped chain sampling beside the new one.
+// Every recorder ticks through a sim::Ticker: start(at), called once,
+// samples at `at` and every interval after that until the simulation
+// stops.
 #pragma once
 
 #include <vector>
@@ -40,7 +40,6 @@ class EstimationRecorder {
   /// Starts sampling at `at` and every `interval` thereafter (while the
   /// simulation keeps running).
   void start(sim::SimTime at) { ticker_.start(at); }
-  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const metrics::ErrorSeries& series() const { return series_; }
 
@@ -81,7 +80,6 @@ class GraphStatsRecorder {
   GraphStatsRecorder(World& world, Options opt = {});
 
   void start(sim::SimTime at) { ticker_.start(at); }
-  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const std::vector<GraphStatsPoint>& series() const {
     return series_;
@@ -114,7 +112,6 @@ class SampledGraphStatsRecorder {
   SampledGraphStatsRecorder(World& world, Options opt = {});
 
   void start(sim::SimTime at);
-  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const std::vector<Point>& series() const { return series_; }
 
@@ -153,7 +150,6 @@ class RandomnessAuditRecorder {
   RandomnessAuditRecorder(World& world, Options opt = {});
 
   void start(sim::SimTime at) { ticker_.start(at); }
-  void stop() { ticker_.stop(); }
 
   [[nodiscard]] const std::vector<metrics::RandomnessPoint>& series() const {
     return series_;

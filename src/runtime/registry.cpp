@@ -18,7 +18,8 @@ namespace {
 
 /// Consumes recognized keys from a ProtocolOptions map and converts their
 /// values; finish() rejects anything left over, so a typoed key is an
-/// error instead of a silently ignored default.
+/// error instead of a silently ignored default, and names every key the
+/// protocol asked for.
 class OptionReader {
  public:
   OptionReader(std::string protocol, const ProtocolOptions& opts)
@@ -102,14 +103,19 @@ class OptionReader {
   void finish() const {
     for (const auto& [key, value] : opts_) {
       if (!seen_.contains(key)) {
+        std::string accepted;
+        for (const char* k : asked_) {
+          accepted += (accepted.empty() ? "" : ", ") + std::string(k);
+        }
         fail("protocol '" + protocol_ + "': unknown option '" + key +
-             "' (see ProtocolRegistry::options_help)");
+             "'; accepted options: " + accepted);
       }
     }
   }
 
  private:
   const std::string* take(const char* key) {
+    asked_.push_back(key);
     const auto it = opts_.find(key);
     if (it == opts_.end()) return nullptr;
     seen_.insert(key);
@@ -135,6 +141,7 @@ class OptionReader {
   std::string protocol_;
   const ProtocolOptions& opts_;
   std::set<std::string> seen_;
+  std::vector<const char*> asked_;  // every key read, in reading order
 };
 
 }  // namespace
@@ -215,34 +222,21 @@ baselines::ArrgConfig make_arrg_config(const ProtocolOptions& opts) {
 }
 
 ProtocolRegistry::ProtocolRegistry() {
-  entries_["croupier"] = {
-      [](const ProtocolOptions& o) {
-        return make_factory<core::Croupier>(make_croupier_config(o));
-      },
-      "view shuffle fanout merge=swapper|healer alpha gamma share_limit "
-      "sizing=fixed|proportional min_slots"};
-  entries_["cyclon"] = {
-      [](const ProtocolOptions& o) {
-        return make_factory<baselines::Cyclon>(make_cyclon_config(o));
-      },
-      "view shuffle fanout merge=swapper|healer"};
-  entries_["gozar"] = {
-      [](const ProtocolOptions& o) {
-        return make_factory<baselines::Gozar>(make_gozar_config(o));
-      },
-      "view shuffle fanout merge=swapper|healer parents keepalive "
-      "parent_timeout redundancy"};
-  entries_["nylon"] = {
-      [](const ProtocolOptions& o) {
-        return make_factory<baselines::Nylon>(make_nylon_config(o));
-      },
-      "view shuffle fanout merge=swapper|healer rvp_links keepalive rvp_ttl "
-      "punch_hops routing_table routing_ttl"};
-  entries_["arrg"] = {
-      [](const ProtocolOptions& o) {
-        return make_factory<baselines::Arrg>(make_arrg_config(o));
-      },
-      "view shuffle fanout merge=swapper|healer open_list"};
+  entries_["croupier"] = [](const ProtocolOptions& o) {
+    return make_factory<core::Croupier>(make_croupier_config(o));
+  };
+  entries_["cyclon"] = [](const ProtocolOptions& o) {
+    return make_factory<baselines::Cyclon>(make_cyclon_config(o));
+  };
+  entries_["gozar"] = [](const ProtocolOptions& o) {
+    return make_factory<baselines::Gozar>(make_gozar_config(o));
+  };
+  entries_["nylon"] = [](const ProtocolOptions& o) {
+    return make_factory<baselines::Nylon>(make_nylon_config(o));
+  };
+  entries_["arrg"] = [](const ProtocolOptions& o) {
+    return make_factory<baselines::Arrg>(make_arrg_config(o));
+  };
 }
 
 const ProtocolRegistry& ProtocolRegistry::instance() {
@@ -270,7 +264,7 @@ ProtocolFactory ProtocolRegistry::make(const std::string& name,
     for (const auto& [known, entry] : entries_) msg << ' ' << known;
     fail(msg.str());
   }
-  return it->second.build(opts);
+  return it->second(opts);
 }
 
 ProtocolFactory ProtocolRegistry::make_from_spec(
@@ -306,15 +300,6 @@ std::pair<std::string, ProtocolOptions> ProtocolRegistry::parse_spec(
     pos = comma + 1;
   }
   return {std::move(name), std::move(opts)};
-}
-
-const std::string& ProtocolRegistry::options_help(
-    const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    fail("unknown protocol \"" + name + "\"");
-  }
-  return it->second.help;
 }
 
 }  // namespace croupier::run

@@ -35,7 +35,7 @@
 namespace croupier::run {
 
 /// Parsed `key=value` overrides for one protocol instantiation. Ordered
-/// so error messages and help output are deterministic.
+/// so error messages are deterministic.
 using ProtocolOptions = std::map<std::string, std::string>;
 
 /// Factory building one `P` per node from `cfg` (P::Config is the
@@ -92,18 +92,11 @@ class ProtocolRegistry {
   static std::pair<std::string, ProtocolOptions> parse_spec(
       const std::string& spec);
 
-  /// One-line `key=value` reference for the protocol's options (for
-  /// --help output). Throws on unknown name.
-  [[nodiscard]] const std::string& options_help(const std::string& name) const;
-
  private:
   ProtocolRegistry();
 
-  struct Entry {
-    std::function<ProtocolFactory(const ProtocolOptions&)> build;
-    std::string help;
-  };
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, std::function<ProtocolFactory(const ProtocolOptions&)>>
+      entries_;
 };
 
 }  // namespace croupier::run

@@ -12,36 +12,24 @@ namespace croupier::run {
 
 namespace detail {
 
-// Shared state for a recursive join process. Events hold it by
-// shared_ptr, so queued arrivals outlive a restart that swaps in fresh
-// state (see JoinProcess::start).
+// Shared state for a recursive join process: the next queued arrival
+// holds it by shared_ptr, so the chain never depends on the process
+// object outliving it.
 struct JoinState {
   std::size_t remaining;
   net::NatConfig nat;
   sim::Duration mean;  // exponential mean; 0 => fixed interval
   sim::Duration fixed;
-  bool stopped = false;
   std::uint64_t spawned = 0;
-};
-
-// Shared state for a flash crowd: every spawn event of the surge checks
-// the stop flag and bumps its class counter (per class, so a restart
-// can resume the remaining quota).
-struct FlashState {
-  bool stopped = false;
-  std::uint64_t pub_spawned = 0;
-  std::uint64_t priv_spawned = 0;
 };
 
 }  // namespace detail
 
 namespace {
 
-using detail::FlashState;
 using detail::JoinState;
 
 void join_step(World& world, const std::shared_ptr<JoinState>& st) {
-  if (st->stopped || st->remaining == 0) return;
   --st->remaining;
   world.spawn(st->nat);
   ++st->spawned;
@@ -108,25 +96,12 @@ std::unique_ptr<JoinProcess> JoinProcess::fixed(World& world,
 }
 
 void JoinProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // Restart after stop(): events of the old chain may still be queued,
-  // so arm a fresh state (counters carried over) and leave the old one
-  // permanently stopped — re-flipping its flag would resurrect the
-  // zombie chain alongside the new one.
-  if (state_->stopped) {
-    state_ = std::make_shared<JoinState>(*state_);
-    state_->stopped = false;
-  }
+  CROUPIER_ASSERT(!started_);
+  started_ = true;
   if (state_->remaining == 0) return;
   World& world = world_;
   world_.simulator().schedule_at(
       at, [&world, st = state_] { join_step(world, st); });
-}
-
-void JoinProcess::stop() {
-  running_ = false;
-  state_->stopped = true;
 }
 
 ScenarioProcess::Stats JoinProcess::stats() const {
@@ -144,59 +119,37 @@ FlashCrowdProcess::FlashCrowdProcess(World& world, std::size_t publics,
       publics_(publics),
       privates_(privates),
       over_(over),
-      state_(std::make_shared<FlashState>()) {
+      spawned_(std::make_shared<std::uint64_t>(0)) {
   CROUPIER_ASSERT(over_ > 0);
 }
 
 void FlashCrowdProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // As in JoinProcess::start: a restart must not re-enable arrivals of
-  // the stopped surge still sitting in the queue, and it resumes the
-  // *remaining* crowd (re-ramped over a fresh window) rather than
-  // replaying nodes that already joined.
-  if (state_->stopped) {
-    state_ = std::make_shared<FlashState>(*state_);
-    state_->stopped = false;
-  }
+  CROUPIER_ASSERT(!started_);
+  started_ = true;
   // Arrival k of N lands at the inverse-CDF grid point of the triangular
   // profile — deterministic, monotone in k, interleaving the two classes
   // purely by timestamp.
   const auto schedule_class = [this, at](std::size_t count,
-                                         const net::NatConfig& nat,
-                                         std::uint64_t FlashState::*spawned) {
+                                         const net::NatConfig& nat) {
     for (std::size_t k = 0; k < count; ++k) {
       const double u =
           (static_cast<double>(k) + 0.5) / static_cast<double>(count);
       const auto offset = static_cast<sim::Duration>(std::llround(
           triangular_inv_cdf(u) * static_cast<double>(over_)));
-      World& world = world_;
-      const auto st = state_;
-      world_.simulator().schedule_at(at + offset, [&world, st, nat,
-                                                   spawned] {
-        if (st->stopped) return;
-        world.spawn(nat);
-        ++((*st).*spawned);
-      });
+      world_.simulator().schedule_at(
+          at + offset, [&world = world_, spawned = spawned_, nat] {
+            world.spawn(nat);
+            ++*spawned;
+          });
     }
   };
-  const auto remaining = [](std::size_t total, std::uint64_t done) {
-    return total > done ? total - static_cast<std::size_t>(done) : 0;
-  };
-  schedule_class(remaining(publics_, state_->pub_spawned),
-                 net::NatConfig::open(), &FlashState::pub_spawned);
-  schedule_class(remaining(privates_, state_->priv_spawned),
-                 net::NatConfig::natted(), &FlashState::priv_spawned);
-}
-
-void FlashCrowdProcess::stop() {
-  running_ = false;
-  state_->stopped = true;
+  schedule_class(publics_, net::NatConfig::open());
+  schedule_class(privates_, net::NatConfig::natted());
 }
 
 ScenarioProcess::Stats FlashCrowdProcess::stats() const {
   Stats s;
-  s.spawned = state_->pub_spawned + state_->priv_spawned;
+  s.spawned = *spawned_;
   return s;
 }
 
@@ -205,35 +158,25 @@ ScenarioProcess::Stats FlashCrowdProcess::stats() const {
 CatastropheProcess::CatastropheProcess(World& world, double fraction)
     : ScenarioProcess(world),
       fraction_(fraction),
-      alive_flag_(std::make_shared<bool>(false)) {
+      alive_flag_(std::make_shared<bool>(true)) {
   CROUPIER_ASSERT(fraction_ >= 0.0 && fraction_ <= 1.0);
 }
 
 void CatastropheProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // A fresh flag per arming: events queued by a previous (stopped) start
-  // hold the old flag and stay inert forever.
-  alive_flag_ = std::make_shared<bool>(true);
+  CROUPIER_ASSERT(!started_);
+  started_ = true;
   // Double indirection on purpose: the hand-built fig7b ran the world up
   // to the crash instant and only then scheduled the kill, so the kill
   // executed after every already-queued event of that timestamp.
   // Scheduling the real kill event from inside a same-time event
   // reproduces that tie-break (fresh event ids sort last), keeping
   // spec-built worlds bit-compatible with the historic bench.
-  const auto armed = alive_flag_;
-  world_.simulator().schedule_at(at, [this, armed, at] {
+  world_.simulator().schedule_at(at, [this, armed = alive_flag_, at] {
     if (!*armed) return;
     world_.simulator().schedule_at(at, [this, armed] {
-      if (!*armed) return;
-      fire();
+      if (*armed) fire();
     });
   });
-}
-
-void CatastropheProcess::stop() {
-  running_ = false;
-  *alive_flag_ = false;
 }
 
 void CatastropheProcess::fire() { stats_.killed += kill_uniform(world_, fraction_); }
@@ -245,25 +188,16 @@ CorrelatedFailureProcess::CorrelatedFailureProcess(World& world,
     : ScenarioProcess(world),
       fraction_(fraction),
       corr_(corr),
-      alive_flag_(std::make_shared<bool>(false)) {
+      alive_flag_(std::make_shared<bool>(true)) {
   CROUPIER_ASSERT(fraction_ >= 0.0 && fraction_ <= 1.0);
 }
 
 void CorrelatedFailureProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // A fresh flag per arming, as in CatastropheProcess::start.
-  alive_flag_ = std::make_shared<bool>(true);
-  const auto armed = alive_flag_;
-  world_.simulator().schedule_at(at, [this, armed] {
-    if (!*armed) return;
-    fire();
+  CROUPIER_ASSERT(!started_);
+  started_ = true;
+  world_.simulator().schedule_at(at, [this, armed = alive_flag_] {
+    if (*armed) fire();
   });
-}
-
-void CorrelatedFailureProcess::stop() {
-  running_ = false;
-  *alive_flag_ = false;
 }
 
 void CorrelatedFailureProcess::fire() {
@@ -338,17 +272,6 @@ ChurnProcess::ChurnProcess(World& world, double fraction_per_round,
   CROUPIER_ASSERT(private_cfg_.nat_type() == net::NatType::Private);
 }
 
-void ChurnProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  ticker_.start(at);
-}
-
-void ChurnProcess::stop() {
-  running_ = false;
-  ticker_.stop();
-}
-
 ScenarioProcess::Stats ChurnProcess::stats() const {
   Stats s;
   s.replaced = replaced_;
@@ -399,17 +322,6 @@ EclipseProcess::EclipseProcess(World& world, net::NodeId target,
   CROUPIER_ASSERT(target_ != net::kNilNode);
 }
 
-void EclipseProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  ticker_.start(at);
-}
-
-void EclipseProcess::stop() {
-  running_ = false;
-  ticker_.stop();
-}
-
 void EclipseProcess::tick() {
   const auto* sampler =
       world_.alive(target_) ? world_.sampler(target_) : nullptr;
@@ -438,19 +350,6 @@ NatFlapProcess::NatFlapProcess(World& world, double fraction,
       fraction_(fraction),
       ticker_(world.simulator(), period, [this] { tick(); }) {
   CROUPIER_ASSERT(fraction_ > 0.0 && fraction_ <= 1.0);
-}
-
-void NatFlapProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  ticker_.start(at);
-}
-
-void NatFlapProcess::stop() {
-  running_ = false;
-  ticker_.stop();
-  // Flapped nodes keep their flipped class until the next "back" phase
-  // of a restarted process — a stopped attack does not undo itself.
 }
 
 void NatFlapProcess::tick() {

@@ -1,7 +1,7 @@
 // Scenario processes: the workload side of every experiment.
 //
 // Every membership dynamic an experiment can throw at the overlay is a
-// ScenarioProcess — one common lifecycle (start/stop/stats) so an
+// ScenarioProcess — one common interface (start once, read stats) so an
 // Experiment owns its workload as a pipeline of uniform objects:
 //
 //  - JoinProcess: Poisson joins (paper: "nodes join the system following
@@ -41,12 +41,12 @@ namespace croupier::run {
 
 namespace detail {
 struct JoinState;
-struct FlashState;
 }  // namespace detail
 
 /// One membership dynamic of an experiment. Concrete processes schedule
 /// their own events on the world's simulator; the owner (usually an
-/// Experiment) arms each with start() and may halt it early with stop().
+/// Experiment) arms each once with start(), and it runs from then to the
+/// end of the simulation.
 class ScenarioProcess {
  public:
   explicit ScenarioProcess(World& world) : world_(world) {}
@@ -55,16 +55,8 @@ class ScenarioProcess {
   ScenarioProcess(const ScenarioProcess&) = delete;
   ScenarioProcess& operator=(const ScenarioProcess&) = delete;
 
-  /// Arms the process at virtual time `at`. Call at most once while the
-  /// process is running; a stopped process may be started again.
+  /// Arms the process at virtual time `at`. Call at most once.
   virtual void start(sim::SimTime at) = 0;
-
-  /// Halts the process immediately and idempotently: no node is spawned,
-  /// killed or replaced by this process after stop() returns, including
-  /// by ticks already sitting in the event queue.
-  virtual void stop() = 0;
-
-  [[nodiscard]] bool running() const { return running_; }
 
   /// Lifetime totals of what the process did to the population.
   struct Stats {
@@ -77,7 +69,7 @@ class ScenarioProcess {
 
  protected:
   World& world_;
-  bool running_ = false;
+  bool started_ = false;  // start-once guard of the non-ticking processes
 };
 
 /// Poisson or fixed-interval join process: `count` nodes join, one per
@@ -94,7 +86,6 @@ class JoinProcess final : public ScenarioProcess {
                                             sim::Duration interval);
 
   void start(sim::SimTime at) override;
-  void stop() override;
   [[nodiscard]] Stats stats() const override;
 
  private:
@@ -116,14 +107,14 @@ class FlashCrowdProcess final : public ScenarioProcess {
                     sim::Duration over);
 
   void start(sim::SimTime at) override;
-  void stop() override;
   [[nodiscard]] Stats stats() const override;
 
  private:
   std::size_t publics_;
   std::size_t privates_;
   sim::Duration over_;
-  std::shared_ptr<detail::FlashState> state_;
+  // Owned jointly with the queued arrivals, which count into it.
+  std::shared_ptr<std::uint64_t> spawned_;
 };
 
 /// Catastrophic failure: floor(fraction * alive) uniformly random nodes
@@ -138,7 +129,6 @@ class CatastropheProcess final : public ScenarioProcess {
   ~CatastropheProcess() override { *alive_flag_ = false; }
 
   void start(sim::SimTime at) override;
-  void stop() override;
   [[nodiscard]] Stats stats() const override { return stats_; }
 
  private:
@@ -167,7 +157,6 @@ class CorrelatedFailureProcess final : public ScenarioProcess {
   ~CorrelatedFailureProcess() override { *alive_flag_ = false; }
 
   void start(sim::SimTime at) override;
-  void stop() override;
   [[nodiscard]] Stats stats() const override { return stats_; }
 
  private:
@@ -192,12 +181,8 @@ class ChurnProcess final : public ScenarioProcess {
                net::NatConfig public_cfg, net::NatConfig private_cfg,
                sim::Duration period = sim::sec(1));
 
-  /// Starts replacing nodes at time `at`. Runs until stop().
-  void start(sim::SimTime at) override;
-  /// Immediate and idempotent (see sim::Ticker): no replacement fires
-  /// after stop() even if a tick was already queued, and a subsequent
-  /// start() cannot stack a second tick chain on top of a zombie one.
-  void stop() override;
+  /// Starts replacing nodes at time `at`, once per period from then on.
+  void start(sim::SimTime at) override { ticker_.start(at); }
 
   [[nodiscard]] std::uint64_t replaced() const { return replaced_; }
   [[nodiscard]] Stats stats() const override;
@@ -226,8 +211,7 @@ class EclipseProcess final : public ScenarioProcess {
  public:
   EclipseProcess(World& world, net::NodeId target, sim::Duration period);
 
-  void start(sim::SimTime at) override;
-  void stop() override;
+  void start(sim::SimTime at) override { ticker_.start(at); }
   [[nodiscard]] Stats stats() const override { return stats_; }
 
  private:
@@ -252,8 +236,7 @@ class NatFlapProcess final : public ScenarioProcess {
  public:
   NatFlapProcess(World& world, double fraction, sim::Duration period);
 
-  void start(sim::SimTime at) override;
-  void stop() override;
+  void start(sim::SimTime at) override { ticker_.start(at); }
   [[nodiscard]] Stats stats() const override { return stats_; }
 
   /// Nodes currently flipped away from their original class.

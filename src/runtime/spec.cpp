@@ -586,29 +586,22 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
   const std::size_t privs = spec_.privates();
   switch (spec_.join) {
     case ExperimentSpec::JoinKind::Poisson:
+    case ExperimentSpec::JoinKind::Fixed: {
+      const auto join = spec_.join == ExperimentSpec::JoinKind::Poisson
+                            ? &JoinProcess::poisson
+                            : &JoinProcess::fixed;
       if (pubs > 0) {
-        arm(JoinProcess::poisson(*world_, pubs, net::NatConfig::open(),
-                                 from_ms(spec_.join_public_ms)),
+        arm(join(*world_, pubs, net::NatConfig::open(),
+                 from_ms(spec_.join_public_ms)),
             0);
       }
       if (privs > 0) {
-        arm(JoinProcess::poisson(*world_, privs, net::NatConfig::natted(),
-                                 from_ms(spec_.join_private_ms)),
+        arm(join(*world_, privs, net::NatConfig::natted(),
+                 from_ms(spec_.join_private_ms)),
             0);
       }
       break;
-    case ExperimentSpec::JoinKind::Fixed:
-      if (pubs > 0) {
-        arm(JoinProcess::fixed(*world_, pubs, net::NatConfig::open(),
-                               from_ms(spec_.join_public_ms)),
-            0);
-      }
-      if (privs > 0) {
-        arm(JoinProcess::fixed(*world_, privs, net::NatConfig::natted(),
-                               from_ms(spec_.join_private_ms)),
-            0);
-      }
-      break;
+    }
     case ExperimentSpec::JoinKind::Instant:
       // With the NAT-ID protocol on, the initial publics are operator
       // seeds: the identification protocol needs existing public
@@ -678,43 +671,30 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
         from_s(spec_.natflap_at_s));
   }
 
+  // A recorder samples every record_every_s, or at its kind's default
+  // interval when that is unset, from one interval in.
+  const auto record = [this]<typename Recorder>(
+                          std::unique_ptr<Recorder>& recorder) {
+    typename Recorder::Options opt;
+    if (spec_.record_every_s > 0.0) opt.interval = from_s(spec_.record_every_s);
+    recorder = std::make_unique<Recorder>(*world_, opt);
+    recorder->start(opt.interval);
+  };
   switch (spec_.record) {
     case ExperimentSpec::RecordKind::None:
       break;
-    case ExperimentSpec::RecordKind::Estimation: {
-      const sim::Duration every = spec_.record_every_s > 0.0
-                                      ? from_s(spec_.record_every_s)
-                                      : sim::sec(1);
-      estimation_ = std::make_unique<EstimationRecorder>(
-          *world_, EstimationRecorderOptions{every, 2});
-      estimation_->start(every);
+    case ExperimentSpec::RecordKind::Estimation:
+      record(estimation_);
       break;
-    }
-    case ExperimentSpec::RecordKind::Graph: {
-      const sim::Duration every = spec_.record_every_s > 0.0
-                                      ? from_s(spec_.record_every_s)
-                                      : sim::sec(10);
-      graph_stats_ = std::make_unique<GraphStatsRecorder>(
-          *world_, GraphStatsRecorderOptions{every, 128});
-      graph_stats_->start(every);
+    case ExperimentSpec::RecordKind::Graph:
+      record(graph_stats_);
       break;
-    }
-    case ExperimentSpec::RecordKind::GraphSampled: {
-      SampledGraphStatsRecorderOptions opt;
-      if (spec_.record_every_s > 0.0) opt.interval = from_s(spec_.record_every_s);
-      graph_sampled_ = std::make_unique<SampledGraphStatsRecorder>(*world_, opt);
-      graph_sampled_->start(opt.interval);
+    case ExperimentSpec::RecordKind::GraphSampled:
+      record(graph_sampled_);
       break;
-    }
-    case ExperimentSpec::RecordKind::Randomness: {
-      const sim::Duration every = spec_.record_every_s > 0.0
-                                      ? from_s(spec_.record_every_s)
-                                      : sim::sec(10);
-      randomness_ = std::make_unique<RandomnessAuditRecorder>(
-          *world_, RandomnessRecorderOptions{every});
-      randomness_->start(every);
+    case ExperimentSpec::RecordKind::Randomness:
+      record(randomness_);
       break;
-    }
   }
 }
 

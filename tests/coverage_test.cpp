@@ -1,6 +1,6 @@
 // Coverage for the remaining public API surface: contract violations
-// (death tests on CROUPIER_ASSERT), recorder lifecycle, churn resilience
-// of each protocol, and misc accessors.
+// (death tests on CROUPIER_ASSERT), recorder tick cadence, churn
+// resilience of each protocol, and misc accessors.
 #include <gtest/gtest.h>
 
 #include "runtime/recorder.hpp"
@@ -74,61 +74,29 @@ TEST(Estimator, PublicWithoutHitsFallsBackToCacheOnly) {
   EXPECT_DOUBLE_EQ(e.estimate(), 0.2);
 }
 
-TEST(Recorder, StopHaltsSampling) {
-  run::World world(fast_world_config(3), run::make_factory<core::Croupier>());
-  populate(world, 5, 5);
-  run::EstimationRecorder rec(world, {sim::sec(1), 0});
-  rec.start(sim::sec(1));
-  world.simulator().run_until(sim::sec(5));
-  const auto count = rec.series().size();
-  rec.stop();
-  world.simulator().run_until(sim::sec(10));
-  EXPECT_EQ(rec.series().size(), count);
-}
-
-// Starts a 1 s recorder at 1 s, stops it at 2.5 s, restarts it at 3 s
-// (before the stopped chain's next tick would have fired) and runs to
-// 5.5 s; returns the time of every point recorded.
+// Starts a 1 s recorder at 1 s and runs to 5.5 s; returns the time of
+// every point recorded.
 template <typename Recorder>
-std::vector<double> restarted_tick_times(typename Recorder::Options opt) {
+std::vector<double> tick_times(typename Recorder::Options opt) {
   run::World world(fast_world_config(3), run::make_factory<core::Croupier>());
   populate(world, 5, 5);
   Recorder rec(world, opt);
   rec.start(sim::sec(1));
-  world.simulator().run_until(sim::msec(2500));
-  rec.stop();
-  rec.start(sim::sec(3));
   world.simulator().run_until(sim::msec(5500));
   std::vector<double> times;
   for (const auto& p : rec.series()) times.push_back(p.t_seconds);
   return times;
 }
 
-TEST(Recorder, RestartSamplesOncePerTick) {
-  // One point per tick time for every recorder kind: the stopped chain
-  // must not keep sampling beside the restarted one.
+TEST(Recorder, SamplesOncePerTick) {
+  // Every recorder kind records exactly one point per tick time, from
+  // its start time on.
   const std::vector<double> once{1, 2, 3, 4, 5};
-  EXPECT_EQ(restarted_tick_times<run::EstimationRecorder>({sim::sec(1), 0}),
+  EXPECT_EQ(tick_times<run::EstimationRecorder>({sim::sec(1), 0}), once);
+  EXPECT_EQ(tick_times<run::GraphStatsRecorder>({sim::sec(1), 0}), once);
+  EXPECT_EQ(tick_times<run::SampledGraphStatsRecorder>({sim::sec(1), {}}),
             once);
-  EXPECT_EQ(restarted_tick_times<run::GraphStatsRecorder>({sim::sec(1), 0}),
-            once);
-  EXPECT_EQ(
-      restarted_tick_times<run::SampledGraphStatsRecorder>({sim::sec(1), {}}),
-      once);
-  EXPECT_EQ(
-      restarted_tick_times<run::RandomnessAuditRecorder>({sim::sec(1)}),
-      once);
-}
-
-TEST(Recorder, GraphRecorderStopHalts) {
-  run::World world(fast_world_config(4), run::make_factory<core::Croupier>());
-  populate(world, 8, 0);
-  run::GraphStatsRecorder rec(world, {sim::sec(1), 0});
-  rec.start(sim::sec(1));
-  world.simulator().run_until(sim::sec(3));
-  rec.stop();
-  world.simulator().run_until(sim::sec(8));
-  EXPECT_LE(rec.series().size(), 3u);
+  EXPECT_EQ(tick_times<run::RandomnessAuditRecorder>({sim::sec(1)}), once);
 }
 
 TEST(Bootstrap, KnownTracksMembership) {

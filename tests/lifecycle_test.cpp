@@ -101,34 +101,24 @@ TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
   EXPECT_GE(g.largest_component_fraction(), 0.9);
 }
 
-// Regression (PR 5): stop() used to leave the already-scheduled tick
-// live — it fired once more after stop, and a stop+restart stacked a
-// second tick chain on top of the zombie one (double replacement rate).
-TEST(Lifecycle, ChurnStopIsImmediateIdempotentAndRestartable) {
+// A ticking process destroyed with its next tick still queued: the
+// Ticker's destructor clears the chain's guard, so that tick fires as a
+// no-op instead of running on the dead process.
+TEST(Lifecycle, DestroyedChurnLeavesItsQueuedTickInert) {
   // Two nodes per class at fraction 0.5: every tick replaces exactly one
-  // node of each class, so replaced() counts ticks twice over.
+  // node of each class.
   World world(fast_world_config(6), make_factory<core::Croupier>());
   populate(world, 2, 2);
-  ChurnProcess churn(world, 0.5, net::NatConfig::open(),
-                     net::NatConfig::natted());
-  churn.start(sim::sec(1));
-  world.simulator().run_until(sim::msec(5200));  // ticks at 1..5 s
-  EXPECT_EQ(churn.replaced(), 10u);
-
-  churn.stop();
-  churn.stop();  // idempotent
-  EXPECT_FALSE(churn.running());
-  // Immediate: the tick already queued for t=6 s must not replace.
-  world.simulator().run_until(sim::msec(5900));
-  churn.start(sim::sec(6));  // restart before the zombie would have fired
-  world.simulator().run_until(sim::sec(10) + sim::msec(200));
-  // Exactly one chain: ticks at 6..10 s. With the zombie alive too, the
-  // two chains would have read 30.
-  EXPECT_EQ(churn.replaced(), 20u);
-  churn.stop();
-  world.simulator().run_until(sim::sec(20));
-  EXPECT_EQ(churn.replaced(), 20u);
-  EXPECT_EQ(world.alive_count(), 4u);
+  {
+    ChurnProcess churn(world, 0.5, net::NatConfig::open(),
+                       net::NatConfig::natted());
+    churn.start(sim::sec(1));
+    world.simulator().run_until(sim::msec(2500));  // ticks at 1 and 2 s
+    EXPECT_EQ(churn.replaced(), 4u);
+  }  // the t=3 s tick is still queued
+  const std::vector<net::NodeId> members = world.sorted_ids();
+  world.simulator().run_until(sim::sec(10));
+  EXPECT_EQ(world.sorted_ids(), members);
 }
 
 TEST(Lifecycle, WholeWorldTeardownMidFlight) {

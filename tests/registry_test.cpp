@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
 #include <ostream>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "runtime/registry.hpp"
@@ -39,13 +42,37 @@ TEST(ProtocolRegistry, UnknownProtocolThrowsWithKnownNames) {
 }
 
 TEST(ProtocolRegistry, UnknownOptionKeyThrows) {
-  try {
-    (void)reg().make("croupier", {{"aplha", "25"}});  // typo
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("croupier"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("aplha"), std::string::npos) << msg;
+  // The error names the protocol and the typo, and teaches the fix: it
+  // lists exactly the keys that protocol accepts.
+  const std::vector<std::string> shared{"view", "shuffle", "fanout", "merge"};
+  const std::map<std::string, std::vector<std::string>> own{
+      {"croupier", {"alpha", "gamma", "share_limit", "min_slots", "sizing"}},
+      {"cyclon", {}},
+      {"gozar", {"parents", "keepalive", "parent_timeout", "redundancy"}},
+      {"nylon",
+       {"rvp_links", "keepalive", "rvp_ttl", "punch_hops", "routing_table",
+        "routing_ttl"}},
+      {"arrg", {"open_list"}}};
+  for (const auto& [name, keys] : own) {
+    try {
+      (void)reg().make(name, {{"aplha", "25"}});  // typo
+      ADD_FAILURE() << name << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + name + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'aplha'"), std::string::npos) << msg;
+      const std::string marker = "accepted options: ";
+      const auto at = msg.find(marker);
+      ASSERT_NE(at, std::string::npos) << msg;
+      std::set<std::string> listed;
+      std::istringstream list(msg.substr(at + marker.size()));
+      for (std::string key; std::getline(list >> std::ws, key, ',');) {
+        listed.insert(key);
+      }
+      std::set<std::string> expected(shared.begin(), shared.end());
+      expected.insert(keys.begin(), keys.end());
+      EXPECT_EQ(listed, expected) << msg;
+    }
   }
 }
 
@@ -212,13 +239,6 @@ TEST(ProtocolRegistry, ParseSpecRejectsBadSyntax) {
                std::invalid_argument);
   EXPECT_THROW((void)ProtocolRegistry::parse_spec("croupier:=1"),
                std::invalid_argument);
-}
-
-TEST(ProtocolRegistry, OptionsHelpNamesEveryKey) {
-  EXPECT_NE(reg().options_help("croupier").find("alpha"), std::string::npos);
-  EXPECT_NE(reg().options_help("gozar").find("redundancy"),
-            std::string::npos);
-  EXPECT_THROW((void)reg().options_help("chord"), std::invalid_argument);
 }
 
 // End to end: every registry name yields a factory that builds a working

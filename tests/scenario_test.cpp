@@ -1,6 +1,6 @@
 // ScenarioProcess subsystem: the composable workload pipeline — flash
 // crowds, correlated failures, churn quota-carry edge cases, and the
-// uniform start/stop/stats lifecycle.
+// Experiment's view of its processes.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -41,7 +41,6 @@ TEST(Churn, CarryIsDroppedWhileAClassIsEmpty) {
   // immediately.
   world.simulator().run_until(sim::msec(4500));
   EXPECT_TRUE(world.alive(fresh));
-  churn.stop();
 }
 
 TEST(Churn, ReplacesTheFullQuotaOfASmallClass) {
@@ -75,27 +74,6 @@ TEST(FlashCrowd, RampSpreadsArrivalsAcrossTheWindow) {
   experiment.run_until(sim::sec(10));
   EXPECT_EQ(experiment.world().alive_count(), 60u);  // everyone arrived
   EXPECT_EQ(experiment.scenario_stats().spawned, 40u);
-}
-
-TEST(FlashCrowd, StopHaltsTheSurgeImmediately) {
-  World world(fast_world_config(13), make_factory<core::Croupier>());
-  populate(world, 5, 5);
-  FlashCrowdProcess flash(world, 20, 0, sim::sec(10));
-  flash.start(sim::sec(1));
-  world.simulator().run_until(sim::sec(6));  // half the window elapsed
-  EXPECT_EQ(flash.stats().spawned, 10u);
-  flash.stop();
-  flash.stop();  // idempotent
-  world.simulator().run_until(sim::sec(20));
-  EXPECT_EQ(flash.stats().spawned, 10u);  // queued arrivals were inert
-  EXPECT_EQ(world.alive_count(), 20u);
-
-  // Restart resumes the remaining crowd exactly once (no replay of the
-  // 10 that already joined, no resurrection of the old inert arrivals).
-  flash.start(sim::sec(30));
-  world.simulator().run_until(sim::sec(45));
-  EXPECT_EQ(flash.stats().spawned, 20u);
-  EXPECT_EQ(world.alive_count(), 30u);
 }
 
 TEST(CorrelatedFailure, RegionCohortIsLatencyCompact) {
@@ -153,41 +131,6 @@ TEST(CorrelatedFailure, UniformModeMatchesCatastropheSampling) {
     return world.alive_ids();
   };
   EXPECT_EQ(survivors_with(true), survivors_with(false));
-}
-
-// Restart contract: start() after stop() must not resurrect events of
-// the stopped arming still sitting in the queue.
-TEST(ScenarioLifecycle, CatastropheRestartDoesNotResurrectOldSchedule) {
-  World world(fast_world_config(31), make_factory<core::Croupier>());
-  populate(world, 5, 20);
-  CatastropheProcess failure(world, 0.4);
-  failure.start(sim::sec(5));
-  world.simulator().run_until(sim::sec(1));
-  failure.stop();
-  failure.start(sim::sec(10));  // the t=5 events are still queued
-  world.simulator().run_until(sim::sec(6));
-  EXPECT_EQ(world.alive_count(), 25u);  // old schedule stayed dead
-  world.simulator().run_until(sim::sec(10) + sim::msec(1));
-  EXPECT_EQ(world.alive_count(), 15u);  // only the restart fired
-  EXPECT_EQ(failure.stats().killed, 10u);
-}
-
-TEST(ScenarioLifecycle, JoinRestartDoesNotStackChains) {
-  World world(fast_world_config(33), make_factory<core::Croupier>());
-  auto join = JoinProcess::fixed(world, 10, net::NatConfig::natted(),
-                                 sim::sec(1));
-  join->start(0);
-  world.simulator().run_until(sim::msec(2500));  // spawns at t=0, 1, 2 s
-  EXPECT_EQ(join->stats().spawned, 3u);
-  join->stop();
-  join->start(sim::sec(5));
-  // The zombie chain's tick at t=3 s must stay dead; the restarted
-  // chain resumes the remaining quota at t=5 s.
-  world.simulator().run_until(sim::msec(4500));
-  EXPECT_EQ(join->stats().spawned, 3u);
-  world.simulator().run_until(sim::sec(5) + sim::msec(100));
-  EXPECT_EQ(join->stats().spawned, 4u);
-  EXPECT_EQ(world.alive_count(), 4u);
 }
 
 TEST(ScenarioPipeline, ExperimentExposesItsProcesses) {

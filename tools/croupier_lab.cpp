@@ -338,23 +338,6 @@ void report_timing(const std::vector<std::string>& labels,
                    (1024.0 * 1024.0));
 }
 
-void emit_estimation(exp::ResultSink& sink, const std::string& label,
-                     const bench::SeriesFold& fold, std::size_t n_runs) {
-  const auto agg = fold.finish();
-  bench::emit_series(sink, label + " avg-error", agg.t, agg.avg_err,
-                     agg.avg_err_sd, n_runs);
-  bench::emit_series(sink, label + " max-error", agg.t, agg.max_err,
-                     agg.max_err_sd, n_runs);
-  const std::string block = "summary " + label;
-  const double steady_avg = bench::steady_state(agg.avg_err);
-  const double steady_max = bench::steady_state(agg.max_err);
-  sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                         block.c_str(), steady_avg, steady_max));
-  sink.blank();
-  sink.value(block, "steady avg-err", steady_avg);
-  sink.value(block, "steady max-err", steady_max);
-}
-
 template <typename Point, std::size_t N>
 void emit_columns(exp::ResultSink& sink, const std::string& label,
                   const ColumnFold& fold, std::size_t n_runs,
@@ -516,7 +499,9 @@ int main(int argc, char** argv) {
           },
           timing);
       for (std::size_t p = 0; p < specs.size(); ++p) {
-        emit_estimation(sink, labels[p], folds[p], args.runs);
+        bench::emit_estimation(sink, labels[p] + " avg-error",
+                               labels[p] + " max-error", "summary " + labels[p],
+                               folds[p].finish(), args.runs);
       }
     }
   }
