@@ -180,7 +180,7 @@ void BM_EstimatorRound(benchmark::State& state) {
   for (auto& batch : batches) {
     for (int i = 0; i < 10; ++i) {
       batch.push_back({static_cast<net::NodeId>(2 + rng.uniform(cache_size)),
-                       10, 40, static_cast<std::uint16_t>(rng.uniform(6))});
+                       10, 40, static_cast<std::uint8_t>(rng.uniform(6))});
     }
   }
   std::size_t next = 0;

@@ -19,6 +19,9 @@
 # and every example's stdout, must also match that build's runs byte for
 # byte.
 #
+# A failing comparison also prints, for the stdout and for the CSV, the
+# first line at which the two runs differ, from each side.
+#
 # Usage: scripts/check_determinism.sh [--fast]
 #   BUILD_DIR=...            bench build directory (default build)
 #   REFERENCE_BUILD_DIR=...  optional build to compare outputs against
@@ -39,6 +42,27 @@ run_config() {  # binary tag extra-flags...
   "$bin" "$@" --csv="$TMP/$tag.csv" >"$TMP/$tag.txt" 2>/dev/null
 }
 
+# Prints the first line at which two runs' files differ, from both
+# sides, since $TMP is gone once the script exits. Prints nothing when
+# the files are equal.
+first_diff() {  # label extension base other
+  local kind=$1 ext=$2 base=$3 other=$4
+  cmp -s "$TMP/$base.$ext" "$TMP/$other.$ext" && return 0
+  awk -v kind="$kind" -v base="$base" -v other="$other" \
+    -v a="$TMP/$base.$ext" -v b="$TMP/$other.$ext" 'BEGIN {
+      for (n = 1; ; ++n) {
+        ra = (getline la < a) > 0
+        rb = (getline lb < b) > 0
+        if (!ra && !rb) exit
+        if (ra == rb && la == lb) continue
+        printf "       %s line %d differs first:\n", kind, n
+        printf "         %s: %s\n", base, ra ? la : "<end of file>"
+        printf "         %s: %s\n", other, rb ? lb : "<end of file>"
+        exit
+      }
+    }'
+}
+
 check_same() {  # name base other
   local name=$1 base=$2 other=$3
   if cmp -s "$TMP/$base.txt" "$TMP/$other.txt" &&
@@ -46,6 +70,8 @@ check_same() {  # name base other
     return 0
   fi
   echo "FAIL $name ($base vs $other output differs)"
+  first_diff stdout txt "$base" "$other"
+  first_diff CSV csv "$base" "$other"
   fail=1
   return 1
 }

@@ -15,7 +15,7 @@ void encode(wire::Writer& w, const GozarDescriptor& d) {
   w.u16(0x2710);  // port stand-in
   w.u8(static_cast<std::uint8_t>(d.nat_type));
   w.u8(static_cast<std::uint8_t>(std::min<std::uint16_t>(d.age, 0xff)));
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(d.parents.size(), 0xff)));
+  w.list_count(d.parents.size());
   for (net::NodeId p : d.parents) {
     w.u32(p);
     w.u16(0x2710);
@@ -37,7 +37,7 @@ GozarDescriptor decode_gozar_descriptor(wire::Reader& r) {
 }
 
 void encode(wire::Writer& w, const std::vector<GozarDescriptor>& v) {
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(v.size(), 0xff)));
+  w.list_count(v.size());
   for (const auto& d : v) encode(w, d);
 }
 

@@ -26,7 +26,7 @@ NylonDescriptor decode_nylon_descriptor(wire::Reader& r) {
 }
 
 void encode(wire::Writer& w, const std::vector<NylonDescriptor>& v) {
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(v.size(), 0xff)));
+  w.list_count(v.size());
   for (const auto& d : v) encode(w, d);
 }
 

@@ -11,7 +11,7 @@ namespace croupier::core {
 namespace {
 
 // Quantizes an exact hit count pair into two bytes, scaling proportionally
-// so the encoded ratio matches the exact one to ~1/255.
+// so the quantized ratio matches the exact one to ~1/255.
 std::pair<std::uint8_t, std::uint8_t> quantize(std::uint32_t pub,
                                                std::uint32_t priv) {
   const std::uint32_t largest = std::max(pub, priv);
@@ -70,16 +70,15 @@ void encode(wire::Writer& w, const EstimateEntry& e) {
   // experiment. Worlds past 64Ki publics (the fig3 --mega sweep) escape
   // through the 0xffff sentinel to a 4 B id; origins below the sentinel
   // encode byte-identically to the fixed 2 B format.
-  const auto [pub, priv] = quantize(e.pub_hits, e.priv_hits);
   if (e.origin < 0xffff) {
     w.u16(static_cast<std::uint16_t>(e.origin));
   } else {
     w.u16(0xffff);
     w.u32(e.origin);
   }
-  w.u8(pub);
-  w.u8(priv);
-  w.u8(static_cast<std::uint8_t>(std::min<std::uint16_t>(e.age, 0xff)));
+  w.u8(e.pub_hits);
+  w.u8(e.priv_hits);
+  w.u8(e.age);
 }
 
 EstimateEntry decode_estimate(wire::Reader& r) {
@@ -93,7 +92,7 @@ EstimateEntry decode_estimate(wire::Reader& r) {
 }
 
 void encode(wire::Writer& w, const std::vector<EstimateEntry>& v) {
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(v.size(), 0xff)));
+  w.list_count(v.size());
   for (const auto& e : v) encode(w, e);
 }
 
@@ -119,8 +118,8 @@ RatioEstimator::RatioEstimator(net::NodeId self, net::NatType type,
 
 void RatioEstimator::begin_round() {
   // Age the neighbour history (every birth stamp is now one round older)
-  // and expire entries older than γ. No cached age passes γ + 1, so the
-  // 16-bit stamps never wrap into a wrong age.
+  // and expire entries older than γ. No cached age passes γ + 1 <= 0xff,
+  // so the 8-bit stamps never wrap into a wrong age.
   ++round_;
   expire_cache();
 
@@ -186,7 +185,7 @@ void RatioEstimator::merge(std::span<const EstimateEntry> entries) {
     if (incoming.origin == self_) continue;  // own estimate is kept locally
     if (incoming.pub_hits == 0 && incoming.priv_hits == 0) continue;
     if (incoming.age > cfg_.neighbour_history) continue;
-    const Hits hits{incoming.pub_hits, incoming.priv_hits};
+    const WireHits hits{incoming.pub_hits, incoming.priv_hits};
     const std::size_t at = find_origin(origins_, incoming.origin);
     if (at == origins_.size()) {
       // Grow by an eighth, not push_back's doubling: caches plateau near
@@ -208,10 +207,10 @@ void RatioEstimator::merge(std::span<const EstimateEntry> entries) {
 }
 
 std::optional<EstimateEntry> RatioEstimator::own_entry() const {
-  if (type_ != net::NatType::Public) return std::nullopt;
-  if (window_pub_ + window_priv_ == 0) return std::nullopt;
-  return EstimateEntry{self_, static_cast<std::uint32_t>(window_pub_),
-                       static_cast<std::uint32_t>(window_priv_), 0};
+  if (!local_estimate().has_value()) return std::nullopt;
+  const auto [pub, priv] = quantize(static_cast<std::uint32_t>(window_pub_),
+                                    static_cast<std::uint32_t>(window_priv_));
+  return EstimateEntry{self_, pub, priv, 0};
 }
 
 std::vector<EstimateEntry> RatioEstimator::share(sim::RngStream& rng) const {
@@ -238,7 +237,7 @@ std::vector<EstimateEntry> RatioEstimator::cached() const {
 
 double RatioEstimator::estimate() const {
   double sum = 0.0;
-  for (const Hits& h : hits_) sum += hit_ratio(h.pub, h.priv);
+  for (const WireHits& h : hits_) sum += hit_ratio(h.pub, h.priv);
   std::size_t n = hits_.size();
   if (const auto own = local_estimate(); own.has_value()) {
     sum += *own;
@@ -249,9 +248,10 @@ double RatioEstimator::estimate() const {
 }
 
 std::optional<double> RatioEstimator::local_estimate() const {
-  const auto own = own_entry();
-  if (!own.has_value()) return std::nullopt;
-  return own->ratio();
+  if (type_ != net::NatType::Public) return std::nullopt;
+  if (window_pub_ + window_priv_ == 0) return std::nullopt;
+  return hit_ratio(static_cast<std::uint32_t>(window_pub_),
+                   static_cast<std::uint32_t>(window_priv_));
 }
 
 }  // namespace croupier::core

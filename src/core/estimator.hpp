@@ -16,10 +16,12 @@
 // Wire format per shared entry is 5 bytes (paper §VI: 2 B origin id, 1 B
 // public hits, 1 B private hits, 1 B age); origins past 16 bits —
 // million-node worlds — escape to 4 B through the 0xffff sentinel
-// without perturbing a single byte of smaller worlds. Internal counts
-// are exact;
-// encoding quantizes proportionally into the byte range, which preserves
-// the ratio to ~1/255 — noise that averages out across M.
+// without perturbing a single byte of smaller worlds. A node keeps only
+// what the wire carries: share() quantizes its window counts
+// proportionally into the byte range once, when it builds its own entry,
+// which preserves the ratio to ~1/255 — noise that averages out across
+// M. Every cached and shared EstimateEntry is therefore its own wire
+// image. The local estimate E_i and the per-round history stay exact.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +41,13 @@ namespace croupier::core {
   return total == 0 ? 0.0 : static_cast<double>(pub_hits) / total;
 }
 
-/// One node's local estimate as it travels between nodes.
+/// One node's local estimate as it travels between nodes: the one-byte
+/// counts and age of its wire image.
 struct EstimateEntry {
   net::NodeId origin = net::kNilNode;
-  std::uint32_t pub_hits = 0;
-  std::uint32_t priv_hits = 0;
-  std::uint16_t age = 0;  // rounds since the origin computed it
+  std::uint8_t pub_hits = 0;
+  std::uint8_t priv_hits = 0;
+  std::uint8_t age = 0;  // rounds since the origin computed it
 
   /// The ratio this entry encodes: E_i of equation (6).
   [[nodiscard]] double ratio() const { return hit_ratio(pub_hits, priv_hits); }
@@ -65,11 +68,11 @@ struct EstimatorConfig {
   std::size_t neighbour_history = 50;  // γ: max age of cached estimates
   std::size_t share_limit = 10;        // entries piggy-backed per message
 
-  /// Largest γ: cached ages are 16-bit round stamps, exact while no age
-  /// passes γ + 1 <= 0xffff.
-  static constexpr std::size_t kMaxNeighbourHistory = 0xfffe;
+  /// Largest γ: an age is one byte on the wire, and cached ages are
+  /// 8-bit round stamps, exact while no age passes γ + 1 <= 0xff.
+  static constexpr std::size_t kMaxNeighbourHistory = 0xfe;
   /// Largest share_limit: an estimate list's wire count is one byte.
-  static constexpr std::size_t kMaxShareLimit = 0xff;
+  static constexpr std::size_t kMaxShareLimit = wire::kMaxListEntries;
 };
 
 class RatioEstimator {
@@ -92,16 +95,17 @@ class RatioEstimator {
   void merge(std::span<const EstimateEntry> entries);
 
   /// The bounded random subset of cached estimates to piggy-back on an
-  /// outgoing shuffle message; includes this node's own local estimate
-  /// when one exists (public nodes). At most `share_limit` entries.
+  /// outgoing shuffle message; includes this node's own local estimate,
+  /// its window counts quantized into the byte range, when one exists
+  /// (public nodes). At most `share_limit` entries.
   [[nodiscard]] std::vector<EstimateEntry> share(sim::RngStream& rng) const;
 
   /// Ê(ω) per equations (8)/(9). Falls back to 0.5 when no information is
   /// available yet (fresh node, first rounds).
   [[nodiscard]] double estimate() const;
 
-  /// E_i: this node's own window estimate, if it has received any shuffle
-  /// requests within the window (public nodes only).
+  /// E_i: this node's own window estimate, exact, if it has received any
+  /// shuffle requests within the window (public nodes only).
   [[nodiscard]] std::optional<double> local_estimate() const;
 
   /// Introspection (tests, diagnostics): the cached estimates in cache
@@ -115,15 +119,19 @@ class RatioEstimator {
     std::uint32_t pub;
     std::uint32_t priv;
   };
+  struct WireHits {
+    std::uint8_t pub;
+    std::uint8_t priv;
+  };
 
-  [[nodiscard]] std::uint16_t age_at(std::size_t i) const {
-    return static_cast<std::uint16_t>(round_ - born_[i]);
+  [[nodiscard]] std::uint8_t age_at(std::size_t i) const {
+    return static_cast<std::uint8_t>(round_ - born_[i]);
   }
   [[nodiscard]] EstimateEntry entry_at(std::size_t i) const {
     return EstimateEntry{origins_[i], hits_[i].pub, hits_[i].priv, age_at(i)};
   }
-  [[nodiscard]] std::uint16_t birth_of(const EstimateEntry& e) const {
-    return static_cast<std::uint16_t>(round_ - e.age);
+  [[nodiscard]] std::uint8_t birth_of(const EstimateEntry& e) const {
+    return static_cast<std::uint8_t>(round_ - e.age);
   }
   [[nodiscard]] std::optional<EstimateEntry> own_entry() const;
   void expire_cache();
@@ -143,16 +151,16 @@ class RatioEstimator {
   // Windowed sums kept incrementally.
   std::uint64_t window_pub_ = 0;
   std::uint64_t window_priv_ = 0;
-  // Rounds begun, mod 2^16: the clock the cache's birth stamps read.
-  std::uint16_t round_ = 0;
+  // Rounds begun, mod 2^8: the clock the cache's birth stamps read.
+  std::uint8_t round_ = 0;
   // Cached estimates from other nodes (M_i); never contains self. One
-  // entry per position across three parallel columns: its origin, its
-  // hit counts and its birth round (round_ - age, mod 2^16), so aging
-  // the cache is one increment of round_. Position order is part of the
-  // output: share() draws and estimate() sums by it.
+  // entry per position across three parallel columns, 7 B in all: its
+  // origin, its one-byte hit counts and its birth round (round_ - age,
+  // mod 2^8), so aging the cache is one increment of round_. Position
+  // order is part of the output: share() draws and estimate() sums by it.
   std::vector<net::NodeId> origins_;
-  std::vector<Hits> hits_;
-  std::vector<std::uint16_t> born_;
+  std::vector<WireHits> hits_;
+  std::vector<std::uint8_t> born_;
 };
 
 }  // namespace croupier::core

@@ -9,7 +9,7 @@ namespace croupier::natid {
 
 void MatchingIpTest::encode(wire::Writer& w) const {
   w.u8(type());
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(probed.size(), 0xff)));
+  w.list_count(probed.size());
   for (net::NodeId id : probed) {
     w.u32(id);
     w.u16(0x2710);

@@ -23,7 +23,7 @@ NodeDescriptor decode_descriptor(wire::Reader& r) {
 }
 
 void encode(wire::Writer& w, const std::vector<NodeDescriptor>& v) {
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(v.size(), 0xff)));
+  w.list_count(v.size());
   for (const auto& d : v) encode(w, d);
 }
 

@@ -77,10 +77,11 @@ class OptionReader {
 
   /// The options every protocol's base PssConfig accepts. The gossip
   /// round period is a World::Config knob (the runtime drives rounds),
-  /// so it is deliberately not offered here.
+  /// so it is deliberately not offered here. A shuffle's descriptors
+  /// travel as one wire list, whose count is one byte.
   void base(pss::PssConfig& cfg) {
     size("view", cfg.view_size, 1, pss::kMaxViewSlots);
-    size("shuffle", cfg.shuffle_size, 1);
+    size("shuffle", cfg.shuffle_size, 1, wire::kMaxListEntries);
     size("fanout", cfg.bootstrap_fanout);
     choice("merge", cfg.merge,
            {{"swapper", pss::MergePolicy::Swapper},
@@ -184,7 +185,8 @@ baselines::GozarConfig make_gozar_config(const ProtocolOptions& opts) {
   baselines::GozarConfig cfg;
   OptionReader r("gozar", opts);
   r.base(cfg.base);
-  r.size("parents", cfg.num_parents, 1);
+  // A private descriptor carries its parents as one wire list.
+  r.size("parents", cfg.num_parents, 1, wire::kMaxListEntries);
   r.size("keepalive", cfg.keepalive_rounds, 1);
   r.size("parent_timeout", cfg.parent_timeout_rounds);
   r.size("redundancy", cfg.relay_redundancy);

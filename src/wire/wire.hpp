@@ -20,6 +20,9 @@
 
 namespace croupier::wire {
 
+/// Most entries one list on the wire holds: its count is one byte.
+inline constexpr std::size_t kMaxListEntries = 0xff;
+
 class Writer {
  public:
   /// A writer that stores nothing and only counts the bytes written:
@@ -43,6 +46,13 @@ class Writer {
     } else {
       buf_.push_back(static_cast<std::byte>(v));
     }
+  }
+  /// A list's one-byte entry count. Configurations bound every list to
+  /// kMaxListEntries, so a longer one is a programmer error.
+  void list_count(std::size_t n) {
+    CROUPIER_ASSERT_MSG(n <= kMaxListEntries,
+                        "a wire list holds at most 255 entries");
+    u8(static_cast<std::uint8_t>(n));
   }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -58,6 +58,25 @@ TEST(Descriptor, ListRoundTrip) {
   EXPECT_EQ(back, v);
 }
 
+// A list's count is one byte. 255 entries survive the trip; one more
+// asserts rather than write a count that disagrees with the entries
+// that follow it.
+TEST(Descriptor, ListCountIsOneByte) {
+  std::vector<pss::NodeDescriptor> v(wire::kMaxListEntries);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i].id = static_cast<net::NodeId>(i + 1);
+  }
+  wire::Writer w;
+  pss::encode(w, v);
+  wire::Reader r(w.data());
+  EXPECT_EQ(pss::decode_descriptors(r), v);
+  EXPECT_TRUE(r.exhausted());
+
+  v.push_back(pss::NodeDescriptor{});
+  wire::Writer longer;
+  EXPECT_DEATH(pss::encode(longer, v), "at most 255 entries");
+}
+
 TEST(Descriptor, EmptyListRoundTrip) {
   wire::Writer w;
   pss::encode(w, std::vector<pss::NodeDescriptor>{});
@@ -158,13 +177,14 @@ std::vector<baselines::NylonDescriptor> nylon_descs(std::size_t n) {
   return out;
 }
 
-// Every estimate origin passes 0xffff once n > 2.
+// Every estimate origin passes 0xffff once n > 2; counts stay in the
+// byte range that entries hold.
 std::vector<core::EstimateEntry> estimates(std::size_t n) {
   std::vector<core::EstimateEntry> out;
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back({static_cast<net::NodeId>(0xfff0 + 0x1000 * i),
-                   static_cast<std::uint32_t>(i * 3),
-                   static_cast<std::uint32_t>(1000 - i), 7});
+                   static_cast<std::uint8_t>(i * 3 % 256),
+                   static_cast<std::uint8_t>(255 - i), 7});
   }
   return out;
 }

@@ -23,9 +23,9 @@ std::vector<EstimateEntry> random_entries(sim::RngStream& rng,
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(EstimateEntry{
         static_cast<net::NodeId>(rng.uniform(20) + 2),
-        static_cast<std::uint32_t>(rng.uniform(50)),
-        static_cast<std::uint32_t>(rng.uniform(200) + 1),
-        static_cast<std::uint16_t>(rng.uniform(40))});
+        static_cast<std::uint8_t>(rng.uniform(50)),
+        static_cast<std::uint8_t>(rng.uniform(200) + 1),
+        static_cast<std::uint8_t>(rng.uniform(40))});
   }
   return out;
 }
@@ -52,11 +52,11 @@ TEST_P(EstimatorMergeSweep, MergeOrderDoesNotAffectEstimate) {
   sim::RngStream rng(GetParam() * 31 + 7);
   std::vector<EstimateEntry> batch;
   for (net::NodeId origin = 2; origin < 12; ++origin) {
-    for (std::uint16_t age : {3, 9, 17}) {
+    for (std::uint8_t age : {3, 9, 17}) {
       batch.push_back(EstimateEntry{
-          origin, static_cast<std::uint32_t>(rng.uniform(40) + 1),
-          static_cast<std::uint32_t>(rng.uniform(160) + 1),
-          static_cast<std::uint16_t>(age + origin % 3)});
+          origin, static_cast<std::uint8_t>(rng.uniform(40) + 1),
+          static_cast<std::uint8_t>(rng.uniform(160) + 1),
+          static_cast<std::uint8_t>(age + origin % 3)});
     }
   }
 

@@ -1,6 +1,8 @@
 // Ratio estimator tests: the maths of paper equations (1)-(9) on
-// hand-computed cases, window semantics for α and γ, wire quantization,
-// and a twin run against the vector-of-structs estimator it replaced.
+// hand-computed cases, window semantics for α and γ, the byte
+// quantization of a node's own entry and the wire image of every shared
+// one, and a twin run against the vector-of-structs estimator it
+// replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,26 +42,6 @@ TEST(EstimateEntry, RoundTripSmallCounts) {
   const auto back = decode_estimate(r);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back, (EstimateEntry{7, 10, 40, 3}));
-}
-
-TEST(EstimateEntry, QuantizationPreservesRatio) {
-  // 100 / 400 exceeds the byte range on the private side; encoding must
-  // scale both counts, keeping the ratio at 0.2 within 1/255.
-  wire::Writer w;
-  encode(w, EstimateEntry{7, 100, 400, 0});
-  wire::Reader r(w.data());
-  const auto back = decode_estimate(r);
-  EXPECT_LE(back.pub_hits, 255u);
-  EXPECT_LE(back.priv_hits, 255u);
-  EXPECT_NEAR(back.ratio(), 0.2, 1.0 / 255.0);
-}
-
-TEST(EstimateEntry, QuantizationNeverErasesMinority) {
-  wire::Writer w;
-  encode(w, EstimateEntry{7, 1, 10000, 0});
-  wire::Reader r(w.data());
-  const auto back = decode_estimate(r);
-  EXPECT_GE(back.pub_hits, 1u);  // minority class must survive
 }
 
 TEST(EstimateEntry, WideOriginEscapesWithoutPerturbingNarrowOnes) {
@@ -232,6 +214,79 @@ TEST(RatioEstimator, PublicAveragesOwnPlusCache) {
   EXPECT_DOUBLE_EQ(e.estimate(), 0.5);
 }
 
+/// A public node whose α-window holds `pub` public and `priv` private
+/// hits, all counted in its first round.
+RatioEstimator public_with_window(std::uint32_t pub, std::uint32_t priv,
+                                  EstimatorConfig config = cfg()) {
+  RatioEstimator e(1, net::NatType::Public, config);
+  for (std::uint32_t i = 0; i < pub; ++i) {
+    e.count_request(net::NatType::Public);
+  }
+  for (std::uint32_t i = 0; i < priv; ++i) {
+    e.count_request(net::NatType::Private);
+  }
+  e.begin_round();
+  return e;
+}
+
+/// The own entry share() appends (the last one) when the cache is empty.
+EstimateEntry own_shared_entry(const RatioEstimator& e) {
+  sim::RngStream rng(1);
+  const auto shared = e.share(rng);
+  EXPECT_FALSE(shared.empty());
+  return shared.empty() ? EstimateEntry{} : shared.back();
+}
+
+TEST(RatioEstimator, QuantizationPreservesRatio) {
+  // 100 / 400 exceeds the byte range on the private side; the own entry
+  // must scale both counts, keeping the ratio at 0.2 within 1/255, while
+  // E_i stays exact.
+  const auto e = public_with_window(100, 400);
+  const EstimateEntry own = own_shared_entry(e);
+  EXPECT_EQ(own.priv_hits, 255u);
+  EXPECT_NEAR(own.ratio(), 0.2, 1.0 / 255.0);
+  EXPECT_EQ(e.local_estimate(), 0.2);
+}
+
+TEST(RatioEstimator, QuantizationNeverErasesMinority) {
+  const EstimateEntry own = own_shared_entry(public_with_window(1, 10000));
+  EXPECT_GE(own.pub_hits, 1u);  // minority class must survive
+  EXPECT_EQ(own.priv_hits, 255u);
+}
+
+// Everything a node shares is exactly what the wire carries: a window of
+// 300 public and 1200 private hits goes out as (64, 255), and the
+// entries drawn from a cache merged at every age 0..254 (γ = 254, the
+// largest), with origins narrow and escaped past 16 bits, survive
+// encode and decode unchanged. E_i stays exact.
+TEST(RatioEstimator, SharedEntriesAreTheirWireImage) {
+  constexpr std::size_t kGamma = EstimatorConfig::kMaxNeighbourHistory;
+  const EstimatorConfig config{25, kGamma, EstimatorConfig::kMaxShareLimit};
+  auto e = public_with_window(300, 1200, config);
+  std::vector<EstimateEntry> cache;
+  for (std::size_t age = 0; age <= kGamma; ++age) {
+    cache.push_back({static_cast<net::NodeId>(2 + 300 * age),
+                     static_cast<std::uint8_t>(age % 200 + 1),
+                     static_cast<std::uint8_t>(255 - age),
+                     static_cast<std::uint8_t>(age)});
+  }
+  e.merge(cache);
+  ASSERT_EQ(e.cached_count(), kGamma + 1);
+
+  sim::RngStream rng(5);
+  const auto shared = e.share(rng);
+  ASSERT_EQ(shared.size(), EstimatorConfig::kMaxShareLimit);
+  for (const EstimateEntry& entry : shared) {
+    wire::Writer w;
+    encode(w, entry);
+    wire::Reader r(w.data());
+    EXPECT_EQ(decode_estimate(r), entry) << "origin " << entry.origin;
+    EXPECT_TRUE(r.exhausted());
+  }
+  EXPECT_EQ(shared.back(), (EstimateEntry{1, 64, 255, 0}));
+  EXPECT_EQ(e.local_estimate(), 0.2);
+}
+
 TEST(RatioEstimator, ShareIncludesOwnEntryForPublic) {
   RatioEstimator e(1, net::NatType::Public, cfg());
   e.count_request(net::NatType::Private);
@@ -321,10 +376,27 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 4}, std::pair{1, 1}, std::pair{3, 1},
                       std::pair{1, 9}, std::pair{7, 3}));
 
-/// The estimator before birth stamps, verbatim semantics: a vector of
-/// EstimateEntry whose ages begin_round() bumps (saturating at 0xffff),
-/// shared from a copy of the whole cache. The stamped RatioEstimator must
-/// match it call for call.
+/// Quantizes a window's counts into the byte range, scaling both so the
+/// larger becomes 255 and never rounding a nonzero count to zero.
+std::pair<std::uint8_t, std::uint8_t> ref_quantize(std::uint64_t pub,
+                                                   std::uint64_t priv) {
+  const std::uint64_t largest = std::max(pub, priv);
+  if (largest <= 0xff) {
+    return {static_cast<std::uint8_t>(pub), static_cast<std::uint8_t>(priv)};
+  }
+  const double scale = 255.0 / static_cast<double>(largest);
+  const auto squeeze = [scale](std::uint64_t v) {
+    if (v == 0) return std::uint8_t{0};
+    const long scaled = std::lround(static_cast<double>(v) * scale);
+    return static_cast<std::uint8_t>(std::clamp(scaled, 1L, 255L));
+  };
+  return {squeeze(pub), squeeze(priv)};
+}
+
+/// The estimator's semantics without its layout, as before birth stamps:
+/// a vector of EstimateEntry whose ages begin_round() bumps (saturating
+/// at 0xff), shared from a copy of the whole cache with the own entry
+/// quantized. The stamped RatioEstimator must match it call for call.
 class RefEstimator {
  public:
   RefEstimator(net::NodeId self, net::NatType type, EstimatorConfig cfg)
@@ -332,7 +404,7 @@ class RefEstimator {
 
   void begin_round() {
     for (auto& e : cache_) {
-      if (e.age < 0xffff) ++e.age;
+      if (e.age < 0xff) ++e.age;
     }
     std::erase_if(cache_, [this](const EstimateEntry& e) {
       return e.age > cfg_.neighbour_history;
@@ -400,9 +472,10 @@ class RefEstimator {
   }
 
   [[nodiscard]] std::optional<double> local_estimate() const {
-    const auto own = own_entry();
-    if (!own.has_value()) return std::nullopt;
-    return own->ratio();
+    if (type_ != net::NatType::Public) return std::nullopt;
+    if (window_pub_ + window_priv_ == 0) return std::nullopt;
+    return static_cast<double>(window_pub_) /
+           static_cast<double>(window_pub_ + window_priv_);
   }
 
   [[nodiscard]] const std::vector<EstimateEntry>& cached() const {
@@ -411,10 +484,9 @@ class RefEstimator {
 
  private:
   [[nodiscard]] std::optional<EstimateEntry> own_entry() const {
-    if (type_ != net::NatType::Public) return std::nullopt;
-    if (window_pub_ + window_priv_ == 0) return std::nullopt;
-    return EstimateEntry{self_, static_cast<std::uint32_t>(window_pub_),
-                         static_cast<std::uint32_t>(window_priv_), 0};
+    if (!local_estimate().has_value()) return std::nullopt;
+    const auto [pub, priv] = ref_quantize(window_pub_, window_priv_);
+    return EstimateEntry{self_, pub, priv, 0};
   }
 
   net::NodeId self_;
@@ -433,8 +505,8 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// A shuffle's estimate list as the twin run feeds it: origins from a
 /// range small enough to repeat within one batch and including `self`,
 /// every third one moved past 16 bits (3 becomes the 0xffff wire
-/// sentinel), some zero-hit entries, and ages at 0, γ, γ + 1 and 0xffff
-/// as well as uniform ones.
+/// sentinel), counts over the whole byte range with some zero-hit
+/// entries, and ages at 0, γ, γ + 1 and 0xff as well as uniform ones.
 std::vector<EstimateEntry> twin_batch(sim::RngStream& rng, net::NodeId origins,
                                       std::size_t gamma) {
   std::vector<EstimateEntry> batch(rng.uniform(25));
@@ -442,15 +514,15 @@ std::vector<EstimateEntry> twin_batch(sim::RngStream& rng, net::NodeId origins,
     e.origin = static_cast<net::NodeId>(1 + rng.uniform(origins));
     if (e.origin % 3 == 0) e.origin += 0xfffc;
     if (!rng.chance(0.1)) {
-      e.pub_hits = static_cast<std::uint32_t>(rng.uniform(300));
-      e.priv_hits = static_cast<std::uint32_t>(rng.uniform(1200));
+      e.pub_hits = static_cast<std::uint8_t>(rng.uniform(256));
+      e.priv_hits = static_cast<std::uint8_t>(rng.uniform(256));
     }
     switch (rng.uniform(6)) {
       case 0: e.age = 0; break;
-      case 1: e.age = static_cast<std::uint16_t>(gamma); break;
-      case 2: e.age = static_cast<std::uint16_t>(gamma + 1); break;
-      case 3: e.age = 0xffff; break;
-      default: e.age = static_cast<std::uint16_t>(rng.uniform(gamma + 2));
+      case 1: e.age = static_cast<std::uint8_t>(gamma); break;
+      case 2: e.age = static_cast<std::uint8_t>(gamma + 1); break;
+      case 3: e.age = 0xff; break;
+      default: e.age = static_cast<std::uint8_t>(rng.uniform(gamma + 2));
     }
   }
   return batch;
@@ -526,10 +598,11 @@ TEST(RatioEstimatorTwin, MatchesVectorOfStructsEstimator) {
   }
 }
 
-// γ = 65534 keeps entries for up to 65534 rounds; running past 65,536
-// rounds wraps the 16-bit round counter under live birth stamps.
+// The largest γ (254) keeps entries for up to 254 rounds; 1000 rounds
+// wrap the 8-bit round counter three times under live birth stamps.
 TEST(RatioEstimatorTwin, MatchesAcrossRoundCounterWrap) {
-  twin_run(EstimatorConfig{3, 65534, 10}, net::NatType::Public, 11, 70'000);
+  twin_run(EstimatorConfig{3, EstimatorConfig::kMaxNeighbourHistory, 10},
+           net::NatType::Public, 11, 1000);
 }
 
 }  // namespace

@@ -137,8 +137,11 @@ TEST(ProtocolRegistry, BaselineOptionsApply) {
 // Each spec passes the registry's syntax checks but breaks a bound a
 // protocol relies on. Most used to abort a trial (or divide by zero);
 // the two zero-sized Nylon tables kept one entry each all the same; and
-// the last two break the estimator's u16 age stamps and its one-byte
-// wire count. The error names the protocol and the option.
+// the last five break a one-byte field of the wire: the estimator's age
+// (and its 8-bit age stamps), an estimate list's count, a shuffle's
+// descriptor count even where the view holds more, and a Gozar
+// descriptor's parent count. The error names the protocol and the
+// option.
 struct RejectedSpec {
   const char* spec;
   const char* option;
@@ -185,8 +188,11 @@ INSTANTIATE_TEST_SUITE_P(
         RejectedSpec{"nylon:rvp_links=0", "rvp_links"},
         RejectedSpec{"nylon:routing_table=0", "routing_table"},
         RejectedSpec{"arrg:open_list=0", "open_list"},
-        RejectedSpec{"croupier:gamma=65535", "gamma"},
-        RejectedSpec{"croupier:share_limit=256", "share_limit"}),
+        RejectedSpec{"croupier:gamma=255", "gamma"},
+        RejectedSpec{"croupier:share_limit=256", "share_limit"},
+        RejectedSpec{"cyclon:view=300,shuffle=256", "shuffle"},
+        RejectedSpec{"arrg:shuffle=256", "shuffle"},
+        RejectedSpec{"gozar:parents=256", "parents"}),
     [](const ::testing::TestParamInfo<RejectedSpec>& info) {
       std::string id;
       for (const char* c = info.param.spec; *c != '\0'; ++c) {
@@ -198,10 +204,10 @@ INSTANTIATE_TEST_SUITE_P(
 // The largest accepted values still build worlds whose trials run.
 TEST(ProtocolRegistry, BoundaryValuesAreAcceptedAndRun) {
   for (const char* spec :
-       {"croupier:gamma=65534", "croupier:share_limit=255",
+       {"croupier:gamma=254", "croupier:share_limit=255",
         "croupier:shuffle=10,view=10",
         "croupier:sizing=proportional,min_slots=5", "croupier:view=32767",
-        "arrg:shuffle=20"}) {
+        "arrg:shuffle=20", "arrg:shuffle=255"}) {
     World::Config cfg;
     cfg.seed = 3;
     cfg.latency = World::LatencyKind::Constant;

@@ -194,17 +194,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // An estimate list's count is one byte, so 255 entries (the registry's
-// share_limit bound) is the longest list that survives the trip. Counts
-// and ages stay in the byte range, so quantization is the identity, and
-// origins cross the 0xffff escape.
+// share_limit bound) is the longest list. Every entry holds its wire
+// image, so the whole list survives the trip, with origins across the
+// 0xffff escape.
 TEST(RoundTrip, LongestEstimateList) {
   sim::RngStream rng(17);
   std::vector<core::EstimateEntry> list;
   for (std::uint32_t i = 0; i < core::EstimatorConfig::kMaxShareLimit; ++i) {
     list.push_back(core::EstimateEntry{
-        0xff80u + i, static_cast<std::uint32_t>(rng.uniform(256)),
-        static_cast<std::uint32_t>(rng.uniform(256)),
-        static_cast<std::uint16_t>(rng.uniform(256))});
+        0xff80u + i, static_cast<std::uint8_t>(rng.uniform(256)),
+        static_cast<std::uint8_t>(rng.uniform(256)),
+        static_cast<std::uint8_t>(rng.uniform(256))});
   }
   Writer w;
   core::encode(w, list);
