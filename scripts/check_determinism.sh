@@ -19,8 +19,9 @@
 # and every example's stdout, must also match that build's runs byte for
 # byte.
 #
-# A failing comparison also prints, for the stdout and for the CSV, the
-# first line at which the two runs differ, from each side.
+# A failing comparison also prints, for the stdout and for the CSV (an
+# example's stdout alone), the first line at which the two runs differ,
+# from each side.
 #
 # Usage: scripts/check_determinism.sh [--fast]
 #   BUILD_DIR=...            bench build directory (default build)
@@ -116,6 +117,7 @@ if [ -n "$REF_DIR" ]; then
       echo "ok   example $name == reference build"
     else
       echo "FAIL example $name (output differs from reference build)"
+      first_diff stdout txt "ex.$name" "ex.$name.ref"
       fail=1
     fi
   done

@@ -7,32 +7,6 @@
 
 namespace croupier::baselines {
 
-void ArrgShuffleReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  pss::encode(w, sender);
-  pss::encode(w, entries);
-}
-
-ArrgShuffleReq ArrgShuffleReq::decode(wire::Reader& r) {
-  ArrgShuffleReq m;
-  (void)r.u8();
-  m.sender = pss::decode_descriptor(r);
-  m.entries = pss::decode_descriptors(r);
-  return m;
-}
-
-void ArrgShuffleRes::encode(wire::Writer& w) const {
-  w.u8(type());
-  pss::encode(w, entries);
-}
-
-ArrgShuffleRes ArrgShuffleRes::decode(wire::Reader& r) {
-  ArrgShuffleRes m;
-  (void)r.u8();
-  m.entries = pss::decode_descriptors(r);
-  return m;
-}
-
 Arrg::Arrg(Context ctx, ArrgConfig cfg)
     : PeerSampler(std::move(ctx)), cfg_(cfg), view_(cfg.base.view_size, ctx_.arena) {
   CROUPIER_ASSERT(cfg_.open_list_size > 0);

@@ -23,23 +23,28 @@ namespace croupier::baselines {
 constexpr std::uint8_t kArrgShuffleReq = 0x60;
 constexpr std::uint8_t kArrgShuffleRes = 0x61;
 
-struct ArrgShuffleReq final : net::Message {
+struct ArrgShuffleReq final
+    : net::WireMessage<ArrgShuffleReq, kArrgShuffleReq> {
   pss::NodeDescriptor sender;
   std::vector<pss::NodeDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kArrgShuffleReq; }
   [[nodiscard]] const char* name() const override { return "arrg.shuffle_req"; }
-  void encode(wire::Writer& w) const override;
-  static ArrgShuffleReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, ArrgShuffleReq> m) {
+    layout(io, m.sender);
+    layout(io, m.entries);
+  }
 };
 
-struct ArrgShuffleRes final : net::Message {
+struct ArrgShuffleRes final
+    : net::WireMessage<ArrgShuffleRes, kArrgShuffleRes> {
   std::vector<pss::NodeDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kArrgShuffleRes; }
   [[nodiscard]] const char* name() const override { return "arrg.shuffle_res"; }
-  void encode(wire::Writer& w) const override;
-  static ArrgShuffleRes decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, ArrgShuffleRes> m) {
+    layout(io, m.entries);
+  }
 };
 
 struct ArrgConfig {

@@ -6,32 +6,6 @@
 
 namespace croupier::baselines {
 
-void CyclonShuffleReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  pss::encode(w, sender);
-  pss::encode(w, entries);
-}
-
-CyclonShuffleReq CyclonShuffleReq::decode(wire::Reader& r) {
-  CyclonShuffleReq m;
-  (void)r.u8();
-  m.sender = pss::decode_descriptor(r);
-  m.entries = pss::decode_descriptors(r);
-  return m;
-}
-
-void CyclonShuffleRes::encode(wire::Writer& w) const {
-  w.u8(type());
-  pss::encode(w, entries);
-}
-
-CyclonShuffleRes CyclonShuffleRes::decode(wire::Reader& r) {
-  CyclonShuffleRes m;
-  (void)r.u8();
-  m.entries = pss::decode_descriptors(r);
-  return m;
-}
-
 Cyclon::Cyclon(Context ctx, pss::PssConfig cfg)
     : PeerSampler(std::move(ctx)), cfg_(cfg), view_(cfg.view_size, ctx_.arena) {
   CROUPIER_ASSERT(cfg_.shuffle_size > 0 &&

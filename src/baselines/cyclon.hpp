@@ -22,27 +22,32 @@ namespace croupier::baselines {
 constexpr std::uint8_t kCyclonShuffleReq = 0x20;
 constexpr std::uint8_t kCyclonShuffleRes = 0x21;
 
-struct CyclonShuffleReq final : net::Message {
+struct CyclonShuffleReq final
+    : net::WireMessage<CyclonShuffleReq, kCyclonShuffleReq> {
   pss::NodeDescriptor sender;
   std::vector<pss::NodeDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kCyclonShuffleReq; }
   [[nodiscard]] const char* name() const override {
     return "cyclon.shuffle_req";
   }
-  void encode(wire::Writer& w) const override;
-  static CyclonShuffleReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, CyclonShuffleReq> m) {
+    layout(io, m.sender);
+    layout(io, m.entries);
+  }
 };
 
-struct CyclonShuffleRes final : net::Message {
+struct CyclonShuffleRes final
+    : net::WireMessage<CyclonShuffleRes, kCyclonShuffleRes> {
   std::vector<pss::NodeDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kCyclonShuffleRes; }
   [[nodiscard]] const char* name() const override {
     return "cyclon.shuffle_res";
   }
-  void encode(wire::Writer& w) const override;
-  static CyclonShuffleRes decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, CyclonShuffleRes> m) {
+    layout(io, m.entries);
+  }
 };
 
 class Cyclon final : public pss::PeerSampler {

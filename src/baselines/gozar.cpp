@@ -7,114 +7,6 @@
 
 namespace croupier::baselines {
 
-void encode(wire::Writer& w, const GozarDescriptor& d) {
-  // Base descriptor layout (8 B) plus the advertised relay parents: count
-  // byte + 6 B endpoint each. This is the wire-size premium Gozar pays on
-  // every private descriptor it gossips.
-  w.u32(d.id);
-  w.u16(0x2710);  // port stand-in
-  w.u8(static_cast<std::uint8_t>(d.nat_type));
-  w.u8(static_cast<std::uint8_t>(std::min<std::uint16_t>(d.age, 0xff)));
-  w.list_count(d.parents.size());
-  for (net::NodeId p : d.parents) {
-    w.u32(p);
-    w.u16(0x2710);
-  }
-}
-
-GozarDescriptor decode_gozar_descriptor(wire::Reader& r) {
-  GozarDescriptor d;
-  d.id = r.u32();
-  (void)r.u16();
-  d.nat_type = static_cast<net::NatType>(r.u8());
-  d.age = r.u8();
-  const std::size_t n = r.u8();
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    d.parents.push_back(r.u32());
-    (void)r.u16();
-  }
-  return d;
-}
-
-void encode(wire::Writer& w, const std::vector<GozarDescriptor>& v) {
-  w.list_count(v.size());
-  for (const auto& d : v) encode(w, d);
-}
-
-std::vector<GozarDescriptor> decode_gozar_descriptors(wire::Reader& r) {
-  const std::size_t n = r.u8();
-  std::vector<GozarDescriptor> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    out.push_back(decode_gozar_descriptor(r));
-  }
-  return out;
-}
-
-void GozarShuffleReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  baselines::encode(w, sender);
-  w.u16(nonce);
-  baselines::encode(w, entries);
-}
-
-GozarShuffleReq GozarShuffleReq::decode(wire::Reader& r) {
-  GozarShuffleReq m;
-  (void)r.u8();
-  m.sender = decode_gozar_descriptor(r);
-  m.nonce = r.u16();
-  m.entries = decode_gozar_descriptors(r);
-  return m;
-}
-
-void GozarShuffleRes::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(responder);
-  w.u16(0x2710);
-  baselines::encode(w, entries);
-}
-
-GozarShuffleRes GozarShuffleRes::decode(wire::Reader& r) {
-  GozarShuffleRes m;
-  (void)r.u8();
-  m.responder = r.u32();
-  (void)r.u16();
-  m.entries = decode_gozar_descriptors(r);
-  return m;
-}
-
-void GozarRelayedReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(final_target);
-  w.u16(0x2710);
-  inner.encode(w);
-}
-
-GozarRelayedReq GozarRelayedReq::decode(wire::Reader& r) {
-  GozarRelayedReq m;
-  (void)r.u8();
-  m.final_target = r.u32();
-  (void)r.u16();
-  m.inner = GozarShuffleReq::decode(r);
-  return m;
-}
-
-void GozarRelayedRes::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(final_target);
-  w.u16(0x2710);
-  inner.encode(w);
-}
-
-GozarRelayedRes GozarRelayedRes::decode(wire::Reader& r) {
-  GozarRelayedRes m;
-  (void)r.u8();
-  m.final_target = r.u32();
-  (void)r.u16();
-  m.inner = GozarShuffleRes::decode(r);
-  return m;
-}
-
 Gozar::Gozar(Context ctx, GozarConfig cfg)
     : PeerSampler(std::move(ctx)), cfg_(cfg), view_(cfg.base.view_size, ctx_.arena) {
   CROUPIER_ASSERT(cfg_.num_parents > 0);

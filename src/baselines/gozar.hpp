@@ -40,11 +40,14 @@ struct GozarDescriptor {
                          const GozarDescriptor&) = default;
 };
 
-void encode(wire::Writer& w, const GozarDescriptor& d);
-GozarDescriptor decode_gozar_descriptor(wire::Reader& r);
-
-void encode(wire::Writer& w, const std::vector<GozarDescriptor>& v);
-std::vector<GozarDescriptor> decode_gozar_descriptors(wire::Reader& r);
+/// The base 8-byte descriptor plus the advertised relay parents: a count
+/// byte and a 6 B endpoint each. This is the wire-size premium Gozar pays
+/// on every private descriptor it gossips.
+template <typename IO>
+void layout(IO& io, wire::Field<IO, GozarDescriptor> d) {
+  pss::descriptor_layout(io, d);
+  wire::list(io, d.parents, wire::endpoint<IO>);
+}
 
 constexpr std::uint8_t kGozarShuffleReq = 0x30;
 constexpr std::uint8_t kGozarShuffleRes = 0x31;
@@ -53,61 +56,74 @@ constexpr std::uint8_t kGozarRelayedRes = 0x33;
 constexpr std::uint8_t kGozarPing = 0x34;
 constexpr std::uint8_t kGozarPong = 0x35;
 
-struct GozarShuffleReq final : net::Message {
+struct GozarShuffleReq final
+    : net::WireMessage<GozarShuffleReq, kGozarShuffleReq> {
   GozarDescriptor sender;
   /// Distinguishes redundant relay copies of one exchange (the target
   /// answers the first copy and drops the rest).
   std::uint16_t nonce = 0;
   std::vector<GozarDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kGozarShuffleReq; }
   [[nodiscard]] const char* name() const override { return "gozar.shuffle_req"; }
-  void encode(wire::Writer& w) const override;
-  static GozarShuffleReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, GozarShuffleReq> m) {
+    layout(io, m.sender);
+    layout(io, m.nonce);
+    layout(io, m.entries);
+  }
 };
 
-struct GozarShuffleRes final : net::Message {
+struct GozarShuffleRes final
+    : net::WireMessage<GozarShuffleRes, kGozarShuffleRes> {
   net::NodeId responder = net::kNilNode;
   std::vector<GozarDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kGozarShuffleRes; }
   [[nodiscard]] const char* name() const override { return "gozar.shuffle_res"; }
-  void encode(wire::Writer& w) const override;
-  static GozarShuffleRes decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, GozarShuffleRes> m) {
+    wire::endpoint(io, m.responder);
+    layout(io, m.entries);
+  }
 };
 
 /// Request en route to a relay parent, to be forwarded one hop.
-struct GozarRelayedReq final : net::Message {
+struct GozarRelayedReq final
+    : net::WireMessage<GozarRelayedReq, kGozarRelayedReq> {
   net::NodeId final_target = net::kNilNode;
   GozarShuffleReq inner;
 
-  [[nodiscard]] std::uint8_t type() const override { return kGozarRelayedReq; }
   [[nodiscard]] const char* name() const override { return "gozar.relayed_req"; }
-  void encode(wire::Writer& w) const override;
-  static GozarRelayedReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, GozarRelayedReq> m) {
+    wire::endpoint(io, m.final_target);
+    net::nested(io, m.inner);
+  }
 };
 
 /// Response en route back through the relay (private initiator case).
-struct GozarRelayedRes final : net::Message {
+struct GozarRelayedRes final
+    : net::WireMessage<GozarRelayedRes, kGozarRelayedRes> {
   net::NodeId final_target = net::kNilNode;
   GozarShuffleRes inner;
 
-  [[nodiscard]] std::uint8_t type() const override { return kGozarRelayedRes; }
   [[nodiscard]] const char* name() const override { return "gozar.relayed_res"; }
-  void encode(wire::Writer& w) const override;
-  static GozarRelayedRes decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, GozarRelayedRes> m) {
+    wire::endpoint(io, m.final_target);
+    net::nested(io, m.inner);
+  }
 };
 
-struct GozarPing final : net::Message {
-  [[nodiscard]] std::uint8_t type() const override { return kGozarPing; }
+struct GozarPing final : net::WireMessage<GozarPing, kGozarPing> {
   [[nodiscard]] const char* name() const override { return "gozar.ping"; }
-  void encode(wire::Writer& w) const override { w.u8(type()); }
+  template <typename IO>
+  friend void layout(IO& /*io*/, wire::Field<IO, GozarPing> /*m*/) {}
 };
 
-struct GozarPong final : net::Message {
-  [[nodiscard]] std::uint8_t type() const override { return kGozarPong; }
+struct GozarPong final : net::WireMessage<GozarPong, kGozarPong> {
   [[nodiscard]] const char* name() const override { return "gozar.pong"; }
-  void encode(wire::Writer& w) const override { w.u8(type()); }
+  template <typename IO>
+  friend void layout(IO& /*io*/, wire::Field<IO, GozarPong> /*m*/) {}
 };
 
 struct GozarConfig {

@@ -9,99 +9,6 @@
 
 namespace croupier::baselines {
 
-void encode(wire::Writer& w, const NylonDescriptor& d) {
-  w.u32(d.id);
-  w.u16(0x2710);
-  w.u8(static_cast<std::uint8_t>(d.nat_type));
-  w.u8(static_cast<std::uint8_t>(std::min<std::uint16_t>(d.age, 0xff)));
-}
-
-NylonDescriptor decode_nylon_descriptor(wire::Reader& r) {
-  NylonDescriptor d;
-  d.id = r.u32();
-  (void)r.u16();
-  d.nat_type = static_cast<net::NatType>(r.u8());
-  d.age = r.u8();
-  return d;
-}
-
-void encode(wire::Writer& w, const std::vector<NylonDescriptor>& v) {
-  w.list_count(v.size());
-  for (const auto& d : v) encode(w, d);
-}
-
-std::vector<NylonDescriptor> decode_nylon_descriptors(wire::Reader& r) {
-  const std::size_t n = r.u8();
-  std::vector<NylonDescriptor> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    out.push_back(decode_nylon_descriptor(r));
-  }
-  return out;
-}
-
-void NylonShuffleReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  baselines::encode(w, sender);
-  baselines::encode(w, entries);
-}
-
-NylonShuffleReq NylonShuffleReq::decode(wire::Reader& r) {
-  NylonShuffleReq m;
-  (void)r.u8();
-  m.sender = decode_nylon_descriptor(r);
-  m.entries = decode_nylon_descriptors(r);
-  return m;
-}
-
-void NylonShuffleRes::encode(wire::Writer& w) const {
-  w.u8(type());
-  baselines::encode(w, entries);
-}
-
-NylonShuffleRes NylonShuffleRes::decode(wire::Reader& r) {
-  NylonShuffleRes m;
-  (void)r.u8();
-  m.entries = decode_nylon_descriptors(r);
-  return m;
-}
-
-void NylonPunchReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(initiator);
-  w.u16(0x2710);
-  w.u8(static_cast<std::uint8_t>(initiator_type));
-  w.u32(target);
-  w.u16(0x2710);
-  w.u8(hops);
-}
-
-NylonPunchReq NylonPunchReq::decode(wire::Reader& r) {
-  NylonPunchReq m;
-  (void)r.u8();
-  m.initiator = r.u32();
-  (void)r.u16();
-  m.initiator_type = static_cast<net::NatType>(r.u8());
-  m.target = r.u32();
-  (void)r.u16();
-  m.hops = r.u8();
-  return m;
-}
-
-void NylonConnect::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(initiator);
-  w.u16(0x2710);
-}
-
-NylonConnect NylonConnect::decode(wire::Reader& r) {
-  NylonConnect m;
-  (void)r.u8();
-  m.initiator = r.u32();
-  (void)r.u16();
-  return m;
-}
-
 RoundTable::RoundTable(std::size_t capacity) : capacity_(capacity) {
   CROUPIER_ASSERT_MSG(capacity_ >= 1, "a round table needs room for one entry");
 }

@@ -52,73 +52,85 @@ constexpr std::uint8_t kNylonPunchOpen = 0x44;
 constexpr std::uint8_t kNylonProbe = 0x45;
 constexpr std::uint8_t kNylonKeepalive = 0x46;
 
-void encode(wire::Writer& w, const NylonDescriptor& d);
-NylonDescriptor decode_nylon_descriptor(wire::Reader& r);
-void encode(wire::Writer& w, const std::vector<NylonDescriptor>& v);
-std::vector<NylonDescriptor> decode_nylon_descriptors(wire::Reader& r);
+template <typename IO>
+void layout(IO& io, wire::Field<IO, NylonDescriptor> d) {
+  pss::descriptor_layout(io, d);
+}
 
-struct NylonShuffleReq final : net::Message {
+struct NylonShuffleReq final
+    : net::WireMessage<NylonShuffleReq, kNylonShuffleReq> {
   NylonDescriptor sender;
   std::vector<NylonDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kNylonShuffleReq; }
   [[nodiscard]] const char* name() const override { return "nylon.shuffle_req"; }
-  void encode(wire::Writer& w) const override;
-  static NylonShuffleReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, NylonShuffleReq> m) {
+    layout(io, m.sender);
+    layout(io, m.entries);
+  }
 };
 
-struct NylonShuffleRes final : net::Message {
+struct NylonShuffleRes final
+    : net::WireMessage<NylonShuffleRes, kNylonShuffleRes> {
   std::vector<NylonDescriptor> entries;
 
-  [[nodiscard]] std::uint8_t type() const override { return kNylonShuffleRes; }
   [[nodiscard]] const char* name() const override { return "nylon.shuffle_res"; }
-  void encode(wire::Writer& w) const override;
-  static NylonShuffleRes decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, NylonShuffleRes> m) {
+    layout(io, m.entries);
+  }
 };
 
 /// Hole-punch request travelling along the RVP chain toward `target`.
-struct NylonPunchReq final : net::Message {
+struct NylonPunchReq final : net::WireMessage<NylonPunchReq, kNylonPunchReq> {
   net::NodeId initiator = net::kNilNode;
   net::NatType initiator_type = net::NatType::Public;
   net::NodeId target = net::kNilNode;
   std::uint8_t hops = 0;
 
-  [[nodiscard]] std::uint8_t type() const override { return kNylonPunchReq; }
   [[nodiscard]] const char* name() const override { return "nylon.punch_req"; }
-  void encode(wire::Writer& w) const override;
-  static NylonPunchReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, NylonPunchReq> m) {
+    wire::endpoint(io, m.initiator);
+    layout(io, m.initiator_type);
+    wire::endpoint(io, m.target);
+    layout(io, m.hops);
+  }
 };
 
 /// Final chain hop -> target: "initiator wants to talk; punch back".
-struct NylonConnect final : net::Message {
+struct NylonConnect final : net::WireMessage<NylonConnect, kNylonConnect> {
   net::NodeId initiator = net::kNilNode;
 
-  [[nodiscard]] std::uint8_t type() const override { return kNylonConnect; }
   [[nodiscard]] const char* name() const override { return "nylon.connect"; }
-  void encode(wire::Writer& w) const override;
-  static NylonConnect decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, NylonConnect> m) {
+    wire::endpoint(io, m.initiator);
+  }
 };
 
 /// Target -> initiator: opens the target's NAT toward the initiator.
-struct NylonPunchOpen final : net::Message {
-  [[nodiscard]] std::uint8_t type() const override { return kNylonPunchOpen; }
+struct NylonPunchOpen final
+    : net::WireMessage<NylonPunchOpen, kNylonPunchOpen> {
   [[nodiscard]] const char* name() const override { return "nylon.punch_open"; }
-  void encode(wire::Writer& w) const override { w.u8(type()); }
+  template <typename IO>
+  friend void layout(IO& /*io*/, wire::Field<IO, NylonPunchOpen> /*m*/) {}
 };
 
 /// Initiator -> target at punch start: opens the initiator's own NAT
 /// (usually filtered at the target; its purpose is the mapping it leaves
 /// in the initiator's gateway).
-struct NylonProbe final : net::Message {
-  [[nodiscard]] std::uint8_t type() const override { return kNylonProbe; }
+struct NylonProbe final : net::WireMessage<NylonProbe, kNylonProbe> {
   [[nodiscard]] const char* name() const override { return "nylon.probe"; }
-  void encode(wire::Writer& w) const override { w.u8(type()); }
+  template <typename IO>
+  friend void layout(IO& /*io*/, wire::Field<IO, NylonProbe> /*m*/) {}
 };
 
-struct NylonKeepalive final : net::Message {
-  [[nodiscard]] std::uint8_t type() const override { return kNylonKeepalive; }
+struct NylonKeepalive final
+    : net::WireMessage<NylonKeepalive, kNylonKeepalive> {
   [[nodiscard]] const char* name() const override { return "nylon.keepalive"; }
-  void encode(wire::Writer& w) const override { w.u8(type()); }
+  template <typename IO>
+  friend void layout(IO& /*io*/, wire::Field<IO, NylonKeepalive> /*m*/) {}
 };
 
 /// A bounded table of node ids, each stamped with the round it was last

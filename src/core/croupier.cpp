@@ -8,40 +8,6 @@
 
 namespace croupier::core {
 
-void CroupierShuffleReq::encode(wire::Writer& w) const {
-  w.u8(type());
-  pss::encode(w, sender);
-  pss::encode(w, pub);
-  pss::encode(w, pri);
-  core::encode(w, estimates);
-}
-
-CroupierShuffleReq CroupierShuffleReq::decode(wire::Reader& r) {
-  CroupierShuffleReq m;
-  (void)r.u8();  // type tag
-  m.sender = pss::decode_descriptor(r);
-  m.pub = pss::decode_descriptors(r);
-  m.pri = pss::decode_descriptors(r);
-  m.estimates = decode_estimates(r);
-  return m;
-}
-
-void CroupierShuffleRes::encode(wire::Writer& w) const {
-  w.u8(type());
-  pss::encode(w, pub);
-  pss::encode(w, pri);
-  core::encode(w, estimates);
-}
-
-CroupierShuffleRes CroupierShuffleRes::decode(wire::Reader& r) {
-  CroupierShuffleRes m;
-  (void)r.u8();
-  m.pub = pss::decode_descriptors(r);
-  m.pri = pss::decode_descriptors(r);
-  m.estimates = decode_estimates(r);
-  return m;
-}
-
 Croupier::Croupier(Context ctx, CroupierConfig cfg)
     : PeerSampler(std::move(ctx)),
       cfg_(cfg),

@@ -46,35 +46,40 @@ struct CroupierConfig {
 constexpr std::uint8_t kCroupierShuffleReq = 0x10;
 constexpr std::uint8_t kCroupierShuffleRes = 0x11;
 
-struct CroupierShuffleReq final : net::Message {
+struct CroupierShuffleReq final
+    : net::WireMessage<CroupierShuffleReq, kCroupierShuffleReq> {
   pss::NodeDescriptor sender;             // fresh self-descriptor of p
   std::vector<pss::NodeDescriptor> pub;   // random subset of view_u
   std::vector<pss::NodeDescriptor> pri;   // random subset of view_v
   std::vector<EstimateEntry> estimates;   // bounded subset of M_p (+E_p)
 
-  [[nodiscard]] std::uint8_t type() const override {
-    return kCroupierShuffleReq;
-  }
   [[nodiscard]] const char* name() const override {
     return "croupier.shuffle_req";
   }
-  void encode(wire::Writer& w) const override;
-  static CroupierShuffleReq decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, CroupierShuffleReq> m) {
+    layout(io, m.sender);
+    layout(io, m.pub);
+    layout(io, m.pri);
+    layout(io, m.estimates);
+  }
 };
 
-struct CroupierShuffleRes final : net::Message {
+struct CroupierShuffleRes final
+    : net::WireMessage<CroupierShuffleRes, kCroupierShuffleRes> {
   std::vector<pss::NodeDescriptor> pub;
   std::vector<pss::NodeDescriptor> pri;
   std::vector<EstimateEntry> estimates;
 
-  [[nodiscard]] std::uint8_t type() const override {
-    return kCroupierShuffleRes;
-  }
   [[nodiscard]] const char* name() const override {
     return "croupier.shuffle_res";
   }
-  void encode(wire::Writer& w) const override;
-  static CroupierShuffleRes decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, CroupierShuffleRes> m) {
+    layout(io, m.pub);
+    layout(io, m.pri);
+    layout(io, m.estimates);
+  }
 };
 
 class Croupier final : public pss::PeerSampler {

@@ -65,47 +65,6 @@ std::size_t find_origin(std::span<const net::NodeId> origins,
 
 }  // namespace
 
-void encode(wire::Writer& w, const EstimateEntry& e) {
-  // Paper §VI carries 2 B origin ids, enough for every paper-scale
-  // experiment. Worlds past 64Ki publics (the fig3 --mega sweep) escape
-  // through the 0xffff sentinel to a 4 B id; origins below the sentinel
-  // encode byte-identically to the fixed 2 B format.
-  if (e.origin < 0xffff) {
-    w.u16(static_cast<std::uint16_t>(e.origin));
-  } else {
-    w.u16(0xffff);
-    w.u32(e.origin);
-  }
-  w.u8(e.pub_hits);
-  w.u8(e.priv_hits);
-  w.u8(e.age);
-}
-
-EstimateEntry decode_estimate(wire::Reader& r) {
-  EstimateEntry e;
-  e.origin = r.u16();
-  if (e.origin == 0xffff) e.origin = r.u32();
-  e.pub_hits = r.u8();
-  e.priv_hits = r.u8();
-  e.age = r.u8();
-  return e;
-}
-
-void encode(wire::Writer& w, const std::vector<EstimateEntry>& v) {
-  w.list_count(v.size());
-  for (const auto& e : v) encode(w, e);
-}
-
-std::vector<EstimateEntry> decode_estimates(wire::Reader& r) {
-  const std::size_t n = r.u8();
-  std::vector<EstimateEntry> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    out.push_back(decode_estimate(r));
-  }
-  return out;
-}
-
 RatioEstimator::RatioEstimator(net::NodeId self, net::NatType type,
                                EstimatorConfig cfg)
     : self_(self), type_(type), cfg_(cfg) {

@@ -58,10 +58,29 @@ struct EstimateEntry {
 /// Bytes one estimate entry occupies on the wire (paper §VI).
 constexpr std::size_t kEstimateWireBytes = 5;
 
-void encode(wire::Writer& w, const EstimateEntry& e);
-EstimateEntry decode_estimate(wire::Reader& r);
-void encode(wire::Writer& w, const std::vector<EstimateEntry>& v);
-std::vector<EstimateEntry> decode_estimates(wire::Reader& r);
+/// The one layout whose two directions differ, so writer and reader are
+/// written out as a pair. Paper §VI carries 2 B origin ids, enough for
+/// every paper-scale experiment. Worlds past 64Ki publics (the fig3
+/// --mega sweep) escape through the 0xffff sentinel to a 4 B id; origins
+/// below the sentinel encode byte-identically to the fixed 2 B format.
+inline void layout(wire::Writer& w, const EstimateEntry& e) {
+  if (e.origin < 0xffff) {
+    w.u16(static_cast<std::uint16_t>(e.origin));
+  } else {
+    w.u16(0xffff);
+    w.u32(e.origin);
+  }
+  w.u8(e.pub_hits);
+  w.u8(e.priv_hits);
+  w.u8(e.age);
+}
+inline void layout(wire::Reader& r, EstimateEntry& e) {
+  e.origin = r.u16();
+  if (e.origin == 0xffff) e.origin = r.u32();
+  e.pub_hits = r.u8();
+  e.priv_hits = r.u8();
+  e.age = r.u8();
+}
 
 struct EstimatorConfig {
   std::size_t local_history = 25;      // α: rounds of own hit counts kept

@@ -7,54 +7,6 @@
 
 namespace croupier::natid {
 
-void MatchingIpTest::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.list_count(probed.size());
-  for (net::NodeId id : probed) {
-    w.u32(id);
-    w.u16(0x2710);
-  }
-}
-
-MatchingIpTest MatchingIpTest::decode(wire::Reader& r) {
-  MatchingIpTest m;
-  (void)r.u8();
-  const std::size_t n = r.u8();
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    m.probed.push_back(r.u32());
-    (void)r.u16();
-  }
-  return m;
-}
-
-void ForwardTest::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(client);
-  w.u16(0x2710);
-  w.u32(observed_ip.v);
-}
-
-ForwardTest ForwardTest::decode(wire::Reader& r) {
-  ForwardTest m;
-  (void)r.u8();
-  m.client = r.u32();
-  (void)r.u16();
-  m.observed_ip = net::IpAddr{r.u32()};
-  return m;
-}
-
-void ForwardResp::encode(wire::Writer& w) const {
-  w.u8(type());
-  w.u32(observed_ip.v);
-}
-
-ForwardResp ForwardResp::decode(wire::Reader& r) {
-  ForwardResp m;
-  (void)r.u8();
-  m.observed_ip = net::IpAddr{r.u32()};
-  return m;
-}
-
 bool NatIdResponder::on_message(net::NodeId from, const net::Message& msg) {
   switch (msg.type()) {
     case kMatchingIpTest: {

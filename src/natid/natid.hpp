@@ -43,41 +43,46 @@ constexpr bool is_natid_message(std::uint8_t tag) {
   return tag >= kMatchingIpTest && tag <= kForwardResp;
 }
 
-struct MatchingIpTest final : net::Message {
+struct MatchingIpTest final
+    : net::WireMessage<MatchingIpTest, kMatchingIpTest> {
   /// The public nodes the client is probing in parallel; the responder
   /// must pick a forwarder outside this set (paper: the client's NAT may
   /// hold mappings toward probed nodes, which would fake a pass).
   std::vector<net::NodeId> probed;
 
-  [[nodiscard]] std::uint8_t type() const override { return kMatchingIpTest; }
   [[nodiscard]] const char* name() const override {
     return "natid.matching_ip_test";
   }
-  void encode(wire::Writer& w) const override;
-  static MatchingIpTest decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, MatchingIpTest> m) {
+    wire::list(io, m.probed, wire::endpoint<IO>);
+  }
 };
 
-struct ForwardTest final : net::Message {
+struct ForwardTest final : net::WireMessage<ForwardTest, kForwardTest> {
   net::NodeId client = net::kNilNode;
   net::IpAddr observed_ip;  // source address the first node saw
 
-  [[nodiscard]] std::uint8_t type() const override { return kForwardTest; }
   [[nodiscard]] const char* name() const override {
     return "natid.forward_test";
   }
-  void encode(wire::Writer& w) const override;
-  static ForwardTest decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, ForwardTest> m) {
+    wire::endpoint(io, m.client);
+    layout(io, m.observed_ip.v);
+  }
 };
 
-struct ForwardResp final : net::Message {
+struct ForwardResp final : net::WireMessage<ForwardResp, kForwardResp> {
   net::IpAddr observed_ip;
 
-  [[nodiscard]] std::uint8_t type() const override { return kForwardResp; }
   [[nodiscard]] const char* name() const override {
     return "natid.forward_resp";
   }
-  void encode(wire::Writer& w) const override;
-  static ForwardResp decode(wire::Reader& r);
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, ForwardResp> m) {
+    layout(io, m.observed_ip.v);
+  }
 };
 
 /// Responder role: runs on every public node; stateless.

@@ -124,6 +124,11 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   // Serialization cost is charged here so it runs on the worker when the
   // parallel engine is active.
   const std::size_t wire_bytes = msg->wire_size();
+#if defined(CROUPIER_CONFLICT_CHECK)
+  // Checked builds put every decoder on a live path: each message sent
+  // must decode from its own bytes and encode back to them.
+  msg->check_round_trip();
+#endif
 
   // The sender's own gateway opens/refreshes a mapping toward `to`
   // regardless of whether the packet ultimately arrives. The box belongs

@@ -7,26 +7,6 @@
 
 namespace croupier::net {
 
-void FragmentHeader::encode(wire::Writer& w) const {
-  w.u64(msg_id);
-  w.u16(index);
-  w.u16(count);
-  w.u16(source);
-  w.u16(payload_len);
-  w.u32(total_len);
-}
-
-FragmentHeader FragmentHeader::decode(wire::Reader& r) {
-  FragmentHeader h;
-  h.msg_id = r.u64();
-  h.index = r.u16();
-  h.count = r.u16();
-  h.source = r.u16();
-  h.payload_len = r.u16();
-  h.total_len = r.u32();
-  return h;
-}
-
 Fragmenter::Fragmenter(const PacketConfig& cfg) : cfg_(cfg) {
   if (cfg_.mtu > 0) {
     CROUPIER_ASSERT_MSG(cfg_.mtu > kFragmentHeaderBytes,

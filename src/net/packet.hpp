@@ -80,10 +80,18 @@ struct FragmentHeader {
   std::uint16_t payload_len = 0;
   std::uint32_t total_len = 0;
 
-  void encode(wire::Writer& w) const;
-  /// Zeroed header with r.ok() == false on truncated input (the Reader
-  /// latches; callers check once).
-  static FragmentHeader decode(wire::Reader& r);
+  /// The frame, field for field as the table at the top of this file
+  /// lists it. Read from truncated input, the fields past the cut stay
+  /// zero and r.ok() is false (the Reader latches; callers check once).
+  template <typename IO>
+  friend void layout(IO& io, wire::Field<IO, FragmentHeader> h) {
+    layout(io, h.msg_id);
+    layout(io, h.index);
+    layout(io, h.count);
+    layout(io, h.source);
+    layout(io, h.payload_len);
+    layout(io, h.total_len);
+  }
 
   friend bool operator==(const FragmentHeader&,
                          const FragmentHeader&) = default;

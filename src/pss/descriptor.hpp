@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/address.hpp"
 #include "wire/wire.hpp"
@@ -40,10 +39,20 @@ struct NodeDescriptor {
 /// Bytes one descriptor occupies on the wire.
 constexpr std::size_t kDescriptorWireBytes = 8;
 
-void encode(wire::Writer& w, const NodeDescriptor& d);
-NodeDescriptor decode_descriptor(wire::Reader& r);
+/// The 8 bytes every descriptor here ships, as a deployment would: the
+/// subject's endpoint (4 B address + 2 B port), 1 B NAT type and 1 B age
+/// saturated at 255. NodeDescriptor, NylonDescriptor and GozarDescriptor
+/// all run it; `D` is the descriptor, const when writing.
+template <typename IO, typename D>
+void descriptor_layout(IO& io, D& d) {
+  wire::endpoint(io, d.id);
+  layout(io, d.nat_type);
+  wire::saturated_age(io, d.age);
+}
 
-void encode(wire::Writer& w, const std::vector<NodeDescriptor>& v);
-std::vector<NodeDescriptor> decode_descriptors(wire::Reader& r);
+template <typename IO>
+void layout(IO& io, wire::Field<IO, NodeDescriptor> d) {
+  descriptor_layout(io, d);
+}
 
 }  // namespace croupier::pss

@@ -20,6 +20,7 @@ struct JoinState {
   net::NatConfig nat;
   sim::Duration mean;  // exponential mean; 0 => fixed interval
   sim::Duration fixed;
+  bool seeded;
   std::uint64_t spawned = 0;
 };
 
@@ -31,7 +32,11 @@ using detail::JoinState;
 
 void join_step(World& world, const std::shared_ptr<JoinState>& st) {
   --st->remaining;
-  world.spawn(st->nat);
+  if (st->seeded) {
+    world.spawn_seeded(st->nat);
+  } else {
+    world.spawn(st->nat);
+  }
   ++st->spawned;
   if (st->remaining == 0) return;
   const sim::Duration gap =
@@ -73,26 +78,27 @@ std::uint64_t kill_uniform(World& world, double fraction) {
 
 JoinProcess::JoinProcess(World& world, std::size_t count,
                          const net::NatConfig& nat, sim::Duration mean,
-                         sim::Duration fixed)
+                         sim::Duration fixed, bool seeded)
     : ScenarioProcess(world),
-      state_(std::make_shared<JoinState>(JoinState{count, nat, mean, fixed})) {
-}
+      state_(std::make_shared<JoinState>(
+          JoinState{count, nat, mean, fixed, seeded})) {}
 
 std::unique_ptr<JoinProcess> JoinProcess::poisson(
     World& world, std::size_t count, const net::NatConfig& nat,
-    sim::Duration mean_interarrival) {
+    sim::Duration mean_interarrival, bool seeded) {
   CROUPIER_ASSERT(mean_interarrival > 0);
   return std::unique_ptr<JoinProcess>(
-      new JoinProcess(world, count, nat, mean_interarrival, 0));
+      new JoinProcess(world, count, nat, mean_interarrival, 0, seeded));
 }
 
 std::unique_ptr<JoinProcess> JoinProcess::fixed(World& world,
                                                 std::size_t count,
                                                 const net::NatConfig& nat,
-                                                sim::Duration interval) {
+                                                sim::Duration interval,
+                                                bool seeded) {
   CROUPIER_ASSERT(interval > 0);
   return std::unique_ptr<JoinProcess>(
-      new JoinProcess(world, count, nat, 0, interval));
+      new JoinProcess(world, count, nat, 0, interval, seeded));
 }
 
 void JoinProcess::start(sim::SimTime at) {

@@ -73,24 +73,29 @@ class ScenarioProcess {
 };
 
 /// Poisson or fixed-interval join process: `count` nodes join, one per
-/// exponential (mean) or fixed (interval) gap, from start(at) on.
+/// exponential (mean) or fixed (interval) gap, from start(at) on. With
+/// `seeded`, they join through World::spawn_seeded, as the operator seeds
+/// that a world running the NAT-ID protocol needs before any node can
+/// classify itself.
 class JoinProcess final : public ScenarioProcess {
  public:
   /// Exponential inter-arrival times of the given mean.
   static std::unique_ptr<JoinProcess> poisson(World& world, std::size_t count,
                                               const net::NatConfig& nat,
-                                              sim::Duration mean_interarrival);
+                                              sim::Duration mean_interarrival,
+                                              bool seeded = false);
   /// Fixed inter-arrival interval.
   static std::unique_ptr<JoinProcess> fixed(World& world, std::size_t count,
                                             const net::NatConfig& nat,
-                                            sim::Duration interval);
+                                            sim::Duration interval,
+                                            bool seeded = false);
 
   void start(sim::SimTime at) override;
   [[nodiscard]] Stats stats() const override;
 
  private:
   JoinProcess(World& world, std::size_t count, const net::NatConfig& nat,
-              sim::Duration mean, sim::Duration fixed);
+              sim::Duration mean, sim::Duration fixed, bool seeded);
 
   std::shared_ptr<detail::JoinState> state_;
 };

@@ -582,6 +582,9 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
     scenario_.push_back(std::move(process));
   };
 
+  // With the NAT-ID protocol on, the initial publics are operator seeds,
+  // whatever the join kind: the identification protocol needs existing
+  // public responders before any node can classify itself.
   const std::size_t pubs = spec_.publics();
   const std::size_t privs = spec_.privates();
   switch (spec_.join) {
@@ -592,20 +595,17 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
                             : &JoinProcess::fixed;
       if (pubs > 0) {
         arm(join(*world_, pubs, net::NatConfig::open(),
-                 from_ms(spec_.join_public_ms)),
+                 from_ms(spec_.join_public_ms), spec_.natid),
             0);
       }
       if (privs > 0) {
         arm(join(*world_, privs, net::NatConfig::natted(),
-                 from_ms(spec_.join_private_ms)),
+                 from_ms(spec_.join_private_ms), false),
             0);
       }
       break;
     }
     case ExperimentSpec::JoinKind::Instant:
-      // With the NAT-ID protocol on, the initial publics are operator
-      // seeds: the identification protocol needs existing public
-      // responders before any node can classify itself.
       for (std::size_t i = 0; i < pubs; ++i) {
         if (spec_.natid) {
           world_->spawn_seeded(net::NatConfig::open());

@@ -4,6 +4,9 @@
 // handlers prove a cross-shard write and a batched write to shared state
 // actually abort.
 //
+// A message whose decoder disagrees with its encoder aborts the send
+// that carries it: checked builds round-trip every message on the wire.
+//
 // Only compiled when the option is ON (tests/CMakeLists.txt gates the
 // target), so the file may assume the instrumentation exists.
 #include <gtest/gtest.h>
@@ -190,6 +193,47 @@ TEST(ConflictCheckFaultDeathTest, SharedMeterChargeInsideBatchAborts) {
     simulator.run_until(sim::sec(1));
   };
   EXPECT_DEATH(charge_meter_in_batch(), "shared state \\(TrafficMeter\\)");
+}
+
+// ---------------------------------------------------------------------
+// Seeded fault: a message whose reader skips a byte its writer wrote.
+// Checked builds round-trip every message the network sends, so the send
+// itself must abort.
+
+struct LopsidedMsg final : net::WireMessage<LopsidedMsg, 0x7D> {
+  std::uint16_t value = 0x1234;
+
+  [[nodiscard]] const char* name() const override { return "lopsided"; }
+  friend void layout(wire::Writer& w, const LopsidedMsg& m) {
+    layout(w, m.value);
+  }
+  friend void layout(wire::Reader& r, LopsidedMsg& m) {
+    std::uint8_t high = 0;  // one of the two bytes written
+    layout(r, high);
+    m.value = static_cast<std::uint16_t>(high << 8);
+  }
+};
+
+class NullHandler final : public net::MessageHandler {
+ public:
+  void on_message(net::NodeId /*from*/, const net::Message& /*msg*/) override {}
+};
+
+TEST(ConflictCheckFaultDeathTest, AsymmetricLayoutAbortsOnSend) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto send_lopsided = [] {
+    sim::Simulator simulator;
+    net::Network network(simulator,
+                         std::make_unique<net::ConstantLatency>(sim::msec(50)),
+                         sim::RngStream(9));
+    NullHandler h1;
+    NullHandler h2;
+    network.attach(1, net::NatConfig{}, h1);
+    network.attach(2, net::NatConfig{}, h2);
+    network.send(1, 2, std::make_shared<LopsidedMsg>());
+  };
+  EXPECT_DEATH(send_lopsided(),
+               "a message's decode does not round-trip its encode");
 }
 
 }  // namespace

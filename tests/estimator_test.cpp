@@ -31,15 +31,16 @@ TEST(EstimateEntry, RatioDefinition) {
 
 TEST(EstimateEntry, WireSizeIsFiveBytes) {
   wire::Writer w;
-  encode(w, EstimateEntry{7, 10, 40, 3});
+  layout(w, EstimateEntry{7, 10, 40, 3});
   EXPECT_EQ(w.size(), kEstimateWireBytes);
 }
 
 TEST(EstimateEntry, RoundTripSmallCounts) {
   wire::Writer w;
-  encode(w, EstimateEntry{7, 10, 40, 3});
+  layout(w, EstimateEntry{7, 10, 40, 3});
   wire::Reader r(w.data());
-  const auto back = decode_estimate(r);
+  EstimateEntry back;
+  layout(r, back);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back, (EstimateEntry{7, 10, 40, 3}));
 }
@@ -49,15 +50,16 @@ TEST(EstimateEntry, WideOriginEscapesWithoutPerturbingNarrowOnes) {
   // 0xffff sentinel to a 4 B id; anything below the sentinel must keep
   // the paper's fixed 5-byte layout bit-for-bit.
   wire::Writer narrow;
-  encode(narrow, EstimateEntry{0xfffe, 10, 40, 3});
+  layout(narrow, EstimateEntry{0xfffe, 10, 40, 3});
   EXPECT_EQ(narrow.size(), kEstimateWireBytes);
 
   for (const net::NodeId origin : {0xffffu, 0x10000u, 1'000'000u}) {
     wire::Writer w;
-    encode(w, EstimateEntry{origin, 10, 40, 3});
+    layout(w, EstimateEntry{origin, 10, 40, 3});
     EXPECT_EQ(w.size(), kEstimateWireBytes + 4) << origin;
     wire::Reader r(w.data());
-    const auto back = decode_estimate(r);
+    EstimateEntry back;
+    layout(r, back);
     EXPECT_TRUE(r.exhausted()) << origin;
     EXPECT_EQ(back, (EstimateEntry{origin, 10, 40, 3})) << origin;
   }
@@ -66,9 +68,11 @@ TEST(EstimateEntry, WideOriginEscapesWithoutPerturbingNarrowOnes) {
 TEST(EstimateEntry, ListRoundTrip) {
   std::vector<EstimateEntry> v{{1, 2, 8, 0}, {2, 5, 5, 3}};
   wire::Writer w;
-  encode(w, v);
+  layout(w, v);
   wire::Reader r(w.data());
-  EXPECT_EQ(decode_estimates(r), v);
+  std::vector<EstimateEntry> back;
+  layout(r, back);
+  EXPECT_EQ(back, v);
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -278,9 +282,11 @@ TEST(RatioEstimator, SharedEntriesAreTheirWireImage) {
   ASSERT_EQ(shared.size(), EstimatorConfig::kMaxShareLimit);
   for (const EstimateEntry& entry : shared) {
     wire::Writer w;
-    encode(w, entry);
+    layout(w, entry);
     wire::Reader r(w.data());
-    EXPECT_EQ(decode_estimate(r), entry) << "origin " << entry.origin;
+    EstimateEntry back;
+    layout(r, back);
+    EXPECT_EQ(back, entry) << "origin " << entry.origin;
     EXPECT_TRUE(r.exhausted());
   }
   EXPECT_EQ(shared.back(), (EstimateEntry{1, 64, 255, 0}));

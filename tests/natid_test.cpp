@@ -8,6 +8,7 @@
 
 #include "natid/natid.hpp"
 #include "net/latency.hpp"
+#include "runtime/spec.hpp"
 #include "test_util.hpp"
 
 namespace croupier::natid {
@@ -201,6 +202,35 @@ TEST(NatId, WorldIntegrationIdentifiesAllClassesCorrectly) {
   for (net::NodeId id : firewalls) {
     EXPECT_EQ(world.identified_type_of(id), net::NatType::Private) << id;
   }
+}
+
+// Under a Poisson join, as under an instant one, the initial publics are
+// operator seeds. Without them no joiner finds a public responder to
+// probe: every node settles Private, no shuffle is ever sent, and every
+// estimate stays at its fallback.
+TEST(NatId, PoissonJoinSeedsTheInitialPublics) {
+  run::Experiment experiment(
+      run::ExperimentSpec::parse(
+          "protocol=croupier nodes=300 ratio=0.2 natid=1 duration=60"),
+      /*seed=*/1);
+  experiment.run();
+  run::World& world = experiment.world();
+  std::size_t publics = 0;
+  for (const net::NodeId id : world.alive_ids()) {
+    if (world.nat_config_of(id).nat_type() != net::NatType::Public) continue;
+    EXPECT_EQ(world.identified_type_of(id), net::NatType::Public) << id;
+    ++publics;
+  }
+  EXPECT_EQ(publics, 60u);
+
+  // Steady state: the mean avg-error over the last 50 samples.
+  const auto& series = experiment.estimation()->series();
+  ASSERT_GE(series.size(), 50u);
+  double sum = 0.0;
+  for (std::size_t i = series.size() - 50; i < series.size(); ++i) {
+    sum += series[i].sample.avg_error;
+  }
+  EXPECT_LT(sum / 50.0, 0.1);
 }
 
 }  // namespace

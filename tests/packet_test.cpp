@@ -39,11 +39,12 @@ TEST(FragmentHeader, RoundTripsThroughWire) {
   h.total_len = 437;
 
   wire::Writer w;
-  h.encode(w);
+  layout(w, h);
   EXPECT_EQ(w.size(), kFragmentHeaderBytes);
 
   wire::Reader r(w.data());
-  const FragmentHeader back = FragmentHeader::decode(r);
+  FragmentHeader back;
+  layout(r, back);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back, h);
 }
@@ -53,10 +54,11 @@ TEST(FragmentHeader, TruncatedDecodeLatchesReader) {
   h.msg_id = 42;
   h.payload_len = 16;
   wire::Writer w;
-  h.encode(w);
+  layout(w, h);
   // Cut mid-header: decode yields zeros and a latched reader.
   wire::Reader r(w.data().subspan(0, kFragmentHeaderBytes - 3));
-  const FragmentHeader back = FragmentHeader::decode(r);
+  FragmentHeader back;
+  layout(r, back);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(back.total_len, 0u);
 }
@@ -72,11 +74,12 @@ TEST(Reader, CutFragmentPayloadLatches) {
   h.payload_len = 32;
   h.total_len = 64;
   wire::Writer w;
-  h.encode(w);
+  layout(w, h);
   w.bytes(make_payload(20));  // 12 bytes short of payload_len
 
   wire::Reader r(w.data());
-  const FragmentHeader back = FragmentHeader::decode(r);
+  FragmentHeader back;
+  layout(r, back);
   ASSERT_TRUE(r.ok());
   const auto payload = r.bytes(back.payload_len);
   EXPECT_FALSE(r.ok());

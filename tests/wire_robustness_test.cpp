@@ -1,144 +1,149 @@
 // Robustness of every message decoder against truncated or garbage
 // buffers: decoding must never crash or read out of bounds, and the
 // reader must flag the error. (A deployed UDP service decodes hostile
-// bytes; the simulator skips decoding on the hot path, but the decoders
-// are part of the public wire contract and fuzz targets.)
+// bytes; the simulator decodes only in checked builds, where the network
+// round-trips every message it sends, but the decoders are part of the
+// public wire contract and fuzz targets.) The bytes of every message
+// type are pinned, so a layout change cannot pass unnoticed.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
-#include "baselines/arrg.hpp"
-#include "baselines/cyclon.hpp"
-#include "baselines/gozar.hpp"
-#include "baselines/nylon.hpp"
-#include "core/croupier.hpp"
-#include "natid/natid.hpp"
+#include "every_message.hpp"
 #include "sim/rng.hpp"
 
 namespace croupier {
 namespace {
 
-// Encodes a representative instance of each message type.
-std::vector<std::vector<std::byte>> representative_messages() {
-  std::vector<std::vector<std::byte>> out;
-  auto add = [&out](const net::Message& m) {
+using Bytes = std::vector<std::byte>;
+
+/// Decodes one message of type M from `r` and re-encodes it.
+template <typename M>
+Bytes redecode(wire::Reader& r) {
+  const M m = M::decode(r);
+  wire::Writer w;
+  m.encode(w);
+  return std::move(w).take();
+}
+
+struct Representative {
+  std::string name;
+  Bytes bytes;
+  Bytes (*redecode)(wire::Reader&);
+};
+
+// One instance of every message type in src/, encoded, with its decoder,
+// lists `n` entries long. At two entries the second Nylon descriptor's
+// age saturates and the second estimate origin takes the 4 B escape.
+std::vector<Representative> representative_messages(std::size_t n = 2) {
+  std::vector<Representative> out;
+  croupier::testing::for_each_message(n, [&out]<typename M>(const M& m) {
     wire::Writer w;
     m.encode(w);
-    out.push_back(std::move(w).take());
-  };
-
-  core::CroupierShuffleReq creq;
-  creq.sender = pss::NodeDescriptor{1, net::NatType::Private, 0};
-  creq.pub = {{2, net::NatType::Public, 1}, {3, net::NatType::Public, 9}};
-  creq.pri = {{4, net::NatType::Private, 2}};
-  creq.estimates = {{5, 10, 40, 1}, {6, 1, 3, 0}};
-  add(creq);
-  core::CroupierShuffleRes cres;
-  cres.pub = creq.pub;
-  cres.estimates = creq.estimates;
-  add(cres);
-
-  baselines::CyclonShuffleReq cyreq;
-  cyreq.sender = pss::NodeDescriptor{1, net::NatType::Public, 0};
-  cyreq.entries = creq.pub;
-  add(cyreq);
-  baselines::CyclonShuffleRes cyres;
-  cyres.entries = creq.pub;
-  add(cyres);
-
-  baselines::GozarShuffleReq greq;
-  greq.sender = baselines::GozarDescriptor{1, net::NatType::Private, 0, {7, 8}};
-  greq.nonce = 3;
-  greq.entries = {baselines::GozarDescriptor{2, net::NatType::Public, 1, {}}};
-  add(greq);
-  baselines::GozarRelayedReq grel;
-  grel.final_target = 9;
-  grel.inner = greq;
-  add(grel);
-
-  baselines::NylonShuffleReq nreq;
-  nreq.sender = baselines::NylonDescriptor{1, net::NatType::Public, 0, 1};
-  nreq.entries = {baselines::NylonDescriptor{2, net::NatType::Private, 3, 0}};
-  add(nreq);
-  baselines::NylonPunchReq npunch;
-  npunch.initiator = 1;
-  npunch.target = 2;
-  npunch.hops = 5;
-  add(npunch);
-
-  baselines::ArrgShuffleReq areq;
-  areq.sender = pss::NodeDescriptor{1, net::NatType::Public, 0};
-  areq.entries = creq.pub;
-  add(areq);
-
-  natid::MatchingIpTest mt;
-  mt.probed = {1, 2, 3};
-  add(mt);
-  natid::ForwardTest ft;
-  ft.client = 7;
-  ft.observed_ip = net::IpAddr{0x52000007};
-  add(ft);
-  natid::ForwardResp fr;
-  fr.observed_ip = net::IpAddr{0x0a000001};
-  add(fr);
-
+    out.push_back({m.name(), std::move(w).take(), &redecode<M>});
+  });
   return out;
 }
 
-// Decodes buffer `data` as message kind `kind` (mirrors the encoder list
-// above); returns the reader so the test can inspect error state.
-void decode_kind(std::size_t kind, std::span<const std::byte> data,
-                 bool expect_ok) {
-  wire::Reader r(data);
-  switch (kind) {
-    case 0: (void)core::CroupierShuffleReq::decode(r); break;
-    case 1: (void)core::CroupierShuffleRes::decode(r); break;
-    case 2: (void)baselines::CyclonShuffleReq::decode(r); break;
-    case 3: (void)baselines::CyclonShuffleRes::decode(r); break;
-    case 4: (void)baselines::GozarShuffleReq::decode(r); break;
-    case 5: (void)baselines::GozarRelayedReq::decode(r); break;
-    case 6: (void)baselines::NylonShuffleReq::decode(r); break;
-    case 7: (void)baselines::NylonPunchReq::decode(r); break;
-    case 8: (void)baselines::ArrgShuffleReq::decode(r); break;
-    case 9: (void)natid::MatchingIpTest::decode(r); break;
-    case 10: (void)natid::ForwardTest::decode(r); break;
-    case 11: (void)natid::ForwardResp::decode(r); break;
-    default: FAIL() << "unknown kind";
+std::string to_hex(std::span<const std::byte> bytes) {
+  std::string hex;
+  for (const std::byte b : bytes) {
+    char digits[3];
+    std::snprintf(digits, sizeof digits, "%02x", std::to_integer<unsigned>(b));
+    hex += digits;
   }
-  if (expect_ok) {
-    EXPECT_TRUE(r.ok()) << "kind " << kind;
+  return hex;
+}
+
+// Every representative's encoding, byte for byte. Any change to a tag, a
+// field, its width or its order fails here.
+TEST(WireRobustness, BytesArePinned) {
+  const std::map<std::string, std::string> pinned = {
+      {"croupier.shuffle_req",
+       "100000000127100000020000000127100000000000042710016102000000012710"
+       "0000000000042710016102fff000ff07ffff00010ff003fe07"},
+      {"croupier.shuffle_res",
+       "110200000001271000000000000427100161020000000127100000000000042710"
+       "016102fff000ff07ffff00010ff003fe07"},
+      {"cyclon.shuffle_req",
+       "2000000001271000000200000001271000000000000427100161"},
+      {"cyclon.shuffle_res", "210200000001271000000000000427100161"},
+      {"arrg.shuffle_req",
+       "6000000001271000000200000001271000000000000427100161"},
+      {"arrg.shuffle_res", "610200000001271000000000000427100161"},
+      {"gozar.shuffle_req",
+       "30000000082710010303000000642710000000652710000000662710beef020000"
+       "00052710010000000000062710010101000000642710"},
+      {"gozar.shuffle_res",
+       "310000004d271002000000052710010000000000062710010101000000642710"},
+      {"gozar.relayed_req",
+       "320000000c27103000000008271001030300000064271000000065271000000066"
+       "2710beef02000000052710010000000000062710010101000000642710"},
+      {"gozar.relayed_res",
+       "330000000d2710310000004d271002000000052710010000000000062710010101"
+       "000000642710"},
+      {"gozar.ping", "34"},
+      {"gozar.pong", "35"},
+      {"nylon.shuffle_req",
+       "4000000009271001000200000009271001000000000a271001ff"},
+      {"nylon.shuffle_res", "410200000009271001000000000a271001ff"},
+      {"nylon.punch_req", "4200000003271001fffffffe271002"},
+      {"nylon.connect", "43000000082710"},
+      {"nylon.punch_open", "44"},
+      {"nylon.probe", "45"},
+      {"nylon.keepalive", "46"},
+      {"natid.matching_ip_test", "5002000000282710000000292710"},
+      {"natid.forward_test", "5100000006271052000006"},
+      {"natid.forward_resp", "520a000001"},
+  };
+  const auto msgs = representative_messages();
+  EXPECT_EQ(msgs.size(), pinned.size());
+  for (const auto& m : msgs) {
+    const auto it = pinned.find(m.name);
+    ASSERT_NE(it, pinned.end()) << m.name << " has no pinned bytes";
+    EXPECT_EQ(to_hex(m.bytes), it->second) << m.name;
   }
 }
 
+// A full buffer decodes with nothing left over, and what it decodes to
+// encodes to the same bytes, from empty lists to 255 estimates.
 TEST(WireRobustness, FullBuffersDecodeCleanly) {
-  const auto msgs = representative_messages();
-  for (std::size_t kind = 0; kind < msgs.size(); ++kind) {
-    decode_kind(kind, msgs[kind], /*expect_ok=*/true);
+  for (const std::size_t n : {0u, 1u, 2u, 10u, 20u}) {
+    for (const auto& m : representative_messages(n)) {
+      wire::Reader r(m.bytes);
+      const Bytes again = m.redecode(r);
+      EXPECT_TRUE(r.exhausted()) << m.name << ", lists of " << n;
+      EXPECT_EQ(again, m.bytes) << m.name << ", lists of " << n;
+    }
   }
 }
 
 TEST(WireRobustness, EveryTruncationIsSafe) {
-  const auto msgs = representative_messages();
-  for (std::size_t kind = 0; kind < msgs.size(); ++kind) {
-    const auto& full = msgs[kind];
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-      // Must not crash; error state is acceptable (and expected for cuts
-      // that bite into required fields).
-      decode_kind(kind, std::span<const std::byte>(full.data(), cut),
-                  /*expect_ok=*/false);
+  for (const auto& m : representative_messages()) {
+    for (std::size_t cut = 0; cut < m.bytes.size(); ++cut) {
+      // Must not crash; every cut bites into a field the layout reads,
+      // so the reader must be latched.
+      wire::Reader r(std::span<const std::byte>(m.bytes.data(), cut));
+      (void)m.redecode(r);
+      EXPECT_FALSE(r.ok()) << m.name << " cut at " << cut;
     }
   }
 }
 
 TEST(WireRobustness, RandomGarbageIsSafe) {
+  const auto msgs = representative_messages();
   sim::RngStream rng(1234);
   for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::byte> garbage(rng.uniform(64));
+    Bytes garbage(rng.uniform(64));
     for (auto& b : garbage) {
       b = static_cast<std::byte>(rng.uniform(256));
     }
-    for (std::size_t kind = 0; kind < 12; ++kind) {
-      decode_kind(kind, garbage, /*expect_ok=*/false);
+    for (const auto& m : msgs) {
+      wire::Reader r(garbage);
+      (void)m.redecode(r);
     }
   }
 }
@@ -148,9 +153,10 @@ TEST(WireRobustness, LengthPrefixLyingLargeIsSafe) {
   // decoder must stop at the buffer end with the error latched.
   wire::Writer w;
   w.u8(0xff);  // claimed count
-  pss::encode(w, pss::NodeDescriptor{1, net::NatType::Public, 0});
+  layout(w, pss::NodeDescriptor{1, net::NatType::Public, 0});
   wire::Reader r(w.data());
-  const auto decoded = pss::decode_descriptors(r);
+  std::vector<pss::NodeDescriptor> decoded;
+  layout(r, decoded);
   EXPECT_LE(decoded.size(), 2u);
   EXPECT_FALSE(r.ok());
 }

@@ -207,9 +207,11 @@ TEST(RoundTrip, LongestEstimateList) {
         static_cast<std::uint8_t>(rng.uniform(256))});
   }
   Writer w;
-  core::encode(w, list);
+  layout(w, list);
   Reader r(w.data());
-  EXPECT_EQ(core::decode_estimates(r), list);
+  std::vector<core::EstimateEntry> back;
+  layout(r, back);
+  EXPECT_EQ(back, list);
   EXPECT_TRUE(r.exhausted());
 }
 
