@@ -22,6 +22,35 @@ TEST(Contracts, EventQueuePopOnEmptyAborts) {
       "pop\\(\\) on empty queue");
 }
 
+TEST(Contracts, EventQueuePeekOnEmptyAborts) {
+  EXPECT_DEATH(
+      {
+        sim::EventQueue q;
+        (void)q.next_time();
+      },
+      "next_time\\(\\) on empty queue");
+  EXPECT_DEATH(
+      {
+        sim::EventQueue q;
+        q.schedule(5, [] {});
+        q.pop();
+        (void)q.next_affinity();
+      },
+      "next_affinity\\(\\) on empty queue");
+}
+
+TEST(Contracts, EventQueueScheduleBeforeLastPopAborts) {
+  EXPECT_DEATH(
+      {
+        sim::EventQueue q;
+        q.schedule(10, [] {});
+        q.schedule(20, [] {});
+        q.pop();
+        q.schedule(9, [] {});
+      },
+      "schedule\\(\\) before the last popped time");
+}
+
 TEST(Contracts, SchedulingIntoThePastAborts) {
   EXPECT_DEATH(
       {

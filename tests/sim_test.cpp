@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -47,6 +50,103 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(EventQueue, MatchesOrderedSetReference) {
+  // A seeded differential run against a std::set of (time, id): random
+  // schedules, peeks and pops, where every pop must return the set's
+  // first element with its affinity and callback. Episodes start from
+  // different last-popped times, so gaps reach every radix bucket,
+  // times at and past 2^63 included, and each episode drains the queue
+  // to empty and refills it several times.
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  RngStream rng(2826);
+  std::array<std::uint64_t, 65> bucket_hits{};
+  std::uint64_t steps = 0, equal_pops = 0, peek_then_schedule = 0,
+                drains = 0;
+  std::size_t max_size = 0;
+  for (const SimTime start :
+       {SimTime{0}, SimTime{1} << 63, (SimTime{1} << 63) - 5000,
+        kMax - (SimTime{1} << 20), SimTime{123456789}}) {
+    EventQueue q;
+    std::set<std::pair<SimTime, EventId>> ref;
+    std::vector<Affinity> affinity_of{0};  // by id; ids start at 1
+    EventId fired = 0;
+    SimTime last = 0;
+    SimTime prev_pop = 0;
+    auto schedule = [&](SimTime at) {
+      ++bucket_hits[static_cast<std::size_t>(std::bit_width(at ^ last))];
+      const EventId id = affinity_of.size();
+      const Affinity affinity = rng.uniform(4);
+      affinity_of.push_back(affinity);
+      ref.emplace(at, id);
+      q.schedule(at, affinity, [&fired, id] { fired = id; });
+    };
+    auto pop = [&] {
+      ASSERT_FALSE(q.empty());
+      const auto [time, id] = *ref.begin();
+      ref.erase(ref.begin());
+      auto event = q.pop();
+      ASSERT_EQ(event.time, time);
+      ASSERT_EQ(event.id, id);
+      ASSERT_EQ(event.affinity, affinity_of[id]);
+      event.fn();
+      ASSERT_EQ(fired, id);
+      if (time == prev_pop) ++equal_pops;
+      prev_pop = last = time;
+    };
+    schedule(start);
+    pop();
+    for (int i = 0; i < 24000; ++i, ++steps) {
+      ASSERT_EQ(q.size(), ref.size());
+      max_size = std::max(max_size, ref.size());
+      // Phases of 4000 steps alternately grow the queue to hundreds of
+      // events and shrink it.
+      const std::uint64_t schedule_pct = (i / 4000) % 2 == 0 ? 45 : 25;
+      const std::uint64_t dice = rng.uniform(1000) / 10;
+      if (rng.uniform(1000) == 0) {
+        while (!ref.empty()) pop();
+        ASSERT_TRUE(q.empty());
+        ++drains;
+      } else if (dice < schedule_pct) {
+        SimTime gap = 0;  // exactly the last popped time
+        const std::uint64_t kind = rng.uniform(8);
+        if (kind == 1 && !ref.empty()) gap = ref.rbegin()->first - last;
+        if (kind >= 2) {
+          const auto bits = static_cast<unsigned>(1 + rng.uniform(64));
+          gap = rng.next_u64() >> (64 - bits);  // reaches bucket `bits`
+        }
+        schedule(last + std::min(gap, kMax - last));
+      } else if (dice < schedule_pct + 20 && !ref.empty()) {
+        const SimTime head = ref.begin()->first;
+        const Affinity head_affinity = affinity_of[ref.begin()->second];
+        if (rng.chance(0.5)) {
+          ASSERT_EQ(q.next_time(), head);
+          ASSERT_EQ(q.next_affinity(), head_affinity);
+        } else {
+          ASSERT_EQ(q.next_affinity(), head_affinity);
+          ASSERT_EQ(q.next_time(), head);
+        }
+        // The peek saw a later head: schedule between it and the last pop.
+        if (head - last > 1 && rng.chance(0.5)) {
+          schedule(last + 1 + rng.uniform(head - last - 1));
+          ++peek_then_schedule;
+        }
+      } else if (!ref.empty()) {
+        pop();
+      }
+    }
+    while (!ref.empty()) pop();
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_GE(steps, 100000u);
+  for (std::size_t b = 0; b < bucket_hits.size(); ++b) {
+    EXPECT_GT(bucket_hits[b], 0u) << "no schedule reached bucket " << b;
+  }
+  EXPECT_GT(equal_pops, 1000u);
+  EXPECT_GT(peek_then_schedule, 500u);
+  EXPECT_GT(drains, 50u);
+  EXPECT_GT(max_size, 500u);
+}
+
 TEST(Simulator, ClockAdvancesToEventTime) {
   Simulator sim;
   SimTime seen = 0;
@@ -66,6 +166,21 @@ TEST(Simulator, RunUntilExecutesBoundaryEvents) {
   EXPECT_EQ(sim.now(), 100u);
   sim.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, ScheduleBeforeAPeekedHeadFiresFirst) {
+  // run_until(100) pops the event at 100 and stops on the head at 110,
+  // which it only peeked at; the clock then reads 100, and an event
+  // scheduled at 101 must still fire before the head.
+  Simulator sim;
+  std::vector<SimTime> fired;
+  sim.schedule_at(100, [&] { fired.push_back(sim.now()); });
+  sim.schedule_at(110, [&] { fired.push_back(sim.now()); });
+  sim.run_until(100);
+  EXPECT_EQ(fired, (std::vector<SimTime>{100}));
+  sim.schedule_at(101, [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{100, 101, 110}));
 }
 
 TEST(Simulator, RunUntilAdvancesClockWhenIdle) {
@@ -113,7 +228,7 @@ TEST(Simulator, CountsProcessedEvents) {
 TEST(Simulator, FiresByTimeThenScheduleOrderUnderHeavyTies) {
   // Thousands of events on 40 timestamps, so most share one, plus about
   // as many again scheduled from inside callbacks (a third of those at
-  // zero delay). Whatever the heap does, the firing order must be a
+  // zero delay). Whatever the queue does, the firing order must be a
   // stable sort of everything scheduled by time.
   Simulator sim;
   RngStream rng(2024);
