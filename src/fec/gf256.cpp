@@ -10,7 +10,7 @@ namespace {
 
 struct Tables {
   std::array<std::uint8_t, 256> log{};
-  std::array<std::uint8_t, 512> exp{};  // doubled so mul skips a mod 255
+  std::array<std::uint8_t, 512> exp{};  // doubled so a log sum skips a mod 255
 };
 
 constexpr Tables build_tables() {
@@ -32,12 +32,36 @@ constexpr Tables build_tables() {
 
 constexpr Tables kTables = build_tables();
 
+/// Row c holds c * b for every b, so a row kernel multiplies each byte
+/// with one lookup into a single 256-byte row.
+using ProductRow = std::array<std::uint8_t, 256>;
+
+constexpr std::array<ProductRow, 256> build_products() {
+  std::array<ProductRow, 256> p{};  // row 0 and column 0 stay zero
+  // The 65,025 inner steps go through raw pointers, taken outside the
+  // loop that runs them, so they make no function call: a compiler's
+  // constant evaluator counts every statement of every call against its
+  // step limit (clang's default is 2^20 steps).
+  const std::uint8_t* log = kTables.log.data();
+  const std::uint8_t* exp = kTables.exp.data();
+  for (std::size_t a = 1; a < 256; ++a) {
+    std::uint8_t* row = p[a].data();
+    const std::size_t log_a = log[a];
+    for (std::size_t b = 1; b < 256; ++b) {
+      row[b] = exp[log_a + static_cast<std::size_t>(log[b])];
+    }
+  }
+  return p;
+}
+
+/// 64 KiB, built by the compiler into read-only data: a run that never
+/// codes a fragment never faults its pages in.
+constexpr std::array<ProductRow, 256> kProducts = build_products();
+
 }  // namespace
 
 std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  return kTables.exp[static_cast<std::size_t>(kTables.log[a]) +
-                     static_cast<std::size_t>(kTables.log[b])];
+  return kProducts[a][b];
 }
 
 std::uint8_t gf_inv(std::uint8_t a) {
@@ -47,31 +71,22 @@ std::uint8_t gf_inv(std::uint8_t a) {
 
 void gf_mul_add(std::byte* dst, const std::byte* src, std::size_t len,
                 std::uint8_t coeff) {
-  if (coeff == 0) return;
-  if (coeff == 1) {
+  if (coeff == 1) {  // a plain XOR, which the compiler vectorizes
     for (std::size_t i = 0; i < len; ++i) dst[i] ^= src[i];
     return;
   }
-  const std::size_t log_c = kTables.log[coeff];
+  const ProductRow& row = kProducts[coeff];
   for (std::size_t i = 0; i < len; ++i) {
-    const auto s = static_cast<std::uint8_t>(src[i]);
-    if (s == 0) continue;
-    dst[i] ^= static_cast<std::byte>(
-        kTables.exp[log_c + static_cast<std::size_t>(kTables.log[s])]);
+    dst[i] ^= std::byte{row[std::to_integer<std::uint8_t>(src[i])]};
   }
 }
 
 void gf_scale(std::byte* dst, std::size_t len, std::uint8_t coeff) {
-  if (coeff == 1) return;
+  if (coeff == 1) return;  // every source row's pivot in the decoder
   CROUPIER_ASSERT(coeff != 0);
-  const std::size_t log_c = kTables.log[coeff];
+  const ProductRow& row = kProducts[coeff];
   for (std::size_t i = 0; i < len; ++i) {
-    const auto d = static_cast<std::uint8_t>(dst[i]);
-    dst[i] = d == 0 ? std::byte{0}
-                    : static_cast<std::byte>(
-                          kTables.exp[log_c +
-                                      static_cast<std::size_t>(
-                                          kTables.log[d])]);
+    dst[i] = std::byte{row[std::to_integer<std::uint8_t>(dst[i])]};
   }
 }
 

@@ -1,12 +1,14 @@
 // GF(2^8) arithmetic for the rateless erasure codec (fec/rateless).
 //
 // The field is GF(256) with the AES reduction polynomial x^8 + x^4 +
-// x^3 + x + 1 (0x11b). Multiplication and inversion go through
-// compile-time log/exp tables over the generator 0x03, so every
-// operation is a pure table lookup — no data-dependent branching, no
-// floating point, nothing the determinism contract has to worry about.
-// Addition in GF(2^8) is XOR, which is why "XOR parity" is the k=1
-// special case of the same codec.
+// x^3 + x + 1 (0x11b). All tables are built at compile time: log/exp
+// tables over the generator 0x03 give inversion, and a 256 x 256
+// product table derived from them gives multiplication. gf_mul and the
+// row kernels read one product per byte from it, so they never branch
+// on a byte's value; only a row coefficient of 1 takes another path, a
+// plain XOR or nothing. No floating point, nothing the determinism
+// contract has to worry about. Addition in GF(2^8) is XOR, which is why
+// "XOR parity" is the k=1 special case of the same codec.
 #pragma once
 
 #include <cstddef>

@@ -109,6 +109,11 @@ class KingLatencyModel final : public LatencyModel {
 
   explicit KingLatencyModel(std::uint64_t seed, Params params = {});
 
+  /// base_latency(from, to) plus this packet's jitter. The network's
+  /// serial half calls it once per datagram, and for a fragmented
+  /// message once per fragment back to back, so the last ordered pair
+  /// priced is remembered: a message's fragments pay for one base
+  /// latency. The memo changes no value and no RNG draw.
   sim::Duration sample(NodeId from, NodeId to, sim::RngStream& rng) override;
   [[nodiscard]] sim::Duration min_latency() const override {
     return params_.min_latency;
@@ -118,8 +123,16 @@ class KingLatencyModel final : public LatencyModel {
   [[nodiscard]] sim::Duration base_latency(NodeId a, NodeId b) const override;
 
  private:
+  /// A pair sample() priced, with its base latency.
+  struct PricedPair {
+    NodeId from;
+    NodeId to;
+    sim::Duration base;
+  };
+
   std::uint64_t seed_;
   Params params_;
+  PricedPair last_;  // primed with a priced pair, so it never answers unpriced
 };
 
 }  // namespace croupier::net

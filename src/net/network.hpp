@@ -12,7 +12,7 @@
 // message larger than the MTU is encoded once into one buffer holding its
 // source chunks and FEC repair rows (optional), shared read-only by the
 // delivery events of its framed fragments. Each fragment is its own
-// datagram — its own loss die, latency sample and byte charge. Each
+// datagram — its own loss die, latency jitter and byte charge. Each
 // receiver keeps its reassembly entries in a vector sorted by msg_id; an
 // entry frees its working state when its message completes and is erased
 // by one deterministic GC event, armed at its first fragment. A

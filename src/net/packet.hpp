@@ -5,10 +5,10 @@
 // identical to every pre-packet run. With a positive MTU, a message
 // whose wire size exceeds it is split into k = ceil(size / (mtu -
 // header)) framed fragments, each riding its own datagram: its own loss
-// die, its own latency sample, its own byte charge. Optionally
-// (PacketConfig::fec_*) the sender appends rateless repair fragments
-// (fec/rateless) so the receiver can reconstruct from any k of the
-// k + r sent.
+// die, its own jitter on the pair's base latency, its own byte charge.
+// Optionally (PacketConfig::fec_*) the sender appends rateless repair
+// fragments (fec/rateless) so the receiver can reconstruct from any k of
+// the k + r sent.
 //
 // Fragment frame (kFragmentHeaderBytes = 20, big-endian, on top of each
 // datagram payload):

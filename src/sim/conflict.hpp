@@ -22,7 +22,8 @@
 //     (detached test fixtures) and is never checked.
 //   - record_shared_write(): state shared by every node — the traffic
 //     meter, the Network's send pipeline (message ids, token buckets,
-//     the loss/latency RNG), the node tables and the bootstrap registry.
+//     the loss/latency RNG, the latency model's last priced pair), the
+//     node tables and the bootstrap registry.
 //     Any write from inside a batched event aborts: such state may only
 //     change in serial events or in defer() effects at the merge.
 //

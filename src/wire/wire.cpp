@@ -2,21 +2,6 @@
 
 namespace croupier::wire {
 
-void Writer::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v >> 8));
-  u8(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v >> 16));
-  u16(static_cast<std::uint16_t>(v));
-}
-
-void Writer::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
-
 void Writer::bytes(std::span<const std::byte> data) {
   if (counting_) {
     counted_ += data.size();

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>  // C++20 (as is the defaulted operator== in net/address.hpp);
@@ -60,9 +61,9 @@ class Writer {
       buf_.push_back(static_cast<std::byte>(v));
     }
   }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void bytes(std::span<const std::byte> data);
 
   [[nodiscard]] std::size_t size() const {
@@ -80,6 +81,21 @@ class Writer {
   }
 
  private:
+  /// A fixed-width integer, big-endian: counted in one step, or appended
+  /// with one insert.
+  template <typename T>
+  void put(T v) {
+    if (counting_) {
+      counted_ += sizeof(T);
+      return;
+    }
+    std::array<std::byte, sizeof(T)> be{};
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      be[i] = static_cast<std::byte>(v >> (8 * (sizeof(T) - 1 - i)));
+    }
+    buf_.insert(buf_.end(), be.begin(), be.end());
+  }
+
   std::vector<std::byte> buf_;
   std::size_t counted_ = 0;
   bool counting_ = false;

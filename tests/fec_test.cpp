@@ -1,5 +1,8 @@
-// Rateless GF(256) erasure codec tests: field arithmetic, the Cauchy
-// k-of-n recovery guarantee, and clean failure below k fragments.
+// Rateless GF(256) erasure codec tests: field arithmetic (every product
+// and every row-kernel coefficient), the Cauchy k-of-n recovery
+// guarantee (every k-subset for k <= 8, seeded loss and arrival order up
+// to k = 128, one k = 200 round trip), and clean failure below k
+// fragments.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 
 #include "fec/gf256.hpp"
 #include "fec/rateless.hpp"
+#include "sim/rng.hpp"
 
 namespace croupier::fec {
 namespace {
@@ -49,6 +53,60 @@ TEST(Gf256, AesFieldSpotChecks) {
   EXPECT_EQ(gf_inv(0x53), 0xCA);
   // Generator: 0x03 * 0x03 = 0x05 (x+1 squared = x^2+1, no reduction).
   EXPECT_EQ(gf_mul(0x03, 0x03), 0x05);
+}
+
+/// a * b by shift and XOR, reduced by 0x11b whenever the degree-8 bit
+/// appears: the field's definition, independent of every table.
+std::uint8_t shift_and_reduce_mul(std::uint8_t a, std::uint8_t b) {
+  std::uint32_t product = 0;
+  std::uint32_t x = a;
+  for (std::uint32_t bits = b; bits != 0; bits >>= 1) {
+    if ((bits & 1u) != 0) product ^= x;
+    x <<= 1;
+    if ((x & 0x100u) != 0) x ^= 0x11bu;
+  }
+  return static_cast<std::uint8_t>(product);
+}
+
+TEST(Gf256, ProductTableMatchesShiftAndReduce) {
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      const auto x = static_cast<std::uint8_t>(a);
+      const auto y = static_cast<std::uint8_t>(b);
+      ASSERT_EQ(gf_mul(x, y), shift_and_reduce_mul(x, y))
+          << "a=" << a << " b=" << b;
+    }
+  }
+  // The row kernels against a bytewise reference, for every coefficient,
+  // over buffers that each hold all 256 byte values (dst in another
+  // order). Bytes past `len` must stay as they were.
+  std::vector<std::byte> src(256);
+  std::vector<std::byte> start(256);
+  for (std::size_t i = 0; i < 256; ++i) {
+    src[i] = static_cast<std::byte>(i);
+    start[i] = static_cast<std::byte>(i * 7 + 3);
+  }
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1},
+                                std::size_t{255}, std::size_t{256}}) {
+    for (int c = 0; c < 256; ++c) {
+      const auto coeff = static_cast<std::uint8_t>(c);
+      auto added = start;
+      gf_mul_add(added.data(), src.data(), len, coeff);
+      auto scaled = start;
+      if (coeff != 0) gf_scale(scaled.data(), len, coeff);  // 0 asserts
+      for (std::size_t i = 0; i < 256; ++i) {
+        const auto d = std::to_integer<std::uint8_t>(start[i]);
+        const auto s = std::to_integer<std::uint8_t>(src[i]);
+        const bool in_row = i < len;
+        ASSERT_EQ(std::to_integer<std::uint8_t>(added[i]),
+                  in_row ? gf_add(d, shift_and_reduce_mul(coeff, s)) : d)
+            << "gf_mul_add len=" << len << " coeff=" << c << " i=" << i;
+        ASSERT_EQ(std::to_integer<std::uint8_t>(scaled[i]),
+                  in_row && coeff != 0 ? shift_and_reduce_mul(coeff, d) : d)
+            << "gf_scale len=" << len << " coeff=" << c << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Gf256, MulAddIsRowOperation) {
@@ -167,10 +225,12 @@ Decoder decoder_for(std::size_t k,
   return dec;
 }
 
-/// The decoded buffer is the message followed by zero padding.
+/// The decoded buffer is the message followed by zero padding, k chunks
+/// of chunk_len bytes in all.
 bool decodes_to(std::span<const std::byte> out,
-                const std::vector<std::byte>& msg, std::size_t k) {
-  return out.size() == k * kSweepChunk &&
+                const std::vector<std::byte>& msg, std::size_t k,
+                std::size_t chunk_len) {
+  return out.size() == k * chunk_len &&
          std::equal(msg.begin(), msg.end(), out.begin()) &&
          std::all_of(out.begin() + static_cast<std::ptrdiff_t>(msg.size()),
                      out.end(), [](std::byte b) { return b == std::byte{0}; });
@@ -183,7 +243,7 @@ TEST(Rateless, DecodesFromAnyKOfNMixes) {
       if (std::popcount(mask) != static_cast<int>(k)) continue;
       Decoder dec = decoder_for(k, rows, mask);
       ASSERT_TRUE(dec.ready());
-      ASSERT_TRUE(decodes_to(dec.decode(), msg, k))
+      ASSERT_TRUE(decodes_to(dec.decode(), msg, k, kSweepChunk))
           << "k=" << k << " n=" << rows.size() << " len=" << msg.size()
           << " mask=" << mask;
     }
@@ -202,7 +262,7 @@ TEST(Rateless, FailsCleanlyBelowK) {
       ASSERT_TRUE(dec.decode().empty());
       const auto next = static_cast<std::size_t>(std::countr_one(mask));
       EXPECT_TRUE(dec.add(next, rows[next]));
-      ASSERT_TRUE(decodes_to(dec.decode(), msg, k))
+      ASSERT_TRUE(decodes_to(dec.decode(), msg, k, kSweepChunk))
           << "k=" << k << " n=" << rows.size() << " len=" << msg.size()
           << " mask=" << mask << " next=" << next;
     }
@@ -268,6 +328,49 @@ TEST(Rateless, RepeatedDecodeReturnsTheSameView) {
   EXPECT_EQ(first.data(), second.data());
   EXPECT_EQ(second.size(), first.size());
   EXPECT_TRUE(std::equal(first.begin(), first.end(), msg.begin()));
+}
+
+TEST(Rateless, SeededSweepOfLargerGeometries) {
+  // wh256's unit-test sweep, for the geometries the k <= 8 sweep above
+  // never reaches: each message length, split into every k up to
+  // min(length, 128) chunks of ceil(length / k) bytes (so a tail chunk
+  // may be short or empty), plus two repair rows. A seeded loss of up to
+  // two fragments and a seeded arrival order pick which k rows the
+  // decoder keeps.
+  constexpr std::size_t kRepairs = 2;
+  sim::RngStream rng(1);
+  for (const std::size_t len : {1, 2, 3, 4, 5, 28, 29, 30, 31, 32, 128,
+                                1037}) {
+    std::vector<std::byte> msg(len);
+    for (auto& b : msg) b = static_cast<std::byte>(rng.next_u64());
+    for (std::size_t k = 1; k <= std::min<std::size_t>(len, 128); ++k) {
+      const std::size_t chunk_len = (len + k - 1) / k;
+      std::vector<std::vector<std::byte>> rows;
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t begin = std::min(i * chunk_len, len);
+        const std::size_t end = std::min(begin + chunk_len, len);
+        rows.emplace_back(msg.begin() + static_cast<std::ptrdiff_t>(begin),
+                          msg.begin() + static_cast<std::ptrdiff_t>(end));
+      }
+      for (std::size_t j = 0; j < kRepairs; ++j) {
+        rows.push_back(repair_row(msg, k, chunk_len, j));
+      }
+      std::vector<std::size_t> arrivals(rows.size());
+      for (std::size_t i = 0; i < arrivals.size(); ++i) arrivals[i] = i;
+      rng.shuffle(std::span<std::size_t>(arrivals));
+      arrivals.resize(arrivals.size() - rng.index(kRepairs + 1));  // lost
+
+      Decoder dec(k, chunk_len);
+      for (const std::size_t index : arrivals) {
+        const bool wanted = !dec.ready();
+        ASSERT_EQ(dec.add(index, rows[index]), wanted)
+            << "len=" << len << " k=" << k << " index=" << index;
+      }
+      ASSERT_TRUE(dec.ready()) << "len=" << len << " k=" << k;
+      ASSERT_TRUE(decodes_to(dec.decode(), msg, k, chunk_len))
+          << "len=" << len << " k=" << k;
+    }
+  }
 }
 
 TEST(Rateless, LargeKRoundTrip) {

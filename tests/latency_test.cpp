@@ -1,8 +1,10 @@
 // Latency model tests: determinism, symmetry, distribution shape of the
-// synthetic King-like model.
+// synthetic King-like model, and that its last-pair memo changes no
+// answer and no draw.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "net/latency.hpp"
@@ -100,6 +102,64 @@ TEST(KingLatency, ZeroJitterReturnsBaseExactly) {
   KingLatencyModel m(3, p);
   sim::RngStream rng(4);
   EXPECT_EQ(m.sample(10, 20, rng), m.base_latency(10, 20));
+}
+
+/// True when two streams are in the same state: their next draws agree.
+bool same_state(sim::RngStream a, sim::RngStream b) {
+  for (int i = 0; i < 4; ++i) {
+    if (a.next_u64() != b.next_u64()) return false;
+  }
+  return true;
+}
+
+/// A seeded sequence of n (from, to) calls for a last-pair memo: after
+/// the opening (kNilNode, kNilNode), each call repeats the last pair,
+/// reverses it, returns to the pair before it, or is a self pair or a
+/// fresh pair over 16 ids and kNilNode.
+std::vector<std::pair<NodeId, NodeId>> call_history(std::size_t n) {
+  sim::RngStream pick(29);
+  const auto any_node = [&pick] {
+    const auto id = static_cast<NodeId>(pick.index(17));
+    return id == 16 ? kNilNode : id;
+  };
+  std::vector<std::pair<NodeId, NodeId>> calls = {{kNilNode, kNilNode}};
+  while (calls.size() < n) {
+    const auto [from, to] = calls.back();
+    const auto before_last = calls[calls.size() > 1 ? calls.size() - 2 : 0];
+    const NodeId id = any_node();
+    switch (pick.index(5)) {
+      case 0: calls.emplace_back(from, to); break;
+      case 1: calls.emplace_back(to, from); break;
+      case 2: calls.push_back(before_last); break;
+      case 3: calls.emplace_back(id, id); break;
+      default: calls.emplace_back(id, any_node()); break;
+    }
+  }
+  return calls;
+}
+
+TEST(KingLatency, SampleIgnoresCallHistory) {
+  // sample() remembers the last pair it priced. Call for call, it must
+  // answer what a fresh model answers from a copy of the stream, and
+  // leave both streams in the same state.
+  const auto calls = call_history(3000);
+  for (const double jitter : {0.1, 0.0}) {
+    KingLatencyModel::Params p;
+    p.jitter_fraction = jitter;
+    KingLatencyModel m(41, p);
+    sim::RngStream rng(5);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const auto [from, to] = calls[i];
+      KingLatencyModel fresh(41, p);
+      sim::RngStream fresh_rng = rng;
+      const sim::Duration expected = fresh.sample(from, to, fresh_rng);
+      ASSERT_EQ(m.sample(from, to, rng), expected)
+          << "jitter=" << jitter << " call " << i << " (" << from << ", "
+          << to << ")";
+      ASSERT_TRUE(same_state(rng, fresh_rng))
+          << "jitter=" << jitter << " call " << i;
+    }
+  }
 }
 
 TEST(KingLatency, SelfLatencyIsMinimal) {
