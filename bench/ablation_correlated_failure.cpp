@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
       {"gozar", "gozar"},
   };
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: correlated failure cohorts vs uniform; %zu nodes, "
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
   const std::size_t points =
       std::size(fail_levels) * std::size(systems) * std::size(modes);
   const auto grid = bench::run_trial_grid(
-      pool, args, points, [&](std::size_t p, std::uint64_t seed) {
+      args, points, [&](std::size_t p, std::uint64_t seed) {
         const int level =
             fail_levels[p / (std::size(systems) * std::size(modes))];
         const System& system =
@@ -125,13 +124,10 @@ int main(int argc, char** argv) {
           exp::Accum acc;
           for (const auto& res : cell(li, si, mi)) acc.add(pick(res));
           line += exp::strf(" %10.3f", acc.mean());
-          const std::string block = exp::strf(
-              "corr-failure=%d %s %s", fail_levels[li], systems[si].name,
-              what);
-          sink.value(block, modes[mi].name, acc.mean());
-          if (args.runs > 1) {
-            sink.spread(block, modes[mi].name, acc.stddev());
-          }
+          bench::emit_value(sink,
+                            exp::strf("corr-failure=%d %s %s", fail_levels[li],
+                                      systems[si].name, what),
+                            modes[mi].name, acc);
         }
         sink.raw(line);
       }

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   const auto window = sim::sec(60);
   const std::size_t limits[] = {1, 2, 5, 10, 20};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: estimate share limit (paper: 10); %zu nodes, %zu run(s)",
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
                      "max-err", "pub-load(B/s)", "priv-load(B/s)"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(limits), [&](std::size_t p, std::uint64_t seed) {
+      args, std::size(limits), [&](std::size_t p, std::uint64_t seed) {
         run::Experiment experiment(
             {.protocol = exp::strf("croupier:alpha=25,gamma=50,"
                                    "share_limit=%zu",

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   const auto window = sim::sec(60);
   const std::size_t redundancies[] = {1, 2, 3};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: Gozar relay redundancy; %zu nodes, 80%% private, "
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
                      "priv-load(B/s)", "cluster@80%fail"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(redundancies),
+      args, std::size(redundancies),
       [&](std::size_t p, std::uint64_t seed) {
         run::Experiment experiment(
             {.protocol = exp::strf("gozar:redundancy=%zu", redundancies[p]),

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   const double duration = args.fast ? 100 : 200;
   const double losses[] = {0.0, 0.01, 0.05, 0.10, 0.20};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: uniform message loss vs estimation/connectivity; "
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
                      "max-err", "biggest-cluster", "apl"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(losses), [&](std::size_t p, std::uint64_t seed) {
+      args, std::size(losses), [&](std::size_t p, std::uint64_t seed) {
         run::Experiment experiment(
             {.protocol = bench::croupier_proto(25, 50), .nodes = n,
              .loss = losses[p], .duration_s = duration},
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
                      "frag-sent", "frag-lost", "frag-expired"));
 
   const auto packet_grid = bench::run_trial_grid(
-      pool, args, packet_points, [&](std::size_t p, std::uint64_t seed) {
+      args, packet_points, [&](std::size_t p, std::uint64_t seed) {
         const std::size_t v = p / std::size(packet_losses);
         const double loss = packet_losses[p % std::size(packet_losses)];
         run::Experiment experiment(

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
 
   const char* policies[] = {"swapper", "healer"};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: merge policy under %.0f%%/round churn; %zu nodes, "
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
                      "dead-entries"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(policies), [&](std::size_t p, std::uint64_t seed) {
+      args, std::size(policies), [&](std::size_t p, std::uint64_t seed) {
         return measure(
             {.protocol = exp::strf("croupier:alpha=25,gamma=50,merge=%s",
                                    policies[p]),

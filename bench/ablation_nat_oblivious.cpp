@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
   }
   sweep.push_back({"croupier", 80, bench::croupier_proto(25, 50)});
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: NAT-oblivious PSS on NATted populations; %zu nodes, "
@@ -87,7 +86,7 @@ int main(int argc, char** argv) {
                      "cluster", "indeg(pub)", "indeg(priv)", "nat-drops"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
+      args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
         const Point& pt = sweep[p];
         return measure(
             {.protocol = pt.protocol, .nodes = n,

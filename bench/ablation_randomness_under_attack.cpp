@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
   const std::size_t n_protocols = std::size(protocols);
   const std::size_t points = n_protocols * kScenarios;
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation randomness-under-attack: %zu nodes, 20%% public, attack "
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
   sink.blank();
 
   const auto grid = bench::run_trial_grid(
-      pool, args, points, [&](std::size_t p, std::uint64_t seed) {
+      args, points, [&](std::size_t p, std::uint64_t seed) {
         const std::size_t proto = p / kScenarios;
         const auto scenario = static_cast<Scenario>(p % kScenarios);
         run::ExperimentSpec spec{

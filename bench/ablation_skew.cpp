@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   for (double skew : skews) sweep.push_back({skew, 0.0});
   for (double slow : slowdowns) sweep.push_back({0.01, slow});
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: round-time skew vs estimation bias; %zu nodes, "
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-26s %12s %12s", "scenario", "measured", "predicted"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
+      args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
         return measure_bias(
             {.protocol = bench::croupier_proto(25, 50), .nodes = n,
              .skew = sweep[p].skew,

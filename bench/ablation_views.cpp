@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
        "croupier:alpha=25,gamma=50,sizing=proportional,view=20"},
   };
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "ablation: Croupier view-sizing policy; %zu nodes, %zu run(s)", n,
@@ -85,7 +84,7 @@ int main(int argc, char** argv) {
                      "indeg(pub)", "indeg(priv)", "apl"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(variants), [&](std::size_t p, std::uint64_t seed) {
+      args, std::size(variants), [&](std::size_t p, std::uint64_t seed) {
         return measure({.protocol = variants[p].protocol, .nodes = n,
                         .duration_s = duration},
                        seed, args.world_jobs);

@@ -14,7 +14,7 @@
 //              concurrency). Output is byte-identical for every N.
 //   --world-jobs=N  workers *inside* each trial World (the
 //              round-synchronous parallel engine; default 1). The trial
-//              pool divides --jobs by this so trial-level and
+//              fan-out divides --jobs by this so trial-level and
 //              world-level parallelism share one core budget. Output is
 //              byte-identical for every N.
 //   --csv=PATH mirror every emitted data point into a CSV file
@@ -25,7 +25,7 @@
 // Experiments are declarative: a bench builds run::ExperimentSpec values
 // (protocol chosen by ProtocolRegistry name, e.g.
 // "croupier:alpha=25,gamma=50") and fans the runs x points trial grid
-// out on exp::TrialPool; the per-trial seed is derived with
+// out with run_trial_grid; the per-trial seed is derived with
 // exp::trial_seed, never by ad-hoc seed arithmetic, so growing --runs or
 // reordering sweep points cannot make trials share a seed lineage.
 #pragma once
@@ -39,15 +39,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "exp/parallel_map.hpp"
 #include "exp/seeds.hpp"
 #include "exp/sink.hpp"
-#include "exp/trial_pool.hpp"
 #include "runtime/recorder.hpp"
 #include "runtime/registry.hpp"
 #include "runtime/spec.hpp"
@@ -86,8 +85,8 @@ struct BenchArgs {
   std::string csv;             // empty = no CSV mirror
   bool fast = false;
 
-  /// The trial pool's worker count: --jobs is the *total* core budget,
-  /// and every trial World consumes world_jobs of it, so trial-level and
+  /// Trials run at once: --jobs is the *total* core budget, and every
+  /// trial World consumes world_jobs of it, so trial-level and
   /// world-level parallelism compose instead of oversubscribing.
   [[nodiscard]] std::size_t trial_jobs() const {
     const std::size_t total =
@@ -101,25 +100,6 @@ struct BenchArgs {
   /// Hook for binaries with extra flags (croupier-lab): called first for
   /// every argument; return true to consume it.
   using ExtraFlagFn = std::function<bool(const std::string&)>;
-
-  /// Parses a full decimal number; on malformed or empty input warns on
-  /// stderr and leaves `out` untouched, so a typo degrades to the
-  /// documented default instead of aborting the bench run.
-  static void parse_u64(const std::string& flag, const std::string& text,
-                        std::uint64_t& out) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    // strtoull skips leading whitespace and wraps "-1" to UINT64_MAX, so
-    // additionally insist the text starts with a digit.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-        end != text.c_str() + text.size() || errno == ERANGE) {
-      std::fprintf(stderr, "warning: ignoring malformed %s=%s\n",
-                   flag.c_str(), text.c_str());
-      return;
-    }
-    out = v;
-  }
 
   static BenchArgs parse(int argc, char** argv,
                          const ExtraFlagFn& extra = {}) {
@@ -203,30 +183,47 @@ struct BenchArgs {
     }
     return args;
   }
+
+ private:
+  /// Parses a full decimal number; on malformed or empty input warns on
+  /// stderr and leaves `out` untouched, so a typo degrades to the
+  /// documented default instead of aborting the bench run.
+  static void parse_u64(const std::string& flag, const std::string& text,
+                        std::uint64_t& out) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    // strtoull skips leading whitespace and wraps "-1" to UINT64_MAX, so
+    // additionally insist the text starts with a digit.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        end != text.c_str() + text.size() || errno == ERANGE) {
+      std::fprintf(stderr, "warning: ignoring malformed %s=%s\n",
+                   flag.c_str(), text.c_str());
+      return;
+    }
+    out = v;
+  }
 };
 
-/// Fans the full runs x points trial grid of an experiment out on the
-/// pool and returns `results[point][run]`, always in grid order
-/// regardless of execution order or thread count. `fn(point, seed)` runs
-/// one trial; it executes concurrently on pool workers, so it must only
-/// read its captures and build its own World.
+/// Runs the full runs x points trial grid of an experiment on
+/// args.trial_jobs() threads and returns `results[point][run]`, always
+/// in grid order regardless of execution order or thread count.
+/// `fn(point, seed)` runs one trial; it executes concurrently, so it must
+/// only read its captures and build its own World.
 template <typename Fn>
-auto run_trial_grid(exp::TrialPool& pool, const BenchArgs& args,
-                    std::size_t points, Fn&& fn)
+auto run_trial_grid(const BenchArgs& args, std::size_t points, Fn&& fn)
     -> std::vector<
         std::vector<std::decay_t<decltype(fn(std::size_t{}, std::uint64_t{}))>>> {
   using R = std::decay_t<decltype(fn(std::size_t{}, std::uint64_t{}))>;
-  auto flat = pool.map(points * args.runs, [&fn, &args](std::size_t i) {
-    const std::size_t p = i / args.runs;
-    const std::size_t r = i % args.runs;
-    return fn(p, exp::trial_seed(args.seed, p, r));
-  });
+  auto flat = exp::parallel_map(
+      points * args.runs, args.trial_jobs(), [&fn, &args](std::size_t i) {
+        const std::size_t p = i / args.runs;
+        const std::size_t r = i % args.runs;
+        return fn(p, exp::trial_seed(args.seed, p, r));
+      });
   std::vector<std::vector<R>> out(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    out[p].assign(std::make_move_iterator(flat.begin() +
-                                          static_cast<std::ptrdiff_t>(p * args.runs)),
-                  std::make_move_iterator(flat.begin() +
-                                          static_cast<std::ptrdiff_t>((p + 1) * args.runs)));
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    out[i / args.runs].push_back(std::move(flat[i]));
   }
   return out;
 }
@@ -281,61 +278,30 @@ struct AggregatedSeries {
   std::vector<double> truth;
 };
 
-/// Streaming accumulator for one sweep point: folds each finished trial's
-/// EstimationSeries into pointwise Welford accumulators (exp::SeriesAccum)
-/// and frees it, instead of materialising all --runs series. Runs must be
-/// folded in run order (TrialPool::map_fold guarantees it), which keeps
-/// the aggregate byte-identical for every --jobs value.
-struct SeriesFold {
-  std::vector<double> t;  // grid of the first run; truncated in finish()
+/// Aggregates one point's runs through exp::SeriesAccum's Welford
+/// update, in run order, so the result is byte-identical for every
+/// --jobs value. `proj` picks the EstimationSeries out of a trial result
+/// that carries more (croupier-lab's).
+template <typename Runs, typename Proj = std::identity>
+AggregatedSeries aggregate(const Runs& runs, Proj proj = {}) {
+  AggregatedSeries agg;
   exp::SeriesAccum avg_err;
   exp::SeriesAccum max_err;
   exp::SeriesAccum truth;
-
-  void add(const EstimationSeries& run) {
-    if (t.empty()) t = run.t;
-    avg_err.add(run.avg_err);
-    max_err.add(run.max_err);
-    truth.add(run.truth);
+  for (const auto& run : runs) {
+    const EstimationSeries& series = std::invoke(proj, run);
+    if (agg.t.empty()) agg.t = series.t;
+    avg_err.add(series.avg_err);
+    max_err.add(series.max_err);
+    truth.add(series.truth);
   }
-
-  [[nodiscard]] AggregatedSeries finish() const {
-    AggregatedSeries agg;
-    const std::size_t len = avg_err.size();
-    agg.t.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(len));
-    agg.avg_err = avg_err.means();
-    agg.avg_err_sd = avg_err.stddevs();
-    agg.max_err = max_err.means();
-    agg.max_err_sd = max_err.stddevs();
-    agg.truth = truth.means();
-    return agg;
-  }
-};
-
-/// Fans the runs x points grid of a series experiment out on the pool and
-/// streams each finished trial into its point's SeriesFold — the
-/// cross-trial streaming aggregation path: peak memory holds ~--jobs
-/// series instead of all points x runs. Results come back in grid order
-/// whatever the worker count.
-template <typename Fn>
-std::vector<AggregatedSeries> run_series_grid(exp::TrialPool& pool,
-                                              const BenchArgs& args,
-                                              std::size_t points, Fn&& fn) {
-  std::vector<SeriesFold> folds(points);
-  pool.map_fold(
-      points * args.runs,
-      [&fn, &args](std::size_t i) {
-        const std::size_t p = i / args.runs;
-        const std::size_t r = i % args.runs;
-        return fn(p, exp::trial_seed(args.seed, p, r));
-      },
-      [&folds, &args](std::size_t i, EstimationSeries&& series) {
-        folds[i / args.runs].add(series);
-      });
-  std::vector<AggregatedSeries> out;
-  out.reserve(points);
-  for (const auto& fold : folds) out.push_back(fold.finish());
-  return out;
+  agg.t.resize(avg_err.size());
+  agg.avg_err = avg_err.means();
+  agg.avg_err_sd = avg_err.stddevs();
+  agg.max_err = max_err.means();
+  agg.max_err_sd = max_err.stddevs();
+  agg.truth = truth.means();
+  return agg;
 }
 
 /// Emits a series block, with the across-runs stddev column whenever more

@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   const std::pair<std::size_t, std::size_t> windows[] = {
       {10, 25}, {25, 50}, {100, 250}};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig1: stable-ratio estimation error; %zu public + %zu private "
@@ -31,8 +30,8 @@ int main(int argc, char** argv) {
       nodes / 5, nodes - nodes / 5, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
+  const auto grid = bench::run_trial_grid(
+      args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
         const auto& [alpha, gamma] = windows[p];
         return bench::run_spec_series(
             {.protocol = bench::croupier_proto(alpha, gamma), .nodes = nodes,
@@ -45,8 +44,8 @@ int main(int argc, char** argv) {
     bench::emit_estimation(
         sink, exp::strf("fig1a avg-error alpha=%zu gamma=%zu", alpha, gamma),
         exp::strf("fig1b max-error alpha=%zu gamma=%zu", alpha, gamma),
-        exp::strf("summary alpha=%zu gamma=%zu", alpha, gamma), grid[p],
-        args.runs);
+        exp::strf("summary alpha=%zu gamma=%zu", alpha, gamma),
+        bench::aggregate(grid[p]), args.runs);
   }
   return 0;
 }

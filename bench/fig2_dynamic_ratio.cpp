@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   const std::pair<std::size_t, std::size_t> windows[] = {
       {10, 25}, {25, 50}, {100, 250}};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig2: dynamic-ratio estimation error; %zu+%zu nodes, +%zu publics "
@@ -33,8 +32,8 @@ int main(int argc, char** argv) {
       nodes / 5, nodes - nodes / 5, extra_publics, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
+  const auto grid = bench::run_trial_grid(
+      args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
         const auto& [alpha, gamma] = windows[p];
         return bench::run_spec_series(
             {.protocol = bench::croupier_proto(alpha, gamma), .nodes = nodes,
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
   bool truth_printed = false;
   for (std::size_t p = 0; p < std::size(windows); ++p) {
     const auto& [alpha, gamma] = windows[p];
-    const auto& agg = grid[p];
+    const auto agg = bench::aggregate(grid[p]);
 
     if (!truth_printed) {
       truth_printed = true;

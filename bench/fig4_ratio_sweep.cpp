@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   const double duration = args.fast ? 100 : 200;
   const double ratios[] = {0.05, 0.1, 0.2, 0.33, 0.5, 0.8};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig4: estimation error vs public/private ratio (%zu nodes), "
@@ -26,8 +25,8 @@ int main(int argc, char** argv) {
       n, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(ratios), [&](std::size_t p, std::uint64_t seed) {
+  const auto grid = bench::run_trial_grid(
+      args, std::size(ratios), [&](std::size_t p, std::uint64_t seed) {
         return bench::run_spec_series(
             {.protocol = bench::croupier_proto(25, 50), .nodes = n,
              .ratio = ratios[p], .duration_s = duration},
@@ -38,8 +37,8 @@ int main(int argc, char** argv) {
     const double ratio = ratios[p];
     bench::emit_estimation(sink, exp::strf("fig4a avg-error ratio=%.2f", ratio),
                            exp::strf("fig4b max-error ratio=%.2f", ratio),
-                           exp::strf("summary ratio=%.2f", ratio), grid[p],
-                           args.runs);
+                           exp::strf("summary ratio=%.2f", ratio),
+                           bench::aggregate(grid[p]), args.runs);
   }
   return 0;
 }

@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   const double duration = args.fast ? 120 : 250;
   const double churn_rates[] = {0.001, 0.01, 0.025, 0.05};
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig5: estimation error under churn (%zu nodes, omega=0.2, churn "
@@ -26,8 +25,8 @@ int main(int argc, char** argv) {
       n, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(churn_rates),
+  const auto grid = bench::run_trial_grid(
+      args, std::size(churn_rates),
       [&](std::size_t p, std::uint64_t seed) {
         // The Experiment owns the ChurnProcess, so its lifetime spans
         // the whole run without any per-bench bookkeeping.
@@ -41,8 +40,8 @@ int main(int argc, char** argv) {
     const double pct = churn_rates[p] * 100;
     bench::emit_estimation(sink, exp::strf("fig5a avg-error churn=%.1f%%", pct),
                            exp::strf("fig5b max-error churn=%.1f%%", pct),
-                           exp::strf("summary churn=%.1f%%", pct), grid[p],
-                           args.runs);
+                           exp::strf("summary churn=%.1f%%", pct),
+                           bench::aggregate(grid[p]), args.runs);
   }
   return 0;
 }

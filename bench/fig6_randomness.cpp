@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
       {"cyclon", "cyclon", true},
   };
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig6: randomness properties; %zu nodes, 20%% public, view 10, "
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
   sink.blank();
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
+      args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
         const Row& row = rows[p];
         return measure({.protocol = row.protocol, .nodes = n,
                         .ratio = row.all_public ? 1.0 : 0.2,

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
       {"cyclon", "cyclon", true},
   };
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig7a: protocol overhead, avg load per node (B/s), %zu nodes, "
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
                      "private(B/s)"));
 
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
+      args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
         const Row& row = rows[p];
         // Joins compressed to 10 ms inter-arrival for both classes so the
         // population is complete well before the measurement window.

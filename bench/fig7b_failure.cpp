@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
       {"cyclon", "cyclon", true},
   };
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf(
       "fig7b: biggest cluster (%% of survivors) after catastrophic "
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
   // every cell is its own parallel trial.
   const std::size_t points = std::size(fail_levels) * std::size(rows);
   const auto grid = bench::run_trial_grid(
-      pool, args, points, [&](std::size_t p, std::uint64_t seed) {
+      args, points, [&](std::size_t p, std::uint64_t seed) {
         const int level = fail_levels[p / std::size(rows)];
         const Row& row = rows[p % std::size(rows)];
         return cluster_fraction(
@@ -89,10 +88,8 @@ int main(int argc, char** argv) {
         pct.add(100.0 * frac);
       }
       line += exp::strf(" %10.1f", pct.mean());
-      const std::string block =
-          exp::strf("fig7b failure=%d", fail_levels[li]);
-      sink.value(block, rows[ri].name, pct.mean());
-      if (args.runs > 1) sink.spread(block, rows[ri].name, pct.stddev());
+      bench::emit_value(sink, exp::strf("fig7b failure=%d", fail_levels[li]),
+                        rows[ri].name, pct);
     }
     sink.raw(line);
   }

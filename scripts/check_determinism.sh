@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Determinism gate for both parallelism axes of the harness:
 #
-#  - trial-level (--jobs): the TrialPool contract — results are folded in
-#    submission order, so worker count can never show up in the output;
+#  - trial-level (--jobs): the parallel_map contract — each trial writes
+#    its own index slot and every point aggregates its runs in run order,
+#    so worker count can never show up in the output;
 #  - world-level (--world-jobs): the round-synchronous parallel engine
 #    contract — events are sharded by node and their effects merged in
 #    (time, seq) order, so the engine is byte-identical to the sequential

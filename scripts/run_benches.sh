@@ -7,7 +7,7 @@
 #   BUILD_DIR=...   override the Release build directory
 #                   (default build-release)
 #   JOBS=N          worker threads per fig bench (default: nproc); trials
-#                   fan out over the exp::TrialPool, output is
+#                   fan out through exp::parallel_map, output is
 #                   byte-identical for every N
 #   RUNS=N          seeds averaged per fig-bench point (default 5 — the
 #                   paper's averaging; trials run in parallel so the

@@ -168,23 +168,4 @@ std::vector<net::NodeId> Croupier::out_neighbors() const {
   return out;
 }
 
-std::vector<net::NodeId> Croupier::usable_neighbors(
-    const AliveFn& alive) const {
-  // Croupier descriptors carry no traversal state that can go stale: a
-  // public-view edge works iff the target survives, and a private-view
-  // edge stays meaningful iff the target survives, because a live private
-  // node keeps re-anchoring itself through whatever croupiers remain (it
-  // initiates all of its exchanges). Contrast Gozar/Nylon, where an edge
-  // to a live private node dies with the relay/RVP state cached in the
-  // descriptor — the asymmetry behind paper fig. 7b.
-  std::vector<net::NodeId> out;
-  for (const auto& d : view_u_.entries()) {
-    if (alive(d.id)) out.push_back(d.id);
-  }
-  for (const auto& d : view_v_.entries()) {
-    if (alive(d.id)) out.push_back(d.id);
-  }
-  return out;
-}
-
 }  // namespace croupier::core

@@ -10,6 +10,15 @@
 //
 // Uniform samples are drawn across the two views using the distributed
 // public/private ratio estimator (core/estimator.hpp).
+//
+// Croupier keeps PeerSampler's default usable_neighbors() because its
+// descriptors carry no traversal state that can go stale: a public-view
+// edge works iff the target survives, and a private-view edge stays
+// meaningful iff the target survives, because a live private node keeps
+// re-anchoring itself through whatever croupiers remain (it initiates
+// all of its exchanges). Contrast Gozar/Nylon, where an edge to a live
+// private node dies with the relay/RVP state cached in the descriptor —
+// the asymmetry behind paper fig. 7b.
 #pragma once
 
 #include <cstdint>
@@ -94,8 +103,6 @@ class Croupier final : public pss::PeerSampler {
 
   std::optional<pss::NodeDescriptor> sample() override;
   [[nodiscard]] std::vector<net::NodeId> out_neighbors() const override;
-  [[nodiscard]] std::vector<net::NodeId> usable_neighbors(
-      const AliveFn& alive) const override;
 
   /// The node's current Ê(ω) (equations 8/9) — what the experiments track.
   [[nodiscard]] std::optional<double> ratio_estimate() const override {

@@ -60,8 +60,8 @@ constexpr std::size_t kEstimateWireBytes = 5;
 
 /// The one layout whose two directions differ, so writer and reader are
 /// written out as a pair. Paper §VI carries 2 B origin ids, enough for
-/// every paper-scale experiment. Worlds past 64Ki publics (the fig3
-/// --mega sweep) escape through the 0xffff sentinel to a 4 B id; origins
+/// every paper-scale experiment. Worlds past 64Ki publics (croupier-lab's
+/// 10^6-node sweep) escape through the 0xffff sentinel to a 4 B id; origins
 /// below the sentinel encode byte-identically to the fixed 2 B format.
 inline void layout(wire::Writer& w, const EstimateEntry& e) {
   if (e.origin < 0xffff) {

@@ -3,8 +3,8 @@
 // ResultSink writes the gnuplot text blocks the plots consume (stdout,
 // same "# <name>" + "x y" row format the benches always printed) and
 // optionally mirrors every data point into a machine-readable CSV file
-// (--csv=PATH). All emission happens on the submitting thread after the
-// TrialPool has delivered results in submission order, so both outputs
+// (--csv=PATH). All emission happens on the calling thread after
+// parallel_map has returned every result in index order, so both outputs
 // are byte-identical for any --jobs value.
 //
 // CSV schema (one file per bench invocation, header included):
@@ -32,10 +32,8 @@ namespace croupier::exp {
 [[gnu::format(printf, 1, 2)]] std::string strf(const char* fmt, ...);
 
 /// Streaming mean / standard deviation over per-run scalars (Welford's
-/// update, numerically stable). Benches feed one value per run in
-/// submission order, then print mean() beside spread columns — the same
-/// recurrence the ROADMAP's cross-trial streaming aggregation will build
-/// on.
+/// update, numerically stable). Benches feed one value per run in run
+/// order, then print mean() beside spread columns.
 class Accum {
  public:
   void add(double v) {
@@ -57,20 +55,20 @@ class Accum {
   double m2_ = 0.0;
 };
 
-/// Pointwise streaming aggregation of one series column over repeated
-/// runs: an Accum per sample index. Feeding each finished run (in run
-/// order) and then reading means()/stddevs() replaces materialising
-/// every run's series before averaging — the cross-trial streaming
-/// aggregation path of run_series_grid. Runs sampled on the same grid
-/// can still differ in length by a point or two (a recorder tick racing
-/// the horizon); indices beyond the shortest run seen are dropped,
-/// matching the buffered path's min-length truncation. An index
-/// surviving truncation has, by construction, absorbed every run.
+/// Pointwise aggregation of one series column over repeated runs: an
+/// Accum per sample index, fed each run's column in run order, then read
+/// through means()/stddevs(). bench::aggregate (fig1-5) and croupier-lab
+/// run each point's series through it. Runs sampled on
+/// the same grid can still differ in length by a point or two (a
+/// recorder tick racing the horizon); indices beyond the shortest run
+/// seen are dropped, matching the buffered path's min-length truncation.
+/// An index surviving truncation has, by construction, absorbed every
+/// run.
 class SeriesAccum {
  public:
-  /// Folds one run's column. Must be called in run order (TrialPool
-  /// map_fold guarantees index order) so aggregation is byte-identical
-  /// for every worker count.
+  /// Folds one run's column. Must be called in run order, which the
+  /// grid's index order gives, so aggregation is byte-identical for
+  /// every worker count.
   void add(std::span<const double> ys);
 
   /// Points per aggregated series: min length over the added runs.

@@ -446,8 +446,8 @@ void ExperimentSpec::validate() const {
         "private-round-scale), must be at least 1 us");
   // Fail on an unknown protocol name, option key, or malformed option
   // value at validation time, not mid-trial: specs are often validated
-  // once and then fanned out over a pool, where a late throw would
-  // surface as a TrialPool::wait() rethrow instead of a clean error.
+  // once and then fanned out over threads, where a late throw would
+  // surface as a parallel_map rethrow instead of a clean error.
   (void)ProtocolRegistry::instance().make_from_spec(protocol);
 }
 

@@ -44,6 +44,13 @@ TEST(BenchArgs, ParsesJobs) {
   EXPECT_EQ(parse({"--jobs=1"}).jobs, 1u);
 }
 
+TEST(BenchArgs, TrialJobsSplitsTheJobsBudgetAcrossWorldJobs) {
+  // --jobs unset means the hardware count, and there is at least one.
+  EXPECT_GE(parse({}).trial_jobs(), 1u);
+  EXPECT_EQ(parse({"--jobs=8", "--world-jobs=4"}).trial_jobs(), 2u);
+  EXPECT_EQ(parse({"--jobs=3", "--world-jobs=2"}).trial_jobs(), 1u);
+}
+
 TEST(BenchArgs, ParsesCsvPath) {
   if (built_with_sanitizer()) {
     GTEST_SKIP() << "--csv is refused under sanitizer builds (by design)";

@@ -1,73 +1,70 @@
-// Tests for the exp/ trial-execution subsystem: TrialPool scheduling and
-// exception behaviour, deterministic per-trial seed derivation, ResultSink
-// CSV emission, and the cornerstone guarantee of the whole harness — a
-// parallel run aggregates to byte-identical output as a serial run.
+// Tests for the exp/ trial-execution subsystem: parallel_map's index
+// slots, call counts and exception behaviour, deterministic per-trial
+// seed derivation, ResultSink CSV emission, and the cornerstone guarantee
+// of the whole harness — a parallel run aggregates to byte-identical
+// output as a serial run.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exp/parallel_map.hpp"
 #include "exp/seeds.hpp"
 #include "exp/sink.hpp"
-#include "exp/trial_pool.hpp"
 
 namespace croupier::exp {
 namespace {
 
-TEST(TrialPool, DefaultsToHardwareConcurrency) {
-  TrialPool pool;
-  EXPECT_GE(pool.jobs(), 1u);
-}
-
-TEST(TrialPool, RunsEverySubmittedTask) {
-  TrialPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
+TEST(ParallelMap, SlotHoldsFnOfItsIndex) {
+  for (std::size_t count : {0u, 1u, 2u, 64u}) {
+    for (std::size_t jobs : {1u, 3u, 8u}) {
+      const auto out = parallel_map(count, jobs, [](std::size_t i) {
+        return static_cast<int>(i) * 3;
+      });
+      ASSERT_EQ(out.size(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(out[i], static_cast<int>(i) * 3)
+            << "count=" << count << " jobs=" << jobs;
+      }
+    }
   }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
 }
 
-TEST(TrialPool, MapKeepsSubmissionOrder) {
-  TrialPool pool(4);
-  const auto out =
-      pool.map(64, [](std::size_t i) { return static_cast<int>(i) * 3; });
-  ASSERT_EQ(out.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 3);
-}
-
-TEST(TrialPool, WaitIsReusable) {
-  TrialPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(TrialPool, WaitRethrowsFirstTaskException) {
-  TrialPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([] { throw std::runtime_error("trial failed"); });
+TEST(ParallelMap, RunsFnExactlyOncePerIndex) {
+  for (std::size_t jobs : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> calls(64);
+    (void)parallel_map(calls.size(), jobs, [&calls](std::size_t i) {
+      return ++calls[i];
+    });
+    for (const auto& c : calls) EXPECT_EQ(c.load(), 1) << "jobs=" << jobs;
   }
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // The pool survives a failed batch.
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ParallelMap, OneJobRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto ids = parallel_map(
+      8, 1, [](std::size_t) { return std::this_thread::get_id(); });
+  for (const auto& id : ids) EXPECT_EQ(id, caller);
+}
+
+TEST(ParallelMap, RethrowsATrialExceptionAndStaysUsable) {
+  const auto fail_at_7 = [](std::size_t i) -> std::size_t {
+    if (i == 7) throw std::runtime_error("trial failed");
+    return i;
+  };
+  EXPECT_THROW((void)parallel_map(50, 3, fail_at_7), std::runtime_error);
+  // Nothing outlives a call, so the next one starts clean.
+  const auto out = parallel_map(4, 3, [](std::size_t i) { return i; });
+  EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(TrialSeed, IsDeterministic) {
@@ -201,69 +198,6 @@ TEST(Strf, FormatsLikePrintf) {
   EXPECT_EQ(strf("%s", ""), "");
 }
 
-TEST(TrialPoolMapFold, FoldsInIndexOrderWhateverTheJobCount) {
-  for (std::size_t jobs : {1u, 4u}) {
-    TrialPool pool(jobs);
-    std::vector<std::size_t> folded;
-    pool.map_fold(
-        64, [](std::size_t i) { return i * 3; },
-        [&folded](std::size_t i, std::size_t&& v) {
-          EXPECT_EQ(v, i * 3);
-          folded.push_back(i);
-        });
-    ASSERT_EQ(folded.size(), 64u);
-    for (std::size_t i = 0; i < folded.size(); ++i) EXPECT_EQ(folded[i], i);
-  }
-}
-
-TEST(TrialPoolMapFold, BoundsReorderBufferUnderSkewedCompletion) {
-  // Trial 0 is the slow one; the backpressure window must keep workers
-  // from racing through the whole grid while it gates the fold cursor.
-  TrialPool pool(3);
-  std::atomic<std::size_t> started{0};
-  std::atomic<std::size_t> max_started_before_fold{0};
-  std::atomic<bool> first_folded{false};
-  std::vector<std::size_t> folded;
-  pool.map_fold(
-      100,
-      [&](std::size_t i) {
-        const std::size_t s = ++started;
-        if (!first_folded.load()) {
-          std::size_t seen = max_started_before_fold.load();
-          while (s > seen &&
-                 !max_started_before_fold.compare_exchange_weak(seen, s)) {
-          }
-        }
-        if (i == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        }
-        return i;
-      },
-      [&](std::size_t i, std::size_t&& v) {
-        EXPECT_EQ(v, i);
-        if (i == 0) first_folded = true;
-        folded.push_back(i);
-      });
-  ASSERT_EQ(folded.size(), 100u);
-  for (std::size_t i = 0; i < folded.size(); ++i) EXPECT_EQ(folded[i], i);
-  // Window is 2*jobs = 6: while trial 0 blocked the cursor at 0, no
-  // trial with index >= 6 may have started.
-  EXPECT_LE(max_started_before_fold.load(), 6u);
-}
-
-TEST(TrialPoolMapFold, ThrowingTrialReleasesWaitersAndRethrows) {
-  TrialPool pool(2);
-  EXPECT_THROW(
-      pool.map_fold(
-          50,
-          [](std::size_t i) -> std::size_t {
-            if (i == 0) throw std::runtime_error("trial 0 failed");
-            return i;
-          },
-          [](std::size_t, std::size_t&&) {}),
-      std::runtime_error);
-}
-
 TEST(SeriesAccum, TruncatesToShortestRunAndMatchesAccum) {
   SeriesAccum acc;
   acc.add(std::vector<double>{1.0, 2.0, 3.0});
@@ -278,7 +212,7 @@ TEST(SeriesAccum, TruncatesToShortestRunAndMatchesAccum) {
   EXPECT_EQ(acc.means(), (std::vector<double>{ref.mean(), 4.0}));
 }
 
-// The streaming aggregation (SeriesFold over Welford accumulators) must
+// The Welford aggregation (bench::aggregate over exp::SeriesAccum) must
 // emit the same bytes as the buffered path it replaced: materialise every
 // run, average with plain sum/n, take the two-pass standard deviation.
 // The reference implementation lives only here now — this test is the
@@ -331,9 +265,9 @@ TEST(StreamingAggregation, MatchesBufferedPathBytes) {
   bench::BenchArgs args;
   args.runs = 4;
   args.seed = 13;
+  args.jobs = 2;
   const run::ExperimentSpec spec{.protocol = bench::croupier_proto(10, 25),
                                  .nodes = 48, .ratio = 0.25, .duration_s = 20};
-  TrialPool pool(2);
 
   // Buffered reference: every run materialised, then aggregated.
   std::vector<bench::EstimationSeries> runs;
@@ -342,21 +276,21 @@ TEST(StreamingAggregation, MatchesBufferedPathBytes) {
   }
   const auto buffered = buffered_reference(runs);
 
-  // Streaming path: the run_series_grid benches actually use.
-  const auto streamed = bench::run_series_grid(
-      pool, args, 1,
-      [&](std::size_t, std::uint64_t seed) {
+  // The path fig1-5 take: the trial grid, then aggregate per point.
+  const auto grid = bench::run_trial_grid(
+      args, 1, [&](std::size_t, std::uint64_t seed) {
         return bench::run_spec_series(spec, seed);
       });
-  ASSERT_EQ(streamed.size(), 1u);
-  ASSERT_FALSE(streamed[0].t.empty());
-  EXPECT_EQ(printed_bytes(buffered), printed_bytes(streamed[0]));
+  ASSERT_EQ(grid.size(), 1u);
+  const auto streamed = bench::aggregate(grid[0]);
+  ASSERT_FALSE(streamed.t.empty());
+  EXPECT_EQ(printed_bytes(buffered), printed_bytes(streamed));
 }
 
 // The cornerstone guarantee: a fig1-style experiment fanned out over 4
 // workers aggregates to *byte-identical* series as the same experiment on
-// 1 worker. Uses the real bench plumbing (run_series_grid + specs +
-// ResultSink) on a miniature world so it stays fast.
+// 1 worker. Uses the real bench plumbing (run_trial_grid + aggregate +
+// specs + ResultSink) on a miniature world so it stays fast.
 TEST(TrialGridDeterminism, FourJobsMatchSerialByteForByte) {
   bench::BenchArgs args;
   args.runs = 3;
@@ -364,15 +298,18 @@ TEST(TrialGridDeterminism, FourJobsMatchSerialByteForByte) {
   const std::pair<std::size_t, std::size_t> windows[] = {{10, 25}, {25, 50}};
 
   const auto run_experiment = [&](std::size_t jobs) {
-    TrialPool pool(jobs);
-    return bench::run_series_grid(
-        pool, args, 2, [&](std::size_t p, std::uint64_t seed) {
+    args.jobs = jobs;
+    const auto grid = bench::run_trial_grid(
+        args, 2, [&](std::size_t p, std::uint64_t seed) {
           return bench::run_spec_series(
               {.protocol = bench::croupier_proto(windows[p].first,
                                                  windows[p].second),
                .nodes = 32, .ratio = 0.25, .duration_s = 15},
               seed);
         });
+    std::vector<bench::AggregatedSeries> aggs;
+    for (const auto& runs : grid) aggs.push_back(bench::aggregate(runs));
+    return aggs;
   };
 
   const auto serial = run_experiment(1);

@@ -62,7 +62,7 @@ TEST(ExperimentSpec, ParseRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW((void)ExperimentSpec::parse("protocol=chorder:x"),
                std::invalid_argument);  // bad option syntax caught early
   // An unknown protocol name or option must fail at validation time, not
-  // later inside a TrialPool worker where the throw would abort the run.
+  // later inside a trial thread where the throw would abort the run.
   EXPECT_THROW((void)ExperimentSpec::parse("protocol=chord"),
                std::invalid_argument);
   EXPECT_THROW(ExperimentSpec{.protocol = "croupier:aplha=25"}.validate(),

@@ -1,10 +1,11 @@
 // croupier-lab: the declarative experiment driver.
 //
-// Runs any run::ExperimentSpec through the exp::TrialPool / ResultSink
-// pipeline — the one binary that replaces writing a new bench for every
-// new scenario. A sweep is a list of specs: pass --protocol repeatedly to
-// compare samplers under identical conditions (PeerSwap-style), or
-// --spec repeatedly to run arbitrary serialized specs.
+// Runs any run::ExperimentSpec through bench::run_trial_grid and
+// exp::ResultSink — the one binary that replaces writing a new bench for
+// every new scenario. A sweep is a list of specs: pass --protocol
+// repeatedly to compare samplers under identical conditions
+// (PeerSwap-style), or --spec repeatedly to run arbitrary serialized
+// specs.
 //
 //   croupier-lab --protocol=croupier --nodes=1000 --ratio=0.2
 //                --churn=0.01 --runs=5 --csv=out.csv
@@ -257,60 +258,43 @@ ColumnSeries to_columns(const std::vector<Point>& points,
   return out;
 }
 
-/// Streaming pointwise aggregation of column series (the twin of
-/// bench::SeriesFold): each finished trial folds into Welford
-/// accumulators and is freed.
-struct ColumnFold {
-  std::vector<double> t;
-  std::vector<exp::SeriesAccum> columns;
-
-  void add(const ColumnSeries& run) {
-    if (t.empty()) t = run[0];
-    columns.resize(run.size() - 1);
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      columns[c].add(run[c + 1]);
-    }
-  }
+/// One finished trial: its recorded series, then what the stderr timing
+/// report reads.
+template <typename Series>
+struct LabTrial {
+  Series series;
+  net::Network::DropStats drops;
+  double seconds = 0.0;
+  // Sampled while the trial's World is alive. Trials of other points run
+  // beside it under --jobs, so this bounds the point's own footprint from
+  // above: tight when points run alone, still the number that answers
+  // "did this sweep fit in memory".
+  std::uint64_t rss = 0;
 };
 
-/// Wall-clock accounting for one sweep point, reported on stderr so the
-/// determinism gate (which byte-compares stdout and CSV across --jobs /
-/// --world-jobs) never sees it.
-struct PointTiming {
-  exp::Accum seconds;
-  double max_seconds = 0.0;
-  std::uint64_t max_rss = 0;  // resident set observed at fold time
-  net::Network::DropStats drops;  // summed across the point's trials
-
-  void add(double s, const net::Network::DropStats& d) {
-    seconds.add(s);
-    max_seconds = std::max(max_seconds, s);
-    // Sampled when the trial folds. Trials of different points
-    // interleave under --jobs, so this is an upper bound on the point's
-    // own footprint — tight when points run alone, still the number
-    // that answers "did this sweep fit in memory".
-    max_rss = std::max(max_rss, exp::current_rss_bytes());
-    drops.loss += d.loss;
-    drops.nat_filtered += d.nat_filtered;
-    drops.dead_receiver += d.dead_receiver;
-    drops.delivered += d.delivered;
-    drops.loss_bytes += d.loss_bytes;
-    drops.nat_filtered_bytes += d.nat_filtered_bytes;
-    drops.dead_receiver_bytes += d.dead_receiver_bytes;
-    drops.delivered_bytes += d.delivered_bytes;
-    drops.fragments_sent += d.fragments_sent;
-    drops.fragments_lost += d.fragments_lost;
-    drops.fragments_reassembled += d.fragments_reassembled;
-    drops.fragments_expired += d.fragments_expired;
-  }
-};
-
+/// Per-point wall-clock, memory and drop accounting, reported on stderr so
+/// the determinism gate (which byte-compares stdout and CSV across --jobs
+/// / --world-jobs) never sees it.
+template <typename Series>
 void report_timing(const std::vector<std::string>& labels,
-                   const std::vector<PointTiming>& timing,
+                   const std::vector<std::vector<LabTrial<Series>>>& grid,
                    const bench::BenchArgs& args, double elapsed) {
+  using Drops = net::Network::DropStats;
   const std::size_t shards = std::max<std::size_t>(1, args.world_jobs);
   for (std::size_t p = 0; p < labels.size(); ++p) {
-    const auto& d = timing[p].drops;
+    double wall_sum = 0.0;
+    double wall_max = 0.0;
+    std::uint64_t rss_max = 0;
+    for (const auto& trial : grid[p]) {
+      wall_sum += trial.seconds;
+      wall_max = std::max(wall_max, trial.seconds);
+      rss_max = std::max(rss_max, trial.rss);
+    }
+    const auto sum = [&](std::uint64_t Drops::*field) {
+      unsigned long long total = 0;
+      for (const auto& trial : grid[p]) total += trial.drops.*field;
+      return total;
+    };
     std::fprintf(stderr,
                  "# timing %s: trials=%zu wall-sum=%.2fs wall-max=%.2fs "
                  "rss-max=%.1fMiB "
@@ -318,19 +302,14 @@ void report_timing(const std::vector<std::string>& labels,
                  "frags=sent:%llu,lost:%llu,reassembled:%llu,expired:%llu "
                  "effective-parallelism=%zu "
                  "(%zu trials x %zu world shards)\n",
-                 labels[p].c_str(), timing[p].seconds.n(),
-                 timing[p].seconds.mean() *
-                     static_cast<double>(timing[p].seconds.n()),
-                 timing[p].max_seconds,
-                 static_cast<double>(timing[p].max_rss) / (1024.0 * 1024.0),
-                 static_cast<unsigned long long>(d.loss_bytes),
-                 static_cast<unsigned long long>(d.nat_filtered_bytes),
-                 static_cast<unsigned long long>(d.dead_receiver_bytes),
-                 static_cast<unsigned long long>(d.fragments_sent),
-                 static_cast<unsigned long long>(d.fragments_lost),
-                 static_cast<unsigned long long>(d.fragments_reassembled),
-                 static_cast<unsigned long long>(d.fragments_expired),
-                 args.trial_jobs() * shards, args.trial_jobs(), shards);
+                 labels[p].c_str(), grid[p].size(), wall_sum, wall_max,
+                 static_cast<double>(rss_max) / (1024.0 * 1024.0),
+                 sum(&Drops::loss_bytes), sum(&Drops::nat_filtered_bytes),
+                 sum(&Drops::dead_receiver_bytes), sum(&Drops::fragments_sent),
+                 sum(&Drops::fragments_lost),
+                 sum(&Drops::fragments_reassembled),
+                 sum(&Drops::fragments_expired), args.trial_jobs() * shards,
+                 args.trial_jobs(), shards);
   }
   std::fprintf(stderr, "# timing total: elapsed=%.2fs peak-rss=%.1fMiB\n",
                elapsed,
@@ -338,21 +317,25 @@ void report_timing(const std::vector<std::string>& labels,
                    (1024.0 * 1024.0));
 }
 
+/// Emits one point's column series, aggregated over its runs in run
+/// order, then the summary line of its final values.
 template <typename Point, std::size_t N>
 void emit_columns(exp::ResultSink& sink, const std::string& label,
-                  const ColumnFold& fold, std::size_t n_runs,
+                  const std::vector<LabTrial<ColumnSeries>>& runs,
                   const Column<Point> (&columns)[N]) {
   const std::string block = "summary " + label;
   std::string summary = block + ":";
   std::vector<std::pair<std::string, double>> finals;
   for (std::size_t c = 0; c < N; ++c) {
-    const std::vector<double> mean = fold.columns[c].means();
+    exp::SeriesAccum acc;
+    for (const auto& run : runs) acc.add(run.series[c + 1]);
+    const std::vector<double> mean = acc.means();
+    const std::vector<double>& first_t = runs.front().series[0];
     const std::vector<double> t(
-        fold.t.begin(),
-        fold.t.begin() + static_cast<std::ptrdiff_t>(mean.size()));
+        first_t.begin(),
+        first_t.begin() + static_cast<std::ptrdiff_t>(mean.size()));
     bench::emit_series(sink, label + " " + columns[c].name, t, mean,
-                       fold.columns[c].stddevs(), n_runs, "%.0f",
-                       columns[c].y_fmt);
+                       acc.stddevs(), runs.size(), "%.0f", columns[c].y_fmt);
     if (columns[c].final_key == nullptr) continue;
     const double last = mean.empty() ? 0.0 : mean.back();
     summary += std::string(" final ") + columns[c].final_key + "=" +
@@ -362,42 +345,6 @@ void emit_columns(exp::ResultSink& sink, const std::string& label,
   sink.comment(summary);
   sink.blank();
   for (const auto& [key, value] : finals) sink.value(block, key, value);
-}
-
-/// Runs the sweep's trial grid with streaming per-point folds plus
-/// per-trial wall-clock and drop-stat capture. `record(experiment)`
-/// extracts a finished trial's series, which is folded in grid order
-/// (byte-identical for every --jobs).
-template <typename Fold, typename Record>
-std::vector<Fold> run_lab_grid(exp::TrialPool& pool,
-                               const bench::BenchArgs& args,
-                               const std::vector<run::ExperimentSpec>& specs,
-                               Record&& record,
-                               std::vector<PointTiming>& timing) {
-  std::vector<Fold> folds(specs.size());
-  pool.map_fold(
-      specs.size() * args.runs,
-      [&](std::size_t i) {
-        const std::size_t p = i / args.runs;
-        const std::size_t r = i % args.runs;
-        // Per-trial timing, reported on stderr only (report_timing); it
-        // never reaches the result sink.
-        const auto start = std::chrono::steady_clock::now();
-        run::Experiment experiment(specs[p], exp::trial_seed(args.seed, p, r),
-                                   args.world_jobs);
-        experiment.run();
-        auto series = record(std::as_const(experiment));
-        const auto trial_end = std::chrono::steady_clock::now();
-        const std::chrono::duration<double> took = trial_end - start;
-        return std::make_tuple(std::move(series),
-                               experiment.world().network().drops(),
-                               took.count());
-      },
-      [&](std::size_t i, auto&& result) {
-        folds[i / args.runs].add(std::get<0>(result));
-        timing[i / args.runs].add(std::get<2>(result), std::get<1>(result));
-      });
-  return folds;
 }
 
 }  // namespace
@@ -450,7 +397,6 @@ int main(int argc, char** argv) {
     if (same > 1) labels[p] += exp::strf(" #%zu", p);
   }
 
-  exp::TrialPool pool(args.trial_jobs());
   exp::ResultSink sink(args.csv);
   sink.comment(exp::strf("croupier-lab: %zu spec(s), %zu run(s), seed %llu",
                          specs.size(), args.runs,
@@ -458,20 +404,36 @@ int main(int argc, char** argv) {
   for (const auto& spec : specs) sink.comment(spec.to_string());
   sink.blank();
 
-  // Sweep wall-clock for the stderr timing report only; the sink output
-  // carries no wall-clock bytes.
+  // Runs the sweep's trial grid, hands each point's runs to `emit`, then
+  // reports timing. `record(experiment)` extracts a finished trial's
+  // series; wall-clock and RSS reach stderr only, never the sink.
   const auto sweep_start = std::chrono::steady_clock::now();
-  std::vector<PointTiming> timing(specs.size());
+  const auto sweep = [&](auto record, auto emit) {
+    const auto grid = bench::run_trial_grid(
+        args, specs.size(), [&](std::size_t p, std::uint64_t seed) {
+          const auto start = std::chrono::steady_clock::now();
+          run::Experiment experiment(specs[p], seed, args.world_jobs);
+          experiment.run();
+          auto series = record(std::as_const(experiment));
+          const std::chrono::duration<double> took =
+              std::chrono::steady_clock::now() - start;
+          return LabTrial<decltype(series)>{
+              std::move(series), experiment.world().network().drops(),
+              took.count(), exp::current_rss_bytes()};
+        });
+    for (std::size_t p = 0; p < specs.size(); ++p) emit(labels[p], grid[p]);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - sweep_start;
+    report_timing(labels, grid, args, elapsed.count());
+  };
   const auto run_columns = [&](const auto& columns, auto series_of) {
-    const auto folds = run_lab_grid<ColumnFold>(
-        pool, args, specs,
+    sweep(
         [&](const run::Experiment& e) {
           return to_columns(series_of(e), columns);
         },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_columns(sink, labels[p], folds[p], args.runs, columns);
-    }
+        [&](const std::string& label, const auto& runs) {
+          emit_columns(sink, label, runs, columns);
+        });
   };
   switch (specs[0].record) {
     case run::ExperimentSpec::RecordKind::Graph:
@@ -491,22 +453,19 @@ int main(int argc, char** argv) {
                     return e.randomness()->series();
                   });
       break;
-    default: {
-      const auto folds = run_lab_grid<bench::SeriesFold>(
-          pool, args, specs,
+    default:
+      sweep(
           [](const run::Experiment& e) {
             return bench::to_series(*e.estimation());
           },
-          timing);
-      for (std::size_t p = 0; p < specs.size(); ++p) {
-        bench::emit_estimation(sink, labels[p] + " avg-error",
-                               labels[p] + " max-error", "summary " + labels[p],
-                               folds[p].finish(), args.runs);
-      }
-    }
+          [&](const std::string& label, const auto& runs) {
+            bench::emit_estimation(
+                sink, label + " avg-error", label + " max-error",
+                "summary " + label,
+                bench::aggregate(runs,
+                                 &LabTrial<bench::EstimationSeries>::series),
+                args.runs);
+          });
   }
-  const auto sweep_end = std::chrono::steady_clock::now();
-  const std::chrono::duration<double> elapsed = sweep_end - sweep_start;
-  report_timing(labels, timing, args, elapsed.count());
   return 0;
 }
