@@ -13,8 +13,8 @@
 #
 # It reads object files, not executables: a statically linked gtest or
 # Google Benchmark reads the clock on its own account. Clock reads in
-# executables are legal (stderr timing); check_determinism.sh's byte
-# diff of two runs fails if one reaches stdout or CSV. Prints one
+# executables are legal (stderr timing); an `output` ctest's digest
+# check fails if one reaches stdout or CSV. Prints one
 # `path: [rule] symbol-or-line` line per finding and exits 1 on any
 # finding, on an nm failure and on an archive or list with nothing to
 # check, so a wrong path never passes.

@@ -33,7 +33,7 @@
 //
 // The result is byte-identical output for every worker count, and with
 // no executor at all (World attaches one only when world_jobs > 1) —
-// the property scripts/check_determinism.sh pins across every bench.
+// the property the `output` ctests pin across every bench.
 #pragma once
 
 #include <condition_variable>

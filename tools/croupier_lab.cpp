@@ -281,6 +281,10 @@ void report_timing(const std::vector<std::string>& labels,
                    const bench::BenchArgs& args, double elapsed) {
   using Drops = net::Network::DropStats;
   const std::size_t shards = std::max<std::size_t>(1, args.world_jobs);
+  // ru_maxrss and the VmRSS sampled at each trial's end are both lower
+  // bounds of the process's true peak, and either can read the higher,
+  // so the total line prints the larger.
+  std::uint64_t peak_rss = exp::peak_rss_bytes();
   for (std::size_t p = 0; p < labels.size(); ++p) {
     double wall_sum = 0.0;
     double wall_max = 0.0;
@@ -290,6 +294,7 @@ void report_timing(const std::vector<std::string>& labels,
       wall_max = std::max(wall_max, trial.seconds);
       rss_max = std::max(rss_max, trial.rss);
     }
+    peak_rss = std::max(peak_rss, rss_max);
     const auto sum = [&](std::uint64_t Drops::*field) {
       unsigned long long total = 0;
       for (const auto& trial : grid[p]) total += trial.drops.*field;
@@ -312,9 +317,7 @@ void report_timing(const std::vector<std::string>& labels,
                  args.trial_jobs(), shards);
   }
   std::fprintf(stderr, "# timing total: elapsed=%.2fs peak-rss=%.1fMiB\n",
-               elapsed,
-               static_cast<double>(exp::peak_rss_bytes()) /
-                   (1024.0 * 1024.0));
+               elapsed, static_cast<double>(peak_rss) / (1024.0 * 1024.0));
 }
 
 /// Emits one point's column series, aggregated over its runs in run
