@@ -65,7 +65,7 @@ grep_rule() {
   esac
 }
 grep_rule unordered-iter 'std::unordered_' \
-  --exclude=hash_index.hpp --exclude=traffic.hpp src bench tools examples
+  --exclude=hash_index.hpp src bench tools examples
 grep_rule ptr-key 'std::(unordered_)?(multi)?(map|set)<[^,>]*\*' \
   src bench tools examples tests
 grep_rule raw-shuffle 'std::(ranges::)?(shuffle|sample|random_shuffle) *\(' \

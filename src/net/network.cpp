@@ -29,7 +29,7 @@ Network::Network(sim::Simulator& simulator,
 }
 
 void Network::set_packet_config(const PacketConfig& cfg) {
-  CROUPIER_ASSERT_MSG(next_msg_id_ == 1 && meter_.per_node().empty(),
+  CROUPIER_ASSERT_MSG(next_msg_id_ == 1 && meter_.empty(),
                       "packet config must be set before traffic flows");
   packet_ = cfg;
   fragmenter_ = Fragmenter(cfg);

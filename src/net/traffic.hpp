@@ -5,10 +5,17 @@
 // the receiver at delivery time. Figure 7a of the paper is regenerated by
 // resetting the meter at the start of a measurement window and reading
 // bytes-per-second per node class at its end.
+//
+// The totals form a dense array indexed by node id, grown to the largest
+// id charged: World numbers its nodes densely from 1. Charges run on the
+// serial path only: inside a parallel batch the network routes them
+// through Simulator::defer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/address.hpp"
 #include "sim/conflict.hpp"
@@ -28,35 +35,38 @@ struct TrafficTotals {
   [[nodiscard]] std::uint64_t bytes_total() const {
     return bytes_sent + bytes_received;
   }
+
+  bool operator==(const TrafficTotals&) const = default;
 };
 
 class TrafficMeter {
  public:
   void on_send(NodeId node, std::size_t bytes) {
     sim::conflict::record_shared_write("TrafficMeter");
-    auto& t = per_node_[node];
+    TrafficTotals& t = slot(node);
     t.bytes_sent += bytes;
     ++t.msgs_sent;
   }
 
   void on_deliver(NodeId node, std::size_t bytes) {
     sim::conflict::record_shared_write("TrafficMeter");
-    auto& t = per_node_[node];
+    TrafficTotals& t = slot(node);
     t.bytes_received += bytes;
     ++t.msgs_received;
   }
 
   /// Totals for one node (zeros if it never sent or received).
   [[nodiscard]] TrafficTotals totals(NodeId node) const {
-    const auto it = per_node_.find(node);
-    return it == per_node_.end() ? TrafficTotals{} : it->second;
+    return node < per_node_.size() ? per_node_[node] : TrafficTotals{};
   }
 
-  /// Every node's totals summed. The sums are exact integers, so the
-  /// map's visiting order cannot change them.
+  /// True when no node was charged since construction or the last reset().
+  [[nodiscard]] bool empty() const { return per_node_.empty(); }
+
+  /// Every node's totals summed.
   [[nodiscard]] TrafficTotals sum() const {
     TrafficTotals s;
-    for (const auto& [node, t] : per_node_) {
+    for (const TrafficTotals& t : per_node_) {
       s.bytes_sent += t.bytes_sent;
       s.bytes_received += t.bytes_received;
       s.msgs_sent += t.msgs_sent;
@@ -65,11 +75,17 @@ class TrafficMeter {
     return s;
   }
 
-  /// The map itself, visited in hash order. Only the suite's traced
+  /// Every charged node's totals, in id order. Only the suite's traced
   /// replica reads it; everything else reads totals() or sum().
-  [[nodiscard]] const std::unordered_map<NodeId, TrafficTotals>& per_node()
+  [[nodiscard]] std::vector<std::pair<NodeId, TrafficTotals>> per_node()
       const {
-    return per_node_;
+    std::vector<std::pair<NodeId, TrafficTotals>> charged;
+    for (std::size_t id = 0; id < per_node_.size(); ++id) {
+      const TrafficTotals& t = per_node_[id];
+      if (t.msgs_sent + t.msgs_received == 0) continue;
+      charged.emplace_back(static_cast<NodeId>(id), t);
+    }
+    return charged;
   }
 
   /// Starts a fresh measurement window.
@@ -79,7 +95,13 @@ class TrafficMeter {
   }
 
  private:
-  std::unordered_map<NodeId, TrafficTotals> per_node_;
+  TrafficTotals& slot(NodeId node) {
+    if (node >= per_node_.size()) per_node_.resize(std::size_t{node} + 1);
+    return per_node_[node];
+  }
+
+  /// Indexed by node id; an id never charged holds zeros.
+  std::vector<TrafficTotals> per_node_;
 };
 
 }  // namespace croupier::net

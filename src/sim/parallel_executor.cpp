@@ -1,6 +1,7 @@
 #include "sim/parallel_executor.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -82,24 +83,11 @@ void ParallelExecutor::execute_batch() {
     done_cv_.wait(lock, [this] { return pending_ == 0; });
   }
 
-  // Deterministic merge: replay every deferred effect in the order
-  // stepping would have produced it — by issuing event
-  // (time, seq), then issue order within an event (each event's ops sit
-  // contiguously in one shard log; stable_sort keeps them in place).
-  merged_.clear();
   std::uint64_t executed = 0;
   for (auto& log : logs_) {
     executed += log.executed;
     log.executed = 0;
-    for (auto& op : log.ops) merged_.push_back(std::move(op));
-    log.ops.clear();
   }
-  std::stable_sort(merged_.begin(), merged_.end(),
-                   [](const Simulator::DeferredOp& a,
-                      const Simulator::DeferredOp& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.id < b.id;
-                   });
   sim_.processed_ += executed;
   // Determinism bound: a deferred schedule at or after the batch's last
   // event time gets a fresh id that sorts after every executed event, so
@@ -111,13 +99,40 @@ void ParallelExecutor::execute_batch() {
   // zero-min-latency same-timestamp batches (lookahead clamped to 1 us)
   // working instead of tripping the guard.
   sim_.causal_floor_ = last_time;
-  for (auto& op : merged_) {
-    sim_.now_ = op.time;
-    op.fn();
-  }
+  merge();
   sim_.causal_floor_ = 0;
   sim_.now_ = last_time;
-  merged_.clear();
+  for (auto& log : logs_) log.ops.clear();
+}
+
+void ParallelExecutor::merge() {
+  // Deterministic merge: replay every logged op in the order stepping
+  // would have produced it — by issuing event (time, seq), then issue
+  // order within the event. Each shard's log is already in that order
+  // and holds each of its events' ops contiguously, so a k-way merge on
+  // the logs' heads replays one event's run of ops at a time.
+  heads_.assign(jobs_, 0);
+  for (;;) {
+    std::size_t next = 0;
+    const Simulator::DeferredOp* first = nullptr;
+    for (std::size_t shard = 0; shard < jobs_; ++shard) {
+      const auto& ops = logs_[shard].ops;
+      if (heads_[shard] == ops.size()) continue;
+      const Simulator::DeferredOp& head = ops[heads_[shard]];
+      if (first == nullptr || std::tie(head.time, head.id) <
+                                  std::tie(first->time, first->id)) {
+        next = shard;
+        first = &head;
+      }
+    }
+    if (first == nullptr) return;
+    auto& ops = logs_[next].ops;
+    std::size_t& at = heads_[next];
+    const EventId id = first->id;
+    do {
+      sim_.replay(ops[at]);
+    } while (++at < ops.size() && ops[at].id == id);
+  }
 }
 
 void ParallelExecutor::run_shard(std::size_t shard) {

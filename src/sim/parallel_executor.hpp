@@ -22,14 +22,16 @@
 //      partition it into per-worker shards by a stable hash of the node
 //      id, and execute the shards concurrently. All per-node state is
 //      touched only by its own shard; every cross-node effect (network
-//      sends, meter charges, RNG draws, event scheduling) is deferred
-//      into the shard's log via Simulator::defer().
-//   3. Merge: concatenate the shard logs, stable-sort by the issuing
-//      event's (time, seq) — restoring exactly the order stepping would
-//      have applied the effects in — and replay them on the engine
-//      thread. Event ids assigned during the replay (message deliveries,
-//      next-round timers) come out in the same order as under stepping,
-//      so future batches tie-break identically.
+//      sends, meter charges, RNG draws, event scheduling) is logged in
+//      the shard's log via Simulator::defer() — a schedule as a plain
+//      record holding the event's callback, an effect in place.
+//   3. Merge: a shard runs its events in (time, seq) order, so each shard
+//      log is already in (time, seq, issue) order; a k-way merge on the
+//      logs' heads replays every op on the engine thread in exactly the
+//      order stepping would have applied it. Event ids assigned during
+//      the replay (message deliveries, next-round timers) come out in the
+//      same order as under stepping, so future batches tie-break
+//      identically.
 //
 // The result is byte-identical output for every worker count, and with
 // no executor at all (World attaches one only when world_jobs > 1) —
@@ -98,6 +100,8 @@ class ParallelExecutor {
   /// then shards, executes and merges it.
   void run_window(SimTime deadline);
   void execute_batch();
+  /// Replays the shard logs' ops in (time, seq, issue) order.
+  void merge();
   void run_shard(std::size_t shard);
   void worker_loop(std::size_t shard);
 
@@ -109,7 +113,7 @@ class ParallelExecutor {
   // One slot per shard, reused across batches.
   std::vector<std::vector<EventQueue::Event>> shard_events_;
   std::vector<Simulator::ShardLog> logs_;
-  std::vector<Simulator::DeferredOp> merged_;
+  std::vector<std::size_t> heads_;  // merge cursor into each shard log
   std::vector<EventQueue::Event> batch_;
 
   // Batch handoff for the persistent workers (shards 1..jobs-1; the

@@ -35,15 +35,13 @@ void Simulator::schedule_at(SimTime at, Affinity affinity,
 void Simulator::schedule_impl(SimTime at, Affinity affinity,
                               EventQueue::Callback fn, bool check_past) {
   if (ShardLog* log = active_log()) {
-    // Parallel batch: the queue is shared, so the schedule itself becomes
-    // a deferred effect, and the event's id is assigned at the merge.
-    // Re-entering schedule_impl there (the log is inactive) repeats the
+    // Parallel batch: the queue is shared, so the schedule is logged, and
+    // the event's id is assigned at the merge. replay() re-enters
+    // schedule_impl there (the log is inactive), which repeats the
     // serial-path checks.
-    log->ops.push_back(DeferredOp{
-        log->current_time, log->current_id,
-        [this, at, affinity, fn = std::move(fn), check_past]() mutable {
-          schedule_impl(at, affinity, std::move(fn), check_past);
-        }});
+    log->ops.push_back(
+        DeferredOp{log->current_time, log->current_id,
+                   LoggedSchedule{at, affinity, check_past, std::move(fn)}});
     return;
   }
   if (check_past) {
@@ -57,6 +55,16 @@ void Simulator::schedule_impl(SimTime at, Affinity affinity,
   CROUPIER_ASSERT_MSG(causal_floor_ == 0 || at >= causal_floor_,
                       "deferred schedule violates the lookahead window");
   queue_.schedule(at, affinity, std::move(fn));
+}
+
+void Simulator::replay(DeferredOp& op) {
+  now_ = op.time;
+  if (auto* logged = std::get_if<LoggedSchedule>(&op.what)) {
+    schedule_impl(logged->at, logged->affinity, std::move(logged->fn),
+                  logged->check_past);
+  } else {
+    std::get<InlineEffect>(op.what).run();
+  }
 }
 
 void Simulator::fire(EventQueue::Event& event) {

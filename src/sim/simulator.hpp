@@ -19,12 +19,18 @@
 // the event queue itself) must go through defer(fn). Outside a parallel
 // batch defer runs the effect immediately — the serial path is unchanged
 // — while inside a batch it is logged per worker and applied at the
-// deterministic merge. Scheduling calls made during a batch are deferred
-// the same way.
+// deterministic merge. A logged effect sits in place in the log entry
+// (InlineEffect), never on the heap. Scheduling calls made during a
+// batch are logged the same way, as a plain record of the schedule
+// holding the event's own callback.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -67,12 +73,14 @@ class Simulator {
   /// from node-affine callbacks (network sends, meter charges) MUST be
   /// routed through here — it is what keeps the parallel engine
   /// byte-identical to the sequential one. The serial path calls the
-  /// effect in place: no std::function is built.
+  /// effect in place; the batch path stores it in place in the log entry,
+  /// so its capture must fit InlineEffect::kCapacity (a compile error
+  /// otherwise).
   template <typename F>
   void defer(F&& effect) {
     if (ShardLog* log = active_log()) {
       log->ops.push_back(DeferredOp{log->current_time, log->current_id,
-                                    std::forward<F>(effect)});
+                                    InlineEffect(std::forward<F>(effect))});
       return;
     }
     std::forward<F>(effect)();
@@ -98,17 +106,86 @@ class Simulator {
  private:
   friend class ParallelExecutor;
 
-  /// One deferred effect, tagged with the (time, id) of the event that
-  /// issued it so the merge can replay effects in sequential order.
+  /// A move-only void() effect stored in place, never on the heap: the
+  /// payload of a logged defer(). kCapacity fits the largest capture the
+  /// engine defers, Network::send's (network, sender, receiver, message
+  /// pointer, byte count: 40 B); a larger capture fails to compile.
+  class InlineEffect {
+   public:
+    static constexpr std::size_t kCapacity = 40;
+
+    template <typename F>
+      requires(!std::is_same_v<std::decay_t<F>, InlineEffect>)
+    explicit InlineEffect(F&& fn) : ops_(&kOps<std::decay_t<F>>) {
+      using Fn = std::decay_t<F>;
+      static_assert(sizeof(Fn) <= kCapacity,
+                    "a deferred effect's capture exceeds "
+                    "InlineEffect::kCapacity");
+      static_assert(alignof(Fn) <= alignof(std::max_align_t));
+      static_assert(std::is_nothrow_move_constructible_v<Fn>);
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    }
+    InlineEffect(InlineEffect&& other) noexcept
+        : ops_(std::exchange(other.ops_, nullptr)) {
+      if (ops_ != nullptr) ops_->relocate(other.storage_, storage_);
+    }
+    InlineEffect& operator=(InlineEffect&&) = delete;
+    ~InlineEffect() {
+      if (ops_ != nullptr) ops_->destroy(storage_);
+    }
+
+    /// Runs the effect, then destroys it: an effect runs once.
+    void run() { std::exchange(ops_, nullptr)->run(storage_); }
+
+   private:
+    struct Ops {
+      void (*run)(void* self);
+      /// Move-constructs at `to` and destroys the source.
+      void (*relocate)(void* from, void* to);
+      void (*destroy)(void* self);
+    };
+    template <typename Fn>
+    static Fn& as(void* p) {
+      return *std::launder(static_cast<Fn*>(p));
+    }
+    template <typename Fn>
+    static constexpr Ops kOps{
+        [](void* p) {
+          as<Fn>(p)();
+          as<Fn>(p).~Fn();
+        },
+        [](void* from, void* to) {
+          ::new (to) Fn(std::move(as<Fn>(from)));
+          as<Fn>(from).~Fn();
+        },
+        [](void* p) { as<Fn>(p).~Fn(); }};
+
+    alignas(std::max_align_t) std::byte storage_[kCapacity];
+    const Ops* ops_;
+  };
+
+  /// A schedule made inside a batch. The merge hands it to the queue,
+  /// which is when the event gets its id.
+  struct LoggedSchedule {
+    SimTime at;
+    Affinity affinity;
+    bool check_past;
+    EventQueue::Callback fn;
+  };
+
+  /// One logged effect or schedule, tagged with the (time, id) of the
+  /// event that issued it so the merge can replay it in sequential order.
   struct DeferredOp {
     SimTime time;
     EventId id;
-    EventQueue::Callback fn;
+    std::variant<InlineEffect, LoggedSchedule> what;
   };
 
   /// Per-worker execution log for one parallel batch. While a worker
   /// drains its shard, tls_log_ points at its log; current_time/
-  /// current_id track the event being executed.
+  /// current_id track the event being executed. A shard runs its events
+  /// in (time, id) order, so `ops` is in (time, id, issue) order. The
+  /// vector keeps its capacity from batch to batch.
   struct ShardLog {
     Simulator* owner = nullptr;
     SimTime current_time = 0;
@@ -129,6 +206,10 @@ class Simulator {
 
   void schedule_impl(SimTime at, Affinity affinity, EventQueue::Callback fn,
                      bool check_past);
+
+  /// Applies one logged op at the merge, with the clock at its issuing
+  /// event's time.
+  void replay(DeferredOp& op);
 
   /// The event loop behind run_until and run: every event up to
   /// `deadline`, without the final clock advance.

@@ -2,7 +2,9 @@
 // accounting, and lifecycle.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -274,6 +276,71 @@ TEST(Network, MeterResetClearsWindow) {
   f.sim.run();
   f.net->meter().reset();
   EXPECT_EQ(f.net->meter().totals(1).bytes_sent, 0u);
+}
+
+TEST(TrafficMeter, MatchesAReferenceMapAcrossAReset) {
+  // The meter's dense array against a std::map doing the same charges:
+  // small ids, 1000 and 65535, with uncharged ids between them and past
+  // them, and a reset() mid-way.
+  const std::vector<NodeId> ids = {1, 2, 1000, 65535};
+  const std::vector<NodeId> uncharged = {0, 3, 1023, 1024, 65536, 70000};
+  TrafficMeter meter;
+  std::map<NodeId, TrafficTotals> ref;
+  const auto charge = [&](std::size_t round, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const NodeId from = ids[i];
+      const NodeId to = ids[(i + round + 1) % ids.size()];
+      const std::size_t bytes = 40 + 7 * i + round;
+      meter.on_send(from, bytes);
+      ref[from].bytes_sent += bytes;
+      ++ref[from].msgs_sent;
+      meter.on_deliver(to, bytes / 2);
+      ref[to].bytes_received += bytes / 2;
+      ++ref[to].msgs_received;
+    }
+  };
+  const auto expect_matches = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(meter.empty(), ref.empty());
+    TrafficTotals sum;
+    for (const auto& [id, t] : ref) {
+      EXPECT_EQ(meter.totals(id), t) << id;
+      sum.bytes_sent += t.bytes_sent;
+      sum.bytes_received += t.bytes_received;
+      sum.msgs_sent += t.msgs_sent;
+      sum.msgs_received += t.msgs_received;
+    }
+    for (const NodeId id : uncharged) {
+      EXPECT_EQ(meter.totals(id), TrafficTotals{}) << id;
+    }
+    EXPECT_EQ(meter.sum(), sum);
+    const std::vector<std::pair<NodeId, TrafficTotals>> in_order(
+        ref.begin(), ref.end());
+    EXPECT_EQ(meter.per_node(), in_order);
+  };
+
+  expect_matches("fresh");
+  for (std::size_t round = 0; round < 3; ++round) charge(round, ids.size());
+  expect_matches("charged");
+  meter.reset();
+  ref.clear();
+  expect_matches("reset");
+  charge(3, 3);
+  expect_matches("charged after reset");
+}
+
+TEST(NetworkDeathTest, PacketConfigAfterTrafficAborts) {
+  // No message fragmented, so only the meter shows that traffic flowed.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto configure_late = [] {
+    Fixture f;
+    f.net->attach(1, NatConfig::open(), f.inbox_a);
+    f.net->attach(2, NatConfig::open(), f.inbox_b);
+    f.net->send(1, 2, std::make_shared<TestMsg>());
+    f.sim.run();
+    f.net->set_packet_config(PacketConfig{});
+  };
+  EXPECT_DEATH(configure_late(), "before traffic flows");
 }
 
 TEST(Network, LocalAndPublicIpsDifferOnlyBehindNat) {

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "runtime/spec.hpp"
@@ -82,6 +84,62 @@ TEST(ParallelExecutorEngine, SameTimestampEventsMergeInScheduleOrder) {
         << "jobs=" << jobs;
     EXPECT_EQ(sim.events_processed(), 8u);
     EXPECT_EQ(sim.now(), 200u);
+  }
+}
+
+TEST(ParallelExecutorEngine, UnevenShardsReplayInSteppingOrder) {
+  // Node-affine events at interleaved times, scheduled out of time order
+  // so ids and times disagree, on seven nodes chosen to leave the last
+  // shard empty at every worker count (the others split seven unevenly).
+  // Each event logs effects and schedules around each other, and each
+  // schedule is a node-affine event that logs more, so the second
+  // batch's order rests on the ids the first merge handed out. The trace
+  // must match stepping, with no executor.
+  std::vector<sim::Affinity> nodes;
+  for (sim::Affinity a = 1; nodes.size() < 7; ++a) {
+    if (sim::shard_of(a, 2) != 1 && sim::shard_of(a, 3) != 2 &&
+        sim::shard_of(a, 4) != 3) {
+      nodes.push_back(a);
+    }
+  }
+  const auto run = [&nodes](std::size_t jobs) {
+    sim::Simulator sim;
+    std::vector<std::uint64_t> trace;
+    for (std::size_t i = 0; i < 3 * nodes.size(); ++i) {
+      const sim::Affinity node = nodes[(5 * i) % nodes.size()];
+      const sim::SimTime at = 1000 + 100 * ((7 * i) % 5);
+      sim.schedule_at(at, node, [&sim, &trace, node, i] {
+        sim.defer([&trace, i] { trace.push_back(10 * i); });
+        sim.schedule_after(sim::msec(2), node, [&sim, &trace, i] {
+          sim.defer([&trace, i] { trace.push_back(10 * i + 5); });
+          sim.defer([&trace, i] { trace.push_back(10 * i + 6); });
+        });
+        sim.defer([&trace, i] { trace.push_back(10 * i + 1); });
+        sim.schedule_after(sim::msec(2) + 100 * (i % 3), node,
+                           [&sim, &trace, i] {
+                             sim.defer([&trace, i] {
+                               trace.push_back(10 * i + 7);
+                             });
+                           });
+        sim.defer([&trace, i] { trace.push_back(10 * i + 2); });
+      });
+    }
+    std::optional<sim::ParallelExecutor> engine;
+    if (jobs > 0) engine.emplace(sim, sim::ParallelExecutor::Options{
+                                          jobs, sim::msec(1)});
+    sim.run();
+    return std::pair(trace, sim.events_processed());
+  };
+
+  const auto stepped = run(0);
+  ASSERT_EQ(stepped.first.size(), 6 * 3 * nodes.size());
+  for (std::size_t jobs : {1u, 2u, 3u, 4u}) {
+    std::vector<std::size_t> per_shard(jobs);
+    for (const sim::Affinity node : nodes) {
+      ++per_shard[sim::shard_of(node, jobs)];
+    }
+    EXPECT_EQ(per_shard.back(), jobs == 1 ? nodes.size() : 0u);
+    EXPECT_EQ(run(jobs), stepped) << "jobs=" << jobs;
   }
 }
 
@@ -380,6 +438,50 @@ TEST(ParallelWorldDeterminism, HubAdversaryUnderGozar) {
                             .record = ExperimentSpec::RecordKind::Randomness,
                             .record_every_s = 10.0};
   expect_engine_equivalence(spec, 53);
+}
+
+TEST(ParallelWorldDeterminism, CountersReadMidRunMatch) {
+  // Serial events read the drop counters and the traffic meter while the
+  // run goes on: every batch's deferred counter effects must be in before
+  // the next serial event, not just by the end of the run. Loss,
+  // fragments, FEC, dead receivers and reassembly GC all feed them.
+  const ExperimentSpec spec{.protocol = "croupier", .nodes = 200,
+                            .ratio = 0.2, .churn = 0.03, .churn_at_s = 10.0,
+                            .loss = 0.05, .mtu = 64, .fec_repair = 1,
+                            .duration_s = 30};
+  const auto snapshots = [&spec](std::size_t world_jobs) {
+    run::Experiment experiment(spec, 17, world_jobs);
+    run::World& world = experiment.world();
+    std::vector<std::uint64_t> seen;
+    for (const sim::SimTime at : {sim::sec(5) + 123, sim::sec(11),
+                                  sim::sec(17) + 4567, sim::sec(24),
+                                  sim::sec(29) + 999}) {
+      world.simulator().schedule_at(at, [&world, &seen] {
+        const auto& d = world.network().drops();
+        for (const std::uint64_t v :
+             {d.loss, d.nat_filtered, d.dead_receiver, d.delivered,
+              d.loss_bytes, d.nat_filtered_bytes, d.dead_receiver_bytes,
+              d.delivered_bytes, d.fragments_sent, d.fragments_lost,
+              d.fragments_reassembled, d.fragments_expired}) {
+          seen.push_back(v);
+        }
+        for (const auto& [id, t] : world.network().meter().per_node()) {
+          for (const std::uint64_t v : {std::uint64_t{id}, t.bytes_sent,
+                                        t.bytes_received, t.msgs_sent,
+                                        t.msgs_received}) {
+            seen.push_back(v);
+          }
+        }
+      });
+    }
+    experiment.run();
+    return seen;
+  };
+  const std::vector<std::uint64_t> sequential = snapshots(1);
+  ASSERT_GT(sequential.size(), 5u * 12u);
+  for (std::size_t jobs : {2u, 4u}) {
+    EXPECT_EQ(snapshots(jobs), sequential) << "world_jobs=" << jobs;
+  }
 }
 
 TEST(ParallelWorldEngine, ReportsBatchingStats) {
